@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from crepant.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PRECONDITION,
+    MODES,
     JobError,
     PreconditionError,
     main,
@@ -307,6 +309,37 @@ def test_reports_are_deterministic():
     b, _ = run(parse_job(EX72_DOC))
     assert render_report(a, "json") == render_report(b, "json")
     assert render_report(a, "text") == render_report(b, "text")
+
+
+# Reports pinned byte for byte across commits.  The files under
+# tests/data/golden are `render_report` output; a change that alters any of
+# them changes the CLI contract.  2T's order-3 generator has the fractional
+# entries (+-1+-E(4))/2; C12 is written at conductor 60, whose basis
+# reduction mixes the primes 2, 3 and 5.
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+TETRA_T = [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
+TWO_T_DOC = doc(2, [[list(r) for r in m] for m in Q8_ROWS] + [TETRA_T])
+C12_AT_60_DOC = doc(
+    3, [[["E(3)", "0", "0"], ["0", "E(4)", "0"], ["0", "0", "E(60)^-35"]]]
+)
+GOLDEN_JOBS = {
+    "ex72_analyze": (EX72_DOC, "analyze"),
+    **{f"q8_{mode}": (Q8_DOC, mode) for mode in MODES},
+    "2t_check": (TWO_T_DOC, "check"),
+    "2t_age": (TWO_T_DOC, "age"),
+    "c12_conductor60_analyze": (C12_AT_60_DOC, "analyze"),
+}
+GOLDEN_FORMATS = {"json": "json", "text": "txt"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
+def test_reports_match_golden_bytes(name):
+    source, mode = GOLDEN_JOBS[name]
+    report, status = run(parse_job(source, mode=mode))
+    assert status == EXIT_OK
+    for fmt, suffix in GOLDEN_FORMATS.items():
+        golden = (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
+        assert render_report(report, fmt).encode("utf-8") == golden, (name, fmt)
 
 
 # --- main() and exit codes ------------------------------------------------------
