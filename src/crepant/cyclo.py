@@ -1,12 +1,15 @@
 """Exact arithmetic in cyclotomic fields.
 
 A `CyclotomicNumber` is the residue of a rational polynomial in a primitive
-N-th root of unity modulo the N-th cyclotomic polynomial.  For a fixed
-conductor N the coefficient vector (length phi(N), exact `Fraction` entries)
-is unique, so equality tests and dict keying are sound.  Arithmetic lifts
-operands to the lcm of their conductors and never tries to shrink a conductor
-back down; values that happen to be rational still compare equal across
-conductors because comparison always lifts to a common field first.
+N-th root of unity modulo the N-th cyclotomic polynomial.  It is stored with
+denominators cleared, as GAP stores its cyclotomics: integer numerators
+(length phi(N)) over one positive common denominator, in lowest terms.  For a
+fixed conductor N that form is unique, so equality tests and dict keying are
+sound.  Addition and multiplication work on integers only; `Fraction` appears
+at the edges (`coeffs`, `rational_value`, and rational inputs).  Arithmetic
+lifts operands to the lcm of their conductors and never tries to shrink a
+conductor back down; values that happen to be rational still compare equal
+across conductors because comparison always lifts to a common field first.
 
 `to_complex` is the only bridge to floating point.  It exists for numerical
 cross-check harnesses; no arithmetic in this module depends on it.
@@ -128,21 +131,10 @@ def _reduce_ints(n: int, vec: list[int]) -> list[int]:
     out = vec[:phi]
     if len(out) < phi:
         out += [0] * (phi - len(out))
-    for k in range(len(vec) - phi):
-        c = vec[phi + k]
+    for k, c in enumerate(vec[phi:]):
         if c:
-            row = _row(n, k)
-            for i in range(phi):
-                out[i] += c * row[i]
+            out = [o + c * r for o, r in zip(out, _row(n, k))]
     return out
-
-
-def _int_parts(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Clear denominators: return (integer numerators, common denominator)."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @lru_cache(maxsize=None)
@@ -162,42 +154,57 @@ def _trace_vector(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_FR0 = Fraction(0)
-_FR1 = Fraction(1)
+def _canonical(n: int, nums: list[int], den: int) -> "CyclotomicNumber":
+    """nums/den at conductor n (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return CyclotomicNumber(n, tuple(nums), den)
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_N), stored as a reduced residue mod Phi_N."""
+    """An element of Q(zeta_N), stored as a reduced residue mod Phi_N.
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    The value is (sum of nums[j] * zeta_N^j over j < phi(N)) / den, with
+    integer `nums` and a positive integer `den` in lowest terms:
+    gcd(den, *nums) == 1.  Each value has exactly one such form at a given
+    conductor, so equality at one conductor is equality of (nums, den).
+    """
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        # Internal constructor: `coeffs` must already be reduced (length
-        # phi(conductor)).  Use rational(), zeta(), or parse_cyclotomic().
+    __slots__ = ("conductor", "nums", "den", "_hash")
+
+    def __init__(self, conductor: int, nums: tuple[int, ...], den: int = 1):
+        # Internal constructor: `nums` must already be reduced (length
+        # phi(conductor)) and in lowest terms with `den`.  Use rational(),
+        # zeta(), or parse_cyclotomic().
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._hash: Optional[int] = None
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def _from_int_vec(n: int, vec: list[int], den: int) -> "CyclotomicNumber":
-        reduced = _reduce_ints(n, vec)
-        return CyclotomicNumber(n, tuple(Fraction(c, den) for c in reduced))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in the power basis, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     # -- conductor handling ----------------------------------------------
 
-    def _lifted_coeffs(self, m: int) -> tuple[Fraction, ...]:
+    def _lifted_nums(self, m: int) -> tuple[int, ...]:
+        # Numerators at conductor m (a multiple of N); the denominator is
+        # unchanged and stays in lowest terms, because Z[zeta_N] is a direct
+        # summand of Z[zeta_m].
         if m == self.conductor:
-            return self.coeffs
+            return self.nums
         step = m // self.conductor
-        nums, den = _int_parts(self.coeffs)
+        nums = self.nums
         vec = [0] * ((len(nums) - 1) * step + 1)
         for j, c in enumerate(nums):
             if c:
                 vec[j * step] = c
-        reduced = _reduce_ints(m, vec)
-        return tuple(Fraction(c, den) for c in reduced)
+        return tuple(_reduce_ints(m, vec))
 
     def embed(self, m: int) -> "CyclotomicNumber":
         """Image under Q(zeta_N) -> Q(zeta_m), zeta_N |-> zeta_m^(m/N).
@@ -208,24 +215,24 @@ class CyclotomicNumber:
             raise ValueError(
                 f"cannot embed conductor {self.conductor} into {m}: not a multiple"
             )
-        return CyclotomicNumber(m, self._lifted_coeffs(m))
+        return CyclotomicNumber(m, self._lifted_nums(m), self.den)
 
     # -- predicates -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     @property
     def rational_value(self) -> Optional[Fraction]:
         """The value as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -233,77 +240,108 @@ class CyclotomicNumber:
     def _coerce(value) -> Optional["CyclotomicNumber"]:
         if isinstance(value, CyclotomicNumber):
             return value
-        if isinstance(value, (int, Fraction)):
-            return CyclotomicNumber(1, (Fraction(value),))
+        if isinstance(value, int):
+            return CyclotomicNumber(1, (int(value),))
+        if isinstance(value, Fraction):
+            return CyclotomicNumber(1, (value.numerator,), value.denominator)
         return None
+
+    def _add(self, other: "CyclotomicNumber", sign: int) -> "CyclotomicNumber":
+        # self + sign * other, sign = +-1
+        n = _lcm(self.conductor, other.conductor)
+        a = self._lifted_nums(n)
+        b = other._lifted_nums(n)
+        da, db = self.den, other.den
+        if da != db:
+            den = _lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+            return _canonical(n, [x * fa + y * fb for x, y in zip(a, b)], den)
+        if sign > 0:
+            return _canonical(n, [x + y for x, y in zip(a, b)], da)
+        return _canonical(n, [x - y for x, y in zip(a, b)], da)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = _lcm(self.conductor, other.conductor)
-        a = self._lifted_coeffs(n)
-        b = other._lifted_coeffs(n)
-        return CyclotomicNumber(n, tuple(x + y for x, y in zip(a, b)))
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coeffs))
+        return CyclotomicNumber(
+            self.conductor, tuple(-c for c in self.nums), self.den
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._add(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = _lcm(self.conductor, other.conductor)
-        if self.is_zero or other.is_zero:
-            return CyclotomicNumber(n, (_FR0,) * euler_phi(n))
-        na, da = _int_parts(self._lifted_coeffs(n))
-        nb, db = _int_parts(other._lifted_coeffs(n))
-        conv = [0] * (len(na) + len(nb) - 1)
-        for i, ai in enumerate(na):
-            if ai:
-                for j, bj in enumerate(nb):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CyclotomicNumber._from_int_vec(n, conv, da * db)
+        n = self.conductor
+        if n == other.conductor:
+            a, b = self.nums, other.nums
+        else:
+            n = _lcm(n, other.conductor)
+            a, b = self._lifted_nums(n), other._lifted_nums(n)
+        return _canonical(n, _mul_ints(n, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_N (irreducible, so every nonzero residue is a unit)."""
+        """Multiplicative inverse (Phi_N is irreducible, so every nonzero
+        residue is a unit).
+
+        With a = nums as an integer polynomial and D = Res(Phi_N, a), the
+        norm of a, the vector b = D * a^-1 is integral.  The extended
+        Euclidean algorithm over F_p gives D and b mod p; primes are added
+        and combined by CRT until the balanced residues stop changing and
+        a * b == D holds exactly.  Then (a/den)^-1 = den * b / D.
+        """
         if self.is_zero:
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        n = self.conductor
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = modulus, list(self.coeffs)
-        # Bezout coefficient of `self` only.
-        s0, s1 = [_FR0], [_FR1]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd; normalize.
-        g = next(c for c in r0 if c)
-        inv = [c / g for c in s0]
-        phi = euler_phi(n)
-        inv = inv[:phi] + [_FR0] * max(0, phi - len(inv))
-        # s0 may exceed degree phi-1 transiently only if self was not reduced;
-        # reduced inputs keep it inside the basis.
-        return CyclotomicNumber(n, tuple(inv[:phi]))
+        n, a, den = self.conductor, self.nums, self.den
+        if not any(a[1:]):
+            sign = 1 if a[0] > 0 else -1
+            return CyclotomicNumber(n, (sign * den,) + a[1:], abs(a[0]))
+        modulus = cyclotomic_polynomial(n)
+        zeros = [0] * (len(a) - 1)
+        residues: list[int] = []
+        m = 1
+        balanced: list[int] = []
+        for p in _primes():
+            image = _norm_and_adjugate_mod(a, modulus, p)
+            if image is None:
+                continue  # p divides the norm
+            if not residues:
+                residues = image
+            else:
+                # CRT: keep residues mod m, fold in the residues mod p
+                m_inv = pow(m, -1, p)
+                residues = [
+                    r + m * ((w - r) * m_inv % p) for r, w in zip(residues, image)
+                ]
+            m *= p
+            half = m // 2
+            previous = balanced
+            balanced = [r - m if r > half else r for r in residues]
+            if balanced == previous:
+                norm, adj = balanced[0], balanced[1:]
+                if _mul_ints(n, a, adj) == [norm] + zeros:
+                    if norm < 0:
+                        norm, adj = -norm, [-c for c in adj]
+                    return _canonical(n, [den * c for c in adj], norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -324,7 +362,7 @@ class CyclotomicNumber:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        result = CyclotomicNumber(base.conductor, _one_coeffs(base.conductor))
+        result = rational(1).embed(base.conductor)
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -338,10 +376,12 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den != other.den:
+            return False
         if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums
         n = _lcm(self.conductor, other.conductor)
-        return self._lifted_coeffs(n) == other._lifted_coeffs(n)
+        return self._lifted_nums(n) == other._lifted_nums(n)
 
     def __hash__(self) -> int:
         # Conductor-independent: rational values hash like their Fraction,
@@ -357,8 +397,8 @@ class CyclotomicNumber:
 
     def _trace_avg(self) -> Fraction:
         tv = _trace_vector(self.conductor)
-        phi = len(self.coeffs)
-        return sum((c * t for c, t in zip(self.coeffs, tv)), _FR0) / phi
+        total = sum(c * t for c, t in zip(self.nums, tv))
+        return Fraction(total, self.den * len(self.nums))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -369,28 +409,32 @@ class CyclotomicNumber:
         """Float image at the embedding zeta_N = exp(2*pi*i/N).  Test use only."""
         n = self.conductor
         return sum(
-            float(c) * cmath.exp(2j * cmath.pi * j / n)
-            for j, c in enumerate(self.coeffs)
+            c / self.den * cmath.exp(2j * cmath.pi * j / n)
+            for j, c in enumerate(self.nums)
             if c
         ) or complex(0)
 
     def render(self) -> str:
         """Canonical expression string; parse_cyclotomic(render()) == self."""
         n = self.conductor
+        den = self.den
         parts = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.nums):
             if not c:
                 continue
+            g = math.gcd(c, den)
+            num, d = c // g, den // g
+            coeff = str(num) if d == 1 else f"{num}/{d}"
             if j == 0:
-                term = _format_rational(c)
+                term = coeff
             else:
                 power = f"E({n})" if j == 1 else f"E({n})^{j}"
-                if c == 1:
+                if c == den:
                     term = power
-                elif c == -1:
+                elif c == -den:
                     term = "-" + power
                 else:
-                    term = f"{_format_rational(c)}*{power}"
+                    term = f"{coeff}*{power}"
             parts.append(term)
         if not parts:
             return "0"
@@ -407,50 +451,111 @@ def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
-@lru_cache(maxsize=None)
-def _one_coeffs(n: int) -> tuple[Fraction, ...]:
-    return (_FR1,) + (_FR0,) * (euler_phi(n) - 1)
-
-
-def _format_rational(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-# -- Fraction polynomial helpers (inverse computation only) -----------------
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    lead = b[db]
-    q = [_FR0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = c / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db] if db else [_FR0]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_FR0] * (len(a) + len(b) - 1)
+def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Product of two integer residues at conductor n, reduced mod Phi_n."""
+    b = [(j, c) for j, c in enumerate(b) if c]
+    if not b or not any(a):
+        return [0] * len(a)
+    conv = [0] * (len(a) + b[-1][0])
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+            for j, bj in b:
+                conv[i + j] += ai * bj
+    return _reduce_ints(n, conv)
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    a = a + [_FR0] * (size - len(a))
-    b = b + [_FR0] * (size - len(b))
-    return [x - y for x, y in zip(a, b)]
+# -- inverse: extended Euclid modulo word-sized primes ----------------------
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with the first twelve prime bases: exact below 3.3e24.
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in bases:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_PRIMES: list[int] = []  # primes below 2^61, descending, found on demand
+
+
+def _primes():
+    k = 0
+    while True:
+        if k == len(_PRIMES):
+            c = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+            while not _is_prime(c):
+                c -= 2
+            _PRIMES.append(c)
+        yield _PRIMES[k]
+        k += 1
+
+
+def _trim(poly: list[int]) -> list[int]:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _norm_and_adjugate_mod(
+    a: tuple[int, ...], modulus: tuple[int, ...], p: int
+) -> Optional[list[int]]:
+    """[D, *b] mod p, with D = Res(modulus, a) and a * b == D mod
+    (modulus, p); None when p divides D.  `modulus` is monic."""
+    f = [c % p for c in modulus]
+    g = _trim([c % p for c in a])
+    if not g:
+        return None
+    # Invariant: f == sf * a and g == sg * a modulo the modulus.
+    sf: list[int] = []
+    sg = [1]
+    res = 1
+    while len(g) > 1:
+        dg = len(g) - 1
+        inv_lead = pow(g[-1], -1, p)
+        r = list(f)
+        q = [0] * (len(f) - dg)
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = r[i] * inv_lead % p
+            if c:
+                q[i - dg] = c
+                for j in range(dg):
+                    r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+        r = _trim(r[:dg])
+        if not r:
+            return None
+        # Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - deg r) * Res(g, r)
+        if (len(f) - 1) * dg % 2:
+            res = -res
+        res = res * pow(g[-1], len(f) - len(r), p) % p
+        s_next = sf + [0] * max(0, len(q) + len(sg) - 1 - len(sf))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(sg):
+                    s_next[i + j] = (s_next[i + j] - qi * sj) % p
+        f, g, sf, sg = g, r, sg, _trim(s_next)
+    # g is a nonzero constant c == sg * a, and Res(f, c) = c^deg f
+    c = g[0]
+    res = res * pow(c, len(f) - 1, p) % p
+    scale = res * pow(c, -1, p) % p
+    adj = [x * scale % p for x in sg] + [0] * (len(a) - len(sg))
+    return [res] + adj
 
 
 # -- public constructors -----------------------------------------------------
@@ -458,7 +563,8 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def rational(value: Rationalish) -> CyclotomicNumber:
     """The rational number `value` as a cyclotomic value (conductor 1)."""
-    return CyclotomicNumber(1, (Fraction(value),))
+    value = Fraction(value)
+    return CyclotomicNumber(1, (value.numerator,), value.denominator)
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
@@ -468,7 +574,7 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     k %= n
     vec = [0] * (k + 1)
     vec[k] = 1
-    return CyclotomicNumber._from_int_vec(n, vec, 1)
+    return CyclotomicNumber(n, tuple(_reduce_ints(n, vec)))
 
 
 def as_root_of_unity(a: CyclotomicNumber) -> Optional[tuple[int, int]]:

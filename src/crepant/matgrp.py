@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cyclo import (
     CyclotomicNumber,
+    _factorize,
     as_root_of_unity,
     parse_cyclotomic,
     rational,
@@ -226,6 +227,10 @@ class CycMatrix:
         return det
 
     def rank(self) -> int:
+        # Fraction-free elimination: row_r <- pivot*row_r - factor*row_pivot
+        # scales row_r by the nonzero pivot before cancelling, so the rank is
+        # kept and no field inverse is taken.  Columns at or left of the
+        # pivot are not read again, so they are not updated.
         work = [list(row) for row in self.rows]
         n = self.dim
         rank = 0
@@ -238,14 +243,15 @@ class CycMatrix:
                 pivot_col += 1
                 continue
             work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            inv_pivot = work[rank][pivot_col].inverse()
+            top = work[rank]
+            pivot = top[pivot_col]
             for r in range(rank + 1, n):
-                factor = work[r][pivot_col]
+                row = work[r]
+                factor = row[pivot_col]
                 if factor.is_zero:
                     continue
-                ratio = factor * inv_pivot
-                for c in range(pivot_col, n):
-                    work[r][c] = work[r][c] - ratio * work[rank][c]
+                for c in range(pivot_col + 1, n):
+                    row[c] = pivot * row[c] - factor * top[c]
             rank += 1
             pivot_col += 1
         return rank
@@ -286,8 +292,10 @@ class CycMatrix:
 
     def key(self) -> tuple:
         # Identity key for dict lookup; only comparable between matrices that
-        # share a conductor (group machinery lifts everything first).
-        return tuple(e.coeffs for row in self.rows for e in row)
+        # share a conductor (group machinery lifts everything first).  Entry
+        # numerators, then entry denominators, in one flat tuple.
+        entries = [e for row in self.rows for e in row]
+        return tuple([e.nums for e in entries] + [e.den for e in entries])
 
     def render_rows(self) -> list[list[str]]:
         return [[e.render() for e in row] for row in self.rows]
@@ -886,18 +894,7 @@ def abelian_invariants(grp) -> AbelianStructure:
         orders = [order_of(grp, x) for x in grp.carrier_labels()]
     n = len(orders)
     partitions: dict[int, list[int]] = {}
-    mm = n
-    p = 2
-    primes = []
-    while p * p <= mm:
-        if mm % p == 0:
-            primes.append(p)
-            while mm % p == 0:
-                mm //= p
-        p += 1 if p == 2 else 2
-    if mm > 1:
-        primes.append(mm)
-    for p in primes:
+    for p, _ in _factorize(n):
         # exps[e] = number of elements of order exactly p^e
         exps: dict[int, int] = {}
         for o in orders:
@@ -984,7 +981,7 @@ def abelian_decomposition(grp) -> AbelianDecomposition:
     _verify_abelian(grp)
     labels = sorted(grp.carrier_labels())
     n = len(labels)
-    primes = [p for p, _ in _int_factorize(n)]
+    primes = [p for p, _ in _factorize(n)]
     per_prime: dict[int, list] = {}
     for p in primes:
         members = sorted(
@@ -1031,20 +1028,3 @@ def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def _int_factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out

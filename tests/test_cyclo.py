@@ -207,12 +207,12 @@ def test_cyclotomic_polynomial_degrees():
 
 # --- property tests ---------------------------------------------------------
 
-_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
+_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 60]
 
 
 @st.composite
-def cyclotomic_values(draw):
-    n = draw(st.sampled_from(_CONDUCTORS))
+def cyclotomic_values(draw, conductors=_CONDUCTORS):
+    n = draw(st.sampled_from(conductors))
     terms = draw(
         st.lists(
             st.tuples(
@@ -256,11 +256,38 @@ def test_float_cross_check(x, y):
     assert close_enough((x + y).to_complex(), x.to_complex() + y.to_complex())
 
 
-@given(cyclotomic_values())
-@settings(max_examples=100)
+@given(st.one_of(cyclotomic_values(), cyclotomic_values(conductors=[420])))
+@settings(max_examples=100, deadline=None)
 def test_nonzero_inverse_round_trip(x):
     if not x.is_zero:
         assert x * x.inverse() == 1
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == euler_phi(x.conductor)
+
+
+def _same_data(u, v):
+    n = u.conductor * v.conductor // math.gcd(u.conductor, v.conductor)
+    u, v = u.embed(n), v.embed(n)
+    return (u.nums, u.den) == (v.nums, v.den)
+
+
+@given(cyclotomic_values(), cyclotomic_values())
+@settings(max_examples=150)
+def test_canonical_form(x, y):
+    for v in (x, y, -x, x + y, x - y, x * y, x.embed(x.conductor * 2)):
+        _assert_canonical(v)
+    if not x.is_zero:
+        _assert_canonical(x.inverse())
+    # equal values reached by different routes carry identical data
+    assert _same_data(x * y, y * x)
+    assert _same_data((x + y) - y, x)
+    assert _same_data((x + x) * Fraction(1, 2), x)
+    assert _same_data(x * (y + 1), x * y + x)
+    assert _same_data(x * 3 / 3, x)
 
 
 @given(cyclotomic_values(), cyclotomic_values(), st.integers(1, 3))

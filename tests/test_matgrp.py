@@ -1,10 +1,13 @@
 """Matrix arithmetic and finite group machinery against brute-force oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crepant.cyclo import zeta
+from crepant.cyclo import rational, zeta
 from crepant.matgrp import (
     CycMatrix,
     ExplicitGroup,
@@ -87,6 +90,47 @@ def test_kernel_basis_of_rank_one():
     assert len(basis) == 1
     assert basis[0][0] == -2 and basis[0][1] == 1
     assert kernel_basis(CycMatrix.identity(3)) == []
+
+
+@st.composite
+def _entries(draw, n):
+    acc = rational(0).embed(n)
+    terms = st.tuples(
+        st.integers(-2, 2), st.integers(1, 2), st.integers(0, n - 1)
+    )
+    for num, den, e in draw(st.lists(terms, max_size=2)):
+        acc = acc + Fraction(num, den) * zeta(n, e)
+    return acc
+
+
+@st.composite
+def _matrices_with_rank_bound(draw):
+    """(matrix, upper bound on its rank): a general matrix, or a sum of one
+    or two outer products u v^T, so rank-deficient matrices are common."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([1, 3, 4, 5, 12]))
+    terms = draw(st.integers(0, 2))
+    if terms == 0:
+        rows = [[draw(_entries(n)) for _ in range(dim)] for _ in range(dim)]
+        return CycMatrix.from_rows(rows), dim
+    rows = [[rational(0)] * dim for _ in range(dim)]
+    for _ in range(terms):
+        u = [draw(_entries(n)) for _ in range(dim)]
+        v = [draw(_entries(n)) for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                rows[i][j] = rows[i][j] + u[i] * v[j]
+    return CycMatrix.from_rows(rows), terms
+
+
+@given(_matrices_with_rank_bound())
+@settings(max_examples=120, deadline=None)
+def test_rank_agrees_with_kernel_basis(case):
+    # kernel_basis eliminates with field inverses; rank does not divide
+    m, bound = case
+    rank = m.rank()
+    assert rank + len(kernel_basis(m)) == m.dim
+    assert rank <= bound
 
 
 def test_trace():
