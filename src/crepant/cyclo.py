@@ -468,13 +468,9 @@ def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin with the first twelve prime bases: exact below 3.3e24.
+    # Miller-Rabin for odd n > 37 with the first twelve prime bases: exact
+    # below 3.3e24.
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
