@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from .matgrp import (
     AbelianStructure,
     FiniteMatrixGroup,
+    NotNormalError,
     SubgroupHandle,
+    _check_normal,
     abelian_decomposition,
     abelian_invariants,
     abelianization,
-    commutator_subgroup,
+    per_group,
     quotient,
     subgroup_generated,
 )
@@ -100,6 +102,7 @@ class ClassGroupReport:
         return self.torsion.order == 1
 
 
+@per_group
 def reflection_subgroup(G: FiniteMatrixGroup) -> SubgroupHandle:
     """K: generated by the elements moving a hyperplane's worth of nothing,
     i.e. rank(g - id) = 1."""
@@ -117,6 +120,7 @@ def class_group_of_quotient(G: FiniteMatrixGroup) -> AbelianStructure:
     return abelian_invariants(abelianization(quotient(G, K)))
 
 
+@per_group
 def junior_subgroup(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> SubgroupHandle:
@@ -126,16 +130,21 @@ def junior_subgroup(
         raise NotSpecialLinearError(
             "the junior subgroup is defined for determinant-one groups only"
         )
-    ids = junior_elements(G, twist)
-    H = subgroup_generated(G, ids)
-    for g in G.generator_labels():
-        gi = G.inv(g)
-        for h in H.members:
-            if G.mul(G.mul(g, h), gi) not in H.member_set:
-                raise ConsistencyError(
-                    "the junior subgroup failed its normality check"
-                )
+    H = subgroup_generated(G, junior_elements(G, twist))
+    try:
+        _check_normal(G, H)
+    except NotNormalError as exc:
+        raise ConsistencyError(
+            "the junior subgroup failed its normality check"
+        ) from exc
     return H
+
+
+@per_group
+def _junior_quotient_abelianization(
+    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
+):
+    return abelianization(quotient(G, junior_subgroup(G, twist)))
 
 
 def _abelian_image(ab_quotient, members) -> SubgroupHandle:
@@ -181,9 +190,10 @@ def terminalization_class_group(
     count, reps = junior_classes(G, twist)
     juniors = junior_elements(G, twist)
     H = junior_subgroup(G, twist)
-    torsion = abelian_invariants(abelianization(quotient(G, H)))
+    ab_of_quotient = _junior_quotient_abelianization(G, twist)
+    torsion = abelian_invariants(ab_of_quotient)
 
-    ab = abelianization(G)
+    ab = G.abelianization()
     ab_structure = abelian_invariants(ab)
     ab_dec = abelian_decomposition(ab)
 
@@ -207,7 +217,6 @@ def terminalization_class_group(
         f"|Ab(G)| = {ab_structure.order}, |junior image| = "
         f"{hbar_structure.order}, |Ab(G/H)| = {torsion.order}",
     )
-    ab_of_quotient = abelianization(quotient(G, H))
     generated = subgroup_generated(
         ab_of_quotient, list(ab_of_quotient.generator_labels())
     )
@@ -283,14 +292,12 @@ def freeness_criterion(
             "the freeness criterion requires a determinant-one group"
         )
     juniors = junior_elements(G, twist)
-    derived = commutator_subgroup(G)
+    derived = G.abelianization().normal
     span = subgroup_generated(G, list(juniors) + list(derived.members))
     generated = len(span) == len(G)
 
-    H = junior_subgroup(G, twist)
-    torsion_trivial = (
-        abelian_invariants(abelianization(quotient(G, H))).order == 1
-    )
+    ab_of_quotient = _junior_quotient_abelianization(G, twist)
+    torsion_trivial = abelian_invariants(ab_of_quotient).order == 1
     if generated != torsion_trivial:
         raise ConsistencyError(
             "the generation route and the torsion route to freeness disagree"

@@ -6,9 +6,9 @@ deterministic report as text or JSON.  Text output is rendered from the same
 structured report the JSON path serializes, never assembled separately.
 
 Exit codes: 0 success, 1 a property or consistency check failed, 2 malformed
-input or usage, 3 a computational precondition failed (group too large,
-terminalization modes on a non-special-linear group, no relative invariant
-within the degree bound).
+input or usage or an unwritable output path, 3 a computational precondition
+failed (group too large, terminalization modes on a non-special-linear group,
+no relative invariant within the degree bound).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .classgroup import (
     ClassGroupReport,
     freeness_criterion,
+    junior_subgroup,
     terminalization_class_group,
 )
 from .cyclo import CycloParseError, CyclotomicNumber, parse_cyclotomic
@@ -41,9 +42,7 @@ from .matgrp import (
     GroupTooLargeError,
     SingularMatrixError,
     abelian_decomposition,
-    abelianization,
     close_group,
-    subgroup_generated,
 )
 from .mckay import (
     ConsistencyError,
@@ -51,7 +50,6 @@ from .mckay import (
     NotSpecialLinearError,
     age_records,
     galois_sweep,
-    junior_elements,
     junior_gradings,
 )
 
@@ -314,7 +312,7 @@ def _run_age(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
 def _resolve_character(
     job: JobSpec, G: FiniteMatrixGroup
 ) -> CharacterOfAb:
-    decomposition = abelian_decomposition(abelianization(G))
+    decomposition = abelian_decomposition(G.abelianization())
     factors = decomposition.structure.invariant_factors
     exponents = job.character
     if exponents is None:
@@ -397,9 +395,9 @@ def _run_check(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
         record("freeness_routes", False, str(exc))
 
     gradings = junior_gradings(G, twist)
-    H = subgroup_generated(G, junior_elements(G, twist))
+    H = junior_subgroup(G, twist)
     bound = job.degree_bound if job.degree_bound is not None else len(G)
-    decomposition = abelian_decomposition(abelianization(G))
+    decomposition = abelian_decomposition(G.abelianization())
     for chi in characters_of(decomposition):
         label = _char_label(chi)
         f = relative_invariant(G, chi, degree_bound=bound)
@@ -633,6 +631,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.output_format,
         )
         report, status = run(job)
+        text = render_report(report, args.output_format)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise JobError(f"cannot write output {args.output!r}: {exc}")
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -642,12 +649,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    text = render_report(report, args.output_format)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
     return status
 
 

@@ -20,6 +20,7 @@ from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
     SubgroupHandle,
+    _power_traces,
 )
 from .mckay import ConsistencyError, GaloisTwist, GradingData, IDENTITY_TWIST
 
@@ -296,18 +297,6 @@ def monomial_valuation(grading: GradingData, f: SparsePolynomial) -> int:
     return min(sum(a * wj for a, wj in zip(exps, w)) for exps in target.terms)
 
 
-def _matrix_order(g: CycMatrix, cap: int = 10000) -> int:
-    ident = CycMatrix.identity(g.dim, g.conductor)
-    p = g
-    k = 1
-    while p != ident:
-        p = g @ p
-        k += 1
-        if k > cap:
-            raise ValueError(f"matrix order exceeds {cap}")
-    return k
-
-
 def graded_degree(
     g: CycMatrix,
     f: SparsePolynomial,
@@ -328,7 +317,7 @@ def graded_degree(
     root = as_root_of_unity(scalar)
     if root is None:
         return None
-    r = order if order is not None else _matrix_order(g)
+    r = order if order is not None else _power_traces(g, 10000)[0]
     r0, k0 = root
     if r % r0 != 0:
         raise ArithmeticError(

@@ -17,6 +17,8 @@ uniformly on groups, subgroup handles, quotients, and ad-hoc table groups.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,6 +359,25 @@ def kernel_basis(m: CycMatrix) -> list[tuple[CyclotomicNumber, ...]]:
     return basis
 
 
+def _power_traces(g: CycMatrix, max_order: int):
+    """(order r, [tr(g^0), ..., tr(g^(r-1))]); errors out past max_order."""
+    ident = CycMatrix.identity(g.dim, g.conductor)
+    traces = []
+    p = ident
+    k = 0
+    while True:
+        traces.append(p.trace())
+        p = g @ p
+        k += 1
+        if p == ident:
+            return k, traces
+        if k >= max_order:
+            raise ValueError(
+                f"no finite order up to {max_order}; the matrix may have "
+                "infinite order"
+            )
+
+
 # ---------------------------------------------------------------------------
 # group protocol helpers
 
@@ -428,12 +449,34 @@ class ExplicitGroup:
 # closed matrix groups
 
 
+def per_group(fn):
+    """Memoise `fn(G, ...)` in `G._memo`, keyed by `fn` and the arguments
+    after `G` with defaults filled in, so `f(G)` and `f(G, default)` share
+    one entry.  Only for results fixed by `G` and those arguments."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoised(G, *args, **kwargs):
+        bound = signature.bind(G, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, bound.args[1:])
+        if key not in G._memo:
+            G._memo[key] = fn(G, *args, **kwargs)
+        return G._memo[key]
+
+    return memoised
+
+
 class FiniteMatrixGroup:
     """A finite matrix group closed from generators; see `close_group`.
 
     Element labels are the ids 0..order-1 in discovery order (0 is the
     identity).  Multiplication replays the stored generator word of the left
     operand through the per-generator permutation tables.
+
+    What is derived from the group (conjugacy classes, Ab(G), multiplicities,
+    junior data, K and H) is computed once per group object: `per_group`
+    functions keep it in `_memo`, so a second closure shares nothing.
     """
 
     def __init__(
@@ -458,7 +501,7 @@ class FiniteMatrixGroup:
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
         self.inverse_ids = [self._compute_inverse(i) for i in range(len(elements))]
-        self.element_orders = self._compute_orders()
+        self.element_orders = [order_of(self, i) for i in range(len(elements))]
         self.exponent = 1
         for o in self.element_orders:
             self.exponent = self.exponent * o // math.gcd(self.exponent, o)
@@ -468,9 +511,7 @@ class FiniteMatrixGroup:
         )
         self.traces = [m.trace() for m in self.elements]
         self.is_special_linear = is_special_linear
-        self._classes: Optional[tuple[tuple[int, ...], ...]] = None
-        # scratch space for modules that derive per-element data (ages etc.)
-        self.cache: dict = {}
+        self._memo: dict = {}
 
     # protocol ----------------------------------------------------------
 
@@ -510,13 +551,14 @@ class FiniteMatrixGroup:
                 return i
         return None
 
-    def order_of(self, label: int) -> int:
-        return self.element_orders[label]
-
+    @per_group
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        if self._classes is None:
-            self._classes = conjugacy_classes(self)
-        return self._classes
+        return conjugacy_classes(self)
+
+    @per_group
+    def abelianization(self) -> "QuotientGroup":
+        """Ab(G) = G / [G, G]; its `normal` is the derived subgroup."""
+        return abelianization(self)
 
     # internals ---------------------------------------------------------
 
@@ -525,17 +567,6 @@ class FiniteMatrixGroup:
         for gi in self._words[a]:
             y = self._linv[gi][y]
         return y
-
-    def _compute_orders(self) -> list[int]:
-        orders = []
-        for i in range(len(self.elements)):
-            p = i
-            k = 1
-            while p != 0:
-                p = self.mul(i, p)
-                k += 1
-            orders.append(k)
-        return orders
 
     def __repr__(self) -> str:
         return (
@@ -689,19 +720,10 @@ def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def commutator_subgroup(grp, pair_scan_limit: int = 4096) -> SubgroupHandle:
-    """The derived subgroup.  For groups of order <= pair_scan_limit this
-    closes the set of all pairwise commutators (already conjugation-stable);
-    above the limit it takes the normal closure of generator commutators."""
-    labels = list(grp.carrier_labels())
-    if len(labels) <= pair_scan_limit:
-        comms = set()
-        invs = {a: grp.inv(a) for a in labels}
-        for a in labels:
-            for b in labels:
-                c = grp.mul(grp.mul(grp.mul(invs[a], invs[b]), a), b)
-                comms.add(c)
-        return subgroup_generated(grp, sorted(comms))
+def commutator_subgroup(grp) -> SubgroupHandle:
+    """The derived subgroup: the normal closure of the generators'
+    commutators (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005), grown by conjugates under the generators until stable."""
     gens = _dedup(grp.generator_labels())
     seed = set()
     for a in gens:

@@ -29,10 +29,11 @@ from .cyclo import as_root_of_unity, rational, zeta
 from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
-    SubgroupHandle,
+    _power_traces,
     abelian_invariants,
     abelianization,
     kernel_basis,
+    per_group,
     quotient,
     subgroup_generated,
 )
@@ -147,25 +148,6 @@ def _multiplicities_from_traces(traces, r: int, dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _power_traces(g: CycMatrix, max_order: int):
-    """(order r, [tr(g^0), ..., tr(g^(r-1))]); errors out past max_order."""
-    ident = CycMatrix.identity(g.dim, g.conductor)
-    traces = []
-    p = ident
-    k = 0
-    while True:
-        traces.append(p.trace())
-        p = g @ p
-        k += 1
-        if p == ident:
-            return k, traces
-        if k >= max_order:
-            raise ValueError(
-                f"no finite order up to {max_order}; the matrix may have "
-                "infinite order"
-            )
-
-
 def eigen_multiplicities(
     g: CycMatrix, order: Optional[int] = None, max_order: int = 10000
 ) -> tuple[int, ...]:
@@ -217,6 +199,7 @@ def _power_multiplicities(m: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@per_group
 def _group_multiplicities(G: FiniteMatrixGroup):
     """Multiplicities of every element, one trace DFT per cyclic subgroup.
 
@@ -224,61 +207,55 @@ def _group_multiplicities(G: FiniteMatrixGroup):
     generates a new cyclic subgroup, gets the guarded DFT, and fills all of
     its powers.  Each derived vector must have the stored order of its
     element and reproduce its exact trace, else ArithmeticError."""
-    cached = G.cache.get("eigen_multiplicities")
-    if cached is None:
-        orders = G.element_orders
-        result: list[Optional[tuple[int, ...]]] = [None] * len(G)
-        for x in sorted(G.carrier_labels(), key=lambda y: -orders[y]):
-            if result[x] is not None:
+    orders = G.element_orders
+    result: list[Optional[tuple[int, ...]]] = [None] * len(G)
+    for x in sorted(G.carrier_labels(), key=lambda y: -orders[y]):
+        if result[x] is not None:
+            continue
+        r = orders[x]
+        powers = []
+        p = G.identity_label
+        for _ in range(r):
+            powers.append(p)
+            p = G.mul(x, p)
+        m = _multiplicities_from_traces(
+            [G.traces[y] for y in powers], r, G.dim
+        )
+        result[x] = m
+        for j, y in enumerate(powers):
+            if result[y] is not None:
                 continue
-            r = orders[x]
-            powers = []
-            p = G.identity_label
-            for _ in range(r):
-                powers.append(p)
-                p = G.mul(x, p)
-            m = _multiplicities_from_traces(
-                [G.traces[y] for y in powers], r, G.dim
-            )
-            result[x] = m
-            for j, y in enumerate(powers):
-                if result[y] is not None:
-                    continue
-                mj = _power_multiplicities(m, j)
-                s = len(mj)
-                if s != orders[y]:
-                    raise ArithmeticError(
-                        f"derived multiplicities of element {y} give order "
-                        f"{s}, but its order is {orders[y]}"
-                    )
-                trace = sum(
-                    (zeta(s, b) * mb for b, mb in enumerate(mj) if mb),
-                    rational(0),
+            mj = _power_multiplicities(m, j)
+            s = len(mj)
+            if s != orders[y]:
+                raise ArithmeticError(
+                    f"derived multiplicities of element {y} give order "
+                    f"{s}, but its order is {orders[y]}"
                 )
-                if trace != G.traces[y]:
-                    raise ArithmeticError(
-                        f"derived multiplicities {list(mj)} of element {y} "
-                        f"do not reproduce its trace {G.traces[y].render()}"
-                    )
-                result[y] = mj
-        cached = tuple(result)
-        G.cache["eigen_multiplicities"] = cached
-    return cached
+            trace = sum(
+                (zeta(s, b) * mb for b, mb in enumerate(mj) if mb),
+                rational(0),
+            )
+            if trace != G.traces[y]:
+                raise ArithmeticError(
+                    f"derived multiplicities {list(mj)} of element {y} "
+                    f"do not reproduce its trace {G.traces[y].render()}"
+                )
+            result[y] = mj
+    return tuple(result)
 
 
+@per_group
 def _group_reflection_flags(G: FiniteMatrixGroup):
-    cached = G.cache.get("reflection_flags")
-    if cached is None:
-        cached = tuple(is_reflection(G.matrix(x)) for x in G.carrier_labels())
-        G.cache["reflection_flags"] = cached
-    return cached
+    return tuple(is_reflection(G.matrix(x)) for x in G.carrier_labels())
 
 
 def age_records(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[AgeRecord, ...]:
     """One AgeRecord per element id.  Multiplicities are twist-independent
-    and cached on the group; only the exponent bookkeeping varies with t."""
+    and memoised on the group; only the exponent bookkeeping varies with t.
+    The records are not memoised: the sweep would keep |G| per twist."""
     mults = _group_multiplicities(G)
     reflections = _group_reflection_flags(G)
     records = []
@@ -309,6 +286,7 @@ def age_records(
     return tuple(records)
 
 
+@per_group
 def junior_elements(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, ...]:
@@ -328,6 +306,7 @@ def junior_gradings(
     )
 
 
+@per_group
 def junior_classes(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, tuple[int, ...]]:

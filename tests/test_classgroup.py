@@ -3,6 +3,7 @@ torsion, push-forward data, and the built-in consistency checks."""
 
 import pytest
 
+from crepant import matgrp
 from crepant.matgrp import CycMatrix, close_group, subgroup_generated
 from crepant.mckay import GaloisTwist, NotSpecialLinearError
 from crepant.classgroup import (
@@ -13,7 +14,7 @@ from crepant.classgroup import (
     terminalization_class_group,
 )
 
-from conftest import cyclic_sl2
+from conftest import Q8_ROWS, cyclic_sl2
 
 
 # --- reflections and the quotient's class group -------------------------------
@@ -76,6 +77,38 @@ def test_junior_subgroup_of_q8(q8):
 def test_junior_subgroup_rejects_gl(s3):
     with pytest.raises(NotSpecialLinearError):
         junior_subgroup(s3)
+
+
+def test_group_invariants_are_computed_once_per_group(monkeypatch):
+    calls = []
+    derived = matgrp.commutator_subgroup
+
+    def counted(grp):
+        calls.append(grp)
+        return derived(grp)
+
+    monkeypatch.setattr(matgrp, "commutator_subgroup", counted)
+    G = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
+    terminalization_class_group(G)
+    # Ab(G), Ab(G/K) and Ab(G/H), once each
+    assert len(calls) <= 3
+    seen = len(calls)
+
+    H = junior_subgroup(G)
+    assert freeness_criterion(G, GaloisTwist(1)) == (True, None)
+    assert junior_subgroup(G, GaloisTwist(1)) is H
+    assert len(calls) == seen
+
+    # twist 3 is coprime to the exponent 4: its own entry, the same members
+    other = junior_subgroup(G, GaloisTwist(3))
+    assert other is not H
+    assert other.members == H.members
+
+    # a second closure of the same generators starts from nothing
+    G2 = close_group(G.generators)
+    terminalization_class_group(G2)
+    assert len(calls) == 2 * seen
+    assert junior_subgroup(G2) is not H
 
 
 # --- the golden order-six report -------------------------------------------------

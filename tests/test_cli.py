@@ -379,6 +379,20 @@ def test_main_output_file(tmp_path, monkeypatch, capsys):
     assert json.loads(target.read_text())["analyze"]["torsion"] == [2]
 
 
+def test_main_unwritable_output_is_input_error(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "r.txt"
+    code, out, err = run_main(
+        ["analyze", "--output", str(target)],
+        stdin_text=EX72_DOC,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: cannot write output {str(target)!r}: ")
+    assert "Traceback" not in err
+
+
 def test_main_byte_identical_runs(tmp_path):
     source = tmp_path / "job.json"
     source.write_text(EX72_DOC)

@@ -339,12 +339,12 @@ def test_commutator_of_s3(s3):
     assert set(s3.element_orders[x] for x in derived.members) == {1, 3}
 
 
-def test_commutator_normal_closure_route_agrees(q8, s3, icosa):
-    # force the generator-commutator route with a tiny pair_scan_limit
-    for grp in (q8, s3, icosa):
-        fast = commutator_subgroup(grp)
-        slow = commutator_subgroup(grp, pair_scan_limit=1)
-        assert fast.members == slow.members
+def test_commutator_normal_closure_route_agrees(q8, s3, icosa, ex72):
+    # the normal closure of generator commutators against the subgroup
+    # generated by every pairwise commutator
+    for grp in (q8, s3, icosa, ex72):
+        oracle = subgroup_generated(grp, sorted(brute_commutators(grp)))
+        assert commutator_subgroup(grp).members == oracle.members
 
 
 def test_perfect_group(icosa):
