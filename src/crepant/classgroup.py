@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from .matgrp import (
     AbelianStructure,
     FiniteMatrixGroup,
-    NotNormalError,
     SubgroupHandle,
-    _check_normal,
     abelian_decomposition,
     abelian_invariants,
     abelianization,
@@ -40,8 +38,10 @@ from .mckay import (
     IDENTITY_TWIST,
     NotSpecialLinearError,
     _group_reflection_flags,
+    _junior_quotient_abelianization,
     junior_classes,
     junior_elements,
+    junior_subgroup,
 )
 
 __all__ = [
@@ -120,33 +120,6 @@ def class_group_of_quotient(G: FiniteMatrixGroup) -> AbelianStructure:
     return abelian_invariants(abelianization(quotient(G, K)))
 
 
-@per_group
-def junior_subgroup(
-    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
-) -> SubgroupHandle:
-    """H: generated by every junior element (class representatives alone do
-    not suffice in general).  Normality is verified, not assumed."""
-    if not G.is_special_linear:
-        raise NotSpecialLinearError(
-            "the junior subgroup is defined for determinant-one groups only"
-        )
-    H = subgroup_generated(G, junior_elements(G, twist))
-    try:
-        _check_normal(G, H)
-    except NotNormalError as exc:
-        raise ConsistencyError(
-            "the junior subgroup failed its normality check"
-        ) from exc
-    return H
-
-
-@per_group
-def _junior_quotient_abelianization(
-    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
-):
-    return abelianization(quotient(G, junior_subgroup(G, twist)))
-
-
 def _abelian_image(ab_quotient, members) -> SubgroupHandle:
     image = sorted({ab_quotient.coset_of[x] for x in members})
     return SubgroupHandle(ab_quotient, tuple(image), tuple(image))
@@ -195,7 +168,7 @@ def terminalization_class_group(
 
     ab = G.abelianization()
     ab_structure = abelian_invariants(ab)
-    ab_dec = abelian_decomposition(ab)
+    ab_dec = G.abelian_decomposition()
 
     hbar = _abelian_image(ab, H.members)
     hbar_structure = abelian_invariants(hbar)

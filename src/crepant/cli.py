@@ -29,10 +29,11 @@ from .classgroup import (
 from .cyclo import CycloParseError, CyclotomicNumber, parse_cyclotomic
 from .invariants import (
     CharacterOfAb,
+    _act_by_id,
+    _graded_residue,
     characters_of,
     check_congruence_lemma,
     check_junior_ring_membership,
-    graded_degree,
     relative_invariant,
 )
 from .matgrp import (
@@ -41,7 +42,6 @@ from .matgrp import (
     FiniteMatrixGroup,
     GroupTooLargeError,
     SingularMatrixError,
-    abelian_decomposition,
     close_group,
 )
 from .mckay import (
@@ -312,7 +312,7 @@ def _run_age(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
 def _resolve_character(
     job: JobSpec, G: FiniteMatrixGroup
 ) -> CharacterOfAb:
-    decomposition = abelian_decomposition(G.abelianization())
+    decomposition = G.abelian_decomposition()
     factors = decomposition.structure.invariant_factors
     exponents = job.character
     if exponents is None:
@@ -336,7 +336,9 @@ def _run_invariant(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
     residues = []
     for gid in G.generator_ids:
         r = G.element_orders[gid]
-        c = graded_degree(G.matrix(gid), f, order=r, twist=GaloisTwist(job.twist))
+        c = _graded_residue(
+            _act_by_id(G, gid, f), f, r, GaloisTwist(job.twist)
+        )
         residues.append({"generator_id": gid, "order": r, "residue": c})
     payload = {
         "character": {
@@ -397,7 +399,7 @@ def _run_check(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
     gradings = junior_gradings(G, twist)
     H = junior_subgroup(G, twist)
     bound = job.degree_bound if job.degree_bound is not None else len(G)
-    decomposition = abelian_decomposition(G.abelianization())
+    decomposition = G.abelian_decomposition()
     for chi in characters_of(decomposition):
         label = _char_label(chi)
         f = relative_invariant(G, chi, degree_bound=bound)

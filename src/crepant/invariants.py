@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .cyclo import CyclotomicNumber, as_root_of_unity, rational, zeta
+from .cyclo import CyclotomicNumber, _reduce_ints, as_root_of_unity, rational, zeta
 from .matgrp import (
     AbelianDecomposition,
     CycMatrix,
@@ -22,7 +22,13 @@ from .matgrp import (
     SubgroupHandle,
     _power_traces,
 )
-from .mckay import ConsistencyError, GaloisTwist, GradingData, IDENTITY_TWIST
+from .mckay import (
+    ConsistencyError,
+    GaloisTwist,
+    GradingData,
+    IDENTITY_TWIST,
+    _group_multiplicities,
+)
 
 Scalar = Union[CyclotomicNumber, int, Fraction]
 
@@ -307,7 +313,19 @@ def graded_degree(
     or None when f is not an eigenvector of the action of g."""
     if f.is_zero:
         return None
-    gf = act(g, f)
+    return _graded_residue(act(g, f), f, order, twist, g)
+
+
+def _graded_residue(
+    gf: SparsePolynomial,
+    f: SparsePolynomial,
+    order: Optional[int],
+    twist: GaloisTwist,
+    g: Optional[CycMatrix] = None,
+) -> Optional[int]:
+    """graded_degree for a nonzero f and its image gf = g.f.  Group-aware
+    callers pass _act_by_id and the known order; otherwise the order is
+    computed from g, and only once f is known to be an eigenvector."""
     if set(gf.terms) != set(f.terms):
         return None
     pivot = min(f.terms)
@@ -371,6 +389,16 @@ class CharacterOfAb:
                 acc = acc * zeta(d, k)
         return acc
 
+    def _exponent_on_coset(self, coset: int, n: int) -> int:
+        """k with value_on_coset(coset) = zeta_n^k, for n a multiple of
+        every invariant factor."""
+        e = self.decomposition.exponents_of(coset)
+        factors = self.decomposition.structure.invariant_factors
+        return sum(
+            (-c * ej) % d * (n // d)
+            for c, ej, d in zip(self.exponents, e, factors)
+        ) % n
+
     def value_on_element(self, G: FiniteMatrixGroup, x: int) -> CyclotomicNumber:
         """Value on the image of a group element in the abelianization."""
         ab = self.decomposition.group
@@ -390,44 +418,106 @@ def characters_of(decomposition: AbelianDecomposition) -> tuple[CharacterOfAb, .
 # -- relative invariants ------------------------------------------------------
 
 
+def _molien_coefficients(
+    G: FiniteMatrixGroup, chi: CharacterOfAb
+) -> Iterator[int]:
+    """Dimensions of the degree-d chi-relative invariants, d = 0, 1, 2, ...
+
+    The coefficients of Stanley's chi-relative Molien series
+    (1/|G|) sum_g conj(chi(g)) / det(1 - t g^-1), summed once per conjugacy
+    class.  Every root of unity is a power of zeta_N, N the group exponent,
+    and each class term lives in the group ring Z[Z/N] as a length-N integer
+    vector, zeta_N^s acting by rotation; only the class sum is reduced
+    modulo Phi_N.  The complete homogeneous sums of the eigenvalues of x^-1
+    follow h_d(l_1..l_i) = h_d(l_1..l_{i-1}) + l_i h_{d-1}(l_1..l_i).  Each
+    coefficient must come out a nonnegative rational integer after dividing
+    by |G|, else ConsistencyError."""
+    N = G.exponent
+    ab = chi.decomposition.group
+    mults = _group_multiplicities(G)
+    # per class of x: (class size, conj(chi(x)) = chi(y), eigenvalues of y),
+    # y = x^-1, each root of unity as its exponent of zeta_N
+    terms = []
+    for cls in G.conjugacy_classes():
+        y = G.inv(cls[0])
+        m = mults[y]
+        step = N // len(m)
+        shifts = [a * step for a, ma in enumerate(m) for _ in range(ma)]
+        terms.append((len(cls), chi._exponent_on_coset(ab.coset_of[y], N), shifts))
+    # hs[k][i] = h_d(first i eigenvalues of class k), starting at d = 0
+    unit = [1] + [0] * (N - 1)
+    hs = [[unit] * (len(shifts) + 1) for _, _, shifts in terms]
+    for degree in itertools.count():
+        total = [0] * N
+        for (size, conj, _), h in zip(terms, hs):
+            for s, c in enumerate(h[-1]):
+                if c:
+                    total[(s + conj) % N] += size * c
+        reduced = _reduce_ints(N, total)
+        value = Fraction(reduced[0], len(G))
+        if any(reduced[1:]) or value.denominator != 1 or value < 0:
+            raise ConsistencyError(
+                f"Molien coefficient in degree {degree} is not a nonnegative "
+                f"integer: {reduced} / {len(G)}"
+            )
+        yield int(value)
+        for k, (_, _, shifts) in enumerate(terms):
+            nxt = [[0] * N]
+            for s, prev in zip(shifts, hs[k][1:]):
+                moved = prev[N - s:] + prev[:N - s]
+                nxt.append([a + b for a, b in zip(nxt[-1], moved)])
+            hs[k] = nxt
+
+
 def relative_invariant(
     G: FiniteMatrixGroup,
     chi: CharacterOfAb,
     degree_bound: Optional[int] = None,
 ) -> Optional[SparsePolynomial]:
-    """Smallest-degree nonzero f with g.f = chi(g mod [G,G]) f, found by
-    averaging monomials with conjugate character weights.  Monomials are
-    scanned by ascending total degree starting at 1, x1-heavy tuples first,
-    and the first survivor is returned; None when every monomial up to the
-    bound dies."""
+    """Smallest-degree nonzero f with g.f = chi(g mod [G,G]) f, of degree
+    at least 1.
+
+    The chi-relative Molien series names the first degree d0 <= bound with
+    a nonzero chi-component; without one the answer is None and nothing is
+    averaged.  The monomials of degree d0 are averaged with conjugate
+    character weights, x1-heavy tuples first, and the first survivor is
+    returned.  Every lower degree is zero by Molien, so this is the
+    survivor a scan from degree 1 would find.  If every monomial of degree
+    d0 dies, the two routes disagree and ConsistencyError is raised."""
     bound = degree_bound if degree_bound is not None else len(G)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
     ab = chi.decomposition.group
     if getattr(ab, "parent", None) is not G:
         raise ValueError("character does not belong to this group")
+    dims = itertools.islice(_molien_coefficients(G, chi), 1, None)
+    degree = next((d for d, dim in zip(range(1, bound + 1), dims) if dim), None)
+    if degree is None:
+        return None
     n = G.dim
     weights = [
         chi.value_on_coset(ab.inv(ab.coset_of[x])) for x in range(len(G))
     ]
     forms = [_linear_forms(G.matrix(G.inv(x))) for x in range(len(G))]
-    for degree in range(1, bound + 1):
-        for exps in monomials_of_degree(n, degree):
-            mono = SparsePolynomial.monomial(n, exps)
-            acc = SparsePolynomial.zero(n)
-            for x in range(len(G)):
-                moved = mono.substitute(forms[x])
-                acc = acc + moved.scale(weights[x])
-            if acc.is_zero:
-                continue
-            for gid in G.generator_ids:
-                expected = acc.scale(chi.value_on_element(G, gid))
-                if _act_by_id(G, gid, acc) != expected:
-                    raise ConsistencyError(
-                        "averaged polynomial fails the defining equivariance"
-                    )
-            return acc
-    return None
+    for exps in monomials_of_degree(n, degree):
+        mono = SparsePolynomial.monomial(n, exps)
+        acc = SparsePolynomial.zero(n)
+        for x in range(len(G)):
+            moved = mono.substitute(forms[x])
+            acc = acc + moved.scale(weights[x])
+        if acc.is_zero:
+            continue
+        for gid in G.generator_ids:
+            expected = acc.scale(chi.value_on_element(G, gid))
+            if _act_by_id(G, gid, acc) != expected:
+                raise ConsistencyError(
+                    "averaged polynomial fails the defining equivariance"
+                )
+        return acc
+    raise ConsistencyError(
+        "the Molien series promises a relative invariant of degree "
+        f"{degree}, but every monomial of that degree averages to zero"
+    )
 
 
 # -- lemma checks -------------------------------------------------------------
@@ -447,8 +537,8 @@ def _verify_graded(
     G: FiniteMatrixGroup, f: SparsePolynomial, twist: GaloisTwist
 ) -> None:
     for gid in G.generator_ids:
-        c = graded_degree(
-            G.matrix(gid), f, order=G.element_orders[gid], twist=twist
+        c = _graded_residue(
+            _act_by_id(G, gid, f), f, G.element_orders[gid], twist
         )
         if c is None:
             raise ValueError(
@@ -471,8 +561,8 @@ def check_congruence_lemma(
     records = []
     for element_id, grading in gradings:
         v = monomial_valuation(grading, f)
-        c = graded_degree(
-            G.matrix(element_id), f, order=grading.order, twist=twist
+        c = _graded_residue(
+            _act_by_id(G, element_id, f), f, grading.order, twist
         )
         if c is None:
             raise ConsistencyError(

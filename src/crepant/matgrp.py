@@ -474,9 +474,10 @@ class FiniteMatrixGroup:
     identity).  Multiplication replays the stored generator word of the left
     operand through the per-generator permutation tables.
 
-    What is derived from the group (conjugacy classes, Ab(G), multiplicities,
-    junior data, K and H) is computed once per group object: `per_group`
-    functions keep it in `_memo`, so a second closure shares nothing.
+    What is derived from the group (conjugacy classes, Ab(G) and its
+    decomposition, multiplicities, junior data, K and H) is computed once per
+    group object: `per_group` functions keep it in `_memo`, so a second
+    closure shares nothing.
     """
 
     def __init__(
@@ -559,6 +560,11 @@ class FiniteMatrixGroup:
     def abelianization(self) -> "QuotientGroup":
         """Ab(G) = G / [G, G]; its `normal` is the derived subgroup."""
         return abelianization(self)
+
+    @per_group
+    def abelian_decomposition(self) -> "AbelianDecomposition":
+        """The decomposition of Ab(G), with its discrete-log table."""
+        return abelian_decomposition(self.abelianization())
 
     # internals ---------------------------------------------------------
 

@@ -29,6 +29,9 @@ from .cyclo import as_root_of_unity, rational, zeta
 from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
+    NotNormalError,
+    SubgroupHandle,
+    _check_normal,
     _power_traces,
     abelian_invariants,
     abelianization,
@@ -329,6 +332,33 @@ def junior_classes(
     return len(reps), tuple(reps)
 
 
+@per_group
+def junior_subgroup(
+    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
+) -> SubgroupHandle:
+    """H: generated by every junior element (class representatives alone do
+    not suffice in general).  Normality is verified, not assumed."""
+    if not G.is_special_linear:
+        raise NotSpecialLinearError(
+            "the junior subgroup is defined for determinant-one groups only"
+        )
+    H = subgroup_generated(G, junior_elements(G, twist))
+    try:
+        _check_normal(G, H)
+    except NotNormalError as exc:
+        raise ConsistencyError(
+            "the junior subgroup failed its normality check"
+        ) from exc
+    return H
+
+
+@per_group
+def _junior_quotient_abelianization(
+    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
+):
+    return abelianization(quotient(G, junior_subgroup(G, twist)))
+
+
 # ---------------------------------------------------------------------------
 # valuation weights
 
@@ -417,6 +447,8 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
 
     Twists congruent modulo the group exponent act identically on all
     element orders, so only one representative per residue is computed.
+    Each twist's H and Ab(G/H) come from the per-group memo, so the entries
+    of twist 1 are those the report already built.
     The junior element sets may genuinely differ between twists; the class
     count and the invariant factors of Ab(G/H) must not, and a violation is
     raised as a ConsistencyError.
@@ -436,9 +468,9 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
         twist = GaloisTwist(t)
         count, reps = junior_classes(G, twist)
         ids = junior_elements(G, twist)
-        H = subgroup_generated(G, ids)
+        H = junior_subgroup(G, twist)
         torsion = abelian_invariants(
-            abelianization(quotient(G, H))
+            _junior_quotient_abelianization(G, twist)
         ).invariant_factors
         entries.append(
             SweepEntry(

@@ -98,3 +98,42 @@ def diagonal_exponents(mat, r):
 
 def close_enough(a, b, tol=1e-9):
     return abs(a - b) <= tol
+
+
+def chi_averages(grp, chi, degree):
+    """For each monomial m of the given degree, in monomials_of_degree
+    order, the character-weighted sum over x of conj(chi(x)) x.m."""
+    from crepant.invariants import (
+        SparsePolynomial,
+        _linear_forms,
+        monomials_of_degree,
+    )
+
+    n = grp.dim
+    monomials = list(monomials_of_degree(n, degree))
+    sums = [SparsePolynomial.zero(n) for _ in monomials]
+    for x in grp.carrier_labels():
+        weight = chi.value_on_element(grp, grp.inv(x))
+        # x.x_j is row j of x^-1 as a linear form; take its powers once
+        powers = []
+        for form in _linear_forms(grp.matrix(grp.inv(x))):
+            row = [SparsePolynomial.constant(n, 1)]
+            for _ in range(degree):
+                row.append(row[-1] * form)
+            powers.append(row)
+        for k, exps in enumerate(monomials):
+            image = SparsePolynomial.constant(n, weight)
+            for row, a in zip(powers, exps):
+                image = image * row[a]
+            sums[k] = sums[k] + image
+    yield from sums
+
+
+def exhaustive_relative_invariant(grp, chi, degree_bound):
+    """The first nonzero character-weighted sum of a monomial, scanning
+    every degree from 1 up to the bound; None when all of them vanish."""
+    for degree in range(1, degree_bound + 1):
+        for acc in chi_averages(grp, chi, degree):
+            if not acc.is_zero:
+                return acc
+    return None

@@ -5,7 +5,7 @@ import pytest
 
 from crepant import matgrp
 from crepant.matgrp import CycMatrix, close_group, subgroup_generated
-from crepant.mckay import GaloisTwist, NotSpecialLinearError
+from crepant.mckay import GaloisTwist, NotSpecialLinearError, galois_sweep
 from crepant.classgroup import (
     class_group_of_quotient,
     freeness_criterion,
@@ -99,15 +99,21 @@ def test_group_invariants_are_computed_once_per_group(monkeypatch):
     assert junior_subgroup(G, GaloisTwist(1)) is H
     assert len(calls) == seen
 
-    # twist 3 is coprime to the exponent 4: its own entry, the same members
+    # the sweep reads twist 1 from the memo; twist 3, coprime to the
+    # exponent 4, builds its own Ab(G/H) once
+    galois_sweep(G)
+    assert len(calls) == seen + 1
     other = junior_subgroup(G, GaloisTwist(3))
     assert other is not H
     assert other.members == H.members
+    galois_sweep(G)
+    assert len(calls) == seen + 1
 
     # a second closure of the same generators starts from nothing
+    before = len(calls)
     G2 = close_group(G.generators)
     terminalization_class_group(G2)
-    assert len(calls) == 2 * seen
+    assert len(calls) - before == seen
     assert junior_subgroup(G2) is not H
 
 

@@ -254,6 +254,40 @@ def test_check_mode_passes_everything():
     assert all(c["passed"] for c in body["checks"])
 
 
+def test_check_decomposes_ab_g_once_per_group(monkeypatch):
+    import sys
+
+    from crepant import matgrp
+
+    decomposed = []
+    original = matgrp.abelian_decomposition
+
+    def counted(grp):
+        decomposed.append(grp)
+        return original(grp)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crepant":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    def ab_g_calls():
+        return [
+            grp for grp in decomposed
+            if isinstance(getattr(grp, "parent", None), matgrp.FiniteMatrixGroup)
+            and grp is grp.parent.abelianization()
+        ]
+
+    for runs in (1, 2):
+        report, status = run(parse_job(Q8_DOC, mode="check"))
+        assert status == EXIT_OK
+        # the report and the loop over the four characters of Ab(Q8)
+        # share one decomposition
+        assert len(ab_g_calls()) == runs
+    assert len({id(grp) for grp in ab_g_calls()}) == 2
+
+
 def test_sweep_mode_table():
     report, status = run(parse_job(EX72_DOC, mode="sweep"))
     assert status == EXIT_OK

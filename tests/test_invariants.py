@@ -1,5 +1,6 @@
 """Polynomial action, valuations, graded degrees, and relative invariants."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,9 +24,11 @@ from crepant.mckay import (
     junior_gradings,
     valuation_weights,
 )
+from crepant import invariants
 from crepant.invariants import (
     CharacterOfAb,
     SparsePolynomial,
+    _molien_coefficients,
     act,
     characters_of,
     check_congruence_lemma,
@@ -37,6 +40,7 @@ from crepant.invariants import (
 )
 
 from conftest import cyclic_sl2
+from helpers import chi_averages, exhaustive_relative_invariant
 
 
 def x(nvars, index):
@@ -470,6 +474,94 @@ def test_degree_bound_validation(ex72):
     chi = ab_characters(ex72)[0]
     with pytest.raises(ValueError):
         relative_invariant(ex72, chi, degree_bound=0)
+
+
+def _span_dimension(polys):
+    """Dimension of the span, by elimination on leading monomials."""
+    pivots = {}
+    for p in polys:
+        while not p.is_zero:
+            lead = max(p.terms)
+            if lead not in pivots:
+                pivots[lead] = p.scale(p.terms[lead].inverse())
+                break
+            p = p - pivots[lead].scale(p.terms[lead])
+    return len(pivots)
+
+
+def _diag_553():
+    # diag(z5, z5, z5^3): chi and conj(chi) start in different degrees
+    return close_group([CycMatrix.from_rows(
+        [["E(5)", "0", "0"], ["0", "E(5)", "0"], ["0", "0", "E(5)^3"]]
+    )])
+
+
+def test_molien_dimensions_match_averaged_ranks(q8, ex72, c7, scalar3):
+    d553 = _diag_553()
+    for grp in (q8, ex72, c7, scalar3, d553):
+        for chi in ab_characters(grp):
+            dims = list(itertools.islice(_molien_coefficients(grp, chi), 7))
+            ranks = [_span_dimension(chi_averages(grp, chi, d)) for d in range(7)]
+            assert dims == ranks, (grp, chi.exponents)
+    first = {
+        chi.exponents: relative_invariant(d553, chi).total_degree()
+        for chi in ab_characters(d553)
+    }
+    assert first[(1,)] != first[(4,)]
+
+
+def test_molien_start_matches_exhaustive_scan(
+    ex72, q8, icosa, icosa_diag, c7, c15, scalar3
+):
+    groups = [
+        close_group([CycMatrix.identity(2)]),
+        ex72, q8, icosa_diag, c7, c15, scalar3, cyclic_sl2(6), icosa,
+    ]
+    for grp in groups:
+        for chi in ab_characters(grp):
+            expected = exhaustive_relative_invariant(grp, chi, len(grp))
+            assert relative_invariant(grp, chi) == expected, (grp, chi.exponents)
+
+
+def test_no_molien_degree_below_bound_averages_nothing(q8, monkeypatch):
+    calls = []
+    substitute = SparsePolynomial.substitute
+
+    def counted(self, forms):
+        calls.append(self)
+        return substitute(self, forms)
+
+    monkeypatch.setattr(SparsePolynomial, "substitute", counted)
+    trivial = ab_characters(q8)[0]
+    assert trivial.is_trivial()
+    assert relative_invariant(q8, trivial, degree_bound=3) is None
+    assert calls == []
+
+
+def test_molien_promise_too_low_is_refused(q8, monkeypatch):
+    trivial = ab_characters(q8)[0]
+    # the first trivial-character invariant of Q8 has degree 4
+    monkeypatch.setattr(
+        invariants,
+        "_molien_coefficients",
+        lambda G, chi: itertools.chain([1, 1], itertools.repeat(0)),
+    )
+    with pytest.raises(ConsistencyError, match="promises"):
+        relative_invariant(q8, trivial)
+
+
+@pytest.mark.parametrize("order, fake", [(2, (1, 1)), (4, (0, 2, 0, 0))])
+def test_non_integral_molien_coefficient_is_refused(q8, monkeypatch, order, fake):
+    # (1, 1) on -I leaves 2/8 in degree 1; (0, 2, 0, 0) on the elements of
+    # order 4 leaves an irrational class sum
+    mults = [
+        fake if q8.element_orders[x] == order else m
+        for x, m in enumerate(invariants._group_multiplicities(q8))
+    ]
+    monkeypatch.setattr(invariants, "_group_multiplicities", lambda G: mults)
+    trivial = ab_characters(q8)[0]
+    with pytest.raises(ConsistencyError, match="Molien coefficient"):
+        relative_invariant(q8, trivial)
 
 
 # --- congruence of valuations with graded degrees ----------------------------
