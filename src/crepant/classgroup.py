@@ -121,8 +121,9 @@ def class_group_of_quotient(G: FiniteMatrixGroup) -> AbelianStructure:
 
 
 def _abelian_image(ab_quotient, members) -> SubgroupHandle:
-    image = sorted({ab_quotient.coset_of[x] for x in members})
-    return SubgroupHandle(ab_quotient, tuple(image), tuple(image))
+    return subgroup_generated(
+        ab_quotient, sorted({ab_quotient.coset_of[x] for x in members})
+    )
 
 
 def _annihilator_of_image(ab_quotient, decomposition, image_generators):
@@ -143,7 +144,7 @@ def _annihilator_of_image(ab_quotient, decomposition, image_generators):
         for a in ab_quotient.carrier_labels()
         if all(pairs_to_zero(a, h) for h in image_generators)
     ]
-    return SubgroupHandle(ab_quotient, tuple(sorted(members)), tuple(sorted(members)))
+    return subgroup_generated(ab_quotient, members)
 
 
 def terminalization_class_group(
@@ -266,7 +267,7 @@ def freeness_criterion(
         )
     juniors = junior_elements(G, twist)
     derived = G.abelianization().normal
-    span = subgroup_generated(G, list(juniors) + list(derived.members))
+    span = subgroup_generated(G, [*juniors, *derived.generator_labels()])
     generated = len(span) == len(G)
 
     ab_of_quotient = _junior_quotient_abelianization(G, twist)

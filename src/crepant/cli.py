@@ -402,7 +402,11 @@ def _run_check(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
     decomposition = G.abelian_decomposition()
     for chi in characters_of(decomposition):
         label = _char_label(chi)
-        f = relative_invariant(G, chi, degree_bound=bound)
+        try:
+            f = relative_invariant(G, chi, degree_bound=bound)
+        except ConsistencyError as exc:
+            record(f"relative_invariant[{label}]", False, str(exc))
+            continue
         if f is None:
             record(
                 f"relative_invariant[{label}]",

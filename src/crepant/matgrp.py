@@ -36,7 +36,6 @@ __all__ = [
     "AbelianDecomposition",
     "AbelianStructure",
     "CycMatrix",
-    "ExplicitGroup",
     "FiniteMatrixGroup",
     "GroupTooLargeError",
     "NotAbelianError",
@@ -55,7 +54,6 @@ __all__ = [
     "power",
     "quotient",
     "subgroup_generated",
-    "verify_group_law",
 ]
 
 
@@ -417,34 +415,6 @@ def _dedup(labels: Iterable) -> list:
     return out
 
 
-class ExplicitGroup:
-    """A finite group given by explicit label set and multiplication callable.
-    Mostly a test/bridge utility; satisfies the same protocol as the real
-    group classes."""
-
-    def __init__(self, labels, mul, inv, identity_label, generators=None):
-        self._labels = tuple(labels)
-        self._mul = mul
-        self._inv = inv
-        self.identity_label = identity_label
-        self._generators = tuple(generators) if generators else self._labels
-
-    def carrier_labels(self):
-        return self._labels
-
-    def generator_labels(self):
-        return self._generators
-
-    def mul(self, a, b):
-        return self._mul(a, b)
-
-    def inv(self, a):
-        return self._inv(a)
-
-    def __len__(self):
-        return len(self._labels)
-
-
 # ---------------------------------------------------------------------------
 # closed matrix groups
 
@@ -683,20 +653,36 @@ class SubgroupHandle:
 
 
 def subgroup_generated(grp, seed_labels: Iterable) -> SubgroupHandle:
-    """Closure of `seed_labels` inside `grp` (breadth-first, deterministic)."""
-    seeds = _dedup(seed_labels)
-    members = {grp.identity_label}
-    queue = [grp.identity_label]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for s in seeds:
-            y = grp.mul(s, x)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-    return SubgroupHandle(grp, tuple(sorted(members)), tuple(seeds))
+    """The subgroup of `grp` generated by `seed_labels`, grown by Dimino's
+    algorithm (G. Butler, Fundamental Algorithms for Permutation Groups,
+    LNCS 559, 1991).  A seed already in the subgroup S grown so far is
+    skipped.  A kept seed s grows S to <S, s>, a union of left cosets y.S:
+    starting from the representative 1, each product y = t.r of a kept seed
+    t and a representative r that is not yet a member adds the coset y.S
+    and becomes a representative itself.  The kept seeds, in seed order,
+    are the handle's generators; each lies outside the span of those before
+    it, so there are at most log2 |H| of them.  Members are sorted."""
+    members = [grp.identity_label]
+    member_set = {grp.identity_label}
+    kept = []
+    for s in seed_labels:
+        if s in member_set:
+            continue
+        kept.append(s)
+        block = tuple(members)
+        reps = [grp.identity_label]
+        ri = 0
+        while ri < len(reps):
+            r = reps[ri]
+            ri += 1
+            for t in kept:
+                y = grp.mul(t, r)
+                if y not in member_set:
+                    coset = [grp.mul(y, h) for h in block]
+                    members.extend(coset)
+                    member_set.update(coset)
+                    reps.append(y)
+    return SubgroupHandle(grp, tuple(sorted(members)), tuple(kept))
 
 
 def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
@@ -737,9 +723,8 @@ def commutator_subgroup(grp) -> SubgroupHandle:
             seed.add(
                 grp.mul(grp.mul(grp.mul(grp.inv(a), grp.inv(b)), a), b)
             )
-    seed.discard(grp.identity_label)
     while True:
-        sub = subgroup_generated(grp, sorted(seed) or [grp.identity_label])
+        sub = subgroup_generated(grp, sorted(seed))
         new = set()
         for h in sub.members:
             for g in gens:
@@ -754,7 +739,16 @@ def commutator_subgroup(grp) -> SubgroupHandle:
 class QuotientGroup:
     """G/N for N normal in G.  Labels are coset indices; representative of a
     coset is its least parent label and cosets are indexed by representative
-    in ascending order (so index 0 is the identity coset)."""
+    in ascending order (so index 0 is the identity coset).
+
+    Up to 256 cosets the Cayley table is materialised from the action of the
+    parent's generators on the cosets (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005): g.(xN) = (gx)N, so one permutation
+    per generator costs q parent multiplies, and the row of the coset g.c is
+    that permutation applied to the row of c.  Rows grow breadth-first from
+    the identity coset; if the parent's generator labels leave a coset
+    unreached, construction raises ArithmeticError.  Above 256 cosets `mul`
+    multiplies representatives in the parent."""
 
     def __init__(self, parent, normal: SubgroupHandle):
         _check_normal(parent, normal)
@@ -775,12 +769,7 @@ class QuotientGroup:
         q = len(reps)
         self.table = None
         if q <= 256:
-            self.table = tuple(
-                tuple(
-                    coset_of[parent.mul(reps[i], reps[j])] for j in range(q)
-                )
-                for i in range(q)
-            )
+            self.table = _coset_table(parent, reps, coset_of)
         self._inv = tuple(coset_of[parent.inv(r)] for r in reps)
         self._generators = tuple(
             _dedup(coset_of[g] for g in parent.generator_labels())
@@ -809,6 +798,31 @@ class QuotientGroup:
         return f"<QuotientGroup order={len(self)}>"
 
 
+def _coset_table(parent, reps, coset_of) -> tuple:
+    q = len(reps)
+    perms = [
+        [coset_of[parent.mul(g, r)] for r in reps]
+        for g in _dedup(parent.generator_labels())
+    ]
+    rows = [None] * q
+    rows[0] = tuple(range(q))
+    queue = [0]
+    qi = 0
+    while qi < len(queue):
+        c = queue[qi]
+        qi += 1
+        for perm in perms:
+            d = perm[c]
+            if rows[d] is None:
+                rows[d] = tuple([perm[v] for v in rows[c]])
+                queue.append(d)
+    if len(queue) != q:
+        raise ArithmeticError(
+            f"the parent's generators reach {len(queue)} of {q} cosets"
+        )
+    return tuple(rows)
+
+
 def _check_normal(parent, normal: SubgroupHandle):
     member_set = normal.member_set
     for g in _dedup(parent.generator_labels()):
@@ -823,27 +837,6 @@ def _check_normal(parent, normal: SubgroupHandle):
 def quotient(grp, normal: SubgroupHandle) -> QuotientGroup:
     """G/N with normality verified (NotNormalError otherwise)."""
     return QuotientGroup(grp, normal)
-
-
-def verify_group_law(grp, limit: int = 256) -> bool:
-    """Exhaustively check associativity, identity, and inverses.  Refuses
-    groups larger than `limit` (cubic cost)."""
-    labels = list(grp.carrier_labels())
-    if len(labels) > limit:
-        raise ValueError(f"group of order {len(labels)} exceeds check limit {limit}")
-    e = grp.identity_label
-    for a in labels:
-        if grp.mul(a, e) != a or grp.mul(e, a) != a:
-            return False
-        if grp.mul(a, grp.inv(a)) != e:
-            return False
-    for a in labels:
-        for b in labels:
-            ab = grp.mul(a, b)
-            for c in labels:
-                if grp.mul(ab, c) != grp.mul(a, grp.mul(b, c)):
-                    return False
-    return True
 
 
 def abelianization(grp) -> QuotientGroup:
@@ -1012,10 +1005,9 @@ def abelian_decomposition(grp) -> AbelianDecomposition:
     primes = [p for p, _ in _factorize(n)]
     per_prime: dict[int, list] = {}
     for p in primes:
-        members = sorted(
-            x for x in labels if _is_p_power(order_of(grp, x), p)
+        handle = subgroup_generated(
+            grp, [x for x in labels if _is_p_power(order_of(grp, x), p)]
         )
-        handle = SubgroupHandle(grp, tuple(members), tuple(members))
         per_prime[p] = _p_group_basis(handle, p)
     width = max((len(b) for b in per_prime.values()), default=0)
     gens = []

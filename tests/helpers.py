@@ -33,6 +33,32 @@ def naive_closure(mats, cap=30000):
             raise AssertionError("closure oracle exceeded cap")
 
 
+def seed_closure(grp, seeds):
+    """Members of the subgroup generated by `seeds`: breadth-first search
+    from the identity multiplying every member by every seed, sorted."""
+    seeds = list(seeds)
+    members = {grp.identity_label}
+    queue = [grp.identity_label]
+    for x in queue:
+        for s in seeds:
+            y = grp.mul(s, x)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return tuple(sorted(members))
+
+
+def assert_independent_generators(handle):
+    """Each generator of a subgroup handle lies outside the span of those
+    before it, so there are at most log2 |H| of them, and together they
+    span its members."""
+    gens = list(handle.generator_labels())
+    for i, g in enumerate(gens):
+        assert g not in seed_closure(handle.parent, gens[:i])
+    assert 2 ** len(gens) <= len(handle)
+    assert seed_closure(handle.parent, gens) == handle.members
+
+
 def brute_conjugacy(grp):
     """Conjugation orbits computed with every group element as conjugator."""
     labels = sorted(grp.carrier_labels())
@@ -56,6 +82,54 @@ def brute_commutators(grp):
         for b in labels:
             out.add(grp.mul(grp.mul(grp.mul(ia, grp.inv(b)), a), b))
     return out
+
+
+class ExplicitGroup:
+    """A finite group given by explicit label set and multiplication
+    callable; satisfies the same protocol as the package's group classes."""
+
+    def __init__(self, labels, mul, inv, identity_label, generators=None):
+        self._labels = tuple(labels)
+        self._mul = mul
+        self._inv = inv
+        self.identity_label = identity_label
+        self._generators = tuple(generators) if generators else self._labels
+
+    def carrier_labels(self):
+        return self._labels
+
+    def generator_labels(self):
+        return self._generators
+
+    def mul(self, a, b):
+        return self._mul(a, b)
+
+    def inv(self, a):
+        return self._inv(a)
+
+    def __len__(self):
+        return len(self._labels)
+
+
+def verify_group_law(grp, limit=256):
+    """Exhaustively check associativity, identity, and inverses.  Refuses
+    groups larger than `limit` (cubic cost)."""
+    labels = list(grp.carrier_labels())
+    if len(labels) > limit:
+        raise ValueError(f"group of order {len(labels)} exceeds check limit {limit}")
+    e = grp.identity_label
+    for a in labels:
+        if grp.mul(a, e) != a or grp.mul(e, a) != a:
+            return False
+        if grp.mul(a, grp.inv(a)) != e:
+            return False
+    for a in labels:
+        for b in labels:
+            ab = grp.mul(a, b)
+            for c in labels:
+                if grp.mul(ab, c) != grp.mul(a, grp.mul(b, c)):
+                    return False
+    return True
 
 
 def invariant_factors_of_product(orders):

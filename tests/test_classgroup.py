@@ -14,7 +14,8 @@ from crepant.classgroup import (
     terminalization_class_group,
 )
 
-from conftest import Q8_ROWS, cyclic_sl2
+from conftest import EX72_ROWS, Q8_ROWS, cyclic_sl2
+from helpers import assert_independent_generators
 
 
 # --- reflections and the quotient's class group -------------------------------
@@ -115,6 +116,39 @@ def test_group_invariants_are_computed_once_per_group(monkeypatch):
     terminalization_class_group(G2)
     assert len(calls) - before == seen
     assert junior_subgroup(G2) is not H
+
+
+def test_every_report_handle_has_independent_generators(monkeypatch):
+    built = []
+    init = matgrp.SubgroupHandle.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(matgrp.SubgroupHandle, "__init__", recorded)
+    c6_squared = [
+        [["E(6)", "0", "0"], ["0", "1", "0"], ["0", "0", "E(6)^5"]],
+        [["1", "0", "0"], ["0", "E(6)", "0"], ["0", "0", "E(6)^5"]],
+    ]
+    for rows in ([EX72_ROWS], Q8_ROWS, c6_squared):
+        G = close_group([CycMatrix.from_rows(r) for r in rows])
+        start = len(built)
+        terminalization_class_group(G)
+        handles = built[start:]
+        for named in (junior_subgroup(G), reflection_subgroup(G),
+                      G.abelianization().normal):
+            assert any(h is named for h in handles)
+        # in Ab(G): the junior image, the annihilator, the image of the
+        # class representatives and one handle per prime dividing |Ab(G)|
+        ab = G.abelianization()
+        primes = {p for p in (2, 3) if len(ab) % p == 0}
+        assert sum(h.parent is ab for h in handles) >= 3 + len(primes)
+        # handles inside those: the annihilator's per-prime handles and the
+        # cyclic subgroups the p-group bases peel off
+        assert any(getattr(h.parent, "parent", None) is ab for h in handles)
+        for h in handles:
+            assert_independent_generators(h)
 
 
 # --- the golden order-six report -------------------------------------------------

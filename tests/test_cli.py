@@ -318,6 +318,32 @@ def test_sweep_inconsistency_surfaces_as_check_failure(monkeypatch):
     assert sweep_check["passed"] is False
 
 
+def test_molien_disagreement_is_a_failed_check(monkeypatch):
+    import itertools
+
+    from crepant import invariants
+
+    # promise degree 1 for every character: no linear form of Q8 is a
+    # relative invariant, so the averaging route refuses the promise
+    monkeypatch.setattr(
+        invariants,
+        "_molien_coefficients",
+        lambda G, chi: itertools.chain([1, 1], itertools.repeat(0)),
+    )
+    report, status = run(parse_job(Q8_DOC, mode="check"))
+    assert status == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in report["check"]["checks"]}
+    entry = checks["relative_invariant[0-0]"]
+    assert entry["passed"] is False
+    assert "promises" in entry["detail"]
+    # the character's two lemma checks are skipped, as with no invariant
+    assert "valuation_congruence[0-0]" not in checks
+    assert "junior_membership[0-0]" not in checks
+    # 10 structural checks and one failed entry per character of Ab(Q8)
+    assert len(checks) == 10 + 4
+    assert report["check"]["all_passed"] is False
+
+
 # --- rendering ----------------------------------------------------------------
 
 

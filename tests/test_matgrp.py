@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crepant.cyclo import rational, zeta
 from crepant.matgrp import (
     CycMatrix,
-    ExplicitGroup,
     GroupTooLargeError,
     NotAbelianError,
     NotNormalError,
@@ -26,15 +25,18 @@ from crepant.matgrp import (
     power,
     quotient,
     subgroup_generated,
-    verify_group_law,
 )
 
 from conftest import EX72_ROWS, Q8_ROWS, cyclic_sl2
 from helpers import (
+    ExplicitGroup,
+    assert_independent_generators,
     brute_commutators,
     brute_conjugacy,
     invariant_factors_of_product,
     naive_closure,
+    seed_closure,
+    verify_group_law,
 )
 
 
@@ -319,6 +321,53 @@ def test_subgroup_closure_property(icosa):
             assert icosa.mul(a, b) in members
 
 
+def _binary_tetrahedral_in(icosa):
+    """A subgroup of order 24 of 2I, generated by elements of orders 4, 6."""
+    return next(
+        h for h in (
+            subgroup_generated(icosa, [x, y])
+            for x in icosa.carrier_labels() if icosa.element_orders[x] == 4
+            for y in icosa.carrier_labels() if icosa.element_orders[y] == 6
+        )
+        if len(h) == 24
+    )
+
+
+def _seed_lists(grp, rng, count):
+    """Seed lists with repeats, the identity and seeds already inside."""
+    labels = list(grp.carrier_labels())
+    for _ in range(count):
+        seeds = rng.sample(labels, min(len(labels), rng.randint(1, 4)))
+        seeds += [grp.mul(seeds[0], seeds[-1]), seeds[0], grp.identity_label]
+        seeds.append(grp.inv(seeds[0]))
+        rng.shuffle(seeds)
+        yield seeds
+
+
+def test_subgroup_generated_matches_seed_closure(q8, s3, ex72, icosa, icosa_diag, c15):
+    rng = random.Random(23)
+    zoo = [q8, s3, ex72, icosa, icosa_diag, c15]
+    zoo += [_random_block_group(rng)[0] for _ in range(6)]
+    # 2I / {+-1}: -I is the only element of order 2
+    minus_one = icosa.element_orders.index(2)
+    zoo.append(quotient(icosa, subgroup_generated(icosa, [minus_one])))
+    # a handle: 2I's subgroup of order 24
+    zoo.append(_binary_tetrahedral_in(icosa))
+    for grp in zoo:
+        for seeds in _seed_lists(grp, rng, 5):
+            sub = subgroup_generated(grp, seeds)
+            assert sub.members == seed_closure(grp, seeds)
+            kept = list(sub.generator_labels())
+            # the kept seeds are a subsequence of the seeds
+            it = iter(seeds)
+            assert all(any(g == s for s in it) for g in kept)
+            assert_independent_generators(sub)
+        # every label as a seed: the whole group from few generators
+        whole = subgroup_generated(grp, list(grp.carrier_labels()))
+        assert len(whole) == len(grp)
+        assert_independent_generators(whole)
+
+
 # --- commutators -------------------------------------------------------------
 
 
@@ -384,10 +433,71 @@ def test_quotient_of_s3_by_a3(s3):
     assert order_of(q, 1) == 2
 
 
-def test_small_quotient_materializes_table(icosa):
+def _assert_table_matches_parent(q):
+    parent, reps = q.parent, q.coset_reps
+    assert q.table is not None
+    assert len(q.table) == len(q)
+    for a in range(len(q)):
+        for b in range(len(q)):
+            assert q.table[a][b] == q.coset_of[parent.mul(reps[a], reps[b])]
+
+
+def test_small_quotient_materializes_table(icosa, q8):
     q = quotient(icosa, subgroup_generated(icosa, []))
     assert len(q) == 120
     assert q.table is not None  # 120 <= 256
+    _assert_table_matches_parent(q)
+
+    # of a FiniteMatrixGroup by a nontrivial normal subgroup: 2I / {+-1}
+    a5 = quotient(icosa, subgroup_generated(icosa, [icosa.element_orders.index(2)]))
+    assert len(a5) == 60
+    _assert_table_matches_parent(a5)
+    _assert_table_matches_parent(quotient(q8, commutator_subgroup(q8)))
+
+    # of a QuotientGroup, the Ab(G/K) shape: G = C4 x C12 = <a> x <b>,
+    # G / <a b^3> of order 12, then its abelianization and its quotient by
+    # the image of <b^4>
+    g = close_group([
+        CycMatrix.from_rows([["E(4)", "0", "0"], ["0", "1", "0"], ["0", "0", "E(4)^3"]]),
+        CycMatrix.from_rows([["1", "0", "0"], ["0", "E(12)", "0"], ["0", "0", "E(12)^11"]]),
+    ])
+    assert len(g) == 48
+    a, b = g.generator_labels()
+    mid = quotient(g, subgroup_generated(g, [g.mul(a, power(g, b, 3))]))
+    assert len(mid) == 12
+    _assert_table_matches_parent(mid)
+    _assert_table_matches_parent(abelianization(mid))
+    top = quotient(mid, subgroup_generated(mid, [mid.coset_of[power(g, b, 4)]]))
+    assert len(top) == 4
+    _assert_table_matches_parent(top)
+
+    # of a SubgroupHandle, the _p_group_basis shape: the 2-part of g, by
+    # the cyclic subgroup of one of its elements of largest order
+    two_part = subgroup_generated(
+        g, [x for x in g.carrier_labels() if g.element_orders[x] in (1, 2, 4)]
+    )
+    assert len(two_part) == 16
+    x = g.element_orders.index(4)
+    q = quotient(two_part, subgroup_generated(two_part, [x]))
+    assert len(q) == 4
+    _assert_table_matches_parent(q)
+    # and of a non-abelian handle: 2I's subgroup of order 24 by its centre
+    tetra = _binary_tetrahedral_in(icosa)
+    q = quotient(tetra, subgroup_generated(tetra, [icosa.element_orders.index(2)]))
+    assert len(q) == 12
+    _assert_table_matches_parent(q)
+
+
+def test_quotient_table_needs_generating_labels():
+    # Z/4 whose generator labels are {2}: they reach only the cosets 0, 2
+    z4 = ExplicitGroup(
+        range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, generators=[2]
+    )
+    with pytest.raises(ArithmeticError, match="reach 2 of 4 cosets"):
+        quotient(z4, subgroup_generated(z4, []))
+    full = ExplicitGroup(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0)
+    q = quotient(full, subgroup_generated(full, [2]))
+    assert q.table == ((0, 1), (1, 0))
 
 
 def test_large_quotient_lazy_table():
