@@ -7,6 +7,25 @@ deterministic for a given input.  Each discovered element remembers the
 generator word that produced it, so group multiplication afterwards is a walk
 through the per-generator permutation tables rather than a matrix product.
 
+The search runs on a modular shadow of the group, not on exact matrices.
+With N the entry conductor and p a prime with p = 1 (mod N) dividing no
+entry denominator, zeta_N -> omega (omega of exact order N in F_p) is a ring
+map Z[zeta_N][1/den] -> F_p.  It is injective on every finite subgroup of
+GL_n(Z[zeta_N][1/den]): the prime above p it defines is unramified, and the
+kernel of reduction modulo an unramified prime above p >= 3 is torsion-free
+(H. Minkowski, J. reine angew. Math. 101, 1887; J.-P. Serre, "Rigidite du
+foncteur de Jacobi d'echelon n >= 3", Sem. H. Cartan 13, 1960/61, appendix).
+So for a finite group the search over F_p meets the elements, ids, words
+and tables of the exact search; an infinite group can close to a finite
+image, so `close_group` then proves exactly that the group is finite.
+Exact matrices are built on demand, one product each along the search
+tree; ids are found from F_p images and confirmed exactly.
+The primes searched for exceed 2^60, so they do not divide |G|; then
+reduction keeps distinct roots of unity distinct, and eigenvalue
+multiplicities and rank(g - 1) can be read over F_p.
+`FiniteMatrixGroup.shadow` gives the images modulo a prime = 1 modulo any
+multiple of N.
+
 Subgroups are handles onto a parent group's label set; quotients get their own
 contiguous label set (coset indices, representative = least parent label).
 The table algorithms below (closure, conjugacy, commutators, quotients,
@@ -27,6 +46,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .cyclo import (
     CyclotomicNumber,
     _factorize,
+    _is_prime,
     as_root_of_unity,
     parse_cyclotomic,
     rational,
@@ -442,7 +462,14 @@ class FiniteMatrixGroup:
 
     Element labels are the ids 0..order-1 in discovery order (0 is the
     identity).  Multiplication replays the stored generator word of the left
-    operand through the per-generator permutation tables.
+    operand through the per-generator permutation tables.  The ids, words
+    and tables come from the closure over F_p (module docstring); the index
+    behind `id_of` is keyed by F_p images, and a match is confirmed exactly.
+
+    Exact matrices are built on demand: `matrix(x)` is the generator that
+    discovered x times the matrix of x's parent in the search tree, one
+    product per element, memoised.  `elements` and `traces` hold the exact
+    matrices and traces of every element, built on first access.
 
     What is derived from the group (conjugacy classes, Ab(G) and its
     decomposition, multiplicities, junior data, K and H) is computed once per
@@ -455,24 +482,31 @@ class FiniteMatrixGroup:
         dim: int,
         generators: list[CycMatrix],
         entry_conductor: int,
-        elements: list[CycMatrix],
+        shadow: "_Shadow",
         index: dict,
         words: list[tuple[int, ...]],
+        parents: list[int],
         lmul: list[list[int]],
         is_special_linear: bool,
     ):
         self.dim = dim
         self.generators = tuple(generators)
         self.entry_conductor = entry_conductor
-        self.elements = tuple(elements)
+        self._shadow = shadow
         self._index = index
         self._words = words
+        self._parents = parents
         self._lmul = lmul
         self._linv = [_inverse_permutation(t) for t in lmul]
+        self._matrices: list[Optional[CycMatrix]] = [None] * len(words)
+        self._matrices[0] = CycMatrix.identity(dim, entry_conductor)
+        for x in range(1, len(words)):
+            if parents[x] == 0:
+                self._matrices[x] = self.generators[words[x][0]]
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
-        self.inverse_ids = [self._compute_inverse(i) for i in range(len(elements))]
-        self.element_orders = [order_of(self, i) for i in range(len(elements))]
+        self.inverse_ids = [self._compute_inverse(i) for i in range(len(words))]
+        self.element_orders = [order_of(self, i) for i in range(len(words))]
         self.exponent = 1
         for o in self.element_orders:
             self.exponent = self.exponent * o // math.gcd(self.exponent, o)
@@ -480,17 +514,16 @@ class FiniteMatrixGroup:
             entry_conductor * self.exponent
             // math.gcd(entry_conductor, self.exponent)
         )
-        self.traces = [m.trace() for m in self.elements]
         self.is_special_linear = is_special_linear
         self._memo: dict = {}
 
     # protocol ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._words)
 
     def carrier_labels(self):
-        return range(len(self.elements))
+        return range(len(self._words))
 
     def generator_labels(self):
         return self.generator_ids
@@ -507,20 +540,65 @@ class FiniteMatrixGroup:
     # matrix access -------------------------------------------------------
 
     def matrix(self, label: int) -> CycMatrix:
-        return self.elements[label]
+        chain = []
+        x = label
+        while self._matrices[x] is None:
+            chain.append(x)
+            x = self._parents[x]
+        m = self._matrices[x]
+        for y in reversed(chain):
+            m = self.generators[self._words[y][0]] @ m
+            self._matrices[y] = m
+        return m
+
+    @functools.cached_property
+    def elements(self) -> tuple[CycMatrix, ...]:
+        return tuple(self.matrix(x) for x in self.carrier_labels())
+
+    @functools.cached_property
+    def traces(self) -> list[CyclotomicNumber]:
+        return [self.matrix(x).trace() for x in self.carrier_labels()]
 
     def id_of(self, m: CycMatrix) -> Optional[int]:
-        lifted_conductor = self.entry_conductor * m.conductor // math.gcd(
-            self.entry_conductor, m.conductor
-        )
-        if lifted_conductor == self.entry_conductor:
-            return self._index.get(m.lift(self.entry_conductor).key())
-        # Entry conductor does not contain the given representation; fall back
-        # to slow elementwise comparison at a common conductor.
-        for i, el in enumerate(self.elements):
-            if el == m:
-                return i
+        if self.entry_conductor % m.conductor == 0:
+            shadow = self._shadow
+            image = _reduce_matrix(
+                m.lift(self.entry_conductor), shadow.prime, shadow.root
+            )
+            x = None if image is None else self._index.get(image)
+            if x is not None and self.matrix(x) == m:
+                return x
+            return None
+        # The entry conductor does not contain the given representation; fall
+        # back to elementwise comparison at a common conductor.
+        for x in self.carrier_labels():
+            if self.matrix(x) == m:
+                return x
         return None
+
+    @per_group
+    def shadow(self, modulus: int) -> "_Shadow":
+        """The F_q images of every element, for a prime q = 1 (mod modulus)
+        dividing no generator-entry denominator, with a root of exact order
+        `modulus` that reduces zeta_modulus.  `modulus` is a multiple of the
+        entry conductor.  The closure's prime is reused when it qualifies;
+        otherwise the search tree is replayed once over F_q."""
+        base = self._shadow
+        n = self.entry_conductor
+        if modulus == n:
+            return base
+        if (base.prime - 1) % modulus == 0:
+            root = _root_above(base.prime, modulus, n, base.root)
+            return _Shadow(base.prime, modulus, root, base.images)
+        q = _shadow_prime(modulus, _denominators(self.generators))
+        root = _root_of_unity(q, modulus)
+        zeta_n = pow(root, modulus // n, q)
+        gens = [_sparse(_reduce_matrix(g, q, zeta_n)) for g in self.generators]
+        images = [base.images[0]]
+        for x in range(1, len(self)):
+            parent = images[self._parents[x]]
+            images.append(_mul_mod(gens[self._words[x][0]], parent, q))
+        return _Shadow(q, modulus, root, images)
 
     @per_group
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -564,9 +642,15 @@ def close_group(
     """Close a generating set under multiplication.
 
     BFS from the identity, applying generators in input order by left
-    multiplication, so the element ids are deterministic.  Raises
-    GroupTooLargeError (with the partial count) if the closure exceeds
-    max_size elements.
+    multiplication, so the element ids are deterministic.  The search runs
+    over F_p (module docstring): p is the first prime = 1 (mod N) from
+    (2^61 // N) * N + 1 upwards, N the entry conductor, that divides no
+    generator-entry denominator, and zeta_N maps to an element of exact
+    order N.  Determinants are checked on the exact generators, and must
+    reduce to those of their images.  `_certify_finite` then proves
+    exactly that the group is finite, so that the tables are its own.
+    Raises GroupTooLargeError (with the partial count) if the closure
+    exceeds max_size elements, and ValueError if the group is not finite.
     """
     gens = list(generators)
     if not gens:
@@ -574,8 +658,8 @@ def close_group(
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("generators must share one dimension")
-    for i, g in enumerate(gens):
-        d = g.det()
+    dets = [g.det() for g in gens]
+    for i, d in enumerate(dets):
         if d.is_zero:
             raise SingularMatrixError(f"generator {i} is singular")
         if as_root_of_unity(d) is None:
@@ -587,32 +671,276 @@ def close_group(
     for g in gens:
         conductor = conductor * g.conductor // math.gcd(conductor, g.conductor)
     gens = [g.lift(conductor) for g in gens]
-    is_sl = all(g.det().is_one for g in gens)
+    is_sl = all(d.is_one for d in dets)
 
-    identity = CycMatrix.identity(dim, conductor)
-    elements = [identity]
-    index = {identity.key(): 0}
+    p = _shadow_prime(conductor, _denominators(gens))
+    root = _root_of_unity(p, conductor)
+    images_of_gens = []
+    for gi, g in enumerate(gens):
+        image = _reduce_matrix(g, p, root)
+        # The determinant must reduce to the image's determinant, a nonzero
+        # root of unity; a singular image would close a semigroup whose
+        # tables are not permutations.
+        det = _reduce_value(dets[gi].embed(conductor), p, root)
+        if _det_mod(image, p) != det:
+            raise ArithmeticError(
+                f"generator {gi} and its image modulo {p} have different "
+                "determinants"
+            )
+        images_of_gens.append(_sparse(image))
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    images = [identity]
+    index = {identity: 0}
     words: list[tuple[int, ...]] = [()]
+    parents = [0]
     lmul: list[list[int]] = [[] for _ in gens]
     i = 0
-    while i < len(elements):
-        x = elements[i]
-        for gi, g in enumerate(gens):
-            y = g @ x
-            key = y.key()
-            known = index.get(key)
+    while i < len(images):
+        x = images[i]
+        for gi, g in enumerate(images_of_gens):
+            y = _mul_mod(g, x, p)
+            known = index.get(y)
             if known is None:
-                if len(elements) >= max_size:
-                    raise GroupTooLargeError(len(elements), max_size)
-                known = len(elements)
-                index[key] = known
-                elements.append(y)
+                if len(images) >= max_size:
+                    raise GroupTooLargeError(len(images), max_size)
+                known = len(images)
+                index[y] = known
+                images.append(y)
                 words.append((gi,) + words[i])
+                parents.append(i)
             lmul[gi].append(known)
         i += 1
+    _certify_finite(gens, images, words, parents, lmul, p)
     return FiniteMatrixGroup(
-        dim, gens, conductor, elements, index, words, lmul, is_sl
+        dim,
+        gens,
+        conductor,
+        _Shadow(p, conductor, root, images),
+        index,
+        words,
+        parents,
+        lmul,
+        is_sl,
     )
+
+
+# ---------------------------------------------------------------------------
+# the modular shadow
+
+
+class _Shadow:
+    """Images over F_prime of the elements of a closed group, under the ring
+    map zeta_n -> root^(order / n) (n the entry conductor; `root` has exact
+    order `order`), with their traces."""
+
+    __slots__ = ("prime", "order", "root", "images", "traces")
+
+    def __init__(self, prime: int, order: int, root: int, images: list):
+        self.prime = prime
+        self.order = order
+        self.root = root
+        self.images = images
+        self.traces = [
+            sum(row[i] for i, row in enumerate(img)) % prime for img in images
+        ]
+
+
+def _denominators(gens: Iterable[CycMatrix]) -> set[int]:
+    return {e.den for g in gens for row in g.rows for e in row}
+
+
+def _certify_finite(gens, images, words, parents, lmul, p: int) -> None:
+    """Prove that the exact group is finite, so that the search over F_p
+    found its tables; raise ValueError otherwise.
+
+    Over F_p, vectors v are taken from (1, ..., 1), e_1, ..., e_n while v
+    lies outside the span of the orbits taken so far (the orbit of v is
+    {image . v}), until the orbits span F_p^n; then the exact orbits span
+    V.  Exactly, w_x = M_x v is built along the search tree, and every
+    other edge x -> g.x of the tables must hold: g w_x == w_(g.x).  Then
+    each generator maps the finite set of all w_x, which spans V, into
+    itself, so G acts faithfully on a finite set and is finite."""
+    n = gens[0].dim
+    basis: dict[int, list[int]] = {}
+    chosen = []
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for v in [(1,) * n] + units:
+        if len(basis) == n:
+            break
+        if not _insert_mod(list(v), basis, p):
+            continue
+        chosen.append(v)
+        for img in images:
+            if len(basis) == n:
+                break
+            orbit_point = [sum(a * b for a, b in zip(row, v)) for row in img]
+            _insert_mod([c % p for c in orbit_point], basis, p)
+    conductor = gens[0].conductor
+    values = [rational(c).embed(conductor) for c in (0, 1)]
+    zero = values[0]
+    columns = [
+        [[(i, None if g.rows[i][k].is_one else g.rows[i][k])
+          for i in range(n) if not g.rows[i][k].is_zero]
+         for k in range(n)]
+        for g in gens
+    ]
+    for v in chosen:
+        w = [tuple(values[c] for c in v)]
+        for y in range(1, len(images)):
+            w.append(_apply(columns[words[y][0]], w[parents[y]], zero))
+        for gi, table in enumerate(lmul):
+            for x, y in enumerate(table):
+                if y and parents[y] == x and words[y][0] == gi:
+                    continue  # the search-tree edge that defined w_y
+                if _apply(columns[gi], w[x], zero) != w[y]:
+                    raise ValueError(
+                        f"generator {gi} maps element {x} outside the "
+                        f"element {y} it meets modulo {p}; the generated "
+                        "group is not finite"
+                    )
+
+
+def _apply(columns, w: tuple, zero: CyclotomicNumber) -> tuple:
+    """g w for g given by its sparse columns of (row, entry) pairs, with
+    entry None for 1."""
+    acc: list = [None] * len(w)
+    for k, wk in enumerate(w):
+        if wk is zero or wk.is_zero:
+            continue
+        for i, c in columns[k]:
+            term = wk if c is None else c * wk
+            acc[i] = term if acc[i] is None else acc[i] + term
+    return tuple(zero if a is None else a for a in acc)
+
+
+def _insert_mod(vec: list[int], basis: dict, p: int) -> bool:
+    """Reduce vec against the echelon rows `basis` (pivot -> row with a 1
+    at its pivot) over F_p; add it and return True if it is independent."""
+    for pivot, row in basis.items():
+        c = vec[pivot]
+        if c:
+            vec = [(a - c * b) % p for a, b in zip(vec, row)]
+    for k, c in enumerate(vec):
+        if c:
+            inv = pow(c, -1, p)
+            basis[k] = [a * inv % p for a in vec]
+            return True
+    return False
+
+
+def _shadow_prime(n: int, dens: Iterable[int]) -> int:
+    """The first prime p = 1 (mod n) from (2^61 // n) * n + 1 upwards that
+    divides none of `dens`."""
+    dens = tuple(dens)
+    c = max(1, 2**61 // n) * n + 1
+    while not (c % 2 and _is_prime(c) and all(d % c for d in dens)):
+        c += n
+    return c
+
+
+def _root_of_unity(p: int, n: int) -> int:
+    """An element of exact order n in F_p, for n dividing p - 1: the first
+    g^((p - 1) / n), g = 2, 3, ..., with omega^(n / q) != 1 for every prime
+    q dividing n."""
+    primes = [q for q, _ in _factorize(n)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in primes):
+            return w
+        g += 1
+
+
+def _root_above(p: int, m: int, n: int, omega: int) -> int:
+    """An element of exact order m in F_p whose (m / n)-th power is omega,
+    an element of exact order n; n divides m, and m divides p - 1."""
+    gamma = _root_of_unity(p, m)
+    base = pow(gamma, m // n, p)
+    power = 1
+    for c in range(n):
+        if power == omega and math.gcd(c, n) == 1:
+            # d = c (mod n) and coprime to m exists by the Chinese remainder
+            # theorem, below c + m
+            d = c
+            while math.gcd(d, m) != 1:
+                d += n
+            return pow(gamma, d, p)
+        power = power * base % p
+    raise ArithmeticError(
+        f"{omega} is not a primitive power of a root of order {n} modulo {p}"
+    )
+
+
+def _reduce_matrix(m: CycMatrix, p: int, zeta_image: int) -> Optional[tuple]:
+    """The rows of m over F_p under zeta_N -> zeta_image (N = m.conductor),
+    or None when p divides an entry denominator."""
+    rows = tuple(
+        tuple(_reduce_value(e, p, zeta_image) for e in row) for row in m.rows
+    )
+    return None if any(None in row for row in rows) else rows
+
+
+def _reduce_value(e: CyclotomicNumber, p: int, zeta_image: int) -> Optional[int]:
+    """e over F_p under zeta_N -> zeta_image (N = e.conductor), or None when
+    p divides its denominator."""
+    if e.den % p == 0:
+        return None
+    value = 0
+    power = 1
+    for c in e.nums:
+        if c:
+            value += c * power
+        power = power * zeta_image % p
+    return value * pow(e.den, -1, p) % p
+
+
+def _sparse(rows: tuple) -> tuple:
+    """Rows as (column, value) pairs of their nonzero entries."""
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
+
+
+def _mul_mod(a: tuple, x: tuple, p: int) -> tuple:
+    """a @ x over F_p, with a in `_sparse` form and x as rows."""
+    out = []
+    for row in a:
+        if len(row) == 1:
+            k, c = row[0]
+            out.append(x[k] if c == 1 else tuple([c * v % p for v in x[k]]))
+        else:
+            acc = [0] * len(x)
+            for k, c in row:
+                acc = [s + c * v for s, v in zip(acc, x[k])]
+            out.append(tuple([s % p for s in acc]))
+    return tuple(out)
+
+
+def _det_mod(rows, p: int) -> int:
+    """Determinant over F_p by Gaussian elimination."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    det = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        top = work[col]
+        det = det * top[col] % p
+        inv = pow(top[col], -1, p)
+        for r in range(col + 1, n):
+            f = work[r][col]
+            if f:
+                f = f * inv % p
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], top)]
+    return det % p
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over F_p."""
+    basis: dict[int, list[int]] = {}
+    return sum(_insert_mod(list(row), basis, p) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -954,27 +1282,28 @@ def abelian_invariants(grp) -> AbelianStructure:
     return AbelianStructure(factors, n)
 
 
-def _p_group_basis(grp, p: int) -> list:
+def _p_group_basis(grp, p: int, orders: dict) -> list:
     """Independent generators of an abelian p-group-like, orders descending.
     Classical peel-off: take x of maximal order, recurse on the quotient, and
-    adjust lifts so orders are preserved."""
+    adjust lifts so orders are preserved.  `orders` maps every label of
+    `grp` to its order; each quotient's table is computed once, here."""
     labels = sorted(grp.carrier_labels())
     if len(labels) == 1:
         return []
-    orders = {x: order_of(grp, x) for x in labels}
     # max order, ties broken by least label
-    best = max(orders.values())
+    best = max(orders[l] for l in labels)
     x = min(l for l in labels if orders[l] == best)
     cyc = subgroup_generated(grp, [x])
     if len(cyc) == len(labels):
         return [x]
     quo = quotient(grp, cyc)
+    quo_orders = {y: order_of(quo, y) for y in quo.carrier_labels()}
     x_powers = {power(grp, x, k): k for k in range(orders[x])}
     lam = _p_valuation(orders[x], p)
     basis = [x]
-    for ybar in _p_group_basis(quo, p):
+    for ybar in _p_group_basis(quo, p, quo_orders):
         y = quo.coset_reps[ybar]
-        mu = _p_valuation(order_of(quo, ybar), p)
+        mu = _p_valuation(quo_orders[ybar], p)
         z = power(grp, y, p**mu)
         s = x_powers[z]
         if s:
@@ -982,7 +1311,7 @@ def _p_group_basis(grp, p: int) -> list:
             # lift has the same order as its image.
             c = (-(s // p**mu)) % (p ** (lam - mu))
             y = grp.mul(y, power(grp, x, c))
-        assert order_of(grp, y) == p**mu
+        assert orders[y] == p**mu
         assert quo.coset_of[y] == ybar
         basis.append(y)
     return basis
@@ -998,17 +1327,20 @@ def _p_valuation(n: int, p: int) -> int:
 
 def abelian_decomposition(grp) -> AbelianDecomposition:
     """Invariant factors together with explicit independent generators and a
-    full discrete-log table (label -> exponent tuple)."""
+    full discrete-log table (label -> exponent tuple).  One order table
+    serves the per-prime filter and the peel-off; the closing
+    `abelian_invariants` cross-check counts orders by its own route."""
     _verify_abelian(grp)
     labels = sorted(grp.carrier_labels())
     n = len(labels)
+    orders = {x: order_of(grp, x) for x in labels}
     primes = [p for p, _ in _factorize(n)]
     per_prime: dict[int, list] = {}
     for p in primes:
         handle = subgroup_generated(
-            grp, [x for x in labels if _is_p_power(order_of(grp, x), p)]
+            grp, [x for x in labels if _is_p_power(orders[x], p)]
         )
-        per_prime[p] = _p_group_basis(handle, p)
+        per_prime[p] = _p_group_basis(handle, p, orders)
     width = max((len(b) for b in per_prime.values()), default=0)
     gens = []
     factors = []
@@ -1019,7 +1351,7 @@ def abelian_decomposition(grp) -> AbelianDecomposition:
             pb = per_prime[p]
             if slot < len(pb):
                 g = grp.mul(g, pb[slot])
-                d *= order_of(grp, pb[slot])
+                d *= orders[pb[slot]]
         gens.append(g)
         factors.append(d)
     gens.reverse()

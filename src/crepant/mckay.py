@@ -12,10 +12,12 @@ Eigenvalue multiplicities of a single matrix are read off by an exact discrete
 Fourier transform of the trace sequence k -> tr(g^k).  The transform must land
 on nonnegative integers summing to the dimension; anything else is reported as
 an internal arithmetic failure rather than silently accepted.  For a whole
-group the transform runs once per cyclic subgroup, on one generator x; the
-vector of every power x^j is derived from it (the eigenvalue zeta_r^a of x
-becomes zeta_r^(a*j) of x^j) and checked against the stored order and exact
-trace of x^j.
+group the transform runs over F_q (the group's modular shadow, see `matgrp`)
+once per cyclic subgroup, on one generator x; the vector of every power x^j
+is derived from it (the eigenvalue zeta_r^a of x becomes zeta_r^(a*j) of
+x^j) and checked against the stored order and F_q trace of x^j.  Every
+conjugacy-class representative is then checked exactly: its exact trace must
+equal sum_a m_a zeta_r^a, and its exact rank test must match the F_q one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclo import as_root_of_unity, rational, zeta
+from .cyclo import CyclotomicNumber, _reduce_ints, as_root_of_unity, rational, zeta
 from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
@@ -33,6 +35,7 @@ from .matgrp import (
     SubgroupHandle,
     _check_normal,
     _power_traces,
+    _rank_mod,
     abelian_invariants,
     abelianization,
     kernel_basis,
@@ -204,12 +207,20 @@ def _power_multiplicities(m: tuple[int, ...], j: int) -> tuple[int, ...]:
 
 @per_group
 def _group_multiplicities(G: FiniteMatrixGroup):
-    """Multiplicities of every element, one trace DFT per cyclic subgroup.
+    """Multiplicities of every element, one trace DFT per cyclic subgroup,
+    over F_q (`FiniteMatrixGroup.shadow` at the working conductor W, q = 1
+    mod W, so every element order r has the root omega_r = root^(W/r)).
 
     Elements are visited by descending order; an element not yet filled
-    generates a new cyclic subgroup, gets the guarded DFT, and fills all of
-    its powers.  Each derived vector must have the stored order of its
-    element and reproduce its exact trace, else ArithmeticError."""
+    generates a new cyclic subgroup and gets the guarded F_q DFT of its
+    power traces: each value must be an integer in [0, dim] and the values
+    must sum to dim.  All of its powers are filled from its vector.  Each
+    derived vector must have the stored order of its element and reproduce
+    its F_q trace.  Then every conjugacy-class representative x is checked
+    exactly: tr(x) must equal sum_a m_a zeta_r^a in Q(zeta).  Any failure
+    raises ArithmeticError."""
+    shadow = G.shadow(G.working_conductor)
+    q, modulus, traces = shadow.prime, shadow.order, shadow.traces
     orders = G.element_orders
     result: list[Optional[tuple[int, ...]]] = [None] * len(G)
     for x in sorted(G.carrier_labels(), key=lambda y: -orders[y]):
@@ -221,9 +232,8 @@ def _group_multiplicities(G: FiniteMatrixGroup):
         for _ in range(r):
             powers.append(p)
             p = G.mul(x, p)
-        m = _multiplicities_from_traces(
-            [G.traces[y] for y in powers], r, G.dim
-        )
+        omega = pow(shadow.root, modulus // r, q)
+        m = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, omega)
         result[x] = m
         for j, y in enumerate(powers):
             if result[y] is not None:
@@ -235,22 +245,79 @@ def _group_multiplicities(G: FiniteMatrixGroup):
                     f"derived multiplicities of element {y} give order "
                     f"{s}, but its order is {orders[y]}"
                 )
-            trace = sum(
-                (zeta(s, b) * mb for b, mb in enumerate(mj) if mb),
-                rational(0),
-            )
-            if trace != G.traces[y]:
+            omega_s = pow(shadow.root, modulus // s, q)
+            trace = sum(mb * pow(omega_s, b, q) for b, mb in enumerate(mj) if mb)
+            if trace % q != traces[y]:
                 raise ArithmeticError(
                     f"derived multiplicities {list(mj)} of element {y} "
-                    f"do not reproduce its trace {G.traces[y].render()}"
+                    f"do not reproduce its trace modulo {q}"
                 )
             result[y] = mj
+    for cls in G.conjugacy_classes():
+        x = cls[0]
+        m = result[x]
+        expected = CyclotomicNumber(len(m), tuple(_reduce_ints(len(m), list(m))))
+        exact = G.matrix(x).trace()
+        if exact != expected:
+            raise ArithmeticError(
+                f"multiplicities {list(m)} of class representative {x} do "
+                f"not reproduce its exact trace {exact.render()}"
+            )
     return tuple(result)
+
+
+def _multiplicities_mod(traces, r: int, dim: int, q: int, omega: int):
+    """m_a = (1/r) sum_k tr(g^k) omega^(-ak) over F_q, omega of exact order
+    r; each must be an integer in [0, dim], summing to dim."""
+    roots = [1] * r
+    for k in range(1, r):
+        roots[k] = roots[k - 1] * omega % q
+    inv_r = pow(r, -1, q)
+    out = []
+    for a in range(r):
+        acc = sum(t * roots[(-a * k) % r] for k, t in enumerate(traces) if t)
+        m_a = acc * inv_r % q
+        if m_a > dim:
+            raise ArithmeticError(
+                f"eigenvalue multiplicity m_{a} is not an integer in "
+                f"[0, {dim}] modulo {q}"
+            )
+        out.append(m_a)
+    if sum(out) != dim:
+        raise ArithmeticError(
+            f"multiplicities {out} do not sum to the dimension {dim}"
+        )
+    return tuple(out)
 
 
 @per_group
 def _group_reflection_flags(G: FiniteMatrixGroup):
-    return tuple(is_reflection(G.matrix(x)) for x in G.carrier_labels())
+    """rank(x - 1) == 1 for every element, by the F_q rank of its image
+    (the shadow of `_group_multiplicities`).  On every conjugacy class the
+    flag must be constant and equal the exact `is_reflection` of the
+    representative, else ArithmeticError."""
+    shadow = G.shadow(G.working_conductor)
+    q = shadow.prime
+    flags = tuple(
+        _rank_mod(
+            [[(v - (i == j)) % q for j, v in enumerate(row)]
+             for i, row in enumerate(img)],
+            q,
+        ) == 1
+        for img in shadow.images
+    )
+    for cls in G.conjugacy_classes():
+        x = cls[0]
+        if any(flags[y] != flags[x] for y in cls):
+            raise ArithmeticError(
+                f"the reflection flag is not constant on the class of {x}"
+            )
+        if is_reflection(G.matrix(x)) != flags[x]:
+            raise ArithmeticError(
+                f"the exact rank test and the rank modulo {q} disagree on "
+                f"class representative {x}"
+            )
+    return flags
 
 
 def age_records(

@@ -33,6 +33,39 @@ def naive_closure(mats, cap=30000):
             raise AssertionError("closure oracle exceeded cap")
 
 
+def exact_closure(generators, max_size=20000):
+    """Close a generating set by breadth-first search over exact matrices:
+    from the identity, generators applied in input order by left
+    multiplication, each product looked up by its exact entries.  Returns
+    (elements, words, lmul) as `close_group` numbers them."""
+    gens = list(generators)
+    conductor = 1
+    for g in gens:
+        conductor = conductor * g.conductor // math.gcd(conductor, g.conductor)
+    gens = [g.lift(conductor) for g in gens]
+    identity = CycMatrix.identity(gens[0].dim, conductor)
+    elements = [identity]
+    index = {identity.key(): 0}
+    words = [()]
+    lmul = [[] for _ in gens]
+    i = 0
+    while i < len(elements):
+        x = elements[i]
+        for gi, g in enumerate(gens):
+            y = g @ x
+            known = index.get(y.key())
+            if known is None:
+                if len(elements) >= max_size:
+                    raise AssertionError("exact closure exceeded max_size")
+                known = len(elements)
+                index[y.key()] = known
+                elements.append(y)
+                words.append((gi,) + words[i])
+            lmul[gi].append(known)
+        i += 1
+    return elements, words, lmul
+
+
 def seed_closure(grp, seeds):
     """Members of the subgroup generated by `seeds`: breadth-first search
     from the identity multiplying every member by every seed, sorted."""

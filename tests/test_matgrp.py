@@ -1,5 +1,7 @@
 """Matrix arithmetic and finite group machinery against brute-force oracles."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crepant.cyclo import rational, zeta
+from crepant import cli, matgrp
+from crepant.cyclo import _factorize, _is_prime, rational, zeta
 from crepant.matgrp import (
     CycMatrix,
     GroupTooLargeError,
@@ -25,14 +28,20 @@ from crepant.matgrp import (
     power,
     quotient,
     subgroup_generated,
+    _reduce_matrix,
+    _shadow_prime,
 )
+from crepant.mckay import age_records, eigen_multiplicities, is_reflection
 
-from conftest import EX72_ROWS, Q8_ROWS, cyclic_sl2
+from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, cyclic_sl2
+
+CYCLIC6_ROWS = [["E(6)", "0"], ["0", "E(6)^5"]]
 from helpers import (
     ExplicitGroup,
     assert_independent_generators,
     brute_commutators,
     brute_conjugacy,
+    exact_closure,
     invariant_factors_of_product,
     naive_closure,
     seed_closure,
@@ -237,6 +246,20 @@ def test_infinite_group_rejected_by_determinant():
         close_group([CycMatrix.from_rows([["2", "0"], ["0", "1"]])])
 
 
+@pytest.mark.parametrize("second", ["-1", "1"])
+def test_infinite_group_with_a_finite_shadow_rejected(second):
+    # s = diag(-1, 1) and t = [[second, p], [0, -1]] with p the closure's
+    # prime: t = s or t = -s modulo p, but s t is a shear of infinite order
+    p = _shadow_prime(1, ())
+    corner = "-1" if second == "1" else "1"
+    rows = [[["-1", "0"], ["0", "1"]], [[second, str(p)], ["0", corner]]]
+    with pytest.raises(ValueError, match="not finite"):
+        close_group([CycMatrix.from_rows(r) for r in rows])
+    text = json.dumps({"dimension": 2, "generators": rows})
+    with pytest.raises(cli.JobError, match="finite"):
+        cli.run(cli.parse_job(text, "age"))
+
+
 def test_singular_generator_rejected():
     with pytest.raises(SingularMatrixError):
         close_group([CycMatrix.from_rows([["1", "1"], ["1", "1"]])])
@@ -246,6 +269,144 @@ def test_binary_icosahedral(icosa):
     assert len(icosa) == 120
     assert icosa.is_special_linear
     assert len(icosa.conjugacy_classes()) == 9
+
+
+# --- modular shadow -----------------------------------------------------------
+
+# 2T in SL2 over Q(i): Q8 and an order-3 element with entries (+-1+-E(4))/2
+TETRA_ROWS = Q8_ROWS + [
+    [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
+]
+# <diag(-z3, -z3, z3)>: entry conductor 3, working conductor 6, and traces
+# that are not real, so a root of order 6 that does not extend the closure's
+# root of order 3 would label eigenvalues by their conjugates
+NONREAL6_ROWS = [["-E(3)", "0", "0"], ["0", "-E(3)", "0"], ["0", "0", "E(3)"]]
+SHADOW_ZOO = ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15",
+              "scalar3", "c30", "2t", "nonreal6", "diag3_0", "diag3_1",
+              "diag4_0", "diag4_1"]
+
+
+def _random_diagonal_sl(rng, dim):
+    """<1 or 2 diagonal generators in SL_dim> with random root orders."""
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        k = rng.choice([2, 3, 4, 5, 6, 8, 9, 10, 12])
+        exps = [rng.randrange(k) for _ in range(dim - 1)]
+        exps.append(-sum(exps) % k)
+        gens.append(CycMatrix.from_rows(
+            [[(f"E({k})^{exps[i]}" if i == j else "0") for j in range(dim)]
+             for i in range(dim)]
+        ))
+    return close_group(gens)
+
+
+def _shadow_group(name, request):
+    if name == "c30":
+        return cyclic_sl2(30)
+    if name == "2t":
+        return close_group([CycMatrix.from_rows(r) for r in TETRA_ROWS])
+    if name == "nonreal6":
+        return close_group([CycMatrix.from_rows(NONREAL6_ROWS)])
+    if name.startswith("diag"):
+        dim, seed = int(name[4]), int(name[6:])
+        return _random_diagonal_sl(random.Random(100 * dim + seed), dim)
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", SHADOW_ZOO)
+def test_modular_closure_matches_exact_oracle(name, request):
+    G = _shadow_group(name, request)
+    elements, words, lmul = exact_closure(G.generators)
+    assert G._words == words
+    assert G._lmul == lmul
+    assert list(G.elements) == elements
+    index = {m.key(): x for x, m in enumerate(elements)}
+    assert G.inverse_ids == [index[m.inverse().key()] for m in elements]
+    records = age_records(G)
+    for x, m in enumerate(elements):
+        mults = eigen_multiplicities(m)
+        assert G.element_orders[x] == len(mults)
+        assert records[x].multiplicities == mults
+        assert records[x].is_reflection == is_reflection(m)
+        assert G.id_of(m) == x
+        assert G.traces[x] == m.trace()
+
+
+@pytest.mark.parametrize("name", ["q8", "icosa", "2t", "c30", "scalar3"])
+def test_shadow_primes_and_roots(name, request):
+    G = _shadow_group(name, request)
+    dens = {e.den for g in G.generators for row in g.rows for e in row}
+    for modulus in (G.entry_conductor, G.working_conductor):
+        shadow = G.shadow(modulus)
+        p, root = shadow.prime, shadow.root
+        assert _is_prime(p) and p > 2**60
+        assert (p - 1) % modulus == 0
+        assert all(d % p for d in dens)
+        assert pow(root, modulus, p) == 1
+        assert all(pow(root, modulus // q, p) != 1 for q, _ in _factorize(modulus))
+        # the images are the reductions of the exact elements
+        zeta_n = pow(root, modulus // G.entry_conductor, p)
+        for x in G.carrier_labels():
+            assert shadow.images[x] == _reduce_matrix(G.matrix(x), p, zeta_n)
+
+
+def test_root_above_extends_the_given_root():
+    # every primitive n-th root omega, not only the one the root finder
+    # returns, must extend to a root of order m whose (m/n)-th power is omega
+    p = _shadow_prime(60, ())
+    for n, m in ((1, 12), (3, 6), (4, 12), (5, 60), (6, 12), (12, 60)):
+        base = matgrp._root_of_unity(p, n)
+        for c in range(1, n + 1):
+            if math.gcd(c, n) != 1:
+                continue
+            omega = pow(base, c, p)
+            root = matgrp._root_above(p, m, n, omega)
+            assert pow(root, m // n, p) == omega
+            assert pow(root, m, p) == 1
+            assert all(pow(root, m // q, p) != 1 for q, _ in _factorize(m))
+
+
+def test_shadow_prime_avoids_denominators():
+    # diag(-1, 1) conjugated by [[1, 1/p0], [0, 1]], with p0 the first
+    # candidate prime for conductor 1: its entry 2/p0 rules p0 out
+    p0 = _shadow_prime(1, ())
+    gen = CycMatrix.from_rows([["-1", f"2/{p0}"], ["0", "1"]])
+    G = close_group([gen])
+    assert G.shadow(1).prime > p0
+    assert len(G) == 2
+    assert G.id_of(gen) == 1
+    assert G.id_of(CycMatrix.from_rows([["-1", f"1/{p0}"], ["0", "1"]])) is None
+
+
+@pytest.mark.parametrize(
+    "rows", [Q8_ROWS, TETRA_ROWS, [CYCLIC6_ROWS], ICOSA_ROWS]
+)
+def test_wrong_root_of_unity_is_refused(rows, monkeypatch):
+    # zeta_n -> omega^2 is no ring map at even n.  Q8, 2T and C6 (entry
+    # conductors 4, 4, 6) meet it in the closure's determinant check; 2I
+    # (entry conductor 5, working conductor 60) in the multiplicities.
+    find = matgrp._root_of_unity
+    monkeypatch.setattr(
+        matgrp, "_root_of_unity",
+        lambda p, n: pow(find(p, n), 2, p) if n % 2 == 0 else find(p, n),
+    )
+    text = json.dumps({"dimension": len(rows[0]), "generators": rows})
+    with pytest.raises(ArithmeticError):
+        cli.run(cli.parse_job(text, "analyze"))
+
+
+def test_exact_trace_check_refuses_a_conjugate_root(monkeypatch):
+    # The inverse of the compatible root of order 6 passes every check
+    # modulo q but labels each eigenvalue by its conjugate; tr = -z3 is not
+    # real, so only the exact trace of a class representative can tell.
+    above = matgrp._root_above
+    monkeypatch.setattr(
+        matgrp, "_root_above", lambda p, m, n, w: pow(above(p, m, n, w), -1, p)
+    )
+    G = close_group([CycMatrix.from_rows(NONREAL6_ROWS)])
+    assert G.working_conductor == 6 and G.entry_conductor == 3
+    with pytest.raises(ArithmeticError, match="exact trace"):
+        age_records(G)
 
 
 # --- conjugacy ---------------------------------------------------------------

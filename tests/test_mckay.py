@@ -22,7 +22,7 @@ from crepant.mckay import (
     _multiplicities_from_traces,
 )
 
-from conftest import cyclic_sl2
+from conftest import S3_ROWS, cyclic_sl2
 from helpers import diagonal_exponents
 
 
@@ -107,9 +107,21 @@ def _minus_identity_id(G):
 def test_integrality_guard_covers_derived_powers():
     # -I is a proper power in <diag(z6, z6^-1)>, so its vector is derived,
     # never transformed on its own; a bogus trace must still be refused.
+    # The derived-power check reads the trace modulo the shadow's prime.
     G = cyclic_sl2(6)
-    G.traces[_minus_identity_id(G)] = rational(2)
+    G.shadow(G.working_conductor).traces[_minus_identity_id(G)] = 2
     with pytest.raises(ArithmeticError):
+        age_records(G)
+
+
+def test_exact_trace_guard_covers_class_representatives():
+    # Every element of an abelian group is a class representative, and its
+    # exact trace must match the multiplicities read modulo q.
+    G = cyclic_sl2(6)
+    y = _minus_identity_id(G)
+    G.matrix(y)
+    G._matrices[y] = CycMatrix.from_rows([["-1", "0"], ["0", "1"]])
+    with pytest.raises(ArithmeticError, match="exact trace"):
         age_records(G)
 
 
@@ -125,8 +137,35 @@ def test_derived_multiplicities_are_checked(monkeypatch):
         mckay, "_power_multiplicities",
         lambda m, j: (lambda v: v[-1:] + v[:-1])(derive(m, j)),
     )
-    with pytest.raises(ArithmeticError, match="trace"):
+    with pytest.raises(ArithmeticError, match="trace modulo"):
         age_records(cyclic_sl2(6))
+
+
+def _transposition_class(G):
+    return next(
+        cls for cls in G.conjugacy_classes() if G.element_orders[cls[0]] == 2
+    )
+
+
+def test_exact_rank_guard_covers_class_representatives():
+    # diag(1, i, -i) has the trace of a transposition but rank(g - 1) = 2
+    G = close_group([CycMatrix.from_rows(r) for r in S3_ROWS])
+    x = _transposition_class(G)[0]
+    G.matrix(x)
+    G._matrices[x] = CycMatrix.from_rows(
+        [["1", "0", "0"], ["0", "E(4)", "0"], ["0", "0", "-E(4)"]]
+    )
+    with pytest.raises(ArithmeticError, match="rank"):
+        age_records(G)
+
+
+def test_reflection_flags_must_be_constant_on_classes():
+    G = close_group([CycMatrix.from_rows(r) for r in S3_ROWS])
+    y = _transposition_class(G)[1]
+    shadow = G.shadow(G.working_conductor)
+    shadow.images[y] = shadow.images[G.identity_label]
+    with pytest.raises(ArithmeticError, match="constant"):
+        age_records(G)
 
 
 @pytest.mark.parametrize(
