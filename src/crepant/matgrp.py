@@ -581,15 +581,12 @@ class FiniteMatrixGroup:
         """The F_q images of every element, for a prime q = 1 (mod modulus)
         dividing no generator-entry denominator, with a root of exact order
         `modulus` that reduces zeta_modulus.  `modulus` is a multiple of the
-        entry conductor.  The closure's prime is reused when it qualifies;
-        otherwise the search tree is replayed once over F_q."""
+        entry conductor.  At the entry conductor this is the closure's
+        shadow; otherwise the search tree is replayed once over F_q."""
         base = self._shadow
         n = self.entry_conductor
         if modulus == n:
             return base
-        if (base.prime - 1) % modulus == 0:
-            root = _root_above(base.prime, modulus, n, base.root)
-            return _Shadow(base.prime, modulus, root, base.images)
         q = _shadow_prime(modulus, _denominators(self.generators))
         root = _root_of_unity(q, modulus)
         zeta_n = pow(root, modulus // n, q)
@@ -753,13 +750,20 @@ def _certify_finite(gens, images, words, parents, lmul, p: int) -> None:
     """Prove that the exact group is finite, so that the search over F_p
     found its tables; raise ValueError otherwise.
 
-    Over F_p, vectors v are taken from (1, ..., 1), e_1, ..., e_n while v
-    lies outside the span of the orbits taken so far (the orbit of v is
-    {image . v}), until the orbits span F_p^n; then the exact orbits span
-    V.  Exactly, w_x = M_x v is built along the search tree, and every
-    other edge x -> g.x of the tables must hold: g w_x == w_(g.x).  Then
-    each generator maps the finite set of all w_x, which spans V, into
-    itself, so G acts faithfully on a finite set and is finite."""
+    When the images of the generators commute, `_certify_abelian` does.
+    Otherwise, over F_p, vectors v are taken from (1, ..., 1), e_1, ...,
+    e_n while v lies outside the span of the orbits taken so far (the orbit
+    of v is {image . v}), until the orbits span F_p^n; then the exact
+    orbits span V.  Exactly, w_x = M_x v is built along the search tree,
+    and every other edge x -> g.x of the tables must hold: g w_x ==
+    w_(g.x).  Then each generator maps the finite set of all w_x, which
+    spans V, into itself, so G acts faithfully on a finite set and is
+    finite."""
+    ids = [table[0] for table in lmul]
+    if all(lmul[i][ids[j]] == lmul[j][ids[i]]
+           for i in range(len(ids)) for j in range(i)):
+        _certify_abelian(gens, lmul, p)
+        return
     n = gens[0].dim
     basis: dict[int, list[int]] = {}
     chosen = []
@@ -798,6 +802,41 @@ def _certify_finite(gens, images, words, parents, lmul, p: int) -> None:
                         f"element {y} it meets modulo {p}; the generated "
                         "group is not finite"
                     )
+
+
+def _certify_abelian(gens, lmul, p: int) -> None:
+    """Commuting generators of finite order generate a finite group, a
+    quotient of the product of the cyclic groups they generate.  So each
+    generator must commute exactly with the others, and its power to the
+    order of its image must be exactly 1; a finite group would pass both,
+    as reduction is injective on it."""
+    for gi, g in enumerate(gens):
+        order, x = 1, lmul[gi][0]
+        while x:
+            order, x = order + 1, lmul[gi][x]
+        if _matrix_power(g, order) != CycMatrix.identity(g.dim, g.conductor):
+            raise ValueError(
+                f"generator {gi} has order {order} modulo {p} but not "
+                "exactly; the generated group is not finite"
+            )
+        for gj in range(gi):
+            if g @ gens[gj] != gens[gj] @ g:
+                raise ValueError(
+                    f"generators {gj} and {gi} commute modulo {p} but not "
+                    "exactly; the generated group is not finite"
+                )
+
+
+def _matrix_power(m: CycMatrix, k: int) -> CycMatrix:
+    """m^k for k >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = m if result is None else result @ m
+        k >>= 1
+        if not k:
+            return result
+        m = m @ m
 
 
 def _apply(columns, w: tuple, zero: CyclotomicNumber) -> tuple:
@@ -849,26 +888,6 @@ def _root_of_unity(p: int, n: int) -> int:
         if all(pow(w, n // q, p) != 1 for q in primes):
             return w
         g += 1
-
-
-def _root_above(p: int, m: int, n: int, omega: int) -> int:
-    """An element of exact order m in F_p whose (m / n)-th power is omega,
-    an element of exact order n; n divides m, and m divides p - 1."""
-    gamma = _root_of_unity(p, m)
-    base = pow(gamma, m // n, p)
-    power = 1
-    for c in range(n):
-        if power == omega and math.gcd(c, n) == 1:
-            # d = c (mod n) and coprime to m exists by the Chinese remainder
-            # theorem, below c + m
-            d = c
-            while math.gcd(d, m) != 1:
-                d += n
-            return pow(gamma, d, p)
-        power = power * base % p
-    raise ArithmeticError(
-        f"{omega} is not a primitive power of a root of order {n} modulo {p}"
-    )
 
 
 def _reduce_matrix(m: CycMatrix, p: int, zeta_image: int) -> Optional[tuple]:

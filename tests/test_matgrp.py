@@ -1,7 +1,6 @@
 """Matrix arithmetic and finite group machinery against brute-force oracles."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -249,7 +248,8 @@ def test_infinite_group_rejected_by_determinant():
 @pytest.mark.parametrize("second", ["-1", "1"])
 def test_infinite_group_with_a_finite_shadow_rejected(second):
     # s = diag(-1, 1) and t = [[second, p], [0, -1]] with p the closure's
-    # prime: t = s or t = -s modulo p, but s t is a shear of infinite order
+    # prime: t = s or t = -s modulo p, but s t is a shear of infinite order.
+    # The images commute and s, t do not.
     p = _shadow_prime(1, ())
     corner = "-1" if second == "1" else "1"
     rows = [[["-1", "0"], ["0", "1"]], [[second, str(p)], ["0", corner]]]
@@ -258,6 +258,30 @@ def test_infinite_group_with_a_finite_shadow_rejected(second):
     text = json.dumps({"dimension": 2, "generators": rows})
     with pytest.raises(cli.JobError, match="finite"):
         cli.run(cli.parse_job(text, "age"))
+
+
+def test_infinite_group_with_a_nonabelian_shadow_rejected():
+    # the swap and diag(-1, 1) generate D4; t = [[-1, p], [0, 1]] is
+    # diag(-1, 1) modulo p, but diag(-1, 1) t is a shear of infinite order
+    p = _shadow_prime(1, ())
+    gens = [CycMatrix.from_rows(r) for r in (
+        [["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]],
+        [["-1", str(p)], ["0", "1"]],
+    )]
+    assert len(close_group(gens[:2])) == 8
+    with pytest.raises(ValueError, match="not finite"):
+        close_group(gens)
+
+
+def test_generator_orders_are_checked_exactly():
+    # [[-1, p], [0, -1]] is -1 modulo p, but its square is a shear;
+    # [[-1, p], [0, 1]] is diag(-1, 1) modulo p and of order 2
+    p = _shadow_prime(1, ())
+    with pytest.raises(ValueError, match="not finite"):
+        close_group([CycMatrix.from_rows([["-1", str(p)], ["0", "-1"]])])
+    gen = CycMatrix.from_rows([["-1", str(p)], ["0", "1"]])
+    G = close_group([gen])
+    assert len(G) == 2 and G.matrix(1) == gen
 
 
 def test_singular_generator_rejected():
@@ -278,8 +302,7 @@ TETRA_ROWS = Q8_ROWS + [
     [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
 ]
 # <diag(-z3, -z3, z3)>: entry conductor 3, working conductor 6, and traces
-# that are not real, so a root of order 6 that does not extend the closure's
-# root of order 3 would label eigenvalues by their conjugates
+# that are not real, so eigenvalues are counted over a second prime
 NONREAL6_ROWS = [["-E(3)", "0", "0"], ["0", "-E(3)", "0"], ["0", "0", "E(3)"]]
 SHADOW_ZOO = ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15",
               "scalar3", "c30", "2t", "nonreal6", "diag3_0", "diag3_1",
@@ -350,22 +373,6 @@ def test_shadow_primes_and_roots(name, request):
             assert shadow.images[x] == _reduce_matrix(G.matrix(x), p, zeta_n)
 
 
-def test_root_above_extends_the_given_root():
-    # every primitive n-th root omega, not only the one the root finder
-    # returns, must extend to a root of order m whose (m/n)-th power is omega
-    p = _shadow_prime(60, ())
-    for n, m in ((1, 12), (3, 6), (4, 12), (5, 60), (6, 12), (12, 60)):
-        base = matgrp._root_of_unity(p, n)
-        for c in range(1, n + 1):
-            if math.gcd(c, n) != 1:
-                continue
-            omega = pow(base, c, p)
-            root = matgrp._root_above(p, m, n, omega)
-            assert pow(root, m // n, p) == omega
-            assert pow(root, m, p) == 1
-            assert all(pow(root, m // q, p) != 1 for q, _ in _factorize(m))
-
-
 def test_shadow_prime_avoids_denominators():
     # diag(-1, 1) conjugated by [[1, 1/p0], [0, 1]], with p0 the first
     # candidate prime for conductor 1: its entry 2/p0 rules p0 out
@@ -393,20 +400,6 @@ def test_wrong_root_of_unity_is_refused(rows, monkeypatch):
     text = json.dumps({"dimension": len(rows[0]), "generators": rows})
     with pytest.raises(ArithmeticError):
         cli.run(cli.parse_job(text, "analyze"))
-
-
-def test_exact_trace_check_refuses_a_conjugate_root(monkeypatch):
-    # The inverse of the compatible root of order 6 passes every check
-    # modulo q but labels each eigenvalue by its conjugate; tr = -z3 is not
-    # real, so only the exact trace of a class representative can tell.
-    above = matgrp._root_above
-    monkeypatch.setattr(
-        matgrp, "_root_above", lambda p, m, n, w: pow(above(p, m, n, w), -1, p)
-    )
-    G = close_group([CycMatrix.from_rows(NONREAL6_ROWS)])
-    assert G.working_conductor == 6 and G.entry_conductor == 3
-    with pytest.raises(ArithmeticError, match="exact trace"):
-        age_records(G)
 
 
 # --- conjugacy ---------------------------------------------------------------
