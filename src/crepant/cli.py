@@ -655,6 +655,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except ArithmeticError as exc:
+        # a cross-route check of the exact and the modular arithmetic failed
+        print(f"error: internal arithmetic check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return status
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -21,6 +22,7 @@ from .matgrp import (
     FiniteMatrixGroup,
     SubgroupHandle,
     _power_traces,
+    per_group,
 )
 from .mckay import (
     ConsistencyError,
@@ -57,6 +59,18 @@ class SparsePolynomial:
                 clean[exps] = c
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _trusted(
+        cls, nvars: int, terms: dict[tuple[int, ...], CyclotomicNumber]
+    ) -> "SparsePolynomial":
+        """Internal constructor for terms built by the arithmetic below:
+        exponent tuples already of length nvars and CyclotomicNumber
+        coefficients.  Only zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if not c.is_zero}
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -122,12 +136,8 @@ class SparsePolynomial:
             return NotImplemented
         self._check_compatible(other)
         acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
-            else:
-                acc[exps] = coeff
-        return SparsePolynomial(self.nvars, acc)
+        _add_into(acc, other.terms)
+        return SparsePolynomial._trusted(self.nvars, acc)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if not isinstance(other, SparsePolynomial):
@@ -135,7 +145,7 @@ class SparsePolynomial:
         return self + (-other)
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(
+        return SparsePolynomial._trusted(
             self.nvars, {e: -c for e, c in self.terms.items()}
         )
 
@@ -146,24 +156,29 @@ class SparsePolynomial:
             return NotImplemented
         self._check_compatible(other)
         acc: dict[tuple[int, ...], CyclotomicNumber] = {}
+        add = operator.add
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 prod = ca * cb
                 if key in acc:
                     acc[key] = acc[key] + prod
                 else:
                     acc[key] = prod
-        return SparsePolynomial(self.nvars, acc)
+        return SparsePolynomial._trusted(self.nvars, acc)
 
     def __rmul__(self, other: Scalar) -> "SparsePolynomial":
         return self.scale(other)
 
     def scale(self, value: Scalar) -> "SparsePolynomial":
+        """value * self.  Scaling by the rational 1 returns self: it would
+        change no coefficient and no conductor."""
         c = _coerce(value)
         if c.is_zero:
             return SparsePolynomial.zero(self.nvars)
-        return SparsePolynomial(
+        if c.conductor == 1 and c.is_one:
+            return self
+        return SparsePolynomial._trusted(
             self.nvars, {e: coeff * c for e, coeff in self.terms.items()}
         )
 
@@ -195,24 +210,25 @@ class SparsePolynomial:
         for f in forms:
             if f.nvars != nv:
                 raise ValueError("substitution forms disagree on variable count")
-        powers: list[list[SparsePolynomial]] = [
-            [SparsePolynomial.constant(nv, 1)] for _ in range(self.nvars)
-        ]
+        return self._substitute(_Powers(forms))
 
-        def power_of(j: int, a: int) -> SparsePolynomial:
-            cache = powers[j]
-            while len(cache) <= a:
-                cache.append(cache[-1] * forms[j])
-            return cache[a]
-
-        out = SparsePolynomial.zero(nv)
+    def _substitute(self, powers: "_Powers") -> "SparsePolynomial":
+        """Evaluate at x_j = powers.forms[j].  Each term is the product of
+        its powers of the forms, taken from `powers`, scaled once by its
+        coefficient; the terms are summed in ascending exponent order."""
+        acc: dict[tuple[int, ...], CyclotomicNumber] = {}
         for exps in sorted(self.terms):
-            piece = SparsePolynomial.constant(nv, self.terms[exps])
+            coeff = self.terms[exps]
+            piece = None
             for j, a in enumerate(exps):
                 if a:
-                    piece = piece * power_of(j, a)
-            out = out + piece
-        return out
+                    p = powers.power(j, a)
+                    piece = p if piece is None else piece * p
+            if piece is None:
+                _add_into(acc, {(0,) * powers.nvars: coeff})
+            else:
+                _add_into(acc, piece.scale(coeff).terms)
+        return SparsePolynomial._trusted(powers.nvars, acc)
 
     def render(self) -> str:
         """Terms like c*x1^a1*x3 joined by +, constants and unit coefficients
@@ -244,6 +260,43 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.render()!r})"
 
 
+def _add_into(
+    acc: dict[tuple[int, ...], CyclotomicNumber],
+    terms: dict[tuple[int, ...], CyclotomicNumber],
+) -> None:
+    """acc += terms in place; a coefficient that cancels is removed at
+    once, so a later term on the same exponent starts afresh."""
+    for exps, coeff in terms.items():
+        old = acc.get(exps)
+        if old is None:
+            acc[exps] = coeff
+        else:
+            total = old + coeff
+            if total.is_zero:
+                del acc[exps]
+            else:
+                acc[exps] = total
+
+
+class _Powers:
+    """Powers of the linear forms that x_1..x_n are substituted by:
+    forms[j]^a is built on first use, as forms[j]^(a-1) * forms[j], and
+    kept for every later substitution through the same object."""
+
+    __slots__ = ("nvars", "forms", "rows")
+
+    def __init__(self, forms: Sequence[SparsePolynomial]):
+        self.nvars = forms[0].nvars
+        self.forms = tuple(forms)
+        self.rows = [[form] for form in forms]  # rows[j][a - 1] = forms[j]^a
+
+    def power(self, j: int, a: int) -> SparsePolynomial:
+        row = self.rows[j]
+        while len(row) < a:
+            row.append(row[-1] * self.forms[j])
+        return row[a - 1]
+
+
 def act(g: CycMatrix, f: SparsePolynomial) -> SparsePolynomial:
     """Action on functions: (g.f)(v) = f(g^-1 v)."""
     if g.dim != f.nvars:
@@ -267,9 +320,24 @@ def _linear_forms(m: CycMatrix) -> list[SparsePolynomial]:
     ]
 
 
+@per_group
+def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
+    """The powers through which element x acts: x.x_j is row j of x^-1 as
+    a linear form.  Group elements carry their inverses, so nothing is
+    inverted.  Built once per group and element, extended lazily to the
+    degrees asked for, and shared by every polynomial x acts on."""
+    return _Powers(_linear_forms(G.matrix(G.inv(x))))
+
+
+@per_group
 def _act_by_id(G: FiniteMatrixGroup, x: int, f: SparsePolynomial) -> SparsePolynomial:
-    # group elements already carry their inverses, skip Gaussian elimination
-    return f.substitute(_linear_forms(G.matrix(G.inv(x))))
+    """x.f for the element with id x, as `act` computes it: f substituted
+    at x_j = row j of x^-1, from that element's shared powers
+    (`_element_powers`).  Every action on a group element goes through
+    here, and each image is kept per group: the averaging of a monomial
+    for one character serves every other character, and the checks that
+    act on an f again read its images."""
+    return f._substitute(_element_powers(G, x))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -483,7 +551,13 @@ def relative_invariant(
     character weights, x1-heavy tuples first, and the first survivor is
     returned.  Every lower degree is zero by Molien, so this is the
     survivor a scan from degree 1 would find.  If every monomial of degree
-    d0 dies, the two routes disagree and ConsistencyError is raised."""
+    d0 dies, the two routes disagree and ConsistencyError is raised.
+
+    Each image x.m comes from `_act_by_id`: the powers of each element's
+    linear forms are built once per group and shared by all monomials,
+    and the images of a monomial are kept in the group, so characters
+    whose search reaches the same monomial average it from the same
+    images."""
     bound = degree_bound if degree_bound is not None else len(G)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -498,15 +572,14 @@ def relative_invariant(
     weights = [
         chi.value_on_coset(ab.inv(ab.coset_of[x])) for x in range(len(G))
     ]
-    forms = [_linear_forms(G.matrix(G.inv(x))) for x in range(len(G))]
     for exps in monomials_of_degree(n, degree):
         mono = SparsePolynomial.monomial(n, exps)
-        acc = SparsePolynomial.zero(n)
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for x in range(len(G)):
-            moved = mono.substitute(forms[x])
-            acc = acc + moved.scale(weights[x])
-        if acc.is_zero:
+            _add_into(terms, _act_by_id(G, x, mono).scale(weights[x]).terms)
+        if not terms:
             continue
+        acc = SparsePolynomial._trusted(n, terms)
         for gid in G.generator_ids:
             expected = acc.scale(chi.value_on_element(G, gid))
             if _act_by_id(G, gid, acc) != expected:
@@ -531,6 +604,16 @@ class CongruenceRecord:
     order: int
     valuation: int
     graded_residue: int
+
+
+@per_group
+def _junior_valuation(
+    G: FiniteMatrixGroup, grading: GradingData, f: SparsePolynomial
+) -> int:
+    """monomial_valuation(grading, f) for a junior representative's
+    grading, computed once per group: the congruence and the membership
+    checks both read it."""
+    return monomial_valuation(grading, f)
 
 
 def _verify_graded(
@@ -560,7 +643,7 @@ def check_congruence_lemma(
     _verify_graded(G, f, twist)
     records = []
     for element_id, grading in gradings:
-        v = monomial_valuation(grading, f)
+        v = _junior_valuation(G, grading, f)
         c = _graded_residue(
             _act_by_id(G, element_id, f), f, grading.order, twist
         )
@@ -599,7 +682,7 @@ def check_junior_ring_membership(
         raise ValueError("the zero polynomial has no valuation")
     _verify_graded(G, f, twist)
     divisible = all(
-        monomial_valuation(grading, f) % grading.order == 0
+        _junior_valuation(G, grading, f) % grading.order == 0
         for _, grading in gradings
     )
     invariant = all(

@@ -444,12 +444,16 @@ def per_group(fn):
     after `G` with defaults filled in, so `f(G)` and `f(G, default)` share
     one entry.  Only for results fixed by `G` and those arguments."""
     signature = inspect.signature(fn)
+    arity = len(signature.parameters) - 1
 
     @functools.wraps(fn)
     def memoised(G, *args, **kwargs):
-        bound = signature.bind(G, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, bound.args[1:])
+        # a call that names every argument positionally needs no binding
+        key = (fn, args)
+        if kwargs or len(args) != arity:
+            bound = signature.bind(G, *args, **kwargs)
+            bound.apply_defaults()
+            key = (fn, bound.args[1:])
         if key not in G._memo:
             G._memo[key] = fn(G, *args, **kwargs)
         return G._memo[key]
@@ -506,7 +510,7 @@ class FiniteMatrixGroup:
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
         self.inverse_ids = [self._compute_inverse(i) for i in range(len(words))]
-        self.element_orders = [order_of(self, i) for i in range(len(words))]
+        self.element_orders = self._compute_orders()
         self.exponent = 1
         for o in self.element_orders:
             self.exponent = self.exponent * o // math.gcd(self.exponent, o)
@@ -612,6 +616,22 @@ class FiniteMatrixGroup:
         return abelian_decomposition(self.abelianization())
 
     # internals ---------------------------------------------------------
+
+    def _compute_orders(self) -> list[int]:
+        """Element orders, one walk per cyclic subgroup: the powers x, x^2,
+        ..., x^r = 1 of an element x whose order is still unknown are walked
+        once, and each x^j gets the order r / gcd(r, j)."""
+        orders = [0] * len(self)
+        for x in self.carrier_labels():
+            if orders[x]:
+                continue
+            powers = [x]
+            while powers[-1] != self.identity_label:
+                powers.append(self.mul(x, powers[-1]))
+            r = len(powers)
+            for j, y in enumerate(powers, 1):
+                orders[y] = r // math.gcd(r, j)
+        return orders
 
     def _compute_inverse(self, a: int) -> int:
         y = 0

@@ -20,6 +20,11 @@ Q8_ROWS = [
     [["0", "1"], ["-1", "0"]],
 ]
 
+# 2T in SL2 over Q(i): Q8 and an order-3 element with entries (+-1+-E(4))/2
+TETRA_ROWS = Q8_ROWS + [
+    [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
+]
+
 S3_ROWS = [
     [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
     [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],

@@ -524,6 +524,25 @@ def test_main_bad_twist_is_input_error(monkeypatch, capsys):
     assert "not invertible" in err
 
 
+def test_main_arithmetic_check_failure_exits_1(monkeypatch, capsys):
+    from crepant import mckay
+
+    # every element gets "all eigenvalues 1": the derived-power check of
+    # the multiplicities refuses it with an ArithmeticError
+    def wrong(traces, r, dim, q, omega):
+        return (dim,) + (0,) * (r - 1)
+
+    monkeypatch.setattr(mckay, "_multiplicities_mod", wrong)
+    code, out, err = run_main(
+        ["analyze"], stdin_text=EX72_DOC, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err.startswith("error: internal arithmetic check failed: ")
+    assert "multiplicities" in err
+    assert "Traceback" not in err
+
+
 def test_main_rejects_unknown_mode():
     with pytest.raises(SystemExit) as exc:
         main(["explode"])

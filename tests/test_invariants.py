@@ -1,6 +1,8 @@
 """Polynomial action, valuations, graded degrees, and relative invariants."""
 
+import collections
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,7 +26,7 @@ from crepant.mckay import (
     junior_gradings,
     valuation_weights,
 )
-from crepant import invariants
+from crepant import cli, invariants
 from crepant.invariants import (
     CharacterOfAb,
     SparsePolynomial,
@@ -39,7 +41,7 @@ from crepant.invariants import (
     relative_invariant,
 )
 
-from conftest import cyclic_sl2
+from conftest import Q8_ROWS, TETRA_ROWS, cyclic_sl2
 from helpers import chi_averages, exhaustive_relative_invariant
 
 
@@ -157,6 +159,72 @@ def test_substitution_is_a_ring_map(f, g):
     forms = [x(2, 0) + x(2, 1), x(2, 0) - x(2, 1)]
     assert (f + g).substitute(forms) == f.substitute(forms) + g.substitute(forms)
     assert (f * g).substitute(forms) == f.substitute(forms) * g.substitute(forms)
+
+
+# Coefficients from Q(zeta_12) at conductors 1, 3 and 4, so that sums
+# cancel across conductors.
+_COEFFS = [rational(1), rational(-1), rational(Fraction(1, 2)), zeta(3),
+           zeta(3, 2), zeta(4), zeta(4, 3), -zeta(3) - zeta(3, 2)]
+
+
+def _cyclotomic_poly_strategy():
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, st.sampled_from(_COEFFS), max_size=4).map(
+        lambda d: SparsePolynomial(2, d)
+    )
+
+
+def _validated(nvars, pairs):
+    """The sum of (exponents, coefficient) pairs, through the validating
+    constructor."""
+    acc = {}
+    for exps, coeff in pairs:
+        acc[exps] = acc.get(exps, rational(0)) + coeff
+    return SparsePolynomial(nvars, acc)
+
+
+def _product_pairs(f, g):
+    return [
+        (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+        for ea, ca in f.terms.items() for eb, cb in g.terms.items()
+    ]
+
+
+def _assert_well_formed(p):
+    assert all(not c.is_zero for c in p.terms.values())
+    assert SparsePolynomial(p.nvars, p.terms).terms == p.terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _cyclotomic_poly_strategy(),
+    _cyclotomic_poly_strategy(),
+    st.sampled_from(_COEFFS + [rational(0)]),
+    st.lists(_cyclotomic_poly_strategy(), min_size=2, max_size=2),
+)
+def test_internal_arithmetic_matches_the_validating_constructor(f, g, c, forms):
+    total = f + g
+    assert total == _validated(2, [*f.terms.items(), *g.terms.items()])
+    difference = f - g
+    assert difference == _validated(
+        2, [*f.terms.items(), *((e, -v) for e, v in g.terms.items())]
+    )
+    product = f * g
+    assert product == _validated(2, _product_pairs(f, g))
+    scaled = f.scale(c)
+    assert scaled == _validated(2, [(e, v * c) for e, v in f.terms.items()])
+    # substitution, term by term through repeated validated products
+    pairs = []
+    for exps, coeff in f.terms.items():
+        piece = SparsePolynomial.constant(2, coeff)
+        for form, a in zip(forms, exps):
+            for _ in range(a):
+                piece = _validated(2, _product_pairs(piece, form))
+        pairs.extend(piece.terms.items())
+    image = f.substitute(forms)
+    assert image == _validated(2, pairs)
+    for p in (total, difference, product, scaled, image):
+        _assert_well_formed(p)
 
 
 # --- monomial enumeration ----------------------------------------------------
@@ -523,19 +591,83 @@ def test_molien_start_matches_exhaustive_scan(
             assert relative_invariant(grp, chi) == expected, (grp, chi.exponents)
 
 
-def test_no_molien_degree_below_bound_averages_nothing(q8, monkeypatch):
+def _count_substitutions(monkeypatch):
+    """Record every polynomial substituted; the averaging, every action by
+    a group element and `substitute` all go through `_substitute`."""
     calls = []
-    substitute = SparsePolynomial.substitute
+    substitute = SparsePolynomial._substitute
 
-    def counted(self, forms):
+    def counted(self, powers):
         calls.append(self)
-        return substitute(self, forms)
+        return substitute(self, powers)
 
-    monkeypatch.setattr(SparsePolynomial, "substitute", counted)
+    monkeypatch.setattr(SparsePolynomial, "_substitute", counted)
+    return calls
+
+
+def test_no_molien_degree_below_bound_averages_nothing(monkeypatch):
+    # a group of its own, so that no image is already kept in it
+    q8 = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
+    calls = _count_substitutions(monkeypatch)
     trivial = ab_characters(q8)[0]
     assert trivial.is_trivial()
     assert relative_invariant(q8, trivial, degree_bound=3) is None
     assert calls == []
+    # the control: with bound 4 the same hook sees the degree-4 averaging
+    assert relative_invariant(q8, trivial, degree_bound=4) is not None
+    assert len(calls) >= len(q8)
+
+
+def test_check_job_acts_once_per_element_and_polynomial(monkeypatch):
+    # A check job on 2T: its three characters are averaged and each gets
+    # the two lemma checks, yet no element acts on a polynomial twice and
+    # no element's powers of its linear forms are built twice.
+    groups = []
+    build = cli._build_group
+
+    def captured(job):
+        groups.append(build(job))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "_build_group", captured)
+    built = []
+
+    class CountedPowers(invariants._Powers):
+        __slots__ = ()
+
+        def __init__(self, forms):
+            super().__init__(forms)
+            built.append(self)
+
+    monkeypatch.setattr(invariants, "_Powers", CountedPowers)
+    images = collections.Counter()
+    substitute = SparsePolynomial._substitute
+
+    def counted(self, powers):
+        images[(id(powers), self)] += 1
+        return substitute(self, powers)
+
+    monkeypatch.setattr(SparsePolynomial, "_substitute", counted)
+    text = json.dumps({"dimension": 2, "generators": TETRA_ROWS})
+    report, status = cli.run(cli.parse_job(text, mode="check"))
+    assert status == 0
+    assert len(report["check"]["checks"]) == 10 + 3 * 3
+    (G,) = groups
+    assert len(G) == 24
+    # `built` keeps every powers object alive, so ids are not reused
+    by_forms = collections.Counter(p.forms for p in built)
+    element_powers = {}
+    for x in G.carrier_labels():
+        forms = tuple(invariants._linear_forms(G.matrix(G.inv(x))))
+        assert by_forms[forms] <= 1, f"powers of element {x} built twice"
+        element_powers.update(
+            (id(p), x) for p in built if p.forms == forms
+        )
+    acted = [key for key in images if key[0] in element_powers]
+    # the averaging alone acts with every element on some monomial
+    assert {element_powers[key[0]] for key in acted} == set(G.carrier_labels())
+    repeated = [key for key, n in images.items() if n > 1]
+    assert repeated == []
 
 
 def test_molien_promise_too_low_is_refused(q8, monkeypatch):

@@ -32,7 +32,7 @@ from crepant.matgrp import (
 )
 from crepant.mckay import age_records, eigen_multiplicities, is_reflection
 
-from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, cyclic_sl2
+from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, TETRA_ROWS, cyclic_sl2
 
 CYCLIC6_ROWS = [["E(6)", "0"], ["0", "E(6)^5"]]
 from helpers import (
@@ -297,10 +297,6 @@ def test_binary_icosahedral(icosa):
 
 # --- modular shadow -----------------------------------------------------------
 
-# 2T in SL2 over Q(i): Q8 and an order-3 element with entries (+-1+-E(4))/2
-TETRA_ROWS = Q8_ROWS + [
-    [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
-]
 # <diag(-z3, -z3, z3)>: entry conductor 3, working conductor 6, and traces
 # that are not real, so eigenvalues are counted over a second prime
 NONREAL6_ROWS = [["-E(3)", "0", "0"], ["0", "-E(3)", "0"], ["0", "0", "E(3)"]]
@@ -353,6 +349,28 @@ def test_modular_closure_matches_exact_oracle(name, request):
         assert records[x].is_reflection == is_reflection(m)
         assert G.id_of(m) == x
         assert G.traces[x] == m.trace()
+
+
+@pytest.mark.parametrize("name", SHADOW_ZOO)
+def test_element_orders_match_powering(name, request):
+    G = _shadow_group(name, request)
+    assert G.element_orders == [order_of(G, x) for x in G.carrier_labels()]
+
+
+def test_element_orders_walk_each_cyclic_subgroup_once(monkeypatch):
+    calls = [0]
+    mul = matgrp.FiniteMatrixGroup.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(matgrp.FiniteMatrixGroup, "mul", counted)
+    G = cyclic_sl2(300)
+    assert len(G) == 300
+    # one walk of the generator's 300 powers; powering every element
+    # separately would take about n^2 / 2 = 45 000 products
+    assert calls[0] <= 2 * len(G)
 
 
 @pytest.mark.parametrize("name", ["q8", "icosa", "2t", "c30", "scalar3"])
