@@ -254,13 +254,15 @@ def terminalization_class_group(
     )
 
 
+@per_group
 def freeness_criterion(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[bool, int | None]:
     """Whether the terminalization's class group is free: equivalent to G
     being generated by its junior elements together with the commutator
     subgroup.  Returns the flag and, when not free, the least element id
-    outside that subgroup as a witness."""
+    outside that subgroup as a witness.  Computed once per group and
+    twist; a ConsistencyError is not kept and is raised again."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "the freeness criterion requires a determinant-one group"

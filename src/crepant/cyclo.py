@@ -248,12 +248,12 @@ class CyclotomicNumber:
 
     def _add(self, other: "CyclotomicNumber", sign: int) -> "CyclotomicNumber":
         # self + sign * other, sign = +-1
-        n = _lcm(self.conductor, other.conductor)
+        n = math.lcm(self.conductor, other.conductor)
         a = self._lifted_nums(n)
         b = other._lifted_nums(n)
         da, db = self.den, other.den
         if da != db:
-            den = _lcm(da, db)
+            den = math.lcm(da, db)
             fa, fb = den // da, sign * (den // db)
             return _canonical(n, [x * fa + y * fb for x, y in zip(a, b)], den)
         if sign > 0:
@@ -293,7 +293,7 @@ class CyclotomicNumber:
         if n == other.conductor:
             a, b = self.nums, other.nums
         else:
-            n = _lcm(n, other.conductor)
+            n = math.lcm(n, other.conductor)
             a, b = self._lifted_nums(n), other._lifted_nums(n)
         return _canonical(n, _mul_ints(n, a, b), self.den * other.den)
 
@@ -380,7 +380,7 @@ class CyclotomicNumber:
             return False
         if self.conductor == other.conductor:
             return self.nums == other.nums
-        n = _lcm(self.conductor, other.conductor)
+        n = math.lcm(self.conductor, other.conductor)
         return self._lifted_nums(n) == other._lifted_nums(n)
 
     def __hash__(self) -> int:
@@ -445,10 +445,6 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"<cyc {self.render()}>"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -579,14 +575,14 @@ def as_root_of_unity(a: CyclotomicNumber) -> Optional[tuple[int, int]]:
     Returns None for values that are not roots of unity."""
     if a.is_zero:
         return None
-    limit = _lcm(2, a.conductor)
+    limit = math.lcm(2, a.conductor)
     if not (a**limit).is_one:
         # The torsion units of Q(zeta_N) form a cyclic group of order lcm(2, N).
         return None
     order = next(r for r in divisors(limit) if (a**r).is_one)
     if order == 1:
         return (1, 0)
-    m = _lcm(a.conductor, order)
+    m = math.lcm(a.conductor, order)
     target = a.embed(m)
     root = zeta(order).embed(m)
     w = root

@@ -440,12 +440,9 @@ class CharacterOfAb:
 
     def order(self) -> int:
         factors = self.decomposition.structure.invariant_factors
-        out = 1
-        for c, d in zip(self.exponents, factors):
-            if c:
-                q = d // math.gcd(c, d)
-                out = out * q // math.gcd(out, q)
-        return out
+        return math.lcm(
+            *(d // math.gcd(c, d) for c, d in zip(self.exponents, factors))
+        )
 
     def value_on_coset(self, coset: int) -> CyclotomicNumber:
         e = self.decomposition.exponents_of(coset)

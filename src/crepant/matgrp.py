@@ -134,10 +134,7 @@ class CycMatrix:
         dim = len(parsed)
         if dim == 0 or any(len(row) != dim for row in parsed):
             raise ValueError("matrix must be square and non-empty")
-        conductor = 1
-        for row in parsed:
-            for e in row:
-                conductor = conductor * e.conductor // math.gcd(conductor, e.conductor)
+        conductor = math.lcm(*(e.conductor for row in parsed for e in row))
         rows = tuple(tuple(e.embed(conductor) for e in row) for row in parsed)
         return CycMatrix(dim, conductor, rows)
 
@@ -166,9 +163,7 @@ class CycMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
         n = self.dim
-        m = self.conductor * other.conductor // math.gcd(
-            self.conductor, other.conductor
-        )
+        m = math.lcm(self.conductor, other.conductor)
         a = self.lift(m).rows
         b = other.lift(m).rows
         zero = rational(0).embed(m)
@@ -195,9 +190,7 @@ class CycMatrix:
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix difference")
-        m = self.conductor * other.conductor // math.gcd(
-            self.conductor, other.conductor
-        )
+        m = math.lcm(self.conductor, other.conductor)
         a = self.lift(m).rows
         b = other.lift(m).rows
         return CycMatrix(
@@ -222,28 +215,9 @@ class CycMatrix:
         return acc
 
     def det(self) -> CyclotomicNumber:
-        work = [list(row) for row in self.rows]
-        n = self.dim
-        det = rational(1).embed(self.conductor)
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if not work[r][col].is_zero), None
-            )
-            if pivot_row is None:
-                return rational(0).embed(self.conductor)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det = det * pivot
-            inv_pivot = pivot.inverse()
-            for r in range(col + 1, n):
-                factor = work[r][col]
-                if factor.is_zero:
-                    continue
-                ratio = factor * inv_pivot
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - ratio * work[col][c]
+        pivots, det = _row_reduce([list(row) for row in self.rows], self.dim)
+        if len(pivots) < self.dim:
+            return rational(0).embed(self.conductor)
         return det
 
     def rank(self) -> int:
@@ -284,22 +258,9 @@ class CycMatrix:
             list(row) + [one if i == j else zero for j in range(n)]
             for i, row in enumerate(self.rows)
         ]
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if not work[r][col].is_zero), None
-            )
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv_pivot = work[col][col].inverse()
-            work[col] = [e * inv_pivot for e in work[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = work[r][col]
-                if factor.is_zero:
-                    continue
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
+        pivots, _ = _row_reduce(work, n)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular")
         return CycMatrix(n, self.conductor, tuple(tuple(row[n:]) for row in work))
 
     def is_diagonal(self) -> bool:
@@ -325,9 +286,7 @@ class CycMatrix:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        m = self.conductor * other.conductor // math.gcd(
-            self.conductor, other.conductor
-        )
+        m = math.lcm(self.conductor, other.conductor)
         return self.lift(m).key() == other.lift(m).key()
 
     def __hash__(self) -> int:
@@ -342,33 +301,54 @@ class CycMatrix:
         return f"<mat [{body}]>"
 
 
+def _row_reduce(work: list, ncols: int) -> tuple[list[int], CyclotomicNumber]:
+    """Gauss-Jordan elimination in place: bring the rows `work` to reduced
+    row echelon form in their first `ncols` columns, dividing each pivot
+    row by its pivot; later columns (an adjoined identity) are carried
+    along.  Returns the pivot columns and the product of the pivots,
+    negated once per row swap: the determinant when every column has a
+    pivot.  `det`, `inverse` and `kernel_basis` share it.
+
+    `CycMatrix.rank` does not: its elimination is fraction-free, taking no
+    field inverse, which is cheaper for the one exact rank per conjugacy
+    class representative, and it stays a second route that
+    `kernel_basis` is checked against."""
+    pivots: list[int] = []
+    det = rational(1)
+    for col in range(ncols):
+        row = len(pivots)
+        pivot_row = next(
+            (r for r in range(row, len(work)) if not work[r][col].is_zero), None
+        )
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            work[row], work[pivot_row] = work[pivot_row], work[row]
+            det = -det
+        pivot = work[row][col]
+        det = det * pivot
+        inv_pivot = pivot.inverse()
+        top = work[row] = [e * inv_pivot for e in work[row]]
+        for r, other in enumerate(work):
+            factor = other[col]
+            if r != row and not factor.is_zero:
+                work[r] = [e - factor * t for e, t in zip(other, top)]
+        pivots.append(col)
+    return pivots, det
+
+
 def kernel_basis(m: CycMatrix) -> list[tuple[CyclotomicNumber, ...]]:
     """Basis of the null space, deterministic: reduced row echelon form with
     free columns taken in ascending order."""
     n = m.dim
     work = [list(row) for row in m.rows]
+    pivots, _ = _row_reduce(work, n)
     one = rational(1).embed(m.conductor)
     zero = rational(0).embed(m.conductor)
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(row, n) if not work[r][col].is_zero), None
-        )
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        inv_pivot = work[row][col].inverse()
-        work[row] = [e * inv_pivot for e in work[row]]
-        for r in range(n):
-            if r != row and not work[r][col].is_zero:
-                factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [zero] * n
         vec[fc] = one
         for r, pc in enumerate(pivots):
@@ -417,12 +397,35 @@ def power(grp, label, k: int):
 
 
 def order_of(grp, label) -> int:
-    p = label
-    k = 1
-    while p != grp.identity_label:
-        p = grp.mul(label, p)
-        k += 1
-    return k
+    return len(_powers(grp, label))
+
+
+def _powers(grp, x) -> list:
+    """[1, x, ..., x^(r-1)] for x of order r in any group-like."""
+    powers = [grp.identity_label]
+    y = x
+    while y != grp.identity_label:
+        powers.append(y)
+        y = grp.mul(x, y)
+    return powers
+
+
+def _cyclic_walks(grp) -> tuple[dict, dict]:
+    """(orders, inverses) of every label of a group-like, one walk per
+    cyclic subgroup: the powers of a label x not yet reached are walked
+    once, and each x^j, with x^r = 1, gets the order r / gcd(r, j) and the
+    inverse x^(r - j)."""
+    orders: dict = {}
+    inverses: dict = {}
+    for x in grp.carrier_labels():
+        if x in orders:
+            continue
+        powers = _powers(grp, x)
+        r = len(powers)
+        for j, y in enumerate(powers):
+            orders[y] = r // math.gcd(r, j)
+            inverses[y] = powers[-j]
+    return orders, inverses
 
 
 def _dedup(labels: Iterable) -> list:
@@ -469,6 +472,8 @@ class FiniteMatrixGroup:
     operand through the per-generator permutation tables.  The ids, words
     and tables come from the closure over F_p (module docstring); the index
     behind `id_of` is keyed by F_p images, and a match is confirmed exactly.
+    Element orders and inverses come from one walk per cyclic subgroup
+    (`_cyclic_walks`), with no word replayed backwards.
 
     Exact matrices are built on demand: `matrix(x)` is the generator that
     discovered x times the matrix of x's parent in the search tree, one
@@ -501,7 +506,6 @@ class FiniteMatrixGroup:
         self._words = words
         self._parents = parents
         self._lmul = lmul
-        self._linv = [_inverse_permutation(t) for t in lmul]
         self._matrices: list[Optional[CycMatrix]] = [None] * len(words)
         self._matrices[0] = CycMatrix.identity(dim, entry_conductor)
         for x in range(1, len(words)):
@@ -509,15 +513,11 @@ class FiniteMatrixGroup:
                 self._matrices[x] = self.generators[words[x][0]]
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
-        self.inverse_ids = [self._compute_inverse(i) for i in range(len(words))]
-        self.element_orders = self._compute_orders()
-        self.exponent = 1
-        for o in self.element_orders:
-            self.exponent = self.exponent * o // math.gcd(self.exponent, o)
-        self.working_conductor = (
-            entry_conductor * self.exponent
-            // math.gcd(entry_conductor, self.exponent)
-        )
+        orders, inverses = _cyclic_walks(self)
+        self.element_orders = [orders[x] for x in self.carrier_labels()]
+        self.inverse_ids = [inverses[x] for x in self.carrier_labels()]
+        self.exponent = math.lcm(*self.element_orders)
+        self.working_conductor = math.lcm(entry_conductor, self.exponent)
         self.is_special_linear = is_special_linear
         self._memo: dict = {}
 
@@ -584,11 +584,16 @@ class FiniteMatrixGroup:
     def shadow(self, modulus: int) -> "_Shadow":
         """The F_q images of every element, for a prime q = 1 (mod modulus)
         dividing no generator-entry denominator, with a root of exact order
-        `modulus` that reduces zeta_modulus.  `modulus` is a multiple of the
-        entry conductor.  At the entry conductor this is the closure's
-        shadow; otherwise the search tree is replayed once over F_q."""
+        `modulus` that reduces zeta_modulus.  `modulus` must be a multiple of
+        the entry conductor (ValueError otherwise).  At the entry conductor
+        this is the closure's shadow; otherwise the search tree is replayed
+        once over F_q."""
         base = self._shadow
         n = self.entry_conductor
+        if modulus % n:
+            raise ValueError(
+                f"modulus {modulus} is not a multiple of the entry conductor {n}"
+            )
         if modulus == n:
             return base
         q = _shadow_prime(modulus, _denominators(self.generators))
@@ -615,42 +620,11 @@ class FiniteMatrixGroup:
         """The decomposition of Ab(G), with its discrete-log table."""
         return abelian_decomposition(self.abelianization())
 
-    # internals ---------------------------------------------------------
-
-    def _compute_orders(self) -> list[int]:
-        """Element orders, one walk per cyclic subgroup: the powers x, x^2,
-        ..., x^r = 1 of an element x whose order is still unknown are walked
-        once, and each x^j gets the order r / gcd(r, j)."""
-        orders = [0] * len(self)
-        for x in self.carrier_labels():
-            if orders[x]:
-                continue
-            powers = [x]
-            while powers[-1] != self.identity_label:
-                powers.append(self.mul(x, powers[-1]))
-            r = len(powers)
-            for j, y in enumerate(powers, 1):
-                orders[y] = r // math.gcd(r, j)
-        return orders
-
-    def _compute_inverse(self, a: int) -> int:
-        y = 0
-        for gi in self._words[a]:
-            y = self._linv[gi][y]
-        return y
-
     def __repr__(self) -> str:
         return (
             f"<FiniteMatrixGroup dim={self.dim} order={len(self)} "
             f"conductor={self.entry_conductor}>"
         )
-
-
-def _inverse_permutation(perm: list[int]) -> list[int]:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return out
 
 
 def close_group(
@@ -684,9 +658,7 @@ def close_group(
                 f"generator {i} has determinant {d.render()}, not a root of "
                 "unity; the generated group cannot be finite"
             )
-    conductor = 1
-    for g in gens:
-        conductor = conductor * g.conductor // math.gcd(conductor, g.conductor)
+    conductor = math.lcm(*(g.conductor for g in gens))
     gens = [g.lift(conductor) for g in gens]
     is_sl = all(d.is_one for d in dets)
 
@@ -872,9 +844,11 @@ def _apply(columns, w: tuple, zero: CyclotomicNumber) -> tuple:
     return tuple(zero if a is None else a for a in acc)
 
 
-def _insert_mod(vec: list[int], basis: dict, p: int) -> bool:
-    """Reduce vec against the echelon rows `basis` (pivot -> row with a 1
-    at its pivot) over F_p; add it and return True if it is independent."""
+def _insert_mod(vec: list[int], basis: dict, p: int) -> int:
+    """Reduce vec (entries in [0, p)) against the echelon rows `basis`
+    (pivot -> row with a 1 at its pivot, in insertion order) over F_p.  If
+    it is independent, divide it by its leading coefficient, add it and
+    return that coefficient; otherwise return 0."""
     for pivot, row in basis.items():
         c = vec[pivot]
         if c:
@@ -883,8 +857,8 @@ def _insert_mod(vec: list[int], basis: dict, p: int) -> bool:
         if c:
             inv = pow(c, -1, p)
             basis[k] = [a * inv % p for a in vec]
-            return True
-    return False
+            return c
+    return 0
 
 
 def _shadow_prime(n: int, dens: Iterable[int]) -> int:
@@ -954,32 +928,27 @@ def _mul_mod(a: tuple, x: tuple, p: int) -> tuple:
 
 
 def _det_mod(rows, p: int) -> int:
-    """Determinant over F_p by Gaussian elimination."""
-    work = [list(row) for row in rows]
-    n = len(work)
+    """Determinant over F_p.  `_insert_mod` reduces each row, in order,
+    against the rows before it, which keeps the determinant, then divides
+    it by its leading coefficient.  The stored rows, columns permuted into
+    pivot order, are unitriangular, so the determinant is the product of
+    those coefficients times the sign of that permutation."""
+    basis: dict[int, list[int]] = {}
     det = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
+    for row in rows:
+        c = _insert_mod(list(row), basis, p)
+        if not c:
             return 0
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        top = work[col]
-        det = det * top[col] % p
-        inv = pow(top[col], -1, p)
-        for r in range(col + 1, n):
-            f = work[r][col]
-            if f:
-                f = f * inv % p
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], top)]
-    return det % p
+        det = det * c % p
+    order = list(basis)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -det % p if inversions % 2 else det
 
 
 def _rank_mod(rows, p: int) -> int:
     """Rank over F_p."""
     basis: dict[int, list[int]] = {}
-    return sum(_insert_mod(list(row), basis, p) for row in rows)
+    return sum(1 for row in rows if _insert_mod(list(row), basis, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1092,15 +1061,21 @@ def commutator_subgroup(grp) -> SubgroupHandle:
             )
     while True:
         sub = subgroup_generated(grp, sorted(seed))
-        new = set()
-        for h in sub.members:
-            for g in gens:
-                c = grp.mul(grp.mul(g, h), grp.inv(g))
-                if c not in sub.member_set:
-                    new.add(c)
+        new = {c for _, _, c in _escaping_conjugates(grp, sub)}
         if not new:
             return sub
         seed |= new
+
+
+def _escaping_conjugates(grp, sub: SubgroupHandle):
+    """(g, h, g h g^-1) for every generator g of `grp` and member h of
+    `sub` whose conjugate lies outside `sub`, g-major."""
+    for g in _dedup(grp.generator_labels()):
+        gi = grp.inv(g)
+        for h in sub.members:
+            c = grp.mul(grp.mul(g, h), gi)
+            if c not in sub.member_set:
+                yield g, h, c
 
 
 class QuotientGroup:
@@ -1191,14 +1166,10 @@ def _coset_table(parent, reps, coset_of) -> tuple:
 
 
 def _check_normal(parent, normal: SubgroupHandle):
-    member_set = normal.member_set
-    for g in _dedup(parent.generator_labels()):
-        gi = parent.inv(g)
-        for nn in normal.members:
-            if parent.mul(parent.mul(g, nn), gi) not in member_set:
-                raise NotNormalError(
-                    f"subgroup is not normal: conjugate of {nn!r} by {g!r} escapes"
-                )
+    for g, nn, _ in _escaping_conjugates(parent, normal):
+        raise NotNormalError(
+            f"subgroup is not normal: conjugate of {nn!r} by {g!r} escapes"
+        )
 
 
 def quotient(grp, normal: SubgroupHandle) -> QuotientGroup:
@@ -1276,21 +1247,15 @@ def abelian_invariants(grp) -> AbelianStructure:
     """Invariant factors of a finite abelian group, from the counts
     N_k = #{x : x^(p^k) = 1} per prime p (recovered via element orders)."""
     _verify_abelian(grp)
-    if isinstance(grp, FiniteMatrixGroup):
-        orders = list(grp.element_orders)
-    else:
-        orders = [order_of(grp, x) for x in grp.carrier_labels()]
+    orders = list(_cyclic_walks(grp)[0].values())
     n = len(orders)
     partitions: dict[int, list[int]] = {}
     for p, _ in _factorize(n):
         # exps[e] = number of elements of order exactly p^e
         exps: dict[int, int] = {}
         for o in orders:
-            e = 0
-            while o % p == 0:
-                o //= p
-                e += 1
-            if o == 1:
+            e = _p_valuation(o, p)
+            if o == p**e:
                 exps[e] = exps.get(e, 0) + 1
         e_max = max(exps)
         counts = []  # N_k for k = 0..e_max
@@ -1300,12 +1265,9 @@ def abelian_invariants(grp) -> AbelianStructure:
             counts.append(running)
         logs = []
         for c in counts:
-            lg = 0
-            while c > 1:
-                if c % p:
-                    raise ArithmeticError("subgroup count is not a prime power")
-                c //= p
-                lg += 1
+            lg = _p_valuation(c, p)
+            if c != p**lg:
+                raise ArithmeticError("subgroup count is not a prime power")
             logs.append(lg)
         conj = [logs[k] - logs[k - 1] for k in range(1, e_max + 1)]
         partition = [
@@ -1332,24 +1294,24 @@ def _p_group_basis(grp, p: int, orders: dict) -> list:
     # max order, ties broken by least label
     best = max(orders[l] for l in labels)
     x = min(l for l in labels if orders[l] == best)
-    cyc = subgroup_generated(grp, [x])
-    if len(cyc) == len(labels):
+    powers = _powers(grp, x)
+    if len(powers) == len(labels):
         return [x]
-    quo = quotient(grp, cyc)
-    quo_orders = {y: order_of(quo, y) for y in quo.carrier_labels()}
-    x_powers = {power(grp, x, k): k for k in range(orders[x])}
+    quo = quotient(grp, SubgroupHandle(grp, tuple(sorted(powers)), (x,)))
+    quo_orders = _cyclic_walks(quo)[0]
+    log_x = {y: k for k, y in enumerate(powers)}
     lam = _p_valuation(orders[x], p)
     basis = [x]
     for ybar in _p_group_basis(quo, p, quo_orders):
         y = quo.coset_reps[ybar]
         mu = _p_valuation(quo_orders[ybar], p)
         z = power(grp, y, p**mu)
-        s = x_powers[z]
+        s = log_x[z]
         if s:
             # y^(p^mu) = x^s with p^mu | s; correct y by a power of x so the
             # lift has the same order as its image.
             c = (-(s // p**mu)) % (p ** (lam - mu))
-            y = grp.mul(y, power(grp, x, c))
+            y = grp.mul(y, powers[c])
         assert orders[y] == p**mu
         assert quo.coset_of[y] == ybar
         basis.append(y)
@@ -1367,18 +1329,18 @@ def _p_valuation(n: int, p: int) -> int:
 def abelian_decomposition(grp) -> AbelianDecomposition:
     """Invariant factors together with explicit independent generators and a
     full discrete-log table (label -> exponent tuple).  One order table
-    serves the per-prime filter and the peel-off; the closing
-    `abelian_invariants` cross-check counts orders by its own route."""
+    (`_cyclic_walks`) serves the per-prime filter and the peel-off; the
+    closing `abelian_invariants` cross-check reads the factors off counts
+    of elements by order, a route of its own."""
     _verify_abelian(grp)
     labels = sorted(grp.carrier_labels())
     n = len(labels)
-    orders = {x: order_of(grp, x) for x in labels}
+    orders = _cyclic_walks(grp)[0]
     primes = [p for p, _ in _factorize(n)]
     per_prime: dict[int, list] = {}
     for p in primes:
-        handle = subgroup_generated(
-            grp, [x for x in labels if _is_p_power(orders[x], p)]
-        )
+        p_part = [x for x in labels if orders[x] == p ** _p_valuation(orders[x], p)]
+        handle = subgroup_generated(grp, p_part)
         per_prime[p] = _p_group_basis(handle, p, orders)
     width = max((len(b) for b in per_prime.values()), default=0)
     gens = []
@@ -1413,9 +1375,3 @@ def abelian_decomposition(grp) -> AbelianDecomposition:
     if abelian_invariants(grp).invariant_factors != structure.invariant_factors:
         raise ArithmeticError("decomposition disagrees with counting invariants")
     return AbelianDecomposition(grp, structure, tuple(gens), dlog)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1

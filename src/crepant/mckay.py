@@ -35,6 +35,7 @@ from .matgrp import (
     SubgroupHandle,
     _check_normal,
     _power_traces,
+    _powers,
     _rank_mod,
     abelian_invariants,
     abelianization,
@@ -227,11 +228,7 @@ def _group_multiplicities(G: FiniteMatrixGroup):
         if result[x] is not None:
             continue
         r = orders[x]
-        powers = []
-        p = G.identity_label
-        for _ in range(r):
-            powers.append(p)
-            p = G.mul(x, p)
+        powers = _powers(G, x)
         omega = pow(shadow.root, modulus // r, q)
         m = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, omega)
         result[x] = m
@@ -462,7 +459,7 @@ def valuation_weights(
         basis = CycMatrix.identity(g.dim, g.conductor)
         standard = True
     else:
-        conductor = g.conductor * r // math.gcd(g.conductor, r)
+        conductor = math.lcm(g.conductor, r)
         lifted = g.lift(conductor)
         ident = CycMatrix.identity(g.dim, conductor)
         columns = []

@@ -97,6 +97,7 @@ def test_group_invariants_are_computed_once_per_group(monkeypatch):
 
     H = junior_subgroup(G)
     assert freeness_criterion(G, GaloisTwist(1)) == (True, None)
+    assert freeness_criterion(G) is freeness_criterion(G, GaloisTwist(1))
     assert junior_subgroup(G, GaloisTwist(1)) is H
     assert len(calls) == seen
 

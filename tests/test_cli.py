@@ -392,6 +392,13 @@ GOLDEN_JOBS = {
 GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
 
+def test_console_script_job_is_the_golden_q8_job():
+    # CI pipes tests/data/jobs/q8.json through the installed `crepant
+    # analyze --format json` and compares it with q8_analyze.json
+    text = (GOLDEN_DIR.parent / "jobs" / "q8.json").read_text(encoding="utf-8")
+    assert json.loads(text) == json.loads(Q8_DOC)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
 def test_reports_match_golden_bytes(name):
     source, mode = GOLDEN_JOBS[name]

@@ -27,7 +27,12 @@ from crepant.matgrp import (
     power,
     quotient,
     subgroup_generated,
+    _cyclic_walks,
+    _denominators,
+    _det_mod,
     _reduce_matrix,
+    _reduce_value,
+    _root_of_unity,
     _shadow_prime,
 )
 from crepant.mckay import age_records, eigen_multiplicities, is_reflection
@@ -136,11 +141,24 @@ def _matrices_with_rank_bound(draw):
 @given(_matrices_with_rank_bound())
 @settings(max_examples=120, deadline=None)
 def test_rank_agrees_with_kernel_basis(case):
-    # kernel_basis eliminates with field inverses; rank does not divide
+    # kernel_basis, det and inverse eliminate with field inverses; rank
+    # does not divide
     m, bound = case
     rank = m.rank()
     assert rank + len(kernel_basis(m)) == m.dim
     assert rank <= bound
+    assert m.det().is_zero == (rank < m.dim)
+    if rank == m.dim:
+        assert m @ m.inverse() == CycMatrix.identity(m.dim)
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    # the F_p determinant takes its sign from the pivot order
+    p = _shadow_prime(m.conductor, _denominators([m]))
+    omega = _root_of_unity(p, m.conductor)
+    assert _det_mod(_reduce_matrix(m, p, omega), p) == _reduce_value(
+        m.det(), p, omega
+    )
 
 
 def test_trace():
@@ -355,6 +373,15 @@ def test_modular_closure_matches_exact_oracle(name, request):
 def test_element_orders_match_powering(name, request):
     G = _shadow_group(name, request)
     assert G.element_orders == [order_of(G, x) for x in G.carrier_labels()]
+    assert all(G.mul(x, G.inv(x)) == 0 for x in G.carrier_labels())
+    handle = subgroup_generated(G, G.generator_ids[-1:])
+    for grp in (abelianization(G), commutator_subgroup(G), handle):
+        orders, inverses = _cyclic_walks(grp)
+        assert orders == {x: order_of(grp, x) for x in grp.carrier_labels()}
+        assert all(
+            grp.mul(x, inverses[x]) == grp.identity_label
+            for x in grp.carrier_labels()
+        )
 
 
 def test_element_orders_walk_each_cyclic_subgroup_once(monkeypatch):
@@ -368,9 +395,11 @@ def test_element_orders_walk_each_cyclic_subgroup_once(monkeypatch):
     monkeypatch.setattr(matgrp.FiniteMatrixGroup, "mul", counted)
     G = cyclic_sl2(300)
     assert len(G) == 300
-    # one walk of the generator's 300 powers; powering every element
-    # separately would take about n^2 / 2 = 45 000 products
+    # one walk of the generator's 300 powers gives every order and inverse;
+    # powering every element separately would take about n^2 / 2 = 45 000
+    # products
     assert calls[0] <= 2 * len(G)
+    assert all(G.mul(x, G.inv(x)) == 0 for x in G.carrier_labels())
 
 
 @pytest.mark.parametrize("name", ["q8", "icosa", "2t", "c30", "scalar3"])
@@ -389,6 +418,15 @@ def test_shadow_primes_and_roots(name, request):
         zeta_n = pow(root, modulus // G.entry_conductor, p)
         for x in G.carrier_labels():
             assert shadow.images[x] == _reduce_matrix(G.matrix(x), p, zeta_n)
+
+
+def test_shadow_refuses_modulus_off_the_entry_conductor(q8):
+    # F_q with q = 1 (mod 6) need not hold a root of order 4 for zeta_4
+    assert q8.entry_conductor == 4
+    for modulus in (2, 6, 10):
+        with pytest.raises(ValueError, match="entry conductor"):
+            q8.shadow(modulus)
+    assert q8.shadow(12).order == 12
 
 
 def test_shadow_prime_avoids_denominators():
