@@ -460,6 +460,33 @@ def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return _reduce_ints(n, conv)
 
 
+def _dot(n: int, pairs) -> CyclotomicNumber:
+    """The sum of a * b over the (a, b) in `pairs`, every operand already at
+    conductor n.  The products are convolved into one integer buffer at the
+    lcm of their denominators, then reduced mod Phi_n and brought to lowest
+    terms once, so the result is the canonical form that the sum of the
+    separate products would have."""
+    conv = [0] * (2 * euler_phi(n) - 1)
+    den = 1
+    for a, b in pairs:
+        d = a.den * b.den
+        scale = 1
+        if d != den:
+            if den % d:
+                common = math.lcm(den, d)
+                grow = common // den
+                conv = [c * grow for c in conv]
+                den = common
+            scale = den // d
+        nonzero = [(j, y) for j, y in enumerate(b.nums) if y]
+        for i, x in enumerate(a.nums):
+            if x:
+                x *= scale
+                for j, y in nonzero:
+                    conv[i + j] += x * y
+    return _canonical(n, _reduce_ints(n, conv), den)
+
+
 # -- inverse: extended Euclid modulo word-sized primes ----------------------
 
 

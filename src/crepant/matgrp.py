@@ -45,6 +45,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cyclo import (
     CyclotomicNumber,
+    _canonical,
+    _dot,
     _factorize,
     _is_prime,
     as_root_of_unity,
@@ -120,13 +122,21 @@ class CycMatrix:
     Matrices are immutable.
     """
 
-    __slots__ = ("dim", "conductor", "rows", "_hash")
+    __slots__ = ("dim", "conductor", "rows", "_hash", "_sparse_rows")
 
     def __init__(self, dim: int, conductor: int, rows: tuple):
         self.dim = dim
         self.conductor = conductor
         self.rows = rows
         self._hash: Optional[int] = None
+        self._sparse_rows: Optional[tuple] = None
+
+    def _nonzero(self) -> tuple:
+        """The rows as (column, entry) pairs of their nonzero entries,
+        found once per matrix."""
+        if self._sparse_rows is None:
+            self._sparse_rows = _sparse(self.rows)
+        return self._sparse_rows
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence[Entry]]) -> "CycMatrix":
@@ -164,22 +174,16 @@ class CycMatrix:
             raise ValueError("dimension mismatch in matrix product")
         n = self.dim
         m = math.lcm(self.conductor, other.conductor)
-        a = self.lift(m).rows
-        b = other.lift(m).rows
+        b = other.lift(m)._nonzero()
         zero = rational(0).embed(m)
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    aik = a[i][k]
-                    if not aik.is_zero:
-                        bkj = b[k][j]
-                        if not bkj.is_zero:
-                            acc = acc + aik * bkj
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.lift(m)._nonzero():
+            # each output entry is one fused sum over the nonzero a_ik b_kj
+            terms: list[list] = [[] for _ in range(n)]
+            for k, aik in row:
+                for j, bkj in b[k]:
+                    terms[j].append((aik, bkj))
+            out.append(tuple(_dot(m, t) if t else zero for t in terms))
         return CycMatrix(n, m, tuple(out))
 
     def __mul__(self, other):
@@ -209,10 +213,16 @@ class CycMatrix:
         )
 
     def trace(self) -> CyclotomicNumber:
-        acc = rational(0)
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
+        diagonal = [row[i] for i, row in enumerate(self.rows)]
+        den = math.lcm(*(e.den for e in diagonal))
+        nums = [
+            sum(column)
+            for column in zip(*(
+                e.nums if e.den == den else [den // e.den * c for c in e.nums]
+                for e in diagonal
+            ))
+        ]
+        return _canonical(self.conductor, nums, den)
 
     def det(self) -> CyclotomicNumber:
         pivots, det = _row_reduce([list(row) for row in self.rows], self.dim)
@@ -223,10 +233,11 @@ class CycMatrix:
     def rank(self) -> int:
         # Fraction-free elimination: row_r <- pivot*row_r - factor*row_pivot
         # scales row_r by the nonzero pivot before cancelling, so the rank is
-        # kept and no field inverse is taken.  Columns at or left of the
-        # pivot are not read again, so they are not updated.
+        # kept and no field inverse is taken; each updated entry is one `_dot`.
+        # Columns at or left of the pivot are not read again, so they are not
+        # updated.
         work = [list(row) for row in self.rows]
-        n = self.dim
+        n, m = self.dim, self.conductor
         rank = 0
         pivot_col = 0
         while pivot_col < n and rank < n:
@@ -244,8 +255,9 @@ class CycMatrix:
                 factor = row[pivot_col]
                 if factor.is_zero:
                     continue
+                minus = -factor
                 for c in range(pivot_col + 1, n):
-                    row[c] = pivot * row[c] - factor * top[c]
+                    row[c] = _dot(m, ((pivot, row[c]), (minus, top[c])))
             rank += 1
             pivot_col += 1
         return rank
@@ -305,14 +317,14 @@ def _row_reduce(work: list, ncols: int) -> tuple[list[int], CyclotomicNumber]:
     """Gauss-Jordan elimination in place: bring the rows `work` to reduced
     row echelon form in their first `ncols` columns, dividing each pivot
     row by its pivot; later columns (an adjoined identity) are carried
-    along.  Returns the pivot columns and the product of the pivots,
-    negated once per row swap: the determinant when every column has a
-    pivot.  `det`, `inverse` and `kernel_basis` share it.
+    along.  Each cleared row is updated entry by entry with one `_dot`
+    (e * 1 - factor * t).  Returns the pivot columns and the product of the
+    pivots, negated once per row swap: the determinant when every column
+    has a pivot.  `det`, `inverse` and `kernel_basis` share it.
 
-    `CycMatrix.rank` does not: its elimination is fraction-free, taking no
-    field inverse, which is cheaper for the one exact rank per conjugacy
-    class representative, and it stays a second route that
-    `kernel_basis` is checked against."""
+    `CycMatrix.rank` does not: its elimination is fraction-free and takes
+    no field inverse, so it is a second route that `kernel_basis` is
+    checked against.  Both make the same one `_dot` per updated entry."""
     pivots: list[int] = []
     det = rational(1)
     for col in range(ncols):
@@ -329,10 +341,16 @@ def _row_reduce(work: list, ncols: int) -> tuple[list[int], CyclotomicNumber]:
         det = det * pivot
         inv_pivot = pivot.inverse()
         top = work[row] = [e * inv_pivot for e in work[row]]
+        n = pivot.conductor
+        one = rational(1).embed(n)
         for r, other in enumerate(work):
             factor = other[col]
             if r != row and not factor.is_zero:
-                work[r] = [e - factor * t for e, t in zip(other, top)]
+                minus = -factor
+                work[r] = [
+                    e if t.is_zero else _dot(n, ((e, one), (minus, t)))
+                    for e, t in zip(other, top)
+                ]
         pivots.append(col)
     return pivots, det
 

@@ -186,8 +186,14 @@ def age(g: CycMatrix, twist: GaloisTwist = IDENTITY_TWIST) -> Fraction:
 
 
 def is_reflection(g: CycMatrix) -> bool:
-    """rank(g - id) = 1; the classical pseudo-reflection condition."""
-    return (g - CycMatrix.identity(g.dim, g.conductor)).rank() == 1
+    """rank(g - id) = 1; the classical pseudo-reflection condition.  The 1
+    is subtracted on the diagonal only."""
+    one = rational(1).embed(g.conductor)
+    shifted = tuple(
+        tuple(e - one if i == j else e for j, e in enumerate(row))
+        for i, row in enumerate(g.rows)
+    )
+    return CycMatrix(g.dim, g.conductor, shifted).rank() == 1
 
 
 # ---------------------------------------------------------------------------

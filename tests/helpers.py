@@ -4,9 +4,10 @@ Everything in here recomputes results by the most naive correct method
 available, independent of the package's fast paths.  Tests compare the two.
 """
 
+import itertools
 import math
 
-from crepant.cyclo import zeta
+from crepant.cyclo import rational, zeta
 from crepant.matgrp import CycMatrix
 
 
@@ -244,3 +245,86 @@ def exhaustive_relative_invariant(grp, chi, degree_bound):
             if not acc.is_zero:
                 return acc
     return None
+
+
+# --- dense matrix reference ---------------------------------------------------
+# Schoolbook linear algebra from CyclotomicNumber `+` and `*` alone: no
+# sparse walk, no fused accumulation, no elimination.
+
+
+def value_key(x):
+    """A cyclotomic value's stored form: conductor, numerators, denominator."""
+    return (x.conductor, x.nums, x.den)
+
+
+def dense_product(a, b):
+    """a @ b by the triple loop, entries summed from zero at the common
+    conductor."""
+    n = math.lcm(a.conductor, b.conductor)
+    zero = rational(0).embed(n)
+    rows = []
+    for i in range(a.dim):
+        row = []
+        for j in range(a.dim):
+            acc = zero
+            for k in range(a.dim):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return CycMatrix(a.dim, n, tuple(rows))
+
+
+def dense_apply(m, v):
+    """m v, entries summed from zero at the matrix conductor."""
+    out = []
+    for row in m.rows:
+        acc = rational(0).embed(m.conductor)
+        for e, c in zip(row, v):
+            acc = acc + e * c
+        out.append(acc)
+    return out
+
+
+def dense_trace(m):
+    acc = rational(0).embed(m.conductor)
+    for i in range(m.dim):
+        acc = acc + m.rows[i][i]
+    return acc
+
+
+def dense_det(m):
+    """The Leibniz formula: a signed product per permutation."""
+    acc = rational(0).embed(m.conductor)
+    for perm in itertools.permutations(range(m.dim)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(m.dim) for j in range(i + 1, m.dim)
+        )
+        term = rational(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        acc = acc + term
+    return acc
+
+
+def dense_rank(m):
+    """The largest k with a nonzero k x k minor (Leibniz determinants)."""
+    for k in range(m.dim, 0, -1):
+        for rows in itertools.combinations(range(m.dim), k):
+            for cols in itertools.combinations(range(m.dim), k):
+                minor = tuple(tuple(m.rows[i][j] for j in cols) for i in rows)
+                if not dense_det(CycMatrix(k, m.conductor, minor)).is_zero:
+                    return k
+    return 0
+
+
+def dense_minus_identity(m):
+    """m - 1, as m + (-1) on the diagonal."""
+    minus_one = rational(-1)
+    return CycMatrix(
+        m.dim,
+        m.conductor,
+        tuple(
+            tuple(e + minus_one if i == j else e for j, e in enumerate(row))
+            for i, row in enumerate(m.rows)
+        ),
+    )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant import cli, matgrp
-from crepant.cyclo import _factorize, _is_prime, rational, zeta
+from crepant.cyclo import _dot, _factorize, _is_prime, rational, zeta
 from crepant.matgrp import (
     CycMatrix,
     GroupTooLargeError,
@@ -45,10 +45,17 @@ from helpers import (
     assert_independent_generators,
     brute_commutators,
     brute_conjugacy,
+    dense_apply,
+    dense_det,
+    dense_minus_identity,
+    dense_product,
+    dense_rank,
+    dense_trace,
     exact_closure,
     invariant_factors_of_product,
     naive_closure,
     seed_closure,
+    value_key,
     verify_group_law,
 )
 
@@ -159,6 +166,75 @@ def test_rank_agrees_with_kernel_basis(case):
     assert _det_mod(_reduce_matrix(m, p, omega), p) == _reduce_value(
         m.det(), p, omega
     )
+
+
+@st.composite
+def _zero_matrices(draw):
+    dim = draw(st.integers(1, 4))
+    zero = rational(0).embed(draw(st.sampled_from([1, 3, 4, 12])))
+    return CycMatrix.from_rows([[zero] * dim for _ in range(dim)]), 0
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two matrices of one dimension: at conductors 4 and 3 (their product
+    lifts to 12), or both at one conductor; zero matrices are common."""
+    dim = draw(st.integers(1, 4))
+    pair = draw(st.sampled_from([(4, 3), (3, 4), (12, 12), (5, 1)]))
+    out = []
+    for n in pair:
+        if draw(st.integers(0, 3)) == 0:
+            rows = [[rational(0).embed(n)] * dim for _ in range(dim)]
+        else:
+            rows = [[draw(_entries(n)) for _ in range(dim)] for _ in range(dim)]
+        out.append(CycMatrix.from_rows(rows))
+    return tuple(out)
+
+
+@given(st.one_of(_matrices_with_rank_bound(), _zero_matrices()))
+@settings(max_examples=120, deadline=None)
+def test_matrix_kernels_match_dense_reference(case):
+    # conductor, numerators and denominator must match, not only the value
+    m, _ = case
+    assert value_key(m.trace()) == value_key(dense_trace(m))
+    rank = dense_rank(m)
+    assert m.rank() == rank
+    assert is_reflection(m) == (dense_rank(dense_minus_identity(m)) == 1)
+    assert value_key(m.det()) == value_key(dense_det(m))
+    zero = value_key(rational(0).embed(m.conductor))
+    basis = kernel_basis(m)
+    assert len(basis) == m.dim - rank
+    for v in basis:
+        assert [value_key(x) for x in dense_apply(m, v)] == [zero] * m.dim
+    if rank < m.dim:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inverse = m.inverse()
+    assert inverse.conductor == m.conductor
+    identity = CycMatrix.identity(m.dim, m.conductor).key()
+    assert dense_product(m, inverse).key() == identity
+
+
+@given(_operand_pairs())
+@settings(max_examples=120, deadline=None)
+def test_product_matches_dense_reference(pair):
+    a, b = pair
+    product, expected = a @ b, dense_product(a, b)
+    assert product.conductor == expected.conductor
+    assert product.key() == expected.key()
+    assert value_key(product.trace()) == value_key(dense_trace(expected))
+
+
+def test_dot_sums_at_a_common_denominator():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a, b = zeta(12, 1) * half, zeta(12, 5)
+    c, d = zeta(12, 7) * third, rational(3).embed(12)
+    # a sum that cancels is the canonical zero, with denominator 1
+    cancelled = _dot(12, [(a, b), (-a, b)])
+    assert value_key(cancelled) == (12, (0, 0, 0, 0), 1)
+    expected = a * b + c * d
+    assert value_key(_dot(12, [(a, b), (c, d)])) == value_key(expected)
 
 
 def test_trace():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from crepant import mckay
-from crepant.cyclo import rational, zeta
+from crepant.cyclo import CyclotomicNumber, rational, zeta
 from crepant.matgrp import CycMatrix, close_group
 from crepant.mckay import (
     GaloisTwist,
@@ -243,12 +243,54 @@ def test_twist_must_be_invertible():
 # --- reflections ---------------------------------------------------------------
 
 
+# s = 1 - (1 - E(3)) u w^T with u = (1, E(4)), w = (1/2, -E(4)/2), w^T u = 1:
+# a reflection of order 3 over Q(zeta_12) that is not diagonal
+ORDER_THREE_REFLECTION = [
+    ["1-(1-E(3))/2", "(1-E(3))*E(4)/2"],
+    ["-(1-E(3))*E(4)/2", "1-(1-E(3))/2"],
+]
+
+
+REFLECTION_CASES = [
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]], True),
+    ([["-1", "0"], ["0", "-1"]], False),
+    ([["1", "1"], ["0", "1"]], True),  # a transvection: rank(g - 1) = 1
+    ([["E(3)"]], True),
+    (ORDER_THREE_REFLECTION, True),
+    ([["0", "1"], ["1", "0"]], True),
+    ([["0", "1"], ["-1", "0"]], False),
+]
+
+
 def test_reflection_detection():
-    assert is_reflection(
-        CycMatrix.from_rows([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]])
-    )
-    assert not is_reflection(CycMatrix.from_rows([["-1", "0"], ["0", "-1"]]))
+    for rows, expected in REFLECTION_CASES:
+        assert is_reflection(CycMatrix.from_rows(rows)) is expected, rows
     assert not is_reflection(CycMatrix.identity(3))
+
+
+def test_non_diagonal_reflection_at_conductor_12():
+    assert not is_reflection(CycMatrix.identity(2, 12))
+    s = CycMatrix.from_rows(ORDER_THREE_REFLECTION)
+    assert s.conductor == 12 and not s.is_diagonal()
+    assert s @ s @ s == CycMatrix.identity(2)
+
+
+@pytest.mark.parametrize("exponents", [(1, 4, 0, 0), (1, 2, 3, 4, 0, 0)])
+def test_reflection_test_subtracts_on_the_diagonal_only(exponents, monkeypatch):
+    g = CycMatrix.from_rows(
+        [[f"E(5)^{a}" if i == j else "0" for j in range(len(exponents))]
+         for i, a in enumerate(exponents)]
+    )
+    calls = []
+    add = CyclotomicNumber._add
+
+    def counting_add(self, other, sign):
+        calls.append(sign)
+        return add(self, other, sign)
+
+    monkeypatch.setattr(CyclotomicNumber, "_add", counting_add)
+    assert not is_reflection(g)
+    assert 0 < len(calls) <= g.dim
 
 
 def test_transpositions_are_reflections(s3):
