@@ -11,6 +11,17 @@ lifts operands to the lcm of their conductors and never tries to shrink a
 conductor back down; values that happen to be rational still compare equal
 across conductors because comparison always lifts to a common field first.
 
+One routine, `_reduce_ints`, reduces modulo Phi_N: a long division in place
+that folds each coefficient of x^i, i >= phi(N), down through the nonzero
+lower coefficients of the monic Phi_N (its tail, kept per conductor once
+asked for).  Products, the fused sums of `_dot`, lifts to a larger
+conductor, `zeta` and the callers' integer sums all go through it.  A
+rational operand (conductor 1) of a product only scales the other
+operand's numerators, and the product keeps the other operand's conductor,
+the lcm of the two; lifting a rational pads it with zeros.  The roots of
+unity in Q(zeta_N) are the +-zeta_N^j, so `as_root_of_unity` walks
+a * zeta_N^i, one shift and one fold per step, and computes no power.
+
 `to_complex` is the only bridge to floating point.  It exists for numerical
 cross-check harnesses; no arithmetic in this module depends on it.
 """
@@ -103,38 +114,31 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# Rows of the reduction table for conductor n: _row(n, k) holds the integer
-# coefficient vector of x^(phi(n)+k) modulo Phi_n.  Rows are extended lazily
-# and cached for the lifetime of the process.
-_ROW_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _row(n: int, k: int) -> tuple[int, ...]:
-    rows = _ROW_CACHE.setdefault(n, [])
-    if not rows:
-        phi = euler_phi(n)
-        rows.append(tuple(-c for c in cyclotomic_polynomial(n)[:phi]))
-    base = rows[0]
-    while len(rows) <= k:
-        prev = rows[-1]
-        top = prev[-1]
-        shifted = (0,) + prev[:-1]
-        if top:
-            shifted = tuple(s + top * b for s, b in zip(shifted, base))
-        rows.append(shifted)
-    return rows[k]
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), tail): the tail holds (j, c) for each nonzero coefficient c
+    of x^j, j < phi(n), in Phi_n."""
+    poly = cyclotomic_polynomial(n)
+    return len(poly) - 1, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
 
 
 def _reduce_ints(n: int, vec: list[int]) -> list[int]:
-    """Reduce an integer coefficient vector of any length modulo Phi_n."""
-    phi = euler_phi(n)
-    out = vec[:phi]
-    if len(out) < phi:
-        out += [0] * (phi - len(out))
-    for k, c in enumerate(vec[phi:]):
+    """Reduce an integer coefficient vector of any length modulo Phi_n, in
+    place: long division by the monic Phi_n, each top coefficient folded
+    down through the nonzero lower coefficients of Phi_n.  Returns `vec`,
+    cut or padded to length phi(n)."""
+    phi, tail = _phi_tail(n)
+    for i in range(len(vec) - 1, phi - 1, -1):
+        c = vec[i]
         if c:
-            out = [o + c * r for o, r in zip(out, _row(n, k))]
-    return out
+            base = i - phi
+            for j, p in tail:
+                vec[base + j] -= c * p
+    if len(vec) > phi:
+        del vec[phi:]
+    else:
+        vec += [0] * (phi - len(vec))
+    return vec
 
 
 @lru_cache(maxsize=None)
@@ -198,6 +202,8 @@ class CyclotomicNumber:
         # summand of Z[zeta_m].
         if m == self.conductor:
             return self.nums
+        if self.conductor == 1:
+            return self.nums + (0,) * (euler_phi(m) - 1)
         step = m // self.conductor
         nums = self.nums
         vec = [0] * ((len(nums) - 1) * step + 1)
@@ -289,13 +295,18 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = self.conductor
-        if n == other.conductor:
+        n, m = self.conductor, other.conductor
+        den = self.den * other.den
+        if n == 1 or m == 1:
+            # a rational operand scales the other one's numerators
+            x, r = (self, other.nums[0]) if m == 1 else (other, self.nums[0])
+            return _canonical(x.conductor, [r * c for c in x.nums], den)
+        if n == m:
             a, b = self.nums, other.nums
         else:
-            n = math.lcm(n, other.conductor)
+            n = math.lcm(n, m)
             a, b = self._lifted_nums(n), other._lifted_nums(n)
-        return _canonical(n, _mul_ints(n, a, b), self.den * other.den)
+        return _canonical(n, _mul_ints(n, a, b), den)
 
     __rmul__ = __mul__
 
@@ -599,25 +610,30 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
 def as_root_of_unity(a: CyclotomicNumber) -> Optional[tuple[int, int]]:
     """If a is a root of unity, return (r, k) with a = zeta(r)^k, r the exact
     multiplicative order and 0 <= k < r (so gcd(k, r) = 1 unless r = 1).
-    Returns None for values that are not roots of unity."""
-    if a.is_zero:
+    Returns None for values that are not roots of unity.
+
+    The roots of unity in Q(zeta_N) are the +-zeta_N^j, each stored with
+    denominator 1, and +-zeta_N^j with j < phi(N) is stored as one entry
+    +-1.  So the walk multiplies a by zeta_N, one shift and one fold
+    through Phi_N per step, until a single entry is left; a is a root of
+    unity exactly when that entry is +-1.  Within N - phi(N) + 1 steps a
+    root of unity reaches one."""
+    if a.den != 1 or a.is_zero:
         return None
-    limit = math.lcm(2, a.conductor)
-    if not (a**limit).is_one:
-        # The torsion units of Q(zeta_N) form a cyclic group of order lcm(2, N).
-        return None
-    order = next(r for r in divisors(limit) if (a**r).is_one)
-    if order == 1:
-        return (1, 0)
-    m = math.lcm(a.conductor, order)
-    target = a.embed(m)
-    root = zeta(order).embed(m)
-    w = root
-    for k in range(1, order):
-        if w == target:
-            return (order, k)
-        w = w * root
-    raise ArithmeticError("order-finding inconsistency")  # pragma: no cover
+    n = a.conductor
+    zeros = len(a.nums) - 1
+    work = list(a.nums)
+    for i in range(n):
+        if work.count(0) == zeros:
+            # a * zeta_N^i = c * zeta_N^j
+            j, c = next((j, c) for j, c in enumerate(work) if c)
+            if abs(c) != 1:
+                return None
+            e = (n * (c < 0) + 2 * (j - i)) % (2 * n)  # a = zeta_2N^e
+            g = math.gcd(e, 2 * n)
+            return (2 * n // g, e // g)
+        work = _reduce_ints(n, [0] + work)
+    return None
 
 
 # -- parser ------------------------------------------------------------------

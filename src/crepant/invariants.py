@@ -281,7 +281,9 @@ def _add_into(
 class _Powers:
     """Powers of the linear forms that x_1..x_n are substituted by:
     forms[j]^a is built on first use, as forms[j]^(a-1) * forms[j], and
-    kept for every later substitution through the same object."""
+    kept for every later substitution through the same object.  One is
+    kept per group element (`_element_powers`) and per junior grading
+    (`_basis_powers`)."""
 
     __slots__ = ("nvars", "forms", "rows")
 
@@ -357,6 +359,15 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
 def monomial_valuation(grading: GradingData, f: SparsePolynomial) -> int:
     """min over terms of the weighted degree, after moving f into the
     eigencoordinates the grading was computed in."""
+    return _valuation(grading, f, None)
+
+
+def _valuation(
+    grading: GradingData, f: SparsePolynomial, powers: Optional[_Powers]
+) -> int:
+    """monomial_valuation(grading, f).  A basis that is not standard is
+    substituted through `powers`, the powers of its linear forms, which
+    are built here when None."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
     if grading.basis.dim != f.nvars:
@@ -364,7 +375,7 @@ def monomial_valuation(grading: GradingData, f: SparsePolynomial) -> int:
     if grading.basis_is_standard:
         target = f
     else:
-        target = f.substitute(_linear_forms(grading.basis))
+        target = f._substitute(powers or _Powers(_linear_forms(grading.basis)))
         if target.is_zero:
             raise ConsistencyError("change of basis killed a nonzero polynomial")
     w = grading.weights
@@ -604,13 +615,24 @@ class CongruenceRecord:
 
 
 @per_group
+def _basis_powers(G: FiniteMatrixGroup, grading: GradingData) -> _Powers:
+    """The powers of the linear forms of a junior grading's basis, built
+    once per group and grading and shared by every polynomial valued in
+    that grading."""
+    return _Powers(_linear_forms(grading.basis))
+
+
+@per_group
 def _junior_valuation(
     G: FiniteMatrixGroup, grading: GradingData, f: SparsePolynomial
 ) -> int:
     """monomial_valuation(grading, f) for a junior representative's
     grading, computed once per group: the congruence and the membership
-    checks both read it."""
-    return monomial_valuation(grading, f)
+    checks both read it.  The change of basis goes through the grading's
+    shared powers (`_basis_powers`), so the relative invariants of every
+    character extend one set of powers."""
+    powers = None if grading.basis_is_standard else _basis_powers(G, grading)
+    return _valuation(grading, f, powers)
 
 
 def _verify_graded(

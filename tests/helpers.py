@@ -6,8 +6,9 @@ available, independent of the package's fast paths.  Tests compare the two.
 
 import itertools
 import math
+from fractions import Fraction
 
-from crepant.cyclo import rational, zeta
+from crepant.cyclo import cyclotomic_polynomial, rational, zeta
 from crepant.matgrp import CycMatrix
 
 
@@ -328,3 +329,78 @@ def dense_minus_identity(m):
             for i, row in enumerate(m.rows)
         ),
     )
+
+
+# --- schoolbook cyclotomic reference -------------------------------------------
+# Fraction polynomials reduced by long division by the whole of
+# cyclotomic_polynomial(n): no integer kernel, no common denominator carried
+# through the arithmetic, no shortcut for rational operands.
+
+
+def schoolbook_poly(x, n):
+    """x as an unreduced Fraction polynomial in zeta_n, for n a multiple of
+    its conductor: zeta_N^j becomes zeta_n^(j*n/N)."""
+    step = n // x.conductor
+    poly = [Fraction(0)] * ((len(x.nums) - 1) * step + 1)
+    for j, c in enumerate(x.coeffs):
+        poly[j * step] = c
+    return poly
+
+
+def schoolbook_form(n, poly):
+    """The stored form (n, nums, den) of a Fraction polynomial in zeta_n:
+    its remainder modulo Phi_n, over the lcm of its denominators."""
+    modulus = cyclotomic_polynomial(n)
+    deg = len(modulus) - 1
+    rem = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, m in enumerate(modulus):
+                if m:
+                    rem[i - deg + j] -= c * m
+    rem = rem[:deg]
+    den = math.lcm(*(c.denominator for c in rem))
+    return (n, tuple(int(c * den) for c in rem), den)
+
+
+def _schoolbook_product_poly(x, y, n):
+    a, b = schoolbook_poly(x, n), schoolbook_poly(y, n)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if ai and bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def schoolbook_product(x, y):
+    """The stored form of x * y at the lcm of the two conductors."""
+    n = math.lcm(x.conductor, y.conductor)
+    return schoolbook_form(n, _schoolbook_product_poly(x, y, n))
+
+
+def schoolbook_sum(x, y, sign=1):
+    """The stored form of x + sign * y at the lcm of the two conductors."""
+    n = math.lcm(x.conductor, y.conductor)
+    a, b = schoolbook_poly(x, n), schoolbook_poly(y, n)
+    size = max(len(a), len(b))
+    a += [Fraction(0)] * (size - len(a))
+    b += [Fraction(0)] * (size - len(b))
+    return schoolbook_form(n, [u + sign * v for u, v in zip(a, b)])
+
+
+def schoolbook_dot(n, pairs):
+    """The stored form of the sum of a * b over pairs, at conductor n."""
+    total = [Fraction(0)]
+    for a, b in pairs:
+        prod = _schoolbook_product_poly(a, b, n)
+        total += [Fraction(0)] * (len(prod) - len(total))
+        for i, c in enumerate(prod):
+            total[i] += c
+    return schoolbook_form(n, total)
+
+
+def schoolbook_embed(x, m):
+    """The stored form of x lifted to conductor m."""
+    return schoolbook_form(m, schoolbook_poly(x, m))

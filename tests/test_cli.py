@@ -394,7 +394,8 @@ GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
 def test_console_script_job_is_the_golden_q8_job():
     # CI pipes tests/data/jobs/q8.json through the installed `crepant
-    # analyze --format json` and compares it with q8_analyze.json
+    # <mode> --format json` for all five modes and compares each output
+    # with q8_<mode>.json
     text = (GOLDEN_DIR.parent / "jobs" / "q8.json").read_text(encoding="utf-8")
     assert json.loads(text) == json.loads(Q8_DOC)
 

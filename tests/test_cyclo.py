@@ -5,12 +5,14 @@ harness at 1e-9; every assertion of substance is exact.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant import cyclo
 from crepant.cyclo import (
     CyclotomicNumber,
     CycloParseError,
@@ -22,7 +24,15 @@ from crepant.cyclo import (
     zeta,
 )
 
-from helpers import close_enough
+from helpers import (
+    close_enough,
+    schoolbook_dot,
+    schoolbook_embed,
+    schoolbook_form,
+    schoolbook_product,
+    schoolbook_sum,
+    value_key,
+)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -176,6 +186,39 @@ def test_as_root_of_unity_finds_minimal_order():
     assert zeta(12, 4) == zeta(3)
 
 
+@pytest.mark.parametrize("m", list(range(1, 61)) + [84, 105, 120, 420])
+def test_as_root_of_unity_on_every_signed_power(m):
+    # +-zeta_m^k = exp(2 pi i t), t = k/m (+ 1/2 for the minus sign); its
+    # order is the denominator of t mod 1, and k that numerator
+    for k in range(m):
+        for sign in (1, -1):
+            t = (Fraction(k, m) + (0 if sign > 0 else Fraction(1, 2))) % 1
+            for conductor in (m, 2 * m, 3 * m):
+                x = zeta(m, k).embed(conductor)
+                if sign < 0:
+                    x = -x
+                assert as_root_of_unity(x) == (t.denominator, t.numerator), (
+                    sign, m, k, conductor,
+                )
+
+
+def test_as_root_of_unity_pins_and_non_roots():
+    # 1 + zeta_3 = -zeta_3^2 = zeta_6
+    assert as_root_of_unity(1 + zeta(3)) == (6, 1)
+    # (3 + 4i)/5 has absolute value 1 but is no root of unity
+    unit_circle = (3 + 4 * zeta(4)) / 5
+    assert abs(abs(unit_circle.to_complex()) - 1) < 1e-12
+    for x in (
+        rational(0),
+        rational(2),
+        1 + zeta(5),
+        zeta(5) + zeta(5, 4),
+        1 + zeta(4),
+        unit_circle,
+    ):
+        assert as_root_of_unity(x) is None, x
+
+
 # --- canonical form / hashing ----------------------------------------------
 
 
@@ -307,3 +350,62 @@ def test_distinct_values_evaluate_apart(x, delta):
     y = x + delta
     assert x != y
     assert abs(x.to_complex() - y.to_complex()) > 1e-9
+
+
+# --- the integer kernel against a schoolbook reference ----------------------
+
+
+def _kernel_operands(n, rng):
+    """Values at or around conductor n: zero at n and at 1, an integer and a
+    fraction at conductor 1, values with small fractional and with 40-digit
+    coefficients, one at a proper divisor of n and one at a conductor that
+    n is not a multiple of (neither of them 1 or 2, whose fields are Q).
+    Each other value is eight random terms c * zeta^e with 0 <= e <
+    conductor, so exponents past phi fill in lower powers when reduced."""
+
+    def dense(conductor, size):
+        poly = [Fraction(0)] * conductor
+        for _ in range(8):
+            e = rng.randrange(conductor)
+            poly[e] += Fraction(rng.randint(-size, size), rng.randint(1, 6))
+        return CyclotomicNumber(*schoolbook_form(conductor, poly))
+
+    ops = [
+        rational(0).embed(n),
+        rational(0),
+        rational(-3),
+        rational(Fraction(5, 6)),
+        dense(n, 4),
+        dense(n, 10**40),
+    ]
+    divisors = [d for d in range(3, n) if n % d == 0]
+    if divisors:
+        ops.append(dense(rng.choice(divisors), 4))
+    other = next((m for m in (3, 4, 5) if n % m), None)
+    if other is not None:
+        ops.append(dense(other, 4))
+    return ops
+
+
+@pytest.mark.parametrize("n", list(range(1, 61)) + [84, 105, 420])
+def test_kernel_matches_schoolbook_reference(n):
+    rng = random.Random(n)
+    ops = _kernel_operands(n, rng)
+    small, large = ops[4:6]
+    # every operand on the left of one dense value and on the right of the
+    # other, so rational operands come on both sides
+    for a, b in [(small, y) for y in ops] + [(y, large) for y in ops]:
+        assert value_key(a * b) == schoolbook_product(a, b), (a, b)
+        assert value_key(a + b) == schoolbook_sum(a, b), (a, b)
+        assert value_key(a - b) == schoolbook_sum(a, b, -1), (a, b)
+    for r in ops[1:4]:
+        for x in ops:
+            assert (r * x).conductor == (x * r).conductor == x.conductor
+    for x in ops:
+        for m in (n, 2 * n, 3 * n):
+            if m % x.conductor == 0:
+                assert value_key(x.embed(m)) == schoolbook_embed(x, m), (x, m)
+    lifted = [x.embed(n) for x in ops if n % x.conductor == 0]
+    pairs = [(small, y) for y in lifted] + [(large, small), (-large, small)]
+    assert value_key(cyclo._dot(n, pairs)) == schoolbook_dot(n, pairs)
+    assert value_key(cyclo._dot(n, pairs[-2:])) == (n, (0,) * len(small.nums), 1)

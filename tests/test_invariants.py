@@ -670,6 +670,46 @@ def test_check_job_acts_once_per_element_and_polynomial(monkeypatch):
     assert repeated == []
 
 
+def _in_corner(rows, dim):
+    """An entry-string matrix in the top-left corner of the dim x dim
+    identity."""
+    out = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    for i, row in enumerate(rows):
+        out[i][: len(row)] = row
+    return out
+
+
+# 2T x C3 in SL4: 2T on x1, x2 and diag(1, 1, z3, z3^2)
+TETRA_C3_ROWS = [_in_corner(r, 4) for r in TETRA_ROWS] + [
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+     ["0", "0", "E(3)", "0"], ["0", "0", "0", "E(3)^2"]]
+]
+
+
+@pytest.mark.parametrize(
+    "rows", [Q8_ROWS, TETRA_ROWS, TETRA_C3_ROWS], ids=["Q8", "2T", "2TxC3"]
+)
+def test_junior_valuation_shares_basis_powers(rows):
+    # The checks value every relative invariant through one set of powers
+    # per junior grading; the values must be those of the public route,
+    # and two groups built from one document must keep their own powers.
+    text = json.dumps({"dimension": len(rows[0]), "generators": rows})
+    groups = [cli._build_group(cli.parse_job(text, mode="check")) for _ in (0, 1)]
+    shared = invariants._basis_powers.__wrapped__
+    kept = []
+    for G in groups:
+        found = [relative_invariant(G, chi) for chi in ab_characters(G)]
+        for t in (1, G.exponent - 1):
+            for _, grading in junior_gradings(G, GaloisTwist(t)):
+                for f in found:
+                    assert invariants._junior_valuation(
+                        G, grading, f
+                    ) == monomial_valuation(grading, f)
+        kept.append({id(v) for (fn, _), v in G._memo.items() if fn is shared})
+    assert kept[0] and kept[1]
+    assert not kept[0] & kept[1]
+
+
 def test_molien_promise_too_low_is_refused(q8, monkeypatch):
     trivial = ab_characters(q8)[0]
     # the first trivial-character invariant of Q8 has degree 4
