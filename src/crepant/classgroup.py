@@ -37,7 +37,7 @@ from .mckay import (
     GaloisTwist,
     IDENTITY_TWIST,
     NotSpecialLinearError,
-    _group_reflection_flags,
+    _eigen_pass,
     _junior_quotient_abelianization,
     junior_classes,
     junior_elements,
@@ -106,7 +106,7 @@ class ClassGroupReport:
 def reflection_subgroup(G: FiniteMatrixGroup) -> SubgroupHandle:
     """K: generated by the elements moving a hyperplane's worth of nothing,
     i.e. rank(g - id) = 1."""
-    flags = _group_reflection_flags(G)
+    _, flags = _eigen_pass(G)
     seeds = [x for x in G.carrier_labels() if flags[x]]
     return subgroup_generated(G, seeds)
 
@@ -157,7 +157,7 @@ def terminalization_class_group(
             "terminalization class groups require a determinant-one group"
         )
 
-    flags = _group_reflection_flags(G)
+    _, flags = _eigen_pass(G)
     K = reflection_subgroup(G)
     cl_vg = class_group_of_quotient(G)
 
@@ -168,8 +168,8 @@ def terminalization_class_group(
     torsion = abelian_invariants(ab_of_quotient)
 
     ab = G.abelianization()
-    ab_structure = abelian_invariants(ab)
     ab_dec = G.abelian_decomposition()
+    ab_structure = ab_dec.structure
 
     hbar = _abelian_image(ab, H.members)
     hbar_structure = abelian_invariants(hbar)
@@ -214,7 +214,7 @@ def terminalization_class_group(
         not any(flags),
         "determinant-one groups contain no reflections",
     )
-    rep_image = subgroup_generated(ab, sorted({ab.coset_of[x] for x in reps}))
+    rep_image = _abelian_image(ab, reps)
     check(
         "junior_image_from_representatives",
         set(rep_image.members) == set(hbar.members),
@@ -272,8 +272,7 @@ def freeness_criterion(
     span = subgroup_generated(G, [*juniors, *derived.generator_labels()])
     generated = len(span) == len(G)
 
-    ab_of_quotient = _junior_quotient_abelianization(G, twist)
-    torsion_trivial = abelian_invariants(ab_of_quotient).order == 1
+    torsion_trivial = len(_junior_quotient_abelianization(G, twist)) == 1
     if generated != torsion_trivial:
         raise ConsistencyError(
             "the generation route and the torsion route to freeness disagree"

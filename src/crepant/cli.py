@@ -124,6 +124,15 @@ def _parse_matrix(index: int, rows: object, dimension: int) -> CycMatrix:
     return CycMatrix.from_rows(parsed)
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JobError(
+            f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from exc
+
+
 def parse_job(
     source: str,
     mode: str = "analyze",
@@ -142,19 +151,17 @@ def parse_job(
         "degree bound must be positive",
     )
     _require(output_format in ("text", "json"), "format must be text or json")
-    text = source
-    if "\n" not in source and "{" not in source and "[" not in source:
+    try:
+        doc = _load_json(source)
+    except JobError:
+        if any(c in source for c in "\n{["):
+            raise
+        # one-line text that is not JSON names a file
         try:
             with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
+                doc = _load_json(handle.read())
         except OSError as exc:
             raise JobError(f"cannot read input {source!r}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JobError(
-            f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-        ) from exc
     _require(isinstance(doc, dict), "job document must be a JSON object")
     unknown = sorted(set(doc) - {"dimension", "generators", "character"})
     _require(not unknown, f"unknown job fields: {', '.join(unknown)}")

@@ -654,11 +654,14 @@ class _Parser:
     #   factor := base ('^' int)?
     #   base   := posint | 'E(' posint ')' | '(' expr ')'
     # A leading sign negates the first term.  "p/q" comes out of term-level
-    # division and is exact either way.
+    # division and is exact either way.  Each '(' recurses through all four
+    # rules, so nesting is bounded well inside Python's recursion limit.
+    MAX_NESTING = 100
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def parse(self) -> CyclotomicNumber:
         value = self._expr()
@@ -726,11 +729,17 @@ class _Parser:
     def _base(self) -> CyclotomicNumber:
         ch = self._peek()
         if ch == "(":
+            if self.depth == self.MAX_NESTING:
+                raise CycloParseError(
+                    f"parentheses nested deeper than {self.MAX_NESTING}", self.pos
+                )
             self.pos += 1
+            self.depth += 1
             value = self._expr()
             if self._peek() != ")":
                 raise CycloParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return value
         if ch == "E":
             self.pos += 1

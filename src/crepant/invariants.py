@@ -29,7 +29,7 @@ from .mckay import (
     GaloisTwist,
     GradingData,
     IDENTITY_TWIST,
-    _group_multiplicities,
+    _eigen_pass,
 )
 
 Scalar = Union[CyclotomicNumber, int, Fraction]
@@ -510,7 +510,7 @@ def _molien_coefficients(
     by |G|, else ConsistencyError."""
     N = G.exponent
     ab = chi.decomposition.group
-    mults = _group_multiplicities(G)
+    mults, _ = _eigen_pass(G)
     # per class of x: (class size, conj(chi(x)) = chi(y), eigenvalues of y),
     # y = x^-1, each root of unity as its exponent of zeta_N
     terms = []

@@ -23,11 +23,12 @@ tree; ids are found from F_p images and confirmed exactly.
 The primes searched for exceed 2^60, so they do not divide |G|; then
 reduction keeps distinct roots of unity distinct, and eigenvalue
 multiplicities and rank(g - 1) can be read over F_p.
-`FiniteMatrixGroup.shadow` gives the images modulo a prime = 1 modulo any
-multiple of N.
+`FiniteMatrixGroup.working_shadow` gives the images modulo a prime = 1
+modulo the working conductor.
 
 Subgroups are handles onto a parent group's label set; quotients get their own
-contiguous label set (coset indices, representative = least parent label).
+contiguous label set (coset indices, representative = least parent label) and
+multiply their representatives in the parent.
 The table algorithms below (closure, conjugacy, commutators, quotients,
 abelian structure) only require the small group-protocol surface
 (carrier_labels / generator_labels / mul / inv / identity_label), so they work
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -599,19 +601,15 @@ class FiniteMatrixGroup:
         return None
 
     @per_group
-    def shadow(self, modulus: int) -> "_Shadow":
-        """The F_q images of every element, for a prime q = 1 (mod modulus)
-        dividing no generator-entry denominator, with a root of exact order
-        `modulus` that reduces zeta_modulus.  `modulus` must be a multiple of
-        the entry conductor (ValueError otherwise).  At the entry conductor
-        this is the closure's shadow; otherwise the search tree is replayed
-        once over F_q."""
+    def working_shadow(self) -> "_Shadow":
+        """The F_q images of every element, for a prime q = 1 modulo the
+        working conductor W dividing no generator-entry denominator, with a
+        root of exact order W that reduces zeta_W; so every element order
+        r has the root root^(W / r).  When W is the entry conductor this is
+        the closure's shadow; otherwise the search tree is replayed once
+        over F_q."""
         base = self._shadow
-        n = self.entry_conductor
-        if modulus % n:
-            raise ValueError(
-                f"modulus {modulus} is not a multiple of the entry conductor {n}"
-            )
+        n, modulus = self.entry_conductor, self.working_conductor
         if modulus == n:
             return base
         q = _shadow_prime(modulus, _denominators(self.generators))
@@ -717,8 +715,7 @@ def close_group(
                 parents.append(i)
             lmul[gi].append(known)
         i += 1
-    _certify_finite(gens, images, words, parents, lmul, p)
-    return FiniteMatrixGroup(
+    G = FiniteMatrixGroup(
         dim,
         gens,
         conductor,
@@ -729,6 +726,8 @@ def close_group(
         lmul,
         is_sl,
     )
+    _certify_finite(G)
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +755,7 @@ def _denominators(gens: Iterable[CycMatrix]) -> set[int]:
     return {e.den for g in gens for row in g.rows for e in row}
 
 
-def _certify_finite(gens, images, words, parents, lmul, p: int) -> None:
+def _certify_finite(G: FiniteMatrixGroup) -> None:
     """Prove that the exact group is finite, so that the search over F_p
     found its tables; raise ValueError otherwise.
 
@@ -769,12 +768,13 @@ def _certify_finite(gens, images, words, parents, lmul, p: int) -> None:
     w_(g.x).  Then each generator maps the finite set of all w_x, which
     spans V, into itself, so G acts faithfully on a finite set and is
     finite."""
-    ids = [table[0] for table in lmul]
+    gens, images, p = G.generators, G._shadow.images, G._shadow.prime
+    words, parents, lmul, ids = G._words, G._parents, G._lmul, G.generator_ids
     if all(lmul[i][ids[j]] == lmul[j][ids[i]]
            for i in range(len(ids)) for j in range(i)):
-        _certify_abelian(gens, lmul, p)
+        _certify_abelian(G)
         return
-    n = gens[0].dim
+    n = G.dim
     basis: dict[int, list[int]] = {}
     chosen = []
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -814,16 +814,15 @@ def _certify_finite(gens, images, words, parents, lmul, p: int) -> None:
                     )
 
 
-def _certify_abelian(gens, lmul, p: int) -> None:
+def _certify_abelian(G: FiniteMatrixGroup) -> None:
     """Commuting generators of finite order generate a finite group, a
     quotient of the product of the cyclic groups they generate.  So each
     generator must commute exactly with the others, and its power to the
-    order of its image must be exactly 1; a finite group would pass both,
-    as reduction is injective on it."""
+    order of its image (`element_orders`) must be exactly 1; a finite group
+    would pass both, as reduction is injective on it."""
+    gens, p = G.generators, G._shadow.prime
     for gi, g in enumerate(gens):
-        order, x = 1, lmul[gi][0]
-        while x:
-            order, x = order + 1, lmul[gi][x]
+        order = G.element_orders[G.generator_ids[gi]]
         if _matrix_power(g, order) != CycMatrix.identity(g.dim, g.conductor):
             raise ValueError(
                 f"generator {gi} has order {order} modulo {p} but not "
@@ -1099,16 +1098,9 @@ def _escaping_conjugates(grp, sub: SubgroupHandle):
 class QuotientGroup:
     """G/N for N normal in G.  Labels are coset indices; representative of a
     coset is its least parent label and cosets are indexed by representative
-    in ascending order (so index 0 is the identity coset).
-
-    Up to 256 cosets the Cayley table is materialised from the action of the
-    parent's generators on the cosets (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005): g.(xN) = (gx)N, so one permutation
-    per generator costs q parent multiplies, and the row of the coset g.c is
-    that permutation applied to the row of c.  Rows grow breadth-first from
-    the identity coset; if the parent's generator labels leave a coset
-    unreached, construction raises ArithmeticError.  Above 256 cosets `mul`
-    multiplies representatives in the parent."""
+    in ascending order (so index 0 is the identity coset).  `mul` multiplies
+    the two representatives in the parent and looks the product's coset up
+    in `coset_of`; inverses are read off once, at construction."""
 
     def __init__(self, parent, normal: SubgroupHandle):
         _check_normal(parent, normal)
@@ -1126,10 +1118,6 @@ class QuotientGroup:
         self.coset_reps = tuple(reps)
         self.coset_of = coset_of
         self.identity_label = 0
-        q = len(reps)
-        self.table = None
-        if q <= 256:
-            self.table = _coset_table(parent, reps, coset_of)
         self._inv = tuple(coset_of[parent.inv(r)] for r in reps)
         self._generators = tuple(
             _dedup(coset_of[g] for g in parent.generator_labels())
@@ -1142,8 +1130,6 @@ class QuotientGroup:
         return self._generators
 
     def mul(self, a: int, b: int) -> int:
-        if self.table is not None:
-            return self.table[a][b]
         return self.coset_of[
             self.parent.mul(self.coset_reps[a], self.coset_reps[b])
         ]
@@ -1156,31 +1142,6 @@ class QuotientGroup:
 
     def __repr__(self) -> str:
         return f"<QuotientGroup order={len(self)}>"
-
-
-def _coset_table(parent, reps, coset_of) -> tuple:
-    q = len(reps)
-    perms = [
-        [coset_of[parent.mul(g, r)] for r in reps]
-        for g in _dedup(parent.generator_labels())
-    ]
-    rows = [None] * q
-    rows[0] = tuple(range(q))
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for perm in perms:
-            d = perm[c]
-            if rows[d] is None:
-                rows[d] = tuple([perm[v] for v in rows[c]])
-                queue.append(d)
-    if len(queue) != q:
-        raise ArithmeticError(
-            f"the parent's generators reach {len(queue)} of {q} cosets"
-        )
-    return tuple(rows)
 
 
 def _check_normal(parent, normal: SubgroupHandle):
@@ -1213,16 +1174,10 @@ class AbelianStructure:
     order: int
 
     def __post_init__(self):
-        prod = 1
-        prev = 1
-        for d in self.invariant_factors:
-            if d < 2 or d % prev:
-                raise ValueError(
-                    f"not a divisibility chain: {self.invariant_factors}"
-                )
-            prev = d
-            prod *= d
-        if prod != self.order:
+        chain = self.invariant_factors
+        if any(d < 2 for d in chain) or any(b % a for a, b in zip(chain, chain[1:])):
+            raise ValueError(f"not a divisibility chain: {chain}")
+        if math.prod(chain) != self.order:
             raise ValueError("order does not match invariant factors")
 
 
@@ -1276,11 +1231,8 @@ def abelian_invariants(grp) -> AbelianStructure:
             if o == p**e:
                 exps[e] = exps.get(e, 0) + 1
         e_max = max(exps)
-        counts = []  # N_k for k = 0..e_max
-        running = 0
-        for k in range(e_max + 1):
-            running += exps.get(k, 0)
-            counts.append(running)
+        # N_k for k = 0..e_max
+        counts = itertools.accumulate(exps.get(k, 0) for k in range(e_max + 1))
         logs = []
         for c in counts:
             lg = _p_valuation(c, p)
@@ -1293,10 +1245,7 @@ def abelian_invariants(grp) -> AbelianStructure:
         ]
         partitions[p] = partition  # already descending
     factors = _merge_primary(partitions)
-    order = 1
-    for d in factors:
-        order *= d
-    if order != n:
+    if math.prod(factors) != n:
         raise ArithmeticError("invariant factors do not multiply to the order")
     return AbelianStructure(factors, n)
 
@@ -1348,9 +1297,10 @@ def abelian_decomposition(grp) -> AbelianDecomposition:
     """Invariant factors together with explicit independent generators and a
     full discrete-log table (label -> exponent tuple).  One order table
     (`_cyclic_walks`) serves the per-prime filter and the peel-off; the
-    closing `abelian_invariants` cross-check reads the factors off counts
-    of elements by order, a route of its own."""
-    _verify_abelian(grp)
+    `abelian_invariants` cross-check, which also verifies that the group is
+    abelian, reads the factors off counts of elements by order, a route of
+    its own."""
+    counted = abelian_invariants(grp)
     labels = sorted(grp.carrier_labels())
     n = len(labels)
     orders = _cyclic_walks(grp)[0]
@@ -1390,6 +1340,6 @@ def abelian_decomposition(grp) -> AbelianDecomposition:
                 dlog[acc] = tuple(e)
     if len(dlog) != n:
         raise ArithmeticError("decomposition does not span the group")
-    if abelian_invariants(grp).invariant_factors != structure.invariant_factors:
+    if counted.invariant_factors != structure.invariant_factors:
         raise ArithmeticError("decomposition disagrees with counting invariants")
     return AbelianDecomposition(grp, structure, tuple(gens), dlog)

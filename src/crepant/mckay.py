@@ -15,9 +15,12 @@ an internal arithmetic failure rather than silently accepted.  For a whole
 group the transform runs over F_q (the group's modular shadow, see `matgrp`)
 once per cyclic subgroup, on one generator x; the vector of every power x^j
 is derived from it (the eigenvalue zeta_r^a of x becomes zeta_r^(a*j) of
-x^j) and checked against the stored order and F_q trace of x^j.  Every
+x^j) and checked against the stored order and F_q trace of x^j.  The same
+pass (`_eigen_pass`, once per group) reads rank(x - 1) over F_q.  Every
 conjugacy-class representative is then checked exactly: its exact trace must
 equal sum_a m_a zeta_r^a, and its exact rank test must match the F_q one.
+Each twist makes one `age_records` pass, in `junior_elements`; its junior
+classes, H and Ab(G/H) are read from that.
 """
 
 from __future__ import annotations
@@ -213,20 +216,23 @@ def _power_multiplicities(m: tuple[int, ...], j: int) -> tuple[int, ...]:
 
 
 @per_group
-def _group_multiplicities(G: FiniteMatrixGroup):
-    """Multiplicities of every element, one trace DFT per cyclic subgroup,
-    over F_q (`FiniteMatrixGroup.shadow` at the working conductor W, q = 1
-    mod W, so every element order r has the root omega_r = root^(W/r)).
+def _eigen_pass(G: FiniteMatrixGroup):
+    """(multiplicities, reflection flags) of every element, over F_q
+    (`FiniteMatrixGroup.working_shadow`: q = 1 mod the working conductor
+    W, so every element order r has the root omega_r = root^(W/r)).
 
     Elements are visited by descending order; an element not yet filled
     generates a new cyclic subgroup and gets the guarded F_q DFT of its
     power traces: each value must be an integer in [0, dim] and the values
     must sum to dim.  All of its powers are filled from its vector.  Each
     derived vector must have the stored order of its element and reproduce
-    its F_q trace.  Then every conjugacy-class representative x is checked
-    exactly: tr(x) must equal sum_a m_a zeta_r^a in Q(zeta).  Any failure
-    raises ArithmeticError."""
-    shadow = G.shadow(G.working_conductor)
+    its F_q trace.  The flag of x is rank(x - 1) == 1 over F_q.  Then every
+    conjugacy-class representative x is checked exactly: tr(x) must equal
+    sum_a m_a zeta_r^a in Q(zeta), and `is_reflection` must give its flag,
+    which must be constant on the class; else ArithmeticError.  Last, every
+    flag must match the multiplicity test (r > 1 and m_0 = dim - 1), else
+    ConsistencyError."""
+    shadow = G.working_shadow()
     q, modulus, traces = shadow.prime, shadow.order, shadow.traces
     orders = G.element_orders
     result: list[Optional[tuple[int, ...]]] = [None] * len(G)
@@ -256,17 +262,40 @@ def _group_multiplicities(G: FiniteMatrixGroup):
                     f"do not reproduce its trace modulo {q}"
                 )
             result[y] = mj
+    flags = tuple(
+        _rank_mod(
+            [[(v - (i == j)) % q for j, v in enumerate(row)]
+             for i, row in enumerate(img)],
+            q,
+        ) == 1
+        for img in shadow.images
+    )
     for cls in G.conjugacy_classes():
         x = cls[0]
         m = result[x]
         expected = CyclotomicNumber(len(m), tuple(_reduce_ints(len(m), list(m))))
-        exact = G.matrix(x).trace()
+        g = G.matrix(x)
+        exact = g.trace()
         if exact != expected:
             raise ArithmeticError(
                 f"multiplicities {list(m)} of class representative {x} do "
                 f"not reproduce its exact trace {exact.render()}"
             )
-    return tuple(result)
+        if is_reflection(g) != flags[x]:
+            raise ArithmeticError(
+                f"the exact rank test and the rank modulo {q} disagree on "
+                f"class representative {x}"
+            )
+        if any(flags[y] != flags[x] for y in cls):
+            raise ArithmeticError(
+                f"the reflection flag is not constant on the class of {x}"
+            )
+    for x, m in enumerate(result):
+        if flags[x] != (len(m) > 1 and m[0] == G.dim - 1):
+            raise ConsistencyError(
+                f"rank test and multiplicity test disagree on reflection {x}"
+            )
+    return tuple(result), flags
 
 
 def _multiplicities_mod(traces, r: int, dim: int, q: int, omega: int):
@@ -293,66 +322,30 @@ def _multiplicities_mod(traces, r: int, dim: int, q: int, omega: int):
     return tuple(out)
 
 
-@per_group
-def _group_reflection_flags(G: FiniteMatrixGroup):
-    """rank(x - 1) == 1 for every element, by the F_q rank of its image
-    (the shadow of `_group_multiplicities`).  On every conjugacy class the
-    flag must be constant and equal the exact `is_reflection` of the
-    representative, else ArithmeticError."""
-    shadow = G.shadow(G.working_conductor)
-    q = shadow.prime
-    flags = tuple(
-        _rank_mod(
-            [[(v - (i == j)) % q for j, v in enumerate(row)]
-             for i, row in enumerate(img)],
-            q,
-        ) == 1
-        for img in shadow.images
-    )
-    for cls in G.conjugacy_classes():
-        x = cls[0]
-        if any(flags[y] != flags[x] for y in cls):
-            raise ArithmeticError(
-                f"the reflection flag is not constant on the class of {x}"
-            )
-        if is_reflection(G.matrix(x)) != flags[x]:
-            raise ArithmeticError(
-                f"the exact rank test and the rank modulo {q} disagree on "
-                f"class representative {x}"
-            )
-    return flags
-
-
 def age_records(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[AgeRecord, ...]:
-    """One AgeRecord per element id.  Multiplicities are twist-independent
-    and memoised on the group; only the exponent bookkeeping varies with t.
-    The records are not memoised: the sweep would keep |G| per twist."""
-    mults = _group_multiplicities(G)
-    reflections = _group_reflection_flags(G)
+    """One AgeRecord per element id.  Multiplicities and reflection flags
+    are twist-independent and come from the per-group `_eigen_pass`; only
+    the exponent bookkeeping varies with t.  The records are not memoised:
+    the sweep would keep |G| per twist."""
+    mults, reflections = _eigen_pass(G)
     records = []
     for x in G.carrier_labels():
         m = mults[x]
-        r = len(m)
         a = _age_from_multiplicities(m, twist)
         if G.is_special_linear and a.denominator != 1:
             raise ConsistencyError(
                 f"non-integral age {a} for element {x} of a determinant-one group"
             )
-        refl = reflections[x]
-        if refl != (r > 1 and m[0] == G.dim - 1):
-            raise ConsistencyError(
-                f"rank test and multiplicity test disagree on reflection {x}"
-            )
         records.append(
             AgeRecord(
                 element_id=x,
-                order=r,
+                order=len(m),
                 multiplicities=m,
                 age=a,
                 is_junior=(a == 1),
-                is_reflection=refl,
+                is_reflection=reflections[x],
                 weights=_weights_from_multiplicities(m, twist),
             )
         )
@@ -363,7 +356,15 @@ def age_records(
 def junior_elements(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, ...]:
+    """The ids of age exactly 1 under `twist`, ascending, from the twist's
+    one `age_records` pass; verifies that the age is constant on every
+    conjugacy class."""
     records = age_records(G, twist)
+    for cls in G.conjugacy_classes():
+        if any(records[x].age != records[cls[0]].age for x in cls):
+            raise ConsistencyError(
+                f"age is not constant on the conjugacy class of {cls[0]}"
+            )
     return tuple(x for x in G.carrier_labels() if records[x].is_junior)
 
 
@@ -371,7 +372,7 @@ def junior_gradings(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[tuple[int, "GradingData"], ...]:
     """(representative id, GradingData) for every junior conjugacy class."""
-    mults = _group_multiplicities(G)
+    mults, _ = _eigen_pass(G)
     _, reps = junior_classes(G, twist)
     return tuple(
         (x, valuation_weights(G.matrix(x), twist, multiplicities=mults[x]))
@@ -383,23 +384,16 @@ def junior_gradings(
 def junior_classes(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, tuple[int, ...]]:
-    """(m, class representatives): the conjugacy classes of age exactly 1.
-    Requires determinant one throughout; verifies age constancy per class."""
+    """(m, class representatives): the conjugacy classes of age exactly 1,
+    read off `junior_elements` (which checks that age is a class function).
+    Requires determinant one throughout."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "junior classes are defined for determinant-one groups only"
         )
-    records = age_records(G, twist)
-    reps = []
-    for cls in G.conjugacy_classes():
-        ages = {records[x].age for x in cls}
-        if len(ages) != 1:
-            raise ConsistencyError(
-                f"age is not constant on the conjugacy class of {cls[0]}"
-            )
-        if records[cls[0]].is_junior:
-            reps.append(cls[0])
-    return len(reps), tuple(reps)
+    juniors = set(junior_elements(G, twist))
+    reps = tuple(cls[0] for cls in G.conjugacy_classes() if cls[0] in juniors)
+    return len(reps), reps
 
 
 @per_group
@@ -526,15 +520,12 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
     if not G.is_special_linear:
         raise NotSpecialLinearError("the sweep is defined for determinant-one groups")
     modulus = G.working_conductor
-    entries = []
-    seen = set()
+    twists: dict[int, int] = {}  # t mod the exponent -> least such t
     for t in range(1, modulus + 1):
-        if math.gcd(t, modulus) != 1:
-            continue
-        key = t % G.exponent
-        if key in seen:
-            continue
-        seen.add(key)
+        if math.gcd(t, modulus) == 1:
+            twists.setdefault(t % G.exponent, t)
+    entries = []
+    for t in twists.values():
         twist = GaloisTwist(t)
         count, reps = junior_classes(G, twist)
         ids = junior_elements(G, twist)

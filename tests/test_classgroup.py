@@ -50,6 +50,19 @@ def test_quotient_class_group_of_q8(q8):
     assert class_group_of_quotient(q8).invariant_factors == (2, 2)
 
 
+def test_quotient_class_group_does_not_read_the_abelianization(monkeypatch):
+    # the G/K route of benson_determinant_one must stay independent of Ab(G)
+    def refused(G):
+        raise AssertionError("G.abelianization() was called")
+
+    monkeypatch.setattr(matgrp.FiniteMatrixGroup, "abelianization", refused)
+    grp = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
+    assert grp.is_special_linear
+    assert class_group_of_quotient(grp).invariant_factors == (2, 2)
+    with pytest.raises(AssertionError, match="abelianization"):
+        terminalization_class_group(grp)
+
+
 def test_quotient_class_group_accepts_gl_input():
     # diag(-1, 1) is itself a reflection; the quotient is smooth
     grp = close_group([CycMatrix.from_rows([["-1", "0"], ["0", "1"]])])

@@ -66,6 +66,15 @@ def test_parse_job_reads_files(tmp_path):
         parse_job(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"x"', "5\n"])
+def test_parse_job_reads_json_scalars_as_documents(text, tmp_path, monkeypatch):
+    # a file named like the text is not read in its place
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / text.strip()).write_text(EX72_DOC)
+    with pytest.raises(JobError, match="job document must be a JSON object"):
+        parse_job(text)
+
+
 def test_parse_job_document_errors():
     with pytest.raises(JobError, match="invalid JSON"):
         parse_job("not json {")
@@ -490,6 +499,29 @@ def test_main_expression_error_mentions_location(monkeypatch, capsys):
     assert code == EXIT_INPUT
     assert "generator 1, row 1, column 1" in err
     assert "position" in err
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"x"'])
+def test_main_json_scalar_is_input_error(text, monkeypatch, capsys):
+    code, out, err = run_main(
+        ["analyze"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: job document must be a JSON object\n"
+
+
+def test_main_deep_parentheses_are_input_error(monkeypatch, capsys):
+    entry = "(" * 10000 + "1" + ")" * 10000
+    deep = doc(2, [[[entry, "0"], ["0", "1"]]])
+    code, out, err = run_main(
+        ["analyze"], stdin_text=deep, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "generator 1, row 1, column 1" in err
+    assert "nested deeper than 100 (at position 100)" in err
+    assert "Traceback" not in err
 
 
 def test_main_precondition_exits(monkeypatch, capsys, tmp_path):

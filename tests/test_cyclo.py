@@ -83,6 +83,15 @@ def test_parse_error_positions():
         parse_cyclotomic("")
 
 
+def test_parse_bounds_nesting():
+    assert parse_cyclotomic("(" * 100 + "E(3)" + ")" * 100) == zeta(3)
+    # the bound is on depth, not on the number of parentheses
+    assert parse_cyclotomic("+".join(["(" * 60 + "1" + ")" * 60] * 5)) == 5
+    with pytest.raises(CycloParseError, match="nested deeper") as err:
+        parse_cyclotomic("(" * 101 + "1" + ")" * 101)
+    assert err.value.position == 100
+
+
 def test_parse_rejects_E0():
     with pytest.raises(CycloParseError):
         parse_cyclotomic("E(0)")

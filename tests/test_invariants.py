@@ -726,11 +726,12 @@ def test_molien_promise_too_low_is_refused(q8, monkeypatch):
 def test_non_integral_molien_coefficient_is_refused(q8, monkeypatch, order, fake):
     # (1, 1) on -I leaves 2/8 in degree 1; (0, 2, 0, 0) on the elements of
     # order 4 leaves an irrational class sum
+    true_mults, flags = invariants._eigen_pass(q8)
     mults = [
         fake if q8.element_orders[x] == order else m
-        for x, m in enumerate(invariants._group_multiplicities(q8))
+        for x, m in enumerate(true_mults)
     ]
-    monkeypatch.setattr(invariants, "_group_multiplicities", lambda G: mults)
+    monkeypatch.setattr(invariants, "_eigen_pass", lambda G: (mults, flags))
     trivial = ab_characters(q8)[0]
     with pytest.raises(ConsistencyError, match="Molien coefficient"):
         relative_invariant(q8, trivial)

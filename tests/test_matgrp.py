@@ -482,9 +482,10 @@ def test_element_orders_walk_each_cyclic_subgroup_once(monkeypatch):
 def test_shadow_primes_and_roots(name, request):
     G = _shadow_group(name, request)
     dens = {e.den for g in G.generators for row in g.rows for e in row}
-    for modulus in (G.entry_conductor, G.working_conductor):
-        shadow = G.shadow(modulus)
-        p, root = shadow.prime, shadow.root
+    assert G._shadow.order == G.entry_conductor
+    assert G.working_shadow().order == G.working_conductor
+    for shadow in (G._shadow, G.working_shadow()):
+        modulus, p, root = shadow.order, shadow.prime, shadow.root
         assert _is_prime(p) and p > 2**60
         assert (p - 1) % modulus == 0
         assert all(d % p for d in dens)
@@ -496,22 +497,13 @@ def test_shadow_primes_and_roots(name, request):
             assert shadow.images[x] == _reduce_matrix(G.matrix(x), p, zeta_n)
 
 
-def test_shadow_refuses_modulus_off_the_entry_conductor(q8):
-    # F_q with q = 1 (mod 6) need not hold a root of order 4 for zeta_4
-    assert q8.entry_conductor == 4
-    for modulus in (2, 6, 10):
-        with pytest.raises(ValueError, match="entry conductor"):
-            q8.shadow(modulus)
-    assert q8.shadow(12).order == 12
-
-
 def test_shadow_prime_avoids_denominators():
     # diag(-1, 1) conjugated by [[1, 1/p0], [0, 1]], with p0 the first
     # candidate prime for conductor 1: its entry 2/p0 rules p0 out
     p0 = _shadow_prime(1, ())
     gen = CycMatrix.from_rows([["-1", f"2/{p0}"], ["0", "1"]])
     G = close_group([gen])
-    assert G.shadow(1).prime > p0
+    assert G._shadow.prime > p0
     assert len(G) == 2
     assert G.id_of(gen) == 1
     assert G.id_of(CycMatrix.from_rows([["-1", f"1/{p0}"], ["0", "1"]])) is None
@@ -719,84 +711,77 @@ def test_quotient_of_s3_by_a3(s3):
     assert order_of(q, 1) == 2
 
 
-def _assert_table_matches_parent(q):
-    parent, reps = q.parent, q.coset_reps
-    assert q.table is not None
-    assert len(q.table) == len(q)
-    for a in range(len(q)):
-        for b in range(len(q)):
-            assert q.table[a][b] == q.coset_of[parent.mul(reps[a], reps[b])]
-
-
-def test_small_quotient_materializes_table(icosa, q8):
-    q = quotient(icosa, subgroup_generated(icosa, []))
-    assert len(q) == 120
-    assert q.table is not None  # 120 <= 256
-    _assert_table_matches_parent(q)
-
-    # of a FiniteMatrixGroup by a nontrivial normal subgroup: 2I / {+-1}
-    a5 = quotient(icosa, subgroup_generated(icosa, [icosa.element_orders.index(2)]))
-    assert len(a5) == 60
-    _assert_table_matches_parent(a5)
-    _assert_table_matches_parent(quotient(q8, commutator_subgroup(q8)))
-
-    # of a QuotientGroup, the Ab(G/K) shape: G = C4 x C12 = <a> x <b>,
-    # G / <a b^3> of order 12, then its abelianization and its quotient by
-    # the image of <b^4>
+def _c4_times_c12():
+    """C4 x C12 = <a> x <b> in SL3, order 48."""
     g = close_group([
         CycMatrix.from_rows([["E(4)", "0", "0"], ["0", "1", "0"], ["0", "0", "E(4)^3"]]),
         CycMatrix.from_rows([["1", "0", "0"], ["0", "E(12)", "0"], ["0", "0", "E(12)^11"]]),
     ])
     assert len(g) == 48
+    return g
+
+
+def _quotient_shape(name, icosa, q8):
+    """(quotient, its order) for each parent shape a quotient is taken of."""
+    if name == "icosa_by_1":
+        return quotient(icosa, subgroup_generated(icosa, [])), 120
+    if name == "icosa_by_centre":
+        # of a FiniteMatrixGroup by a nontrivial normal subgroup: 2I / {+-1}
+        centre = subgroup_generated(icosa, [icosa.element_orders.index(2)])
+        return quotient(icosa, centre), 60
+    if name == "ab_q8":
+        return quotient(q8, commutator_subgroup(q8)), 4
+    if name == "c300_by_1":
+        big = close_group([CycMatrix.from_rows([["E(300)", "0"], ["0", "E(300)^299"]])])
+        return quotient(big, subgroup_generated(big, [])), 300
+    if name == "tetra_by_centre":
+        # of a non-abelian SubgroupHandle: 2I's subgroup of order 24 by its
+        # centre
+        tetra = _binary_tetrahedral_in(icosa)
+        centre = subgroup_generated(tetra, [icosa.element_orders.index(2)])
+        return quotient(tetra, centre), 12
+    g = _c4_times_c12()
     a, b = g.generator_labels()
+    if name == "two_part_by_cyclic":
+        # of a SubgroupHandle, the _p_group_basis shape: the 2-part of g, by
+        # the cyclic subgroup of one of its elements of largest order
+        two_part = subgroup_generated(
+            g, [x for x in g.carrier_labels() if g.element_orders[x] in (1, 2, 4)]
+        )
+        assert len(two_part) == 16
+        x = g.element_orders.index(4)
+        return quotient(two_part, subgroup_generated(two_part, [x])), 4
+    # of a QuotientGroup, the Ab(G/K) shape: g / <a b^3> of order 12, then
+    # its abelianization and its quotient by the image of <b^4>
     mid = quotient(g, subgroup_generated(g, [g.mul(a, power(g, b, 3))]))
-    assert len(mid) == 12
-    _assert_table_matches_parent(mid)
-    _assert_table_matches_parent(abelianization(mid))
-    top = quotient(mid, subgroup_generated(mid, [mid.coset_of[power(g, b, 4)]]))
-    assert len(top) == 4
-    _assert_table_matches_parent(top)
-
-    # of a SubgroupHandle, the _p_group_basis shape: the 2-part of g, by
-    # the cyclic subgroup of one of its elements of largest order
-    two_part = subgroup_generated(
-        g, [x for x in g.carrier_labels() if g.element_orders[x] in (1, 2, 4)]
-    )
-    assert len(two_part) == 16
-    x = g.element_orders.index(4)
-    q = quotient(two_part, subgroup_generated(two_part, [x]))
-    assert len(q) == 4
-    _assert_table_matches_parent(q)
-    # and of a non-abelian handle: 2I's subgroup of order 24 by its centre
-    tetra = _binary_tetrahedral_in(icosa)
-    q = quotient(tetra, subgroup_generated(tetra, [icosa.element_orders.index(2)]))
-    assert len(q) == 12
-    _assert_table_matches_parent(q)
+    if name == "c4xc12_by_ab3":
+        return mid, 12
+    if name == "ab_of_c4xc12_by_ab3":
+        return abelianization(mid), 12
+    assert name == "c4xc12_by_ab3_by_b4"
+    return quotient(mid, subgroup_generated(mid, [mid.coset_of[power(g, b, 4)]])), 4
 
 
-def test_quotient_table_needs_generating_labels():
-    # Z/4 whose generator labels are {2}: they reach only the cosets 0, 2
-    z4 = ExplicitGroup(
-        range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, generators=[2]
-    )
-    with pytest.raises(ArithmeticError, match="reach 2 of 4 cosets"):
-        quotient(z4, subgroup_generated(z4, []))
-    full = ExplicitGroup(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0)
-    q = quotient(full, subgroup_generated(full, [2]))
-    assert q.table == ((0, 1), (1, 0))
-
-
-def test_large_quotient_lazy_table():
-    big = close_group([CycMatrix.from_rows([["E(300)", "0"], ["0", "E(300)^299"]])])
-    q = quotient(big, subgroup_generated(big, []))
-    # order 300 > 256: multiplication table stays lazy
-    assert q.table is None
-    assert len(q) == 300
-    rng = random.Random(5)
-    for _ in range(30):
-        a, b = rng.randrange(300), rng.randrange(300)
-        assert q.coset_reps[q.mul(a, b)] == big.mul(q.coset_reps[a], q.coset_reps[b])
-    assert q.inv(0) == 0
+@pytest.mark.parametrize("name", [
+    "icosa_by_1", "icosa_by_centre", "ab_q8", "c300_by_1", "tetra_by_centre",
+    "two_part_by_cyclic", "c4xc12_by_ab3", "ab_of_c4xc12_by_ab3",
+    "c4xc12_by_ab3_by_b4",
+])
+def test_quotient_multiplies_in_the_parent(name, icosa, q8):
+    q, order = _quotient_shape(name, icosa, q8)
+    assert len(q) == order
+    parent, reps = q.parent, q.coset_reps
+    labels = list(q.carrier_labels())
+    pairs = [(a, b) for a in labels for b in labels]
+    if len(pairs) > 20000:
+        pairs = random.Random(5).sample(pairs, 2000)
+    for a, b in pairs:
+        assert q.mul(a, b) == q.coset_of[parent.mul(reps[a], reps[b])]
+    for a in labels:
+        assert q.coset_of[parent.inv(reps[a])] == q.inv(a)
+        assert all(q.coset_of[parent.mul(reps[a], n)] == a for n in q.normal.members)
+    if order <= 60:
+        assert verify_group_law(q)
 
 
 def test_verify_group_law_catches_breakage():

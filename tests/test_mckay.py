@@ -1,11 +1,12 @@
 """Ages, junior detection, valuation weights, and Galois sweeps."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from crepant import mckay
+from crepant import cli, mckay
 from crepant.cyclo import CyclotomicNumber, rational, zeta
 from crepant.matgrp import CycMatrix, close_group
 from crepant.mckay import (
@@ -22,7 +23,7 @@ from crepant.mckay import (
     _multiplicities_from_traces,
 )
 
-from conftest import S3_ROWS, cyclic_sl2
+from conftest import Q8_ROWS, S3_ROWS, cyclic_sl2
 from helpers import diagonal_exponents
 
 
@@ -109,7 +110,7 @@ def test_integrality_guard_covers_derived_powers():
     # never transformed on its own; a bogus trace must still be refused.
     # The derived-power check reads the trace modulo the shadow's prime.
     G = cyclic_sl2(6)
-    G.shadow(G.working_conductor).traces[_minus_identity_id(G)] = 2
+    G.working_shadow().traces[_minus_identity_id(G)] = 2
     with pytest.raises(ArithmeticError):
         age_records(G)
 
@@ -162,7 +163,7 @@ def test_exact_rank_guard_covers_class_representatives():
 def test_reflection_flags_must_be_constant_on_classes():
     G = close_group([CycMatrix.from_rows(r) for r in S3_ROWS])
     y = _transposition_class(G)[1]
-    shadow = G.shadow(G.working_conductor)
+    shadow = G.working_shadow()
     shadow.images[y] = shadow.images[G.identity_label]
     with pytest.raises(ArithmeticError, match="constant"):
         age_records(G)
@@ -467,3 +468,33 @@ def test_sweep_of_trivial_group():
     assert len(entries) == 1
     assert entries[0].junior_count == 0
     assert entries[0].torsion_factors == ()
+
+
+def _count_age_records(monkeypatch):
+    calls = []
+    records = mckay.age_records
+
+    def counted(G, twist=mckay.IDENTITY_TWIST):
+        calls.append(twist.t)
+        return records(G, twist)
+
+    monkeypatch.setattr(mckay, "age_records", counted)
+    return calls
+
+
+def test_analyze_job_makes_one_age_pass(monkeypatch):
+    calls = _count_age_records(monkeypatch)
+    text = json.dumps({"dimension": 2, "generators": Q8_ROWS})
+    _, status = cli.run(cli.parse_job(text, "analyze"))
+    assert status == cli.EXIT_OK
+    assert calls == [1]
+
+
+def test_sweep_makes_one_age_pass_per_twist(monkeypatch):
+    calls = _count_age_records(monkeypatch)
+    text = json.dumps({"dimension": 2, "generators": Q8_ROWS})
+    payload, status = cli.run(cli.parse_job(text, "sweep"))
+    assert status == cli.EXIT_OK
+    twists = [entry["twist"] for entry in payload["sweep"]["twists"]]
+    assert twists == [1, 3]
+    assert calls == twists
