@@ -26,11 +26,10 @@ from .classgroup import (
     junior_subgroup,
     terminalization_class_group,
 )
-from .cyclo import CycloParseError, CyclotomicNumber, parse_cyclotomic
+from .cyclo import CyclotomicNumber, parse_cyclotomic
 from .invariants import (
     CharacterOfAb,
-    _act_by_id,
-    _graded_residue,
+    _verify_graded,
     characters_of,
     check_congruence_lemma,
     check_junior_ring_membership,
@@ -54,7 +53,6 @@ from .mckay import (
 )
 
 SCHEMA_VERSION = 1
-MODES = ("analyze", "age", "invariant", "check", "sweep")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,21 +114,26 @@ def _parse_matrix(index: int, rows: object, dimension: int) -> CycMatrix:
             text = entry if isinstance(entry, str) else str(entry)
             try:
                 out_row.append(parse_cyclotomic(text))
-            except CycloParseError as exc:
+            except ValueError as exc:  # CycloParseError, or an overlong literal
                 raise JobError(
                     f"{where}, row {i + 1}, column {j + 1}: {exc}"
                 ) from exc
         parsed.append(out_row)
-    return CycMatrix.from_rows(parsed)
-
-
-def _load_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JobError(
-            f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-        ) from exc
+    matrix = CycMatrix.from_rows(parsed)
+    # reports render every entry, and str() refuses an int with more digits
+    # than the interpreter's limit (0: none; absent before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for i, row in enumerate(matrix.rows):
+        for j, e in enumerate(row):
+            if limit and any(
+                abs(c).bit_length() > 3 * limit and abs(c) >= 10**limit
+                for c in e.nums + (e.den,)
+            ):
+                raise JobError(
+                    f"{where}, row {i + 1}, column {j + 1}: a numerator or "
+                    f"denominator has more than {limit} digits"
+                )
+    return matrix
 
 
 def parse_job(
@@ -142,7 +145,8 @@ def parse_job(
     twist: int = 1,
     output_format: str = "text",
 ) -> JobSpec:
-    """Validate a job document (JSON text, or a path to one) into a JobSpec."""
+    """Validate a job document, given as JSON text, into a JobSpec.  The
+    text is never taken for a file name: `main` reads `--input`."""
     _require(mode in MODES, f"unknown mode {mode!r}")
     _require(max_group_size >= 1, "max group size must be positive")
     _require(twist >= 1, "twist must be a positive integer")
@@ -152,16 +156,13 @@ def parse_job(
     )
     _require(output_format in ("text", "json"), "format must be text or json")
     try:
-        doc = _load_json(source)
-    except JobError:
-        if any(c in source for c in "\n{["):
-            raise
-        # one-line text that is not JSON names a file
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                doc = _load_json(handle.read())
-        except OSError as exc:
-            raise JobError(f"cannot read input {source!r}: {exc}") from exc
+        doc = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise JobError(
+            f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise JobError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "job document must be a JSON object")
     unknown = sorted(set(doc) - {"dimension", "generators", "character"})
     _require(not unknown, f"unknown job fields: {', '.join(unknown)}")
@@ -248,6 +249,8 @@ def _group_block(job: JobSpec, G: FiniteMatrixGroup) -> dict:
 
 
 def _classgroup_block(G: FiniteMatrixGroup, report: ClassGroupReport) -> dict:
+    # the free images are the junior class representatives
+    juniors = [_element_block(G, x) for x in report.junior_class_representatives]
     return {
         "free_rank": report.free_rank,
         "torsion": _factors(report.torsion),
@@ -258,16 +261,11 @@ def _classgroup_block(G: FiniteMatrixGroup, report: ClassGroupReport) -> dict:
         "reflection_subgroup_order": report.reflection_subgroup_order,
         "junior": {
             "class_count": report.junior_class_count,
-            "class_representatives": [
-                _element_block(G, x)
-                for x in report.junior_class_representatives
-            ],
+            "class_representatives": juniors,
             "subgroup_order": report.junior_subgroup_order,
         },
         "pushforward": {
-            "free_images": [
-                _element_block(G, x) for x in report.pushforward.free_images
-            ],
+            "free_images": juniors,
             "torsion_witnesses": [
                 _element_block(G, x)
                 for x in report.pushforward.torsion_witnesses
@@ -340,13 +338,12 @@ def _run_invariant(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
         raise PreconditionError(
             f"no nonzero relative invariant up to degree {bound}"
         )
-    residues = []
-    for gid in G.generator_ids:
-        r = G.element_orders[gid]
-        c = _graded_residue(
-            _act_by_id(G, gid, f), f, r, GaloisTwist(job.twist)
+    residues = [
+        {"generator_id": gid, "order": G.element_orders[gid], "residue": c}
+        for gid, c in zip(
+            G.generator_ids, _verify_graded(G, f, GaloisTwist(job.twist))
         )
-        residues.append({"generator_id": gid, "order": r, "residue": c})
+    ]
     payload = {
         "character": {
             "invariant_factors": list(
@@ -485,22 +482,22 @@ def _run_sweep(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
+_MODE_TABLE = {
+    "analyze": (_run_analyze, "full class group report for the terminalization"),
+    "age": (_run_age, "ages, weights, and junior flags per conjugacy class"),
+    "invariant": (_run_invariant, "smallest relative invariant for a character"),
+    "check": (_run_check, "run every internal property check and report pass/fail"),
+    "sweep": (_run_sweep, "junior data across all Galois twists"),
+}
+MODES = tuple(_MODE_TABLE)
+
+
 def run(job: JobSpec) -> tuple[dict, int]:
     """Execute a job; returns (structured report, exit status)."""
     G = _build_group(job)
+    _require(job.mode in _MODE_TABLE, f"unknown mode {job.mode!r}")
     try:
-        if job.mode == "analyze":
-            payload, status = _run_analyze(job, G)
-        elif job.mode == "age":
-            payload, status = _run_age(job, G)
-        elif job.mode == "invariant":
-            payload, status = _run_invariant(job, G)
-        elif job.mode == "check":
-            payload, status = _run_check(job, G)
-        elif job.mode == "sweep":
-            payload, status = _run_sweep(job, G)
-        else:
-            raise JobError(f"unknown mode {job.mode!r}")
+        payload, status = _MODE_TABLE[job.mode][0](job, G)
     except NotSpecialLinearError as exc:
         raise PreconditionError(str(exc)) from exc
     report = {
@@ -576,15 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
         "quotients, in exact cyclotomic arithmetic.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    helps = {
-        "analyze": "full class group report for the terminalization",
-        "age": "ages, weights, and junior flags per conjugacy class",
-        "invariant": "smallest relative invariant for a character",
-        "check": "run every internal property check and report pass/fail",
-        "sweep": "junior data across all Galois twists",
-    }
-    for mode in MODES:
-        p = sub.add_parser(mode, help=helps[mode])
+    for mode, (_, help_text) in _MODE_TABLE.items():
+        p = sub.add_parser(mode, help=help_text)
         p.add_argument(
             "--input",
             default="-",
@@ -627,14 +617,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.input == "-":
-            source = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.input == "-":
+                source = sys.stdin.read()
+            else:
                 with open(args.input, "r", encoding="utf-8") as handle:
                     source = handle.read()
-            except OSError as exc:
-                raise JobError(f"cannot read input {args.input!r}: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise JobError(f"cannot read input {args.input!r}: {exc}")
         job = parse_job(
             source,
             mode=args.mode,

@@ -456,18 +456,20 @@ class CharacterOfAb:
         )
 
     def value_on_coset(self, coset: int) -> CyclotomicNumber:
+        """zeta_n^k (`_exponent_on_coset`), n the lcm of the invariant
+        factors d_j whose term zeta_{d_j}^(-c_j e_j) is not 1: the
+        conductor of the product of those terms."""
         e = self.decomposition.exponents_of(coset)
         factors = self.decomposition.structure.invariant_factors
-        acc = rational(1)
-        for c, ej, d in zip(self.exponents, e, factors):
-            k = (-c * ej) % d
-            if k:
-                acc = acc * zeta(d, k)
-        return acc
+        n = math.lcm(
+            *(d for c, ej, d in zip(self.exponents, e, factors) if c * ej % d)
+        )
+        return zeta(n, self._exponent_on_coset(coset, n))
 
     def _exponent_on_coset(self, coset: int, n: int) -> int:
-        """k with value_on_coset(coset) = zeta_n^k, for n a multiple of
-        every invariant factor."""
+        """k with chi(coset) = prod_j zeta_{d_j}^(-c_j e_j) = zeta_n^k, e the
+        coset's exponents in the invariant factor basis, for n a multiple
+        of every d_j whose term is not 1."""
         e = self.decomposition.exponents_of(coset)
         factors = self.decomposition.structure.invariant_factors
         return sum(
@@ -637,15 +639,18 @@ def _junior_valuation(
 
 def _verify_graded(
     G: FiniteMatrixGroup, f: SparsePolynomial, twist: GaloisTwist
-) -> None:
-    for gid in G.generator_ids:
-        c = _graded_residue(
-            _act_by_id(G, gid, f), f, G.element_orders[gid], twist
+) -> tuple[int, ...]:
+    """The graded residue of f under each of `G.generator_ids`; ValueError
+    when f is not semi-invariant under one of them."""
+    residues = tuple(
+        _graded_residue(_act_by_id(G, gid, f), f, G.element_orders[gid], twist)
+        for gid in G.generator_ids
+    )
+    if None in residues:
+        raise ValueError(
+            "polynomial is not semi-invariant under the group generators"
         )
-        if c is None:
-            raise ValueError(
-                "polynomial is not semi-invariant under the group generators"
-            )
+    return residues
 
 
 def check_congruence_lemma(

@@ -227,42 +227,25 @@ class CycMatrix:
         return _canonical(self.conductor, nums, den)
 
     def det(self) -> CyclotomicNumber:
-        pivots, det = _row_reduce([list(row) for row in self.rows], self.dim)
+        """(-1)^swaps * prod_k p_k^(1 - s_k) over the pivots p_k of
+        `_fraction_free`, p_k having scaled s_k rows by itself; one division,
+        and none when no pivot scaled two rows.  At the matrix's conductor."""
+        pivots, scaled, swaps = _fraction_free(self)
         if len(pivots) < self.dim:
             return rational(0).embed(self.conductor)
-        return det
+        num = den = rational(1)
+        for pivot, s in zip(pivots, scaled):
+            if s == 0:
+                num = num * pivot
+            for _ in range(s - 1):
+                den = den * pivot
+        det = num if den.is_one else num / den
+        return -det if swaps % 2 else det
 
     def rank(self) -> int:
-        # Fraction-free elimination: row_r <- pivot*row_r - factor*row_pivot
-        # scales row_r by the nonzero pivot before cancelling, so the rank is
-        # kept and no field inverse is taken; each updated entry is one `_dot`.
-        # Columns at or left of the pivot are not read again, so they are not
-        # updated.
-        work = [list(row) for row in self.rows]
-        n, m = self.dim, self.conductor
-        rank = 0
-        pivot_col = 0
-        while pivot_col < n and rank < n:
-            pivot_row = next(
-                (r for r in range(rank, n) if not work[r][pivot_col].is_zero), None
-            )
-            if pivot_row is None:
-                pivot_col += 1
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            top = work[rank]
-            pivot = top[pivot_col]
-            for r in range(rank + 1, n):
-                row = work[r]
-                factor = row[pivot_col]
-                if factor.is_zero:
-                    continue
-                minus = -factor
-                for c in range(pivot_col + 1, n):
-                    row[c] = _dot(m, ((pivot, row[c]), (minus, top[c])))
-            rank += 1
-            pivot_col += 1
-        return rank
+        """The pivot count of `_fraction_free`, which takes no inverse: a
+        route apart from the Gauss-Jordan behind `kernel_basis`."""
+        return len(_fraction_free(self)[0])
 
     def inverse(self) -> "CycMatrix":
         n = self.dim
@@ -272,8 +255,7 @@ class CycMatrix:
             list(row) + [one if i == j else zero for j in range(n)]
             for i, row in enumerate(self.rows)
         ]
-        pivots, _ = _row_reduce(work, n)
-        if len(pivots) < n:
+        if len(_row_reduce(work, n)) < n:
             raise SingularMatrixError("matrix is singular")
         return CycMatrix(n, self.conductor, tuple(tuple(row[n:]) for row in work))
 
@@ -315,20 +297,49 @@ class CycMatrix:
         return f"<mat [{body}]>"
 
 
-def _row_reduce(work: list, ncols: int) -> tuple[list[int], CyclotomicNumber]:
+def _fraction_free(m: CycMatrix) -> tuple[list, list[int], int]:
+    """Forward elimination without fractions: row_r <- pivot*row_r -
+    factor*row_pivot scales row_r by the nonzero pivot before cancelling,
+    so the rank is kept and no field inverse is taken; each updated entry
+    is one `_dot`.  Columns at or left of the pivot are not read again, so
+    they are not updated.  Returns the pivots in order (as many as the
+    rank), the number of rows each pivot scaled, and the number of row
+    swaps.  `CycMatrix.rank` and `CycMatrix.det` read it."""
+    work = [list(row) for row in m.rows]
+    n, c = m.dim, m.conductor
+    pivots, scaled, swaps = [], [], 0
+    for col in range(n):
+        rank = len(pivots)
+        pivot_row = next(
+            (r for r in range(rank, n) if not work[r][col].is_zero), None
+        )
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            swaps += 1
+        top = work[rank]
+        pivot = top[col]
+        below = [row for row in work[rank + 1 :] if not row[col].is_zero]
+        for row in below:
+            minus = -row[col]
+            for j in range(col + 1, n):
+                row[j] = _dot(c, ((pivot, row[j]), (minus, top[j])))
+        pivots.append(pivot)
+        scaled.append(len(below))
+    return pivots, scaled, swaps
+
+
+def _row_reduce(work: list, ncols: int) -> list[int]:
     """Gauss-Jordan elimination in place: bring the rows `work` to reduced
     row echelon form in their first `ncols` columns, dividing each pivot
     row by its pivot; later columns (an adjoined identity) are carried
     along.  Each cleared row is updated entry by entry with one `_dot`
-    (e * 1 - factor * t).  Returns the pivot columns and the product of the
-    pivots, negated once per row swap: the determinant when every column
-    has a pivot.  `det`, `inverse` and `kernel_basis` share it.
-
-    `CycMatrix.rank` does not: its elimination is fraction-free and takes
-    no field inverse, so it is a second route that `kernel_basis` is
-    checked against.  Both make the same one `_dot` per updated entry."""
+    (e * 1 - factor * t).  Returns the pivot columns.  `inverse` and
+    `kernel_basis` share it; `rank` and `det` take `_fraction_free`, which
+    divides by nothing, so `kernel_basis` is checked against a second
+    route."""
     pivots: list[int] = []
-    det = rational(1)
     for col in range(ncols):
         row = len(pivots)
         pivot_row = next(
@@ -336,11 +347,8 @@ def _row_reduce(work: list, ncols: int) -> tuple[list[int], CyclotomicNumber]:
         )
         if pivot_row is None:
             continue
-        if pivot_row != row:
-            work[row], work[pivot_row] = work[pivot_row], work[row]
-            det = -det
+        work[row], work[pivot_row] = work[pivot_row], work[row]
         pivot = work[row][col]
-        det = det * pivot
         inv_pivot = pivot.inverse()
         top = work[row] = [e * inv_pivot for e in work[row]]
         n = pivot.conductor
@@ -354,7 +362,7 @@ def _row_reduce(work: list, ncols: int) -> tuple[list[int], CyclotomicNumber]:
                     for e, t in zip(other, top)
                 ]
         pivots.append(col)
-    return pivots, det
+    return pivots
 
 
 def kernel_basis(m: CycMatrix) -> list[tuple[CyclotomicNumber, ...]]:
@@ -362,7 +370,7 @@ def kernel_basis(m: CycMatrix) -> list[tuple[CyclotomicNumber, ...]]:
     free columns taken in ascending order."""
     n = m.dim
     work = [list(row) for row in m.rows]
-    pivots, _ = _row_reduce(work, n)
+    pivots = _row_reduce(work, n)
     one = rational(1).embed(m.conductor)
     zero = rational(0).embed(m.conductor)
     basis = []

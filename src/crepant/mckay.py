@@ -188,15 +188,23 @@ def age(g: CycMatrix, twist: GaloisTwist = IDENTITY_TWIST) -> Fraction:
     return _age_from_multiplicities(eigen_multiplicities(g), twist)
 
 
-def is_reflection(g: CycMatrix) -> bool:
-    """rank(g - id) = 1; the classical pseudo-reflection condition.  The 1
-    is subtracted on the diagonal only."""
-    one = rational(1).embed(g.conductor)
-    shifted = tuple(
-        tuple(e - one if i == j else e for j, e in enumerate(row))
-        for i, row in enumerate(g.rows)
+def _shifted(g: CycMatrix, lam: CyclotomicNumber) -> CycMatrix:
+    """g - lam * 1 at the lcm of the two conductors, lam subtracted on the
+    diagonal only."""
+    m = math.lcm(g.conductor, lam.conductor)
+    return CycMatrix(
+        g.dim,
+        m,
+        tuple(
+            tuple(e - lam if i == j else e for j, e in enumerate(row))
+            for i, row in enumerate(g.lift(m).rows)
+        ),
     )
-    return CycMatrix(g.dim, g.conductor, shifted).rank() == 1
+
+
+def is_reflection(g: CycMatrix) -> bool:
+    """rank(g - id) = 1; the classical pseudo-reflection condition."""
+    return _shifted(g, rational(1)).rank() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +467,13 @@ def valuation_weights(
         basis = CycMatrix.identity(g.dim, g.conductor)
         standard = True
     else:
-        conductor = math.lcm(g.conductor, r)
-        lifted = g.lift(conductor)
-        ident = CycMatrix.identity(g.dim, conductor)
         columns = []
         weights = []
         for w in range(r):
             j = (twist.t * w) % r
             if m[j] == 0:
                 continue
-            lam = zeta(r, j).embed(conductor)
-            shifted = CycMatrix(
-                g.dim,
-                conductor,
-                tuple(
-                    tuple(
-                        lifted.rows[p][q] - (lam if p == q else rational(0))
-                        for q in range(g.dim)
-                    )
-                    for p in range(g.dim)
-                ),
-            )
-            eigenvectors = kernel_basis(shifted)
+            eigenvectors = kernel_basis(_shifted(g, zeta(r, j)))
             if len(eigenvectors) != m[j]:
                 raise ConsistencyError(
                     f"eigenspace for exponent {j} has dimension "

@@ -238,6 +238,19 @@ def chi_averages(grp, chi, degree):
     yield from sums
 
 
+def character_value_by_product(chi, coset):
+    """chi(coset) as the product of zeta(d_j, k_j) over the invariant
+    factors d_j with k_j = -c_j e_j mod d_j nonzero, from rational 1 up."""
+    e = chi.decomposition.exponents_of(coset)
+    factors = chi.decomposition.structure.invariant_factors
+    acc = rational(1)
+    for c, ej, d in zip(chi.exponents, e, factors):
+        k = (-c * ej) % d
+        if k:
+            acc = acc * zeta(d, k)
+    return acc
+
+
 def exhaustive_relative_invariant(grp, chi, degree_bound):
     """The first nonzero character-weighted sum of a monomial, scanning
     every degree from 1 up to the bound; None when all of them vanish."""

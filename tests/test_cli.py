@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,13 +58,18 @@ def test_parse_job_accepts_integer_entries():
     assert job.generators[0].render_rows() == [["1", "0"], ["0", "-1"]]
 
 
-def test_parse_job_reads_files(tmp_path):
-    path = tmp_path / "job.json"
-    path.write_text(EX72_DOC)
-    job = parse_job(str(path))
-    assert job.dimension == 4
-    with pytest.raises(JobError, match="cannot read"):
-        parse_job(str(tmp_path / "missing.json"))
+def test_parse_job_opens_no_file(tmp_path, monkeypatch):
+    # `main` is the one file reader: a file name is text that is not JSON
+    from crepant import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_job opened a file")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "job.json").write_text(EX72_DOC)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    with pytest.raises(JobError, match="invalid JSON"):
+        parse_job("job.json")
 
 
 @pytest.mark.parametrize("text", ["5", "null", '"x"', "5\n"])
@@ -480,6 +486,100 @@ def test_main_byte_identical_runs(tmp_path):
             ["analyze", "--input", str(source), "--output", str(target)]
         ) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_main_reads_the_input_file(tmp_path, capsys):
+    (tmp_path / "job.json").write_text(EX72_DOC)
+    code = main(["analyze", "--format", "json", "--input", str(tmp_path / "job.json")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    assert err == ""
+    assert json.loads(out)["analyze"]["free_rank"] == 2
+
+
+def test_main_missing_input_is_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code = main(["analyze", "--input", missing])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: cannot read input {missing!r}: ")
+
+
+def test_main_undecodable_input_is_input_error(tmp_path, monkeypatch, capsys):
+    raw = b"\xff\xfe{"
+    path = tmp_path / "job.json"
+    path.write_bytes(raw)
+    code = main(["analyze", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: cannot read input {str(path)!r}: ")
+    assert "Traceback" not in err
+    monkeypatch.setattr(
+        "sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    )
+    code = main(["analyze"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert err.startswith("error: cannot read input '-': ")
+
+
+@pytest.fixture
+def digit_limit():
+    # the interpreter's default limit on int -> str conversion
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "mode, text, where",
+    [
+        # finite (order 2), but its report cannot print the entry
+        ("age", doc(2, [[["-1", "2^15001"], ["0", "1"]]]), "row 1, column 2"),
+        # refused as an entry, not as a group that is not finite
+        ("analyze", doc(1, [[["2^30000"]]]), "row 1, column 1"),
+        ("age", doc(1, [[["1/10^4300"]]]), "row 1, column 1"),
+        ("age", doc(1, [[["1" + "0" * 4300]]]), "row 1, column 1"),
+    ],
+)
+def test_main_refuses_entries_past_the_digit_limit(
+    mode, text, where, digit_limit, monkeypatch, capsys
+):
+    code, out, err = run_main(
+        [mode], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: generator 1, {where}: ")
+    assert "finite" not in err
+    assert "Traceback" not in err
+
+
+def test_main_refuses_a_json_integer_past_the_digit_limit(
+    digit_limit, monkeypatch, capsys
+):
+    text = '{"dimension": 1, "generators": [[[1' + "0" * 4300 + "]]]}"
+    code, out, err = run_main(
+        ["age"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == EXIT_INPUT
+    assert err.startswith("error: invalid JSON: ")
+
+
+def test_entries_at_the_digit_limit_parse(digit_limit, monkeypatch, capsys):
+    # 10^4299 has 4300 digits: the report prints it
+    code, out, err = run_main(
+        ["age"],
+        stdin_text=doc(2, [[["-1", "10^4299"], ["0", "1"]]]),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert "1" + "0" * 4299 in out
 
 
 def test_main_input_error_exit(monkeypatch, capsys):

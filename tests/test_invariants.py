@@ -42,7 +42,12 @@ from crepant.invariants import (
 )
 
 from conftest import Q8_ROWS, TETRA_ROWS, cyclic_sl2
-from helpers import chi_averages, exhaustive_relative_invariant
+from helpers import (
+    character_value_by_product,
+    chi_averages,
+    exhaustive_relative_invariant,
+    value_key,
+)
 
 
 def x(nvars, index):
@@ -708,6 +713,32 @@ def test_junior_valuation_shares_basis_powers(rows):
         kept.append({id(v) for (fn, _), v in G._memo.items() if fn is shared})
     assert kept[0] and kept[1]
     assert not kept[0] & kept[1]
+
+
+# Ab = C2 x C6: diag(-1, -1, 1) and diag(z6, 1, z6^5)
+C2_C6_ROWS = [
+    [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+    [["E(6)", "0", "0"], ["0", "1", "0"], ["0", "0", "E(6)^5"]],
+]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [Q8_ROWS, TETRA_C3_ROWS, C2_C6_ROWS],
+    ids=["Q8", "2TxC3", "C2xC6"],
+)
+def test_value_on_coset_matches_zeta_product(rows):
+    # one root of unity zeta_n^k, n the lcm of the factors whose term is
+    # not 1: the value and the conductor of the product of the terms
+    G = close_group([CycMatrix.from_rows(r) for r in rows])
+    dec = G.abelian_decomposition()
+    if rows is C2_C6_ROWS:
+        assert dec.structure.invariant_factors == (2, 6)
+    for chi in characters_of(dec):
+        for coset in dec.group.carrier_labels():
+            assert value_key(chi.value_on_coset(coset)) == value_key(
+                character_value_by_product(chi, coset)
+            )
 
 
 def test_molien_promise_too_low_is_refused(q8, monkeypatch):

@@ -73,6 +73,53 @@ def test_det_of_order_six_generator():
     assert g.det() == 1
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["0", "1"], ["1", "0"]],  # a row swap, conductor 1
+        [["2", "3", "5"], ["4", "6", "7"], ["1", "1", "1"]],  # a zero pivot
+        [["1", "E(4)"], ["E(4)", "-1"]],  # singular, conductor 4
+        [["0", "E(4)", "1"], ["E(4)", "1", "0"], ["1", "0", "E(4)"]],
+        [["E(12)", "1", "0"], ["E(12)^5", "E(3)", "E(4)"], ["1", "0", "1/2"]],
+        [["E(12)", "E(4)", "0"], ["E(12)^2", "E(12)*E(4)", "1"],
+         ["0", "0", "E(3)"]],  # a zero pivot at conductor 12
+        [["E(12)", "E(3)"], ["E(12)^2", "E(12)*E(3)"]],  # singular
+    ],
+)
+def test_det_matches_leibniz_at_the_matrix_conductor(rows):
+    m = CycMatrix.from_rows(rows)
+    assert value_key(m.det()) == value_key(dense_det(m))
+    assert m.det().conductor == m.conductor
+
+
+def test_det_of_a_diagonal_matrix_inverts_nothing(monkeypatch):
+    # every pivot scales no row, so no division at all
+    from crepant.cyclo import CyclotomicNumber
+
+    inverted = []
+    inverse = CyclotomicNumber.inverse
+
+    def counting(self):
+        if self.rational_value is None:
+            inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counting)
+    m = CycMatrix.from_rows(
+        [["E(3)", "0", "0"], ["0", "1+E(5)", "0"], ["0", "0", "E(4)/3"]]
+    )
+    assert value_key(m.det()) == value_key(dense_det(m))
+    assert inverted == []
+
+
+def test_non_root_of_unity_determinant_is_rendered_at_its_conductor():
+    gen = CycMatrix.from_rows(
+        [["E(4)", "0", "0"], ["0", "2*E(3)", "0"], ["0", "0", "E(3)^2"]]
+    )
+    with pytest.raises(ValueError, match=r"determinant 2\*E\(12\)\^3,"):
+        close_group([gen])
+
+
 def test_reflection_has_rank_one_displacement():
     refl = CycMatrix.from_rows([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]])
     assert (refl - CycMatrix.identity(3)).rank() == 1
@@ -148,8 +195,8 @@ def _matrices_with_rank_bound(draw):
 @given(_matrices_with_rank_bound())
 @settings(max_examples=120, deadline=None)
 def test_rank_agrees_with_kernel_basis(case):
-    # kernel_basis, det and inverse eliminate with field inverses; rank
-    # does not divide
+    # kernel_basis and inverse eliminate with field inverses; rank and det
+    # take the fraction-free elimination
     m, bound = case
     rank = m.rank()
     assert rank + len(kernel_basis(m)) == m.dim
