@@ -619,7 +619,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             if args.input == "-":
-                source = sys.stdin.read()
+                source = sys.stdin.buffer.read().decode("utf-8")
             else:
                 with open(args.input, "r", encoding="utf-8") as handle:
                     source = handle.read()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -369,17 +370,9 @@ class CyclotomicNumber:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = rational(1).embed(base.conductor)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        base = self if exponent >= 0 else self.inverse()
+        one = rational(1).embed(base.conductor)
+        return _power(base, abs(exponent), operator.mul, one)
 
     # -- comparison and hashing -------------------------------------------
 
@@ -456,6 +449,21 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"<cyc {self.render()}>"
+
+
+def _power(x, k: int, mul, one):
+    """x^k for k >= 0 by square-and-multiply, `mul` the product of two
+    values; `one` is the value of x^0.  The first factor of the result is
+    taken as it is, so nothing is multiplied by `one`.  The one powering
+    loop for cyclotomic values, polynomials, matrices and group labels."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

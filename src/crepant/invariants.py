@@ -3,7 +3,10 @@
 Sparse multivariate polynomials over cyclotomic fields, the contragredient
 group action (g.f)(v) = f(g^-1 v), valuations attached to graded one-parameter
 subgroups, characters of the abelianization, and a twisted averaging operator
-that produces relative invariants one character at a time.
+that produces relative invariants one character at a time.  A character is
+constant on the cosets of [G, G], so a monomial is averaged from one sum of
+its images per coset, kept per group and shared by every character; the
+image of a monomial under a single element is not kept.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .cyclo import CyclotomicNumber, _reduce_ints, as_root_of_unity, rational, zeta
+from .cyclo import (
+    CyclotomicNumber, _power, _reduce_ints, as_root_of_unity, rational, zeta
+)
 from .matgrp import (
     AbelianDecomposition,
     CycMatrix,
@@ -185,16 +190,8 @@ class SparsePolynomial:
     def __pow__(self, exponent: int) -> "SparsePolynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = SparsePolynomial.constant(self.nvars, 1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        one = SparsePolynomial.constant(self.nvars, 1)
+        return _power(self, exponent, operator.mul, one)
 
     # -- substitution and rendering ----------------------------------------
 
@@ -327,7 +324,9 @@ def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
     """The powers through which element x acts: x.x_j is row j of x^-1 as
     a linear form.  Group elements carry their inverses, so nothing is
     inverted.  Built once per group and element, extended lazily to the
-    degrees asked for, and shared by every polynomial x acts on."""
+    degrees asked for, and shared by every polynomial x acts on: the
+    monomials of the coset sums (`_coset_sums`) and the polynomials the
+    checks act on (`_act_by_id`)."""
     return _Powers(_linear_forms(G.matrix(G.inv(x))))
 
 
@@ -335,10 +334,11 @@ def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
 def _act_by_id(G: FiniteMatrixGroup, x: int, f: SparsePolynomial) -> SparsePolynomial:
     """x.f for the element with id x, as `act` computes it: f substituted
     at x_j = row j of x^-1, from that element's shared powers
-    (`_element_powers`).  Every action on a group element goes through
-    here, and each image is kept per group: the averaging of a monomial
-    for one character serves every other character, and the checks that
-    act on an f again read its images."""
+    (`_element_powers`).  The checks act through here, on the relative
+    invariants and on the polynomials they are given; each image is kept
+    per group, so the equivariance, residue, congruence and membership
+    checks on one f compute each of its images once.  The averaging does
+    not come here and keeps no image of a monomial."""
     return f._substitute(_element_powers(G, x))
 
 
@@ -547,6 +547,41 @@ def _molien_coefficients(
             hs[k] = nxt
 
 
+@per_group
+def _coset_sums(
+    G: FiniteMatrixGroup, exps: tuple[int, ...]
+) -> tuple[SparsePolynomial, ...]:
+    """For the monomial m with these exponents, the sum of x.m over the
+    elements x of each coset of [G, G]: cosets in the order of
+    `G.abelianization()`, images added in element id order.  Built once
+    per group and monomial from the elements' shared powers
+    (`_element_powers`); every character averages m from these |Ab(G)|
+    sums, and no image of m under a single element is kept."""
+    ab = G.abelianization()
+    mono = SparsePolynomial.monomial(G.dim, exps)
+    sums: list[dict] = [{} for _ in range(len(ab))]
+    for x in range(len(G)):
+        _add_into(sums[ab.coset_of[x]], mono._substitute(_element_powers(G, x)).terms)
+    return tuple(SparsePolynomial._trusted(G.dim, terms) for terms in sums)
+
+
+def _averages(
+    G: FiniteMatrixGroup, chi: CharacterOfAb, degree: int
+) -> Iterator[SparsePolynomial]:
+    """sum_x conj(chi(x)) x.m for each monomial m of the degree, in
+    `monomials_of_degree` order.  chi is constant on the cosets c of
+    [G, G], so this is sum_c conj(chi(c)) S_c(m), S_c(m) the sum of x.m
+    over c (`_coset_sums`).  The cosets are those of `G.abelianization()`;
+    chi is read on the inverse of each one's representative, through its
+    own Ab(G), so chi may be built on any Ab(G) object of G."""
+    conj = [chi.value_on_element(G, G.inv(r)) for r in G.abelianization().coset_reps]
+    for exps in monomials_of_degree(G.dim, degree):
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
+        for value, sums in zip(conj, _coset_sums(G, exps)):
+            _add_into(terms, sums.scale(value).terms)
+        yield SparsePolynomial._trusted(G.dim, terms)
+
+
 def relative_invariant(
     G: FiniteMatrixGroup,
     chi: CharacterOfAb,
@@ -563,11 +598,11 @@ def relative_invariant(
     survivor a scan from degree 1 would find.  If every monomial of degree
     d0 dies, the two routes disagree and ConsistencyError is raised.
 
-    Each image x.m comes from `_act_by_id`: the powers of each element's
-    linear forms are built once per group and shared by all monomials,
-    and the images of a monomial are kept in the group, so characters
-    whose search reaches the same monomial average it from the same
-    images."""
+    Each average is taken per coset of [G, G] (`_averages`): the sums of
+    a monomial's images over the cosets are kept per group
+    (`_coset_sums`), so characters whose search reaches the same monomial
+    scale the same |Ab(G)| sums, and no image of a monomial under a
+    single element is kept."""
     bound = degree_bound if degree_bound is not None else len(G)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -578,29 +613,18 @@ def relative_invariant(
     degree = next((d for d, dim in zip(range(1, bound + 1), dims) if dim), None)
     if degree is None:
         return None
-    n = G.dim
-    weights = [
-        chi.value_on_coset(ab.inv(ab.coset_of[x])) for x in range(len(G))
-    ]
-    for exps in monomials_of_degree(n, degree):
-        mono = SparsePolynomial.monomial(n, exps)
-        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for x in range(len(G)):
-            _add_into(terms, _act_by_id(G, x, mono).scale(weights[x]).terms)
-        if not terms:
-            continue
-        acc = SparsePolynomial._trusted(n, terms)
-        for gid in G.generator_ids:
-            expected = acc.scale(chi.value_on_element(G, gid))
-            if _act_by_id(G, gid, acc) != expected:
-                raise ConsistencyError(
-                    "averaged polynomial fails the defining equivariance"
-                )
-        return acc
-    raise ConsistencyError(
-        "the Molien series promises a relative invariant of degree "
-        f"{degree}, but every monomial of that degree averages to zero"
-    )
+    acc = next((f for f in _averages(G, chi, degree) if not f.is_zero), None)
+    if acc is None:
+        raise ConsistencyError(
+            "the Molien series promises a relative invariant of degree "
+            f"{degree}, but every monomial of that degree averages to zero"
+        )
+    for gid in G.generator_ids:
+        if _act_by_id(G, gid, acc) != acc.scale(chi.value_on_element(G, gid)):
+            raise ConsistencyError(
+                "averaged polynomial fails the defining equivariance"
+            )
+    return acc
 
 
 # -- lemma checks -------------------------------------------------------------

@@ -41,6 +41,7 @@ import functools
 import inspect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -51,6 +52,7 @@ from .cyclo import (
     _dot,
     _factorize,
     _is_prime,
+    _power,
     as_root_of_unity,
     parse_cyclotomic,
     rational,
@@ -409,19 +411,10 @@ def _power_traces(g: CycMatrix, max_order: int):
 
 
 def power(grp, label, k: int):
-    """label^k in any group-like object (binary powering, k may be negative)."""
-    if k < 0:
-        label = grp.inv(label)
-        k = -k
-    acc = grp.identity_label
-    base = label
-    while k:
-        if k & 1:
-            acc = grp.mul(acc, base)
-        if k > 1:
-            base = grp.mul(base, base)
-        k >>= 1
-    return acc
+    """label^k in any group-like object.  A negative k powers the inverse;
+    the square-and-multiply is `cyclo._power`, as for every other power."""
+    base = label if k >= 0 else grp.inv(label)
+    return _power(base, abs(k), grp.mul, grp.identity_label)
 
 
 def order_of(grp, label) -> int:
@@ -826,12 +819,14 @@ def _certify_abelian(G: FiniteMatrixGroup) -> None:
     """Commuting generators of finite order generate a finite group, a
     quotient of the product of the cyclic groups they generate.  So each
     generator must commute exactly with the others, and its power to the
-    order of its image (`element_orders`) must be exactly 1; a finite group
-    would pass both, as reduction is injective on it."""
+    order of its image (`element_orders`) must be exactly 1, that power
+    taken by square-and-multiply (`cyclo._power`) on the exact matrix; a
+    finite group would pass both, as reduction is injective on it."""
     gens, p = G.generators, G._shadow.prime
     for gi, g in enumerate(gens):
         order = G.element_orders[G.generator_ids[gi]]
-        if _matrix_power(g, order) != CycMatrix.identity(g.dim, g.conductor):
+        one = CycMatrix.identity(g.dim, g.conductor)
+        if _power(g, order, operator.matmul, one) != one:
             raise ValueError(
                 f"generator {gi} has order {order} modulo {p} but not "
                 "exactly; the generated group is not finite"
@@ -842,18 +837,6 @@ def _certify_abelian(G: FiniteMatrixGroup) -> None:
                     f"generators {gj} and {gi} commute modulo {p} but not "
                     "exactly; the generated group is not finite"
                 )
-
-
-def _matrix_power(m: CycMatrix, k: int) -> CycMatrix:
-    """m^k for k >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if k & 1:
-            result = m if result is None else result @ m
-        k >>= 1
-        if not k:
-            return result
-        m = m @ m
 
 
 def _apply(columns, w: tuple, zero: CyclotomicNumber) -> tuple:

@@ -238,6 +238,37 @@ def chi_averages(grp, chi, degree):
     yield from sums
 
 
+def per_element_averages(grp, chi, degree):
+    """For each monomial m of the given degree, in monomials_of_degree
+    order, sum_x conj(chi(x)) x.m formed element by element: one weight
+    per element, read on the inverse of its coset; its image of m scaled
+    by that weight; the images added in element id order by `_add_into`.
+    The reference for the per-coset averaging, down to the conductor of
+    each coefficient."""
+    from crepant.invariants import (
+        SparsePolynomial,
+        _add_into,
+        _linear_forms,
+        monomials_of_degree,
+    )
+
+    ab = chi.decomposition.group
+    n = grp.dim
+    elements = [
+        (
+            chi.value_on_coset(ab.inv(ab.coset_of[x])),
+            _linear_forms(grp.matrix(grp.inv(x))),
+        )
+        for x in grp.carrier_labels()
+    ]
+    for exps in monomials_of_degree(n, degree):
+        mono = SparsePolynomial.monomial(n, exps)
+        terms = {}
+        for weight, forms in elements:
+            _add_into(terms, mono.substitute(forms).scale(weight).terms)
+        yield SparsePolynomial(n, terms)
+
+
 def character_value_by_product(chi, coset):
     """chi(coset) as the product of zeta(d_j, k_j) over the invariant
     factors d_j with k_j = -c_j e_j mod d_j nonzero, from rational 1 up."""

@@ -409,10 +409,11 @@ GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
 def test_console_script_job_is_the_golden_q8_job():
     # CI pipes tests/data/jobs/q8.json through the installed `crepant
-    # <mode> --format json` for all five modes and compares each output
-    # with q8_<mode>.json
-    text = (GOLDEN_DIR.parent / "jobs" / "q8.json").read_text(encoding="utf-8")
-    assert json.loads(text) == json.loads(Q8_DOC)
+    # <mode>` for all five modes, and 2t.json through `check` and `age`,
+    # and compares each output with the golden report of that job and mode
+    for name, source in (("q8", Q8_DOC), ("2t", TWO_T_DOC)):
+        path = GOLDEN_DIR.parent / "jobs" / f"{name}.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(source)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
@@ -429,8 +430,12 @@ def test_reports_match_golden_bytes(name):
 
 
 def run_main(args, stdin_text=None, monkeypatch=None, capsys=None):
+    # `main` reads the bytes under sys.stdin, so stdin is a text wrapper
+    # over a byte buffer, as the interpreter's is
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        raw = io.BytesIO(stdin_text.encode("utf-8"))
+        stdin = io.TextIOWrapper(raw, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
@@ -522,6 +527,23 @@ def test_main_undecodable_input_is_input_error(tmp_path, monkeypatch, capsys):
     code = main(["analyze"])
     out, err = capsys.readouterr()
     assert code == EXIT_INPUT
+    assert err.startswith("error: cannot read input '-': ")
+
+
+def test_main_undecodable_stdin_does_not_depend_on_its_error_handler(
+    monkeypatch, capsys
+):
+    # Under a C locale or UTF-8 mode the interpreter's stdin decodes with
+    # surrogateescape, which never fails; main decodes the bytes strictly,
+    # so stdin and --input refuse the same bytes with the same message.
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe{"), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["analyze"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
     assert err.startswith("error: cannot read input '-': ")
 
 

@@ -5,6 +5,7 @@ harness at 1e-9; every assertion of substance is exact.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -24,6 +25,10 @@ from crepant.cyclo import (
     zeta,
 )
 
+from crepant.invariants import SparsePolynomial
+from crepant.matgrp import CycMatrix
+
+from conftest import TETRA_ROWS
 from helpers import (
     close_enough,
     schoolbook_dot,
@@ -145,6 +150,44 @@ def test_pow():
     assert x**9 == 1
     assert x**-1 == zeta(9, 8)
     assert (1 + zeta(3)) ** 2 == 1 + 2 * zeta(3) + zeta(3, 2)
+
+
+def _repeated(x, mul, one, count=64):
+    """[x^0, x^1, ..., x^count], each by one more multiplication."""
+    out = [one]
+    for _ in range(count):
+        out.append(mul(out[-1], x))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text", ["-3/2", "1+2/3*E(12)^5", "E(60)^7-2*E(60)^11/3+5"]
+)
+def test_square_and_multiply_matches_repeated_products(text):
+    # `_power` against x * x * ... * x, stored forms compared, so the
+    # conductor is pinned too: x**0 is 1 at x's conductor, and a negative
+    # power is the same power of the inverse
+    x = parse_cyclotomic(text)
+    one = rational(1).embed(x.conductor)
+    assert value_key(x**0) == value_key(one)
+    up = _repeated(x, operator.mul, one)
+    down = _repeated(x.inverse(), operator.mul, one)
+    for k in range(65):
+        assert value_key(cyclo._power(x, k, operator.mul, one)) == value_key(up[k])
+        assert value_key(x**k) == value_key(up[k])
+        assert value_key(x**-k) == value_key(down[k])
+
+
+def test_square_and_multiply_on_matrices_and_polynomials():
+    # the same loop powers a 2T matrix and a polynomial
+    g = CycMatrix.from_rows(TETRA_ROWS[2]) @ CycMatrix.from_rows(TETRA_ROWS[0])
+    ident = CycMatrix.identity(2, g.conductor)
+    for k, want in enumerate(_repeated(g, operator.matmul, ident)):
+        assert cyclo._power(g, k, operator.matmul, ident) == want
+    f = SparsePolynomial(2, {(1, 0): zeta(3), (0, 1): rational(Fraction(1, 2))})
+    one = SparsePolynomial.constant(2, 1)
+    for k, want in enumerate(_repeated(f, operator.mul, one)):
+        assert (f**k).render() == want.render()
 
 
 def test_inverse_of_zero_raises():

@@ -46,6 +46,7 @@ from helpers import (
     character_value_by_product,
     chi_averages,
     exhaustive_relative_invariant,
+    per_element_averages,
     value_key,
 )
 
@@ -739,6 +740,83 @@ def test_value_on_coset_matches_zeta_product(rows):
             assert value_key(chi.value_on_coset(coset)) == value_key(
                 character_value_by_product(chi, coset)
             )
+
+
+# Q8 x C4 in SL4: Q8 on x1, x2 and diag(1, 1, i, -i); Ab = C2 x C2 x C4
+Q8_C4_ROWS = [_in_corner(r, 4) for r in Q8_ROWS] + [
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+     ["0", "0", "E(4)", "0"], ["0", "0", "0", "-E(4)"]]
+]
+COSET_GROUPS = {
+    "Q8": Q8_ROWS,
+    "2T": TETRA_ROWS,
+    "2TxC3": TETRA_C3_ROWS,
+    "C2xC6": C2_C6_ROWS,
+    "Q8xC4": Q8_C4_ROWS,
+}
+
+
+def _molien_degree(G, chi):
+    dims = itertools.islice(_molien_coefficients(G, chi), 1, None)
+    return next(d for d, dim in enumerate(dims, 1) if dim)
+
+
+@pytest.mark.parametrize("name", sorted(COSET_GROUPS))
+def test_coset_averages_match_the_per_element_loop(name):
+    # Every character averages a monomial from one sum per coset of
+    # [G, G]; each average must render as the element-by-element sum does,
+    # which pins each coefficient's E(n) conductor as well as its value.
+    G = close_group([CycMatrix.from_rows(r) for r in COSET_GROUPS[name]])
+    for chi in characters_of(G.abelian_decomposition()):
+        degree = _molien_degree(G, chi)
+        got = [f.render() for f in invariants._averages(G, chi, degree)]
+        want = [f.render() for f in per_element_averages(G, chi, degree)]
+        assert got == want, (name, chi.exponents, degree)
+        assert any(f != "0" for f in got)
+
+
+@pytest.mark.parametrize("name", ["2TxC3", "Q8xC4", "C2xC6"])
+def test_character_on_another_abelianization(name):
+    # a character built on a second Ab(G) object of the same group is read
+    # through its own cosets and finds the same invariants
+    G = close_group([CycMatrix.from_rows(r) for r in COSET_GROUPS[name]])
+    other = abelian_decomposition(abelianization(G))
+    assert other.group is not G.abelianization()
+    own = characters_of(G.abelian_decomposition())
+    for chi, twin in zip(own, characters_of(other), strict=True):
+        assert chi.exponents == twin.exponents
+        f, g = relative_invariant(G, chi), relative_invariant(G, twin)
+        assert f.render() == g.render()
+
+
+def test_check_job_keeps_no_image_of_a_monomial(monkeypatch):
+    # The averaging keeps coset sums, not images: after a check job the
+    # per-group images of `_act_by_id` are those of the relative
+    # invariants the checks act on, and none is a bare monomial.
+    groups = []
+    build = cli._build_group
+
+    def captured(job):
+        groups.append(build(job))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "_build_group", captured)
+    text = json.dumps({"dimension": 4, "generators": TETRA_C3_ROWS})
+    report, status = cli.run(cli.parse_job(text, mode="check"))
+    assert status == 0
+    (G,) = groups
+    acting = invariants._act_by_id.__wrapped__
+    acted = {args[1] for (fn, args) in G._memo if fn is acting}
+    monomials = [
+        f for f in acted
+        if len(f.terms) == 1 and next(iter(f.terms.values())).is_one
+    ]
+    assert monomials == []
+    found = {
+        relative_invariant(G, chi)
+        for chi in characters_of(G.abelian_decomposition())
+    }
+    assert acted == found
 
 
 def test_molien_promise_too_low_is_refused(q8, monkeypatch):

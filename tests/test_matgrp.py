@@ -372,6 +372,15 @@ def test_power_and_order(ex72):
     assert power(ex72, g, -1) == ex72.inv(g)
     assert order_of(ex72, g) == 6
     assert [order_of(ex72, x) for x in ex72.carrier_labels()] == ex72.element_orders
+    # square-and-multiply on 2T labels against k products by x, or by its
+    # inverse for negative k
+    G = close_group([CycMatrix.from_rows(r) for r in TETRA_ROWS])
+    for x in G.carrier_labels():
+        for base, sign in ((x, 1), (G.inv(x), -1)):
+            acc = G.identity_label
+            for k in range(65):
+                assert power(G, x, sign * k) == acc, (x, sign * k)
+                acc = G.mul(acc, base)
 
 
 def test_too_large_closure_reports_partial_count():
