@@ -405,7 +405,7 @@ class CyclotomicNumber:
         return Fraction(total, self.den * len(self.nums))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return any(self.nums)
 
     # -- output -------------------------------------------------------------
 

@@ -953,12 +953,6 @@ def _det_mod(rows, p: int) -> int:
     return -det % p if inversions % 2 else det
 
 
-def _rank_mod(rows, p: int) -> int:
-    """Rank over F_p."""
-    basis: dict[int, list[int]] = {}
-    return sum(1 for row in rows if _insert_mod(list(row), basis, p))
-
-
 # ---------------------------------------------------------------------------
 # subgroups, quotients
 

@@ -15,12 +15,18 @@ an internal arithmetic failure rather than silently accepted.  For a whole
 group the transform runs over F_q (the group's modular shadow, see `matgrp`)
 once per cyclic subgroup, on one generator x; the vector of every power x^j
 is derived from it (the eigenvalue zeta_r^a of x becomes zeta_r^(a*j) of
-x^j) and checked against the stored order and F_q trace of x^j.  The same
-pass (`_eigen_pass`, once per group) reads rank(x - 1) over F_q.  Every
-conjugacy-class representative is then checked exactly: its exact trace must
-equal sum_a m_a zeta_r^a, and its exact rank test must match the F_q one.
-Each twist makes one `age_records` pass, in `junior_elements`; its junior
-classes, H and Ab(G/H) are read from that.
+x^j) and checked against the stored order and F_q trace of x^j.  Both the
+transform and that check read the powers of the root of unity of order r in
+F_q from one table per element order r, built once per group.  The same
+pass (`_eigen_pass`, once per group) decides rank(x - 1) == 1 over F_q with
+the rank-one test `_rank_is_one`: nonzero rows of x - 1 with different
+supports settle it without arithmetic, and otherwise the 2x2 minors through
+the first nonzero row do.  Every conjugacy-class representative is still
+checked exactly: its exact trace must equal sum_a m_a zeta_r^a, and the
+same rank-one test in exact arithmetic (`is_reflection`) must match the F_q
+one.  Each twist makes one `age_records` pass, in `junior_elements`, which
+computes the age and weights once per distinct multiplicity vector; its
+junior classes, H and Ab(G/H) are read from that.
 """
 
 from __future__ import annotations
@@ -30,7 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclo import CyclotomicNumber, _reduce_ints, as_root_of_unity, rational, zeta
+from .cyclo import (
+    CyclotomicNumber,
+    _dot,
+    _reduce_ints,
+    as_root_of_unity,
+    rational,
+    zeta,
+)
 from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
@@ -39,7 +52,6 @@ from .matgrp import (
     _check_normal,
     _power_traces,
     _powers,
-    _rank_mod,
     abelian_invariants,
     abelianization,
     kernel_basis,
@@ -202,9 +214,63 @@ def _shifted(g: CycMatrix, lam: CyclotomicNumber) -> CycMatrix:
     )
 
 
+def _rank_is_one(supports, entry, vanishes) -> bool:
+    """rank == 1 for a matrix given by the supports of its rows (the
+    columns of their nonzero entries) and by `entry(i, j)`, asked only for
+    the entries a minor needs.  With no nonzero row the rank is 0.  Two
+    nonzero rows with different supports are independent, which takes no
+    arithmetic.  Otherwise every nonzero row i must be a multiple of the
+    first one, row t: with p the first column of the common support, each
+    minor entry(t, p) * entry(i, j) - entry(t, j) * entry(i, p) must
+    vanish, which `vanishes(a, b, c, d)` (a*b - c*d == 0) decides."""
+    nonzero = [i for i, s in enumerate(supports) if s]
+    if not nonzero:
+        return False
+    top, rest = nonzero[0], nonzero[1:]
+    support = supports[top]
+    if any(supports[i] != support for i in rest):
+        return False
+    p, others = support[0], support[1:]
+    if not (rest and others):
+        return True
+    pivot, tops = entry(top, p), [entry(top, j) for j in others]
+    for i in rest:
+        lead = entry(i, p)
+        if not all(
+            vanishes(pivot, entry(i, j), t, lead) for j, t in zip(others, tops)
+        ):
+            return False
+    return True
+
+
 def is_reflection(g: CycMatrix) -> bool:
-    """rank(g - id) = 1; the classical pseudo-reflection condition."""
-    return _shifted(g, rational(1)).rank() == 1
+    """rank(g - id) = 1; the classical pseudo-reflection condition, by
+    `_rank_is_one`.  The supports of the rows of g - 1 are read off g (a
+    diagonal entry is in its row's support unless it is 1), an entry of
+    g - 1 is built only when a minor needs it, with 1 subtracted on the
+    diagonal only, and each minor is one `_dot`."""
+    rows, n = g.rows, g.conductor
+    return _rank_is_one(
+        [
+            tuple(j for j, e in enumerate(row) if (not e.is_one if i == j else e))
+            for i, row in enumerate(rows)
+        ],
+        lambda i, j: rows[i][j] - 1 if i == j else rows[i][j],
+        lambda a, b, c, d: not _dot(n, ((a, b), (-c, d))),
+    )
+
+
+def _is_reflection_mod(image, q: int) -> bool:
+    """rank(image - 1) == 1 over F_q, `image` the rows of an element's
+    F_q image, by `_rank_is_one`."""
+    return _rank_is_one(
+        [
+            tuple(j for j, v in enumerate(row) if v != (i == j))
+            for i, row in enumerate(image)
+        ],
+        lambda i, j: (image[i][j] - (i == j)) % q,
+        lambda a, b, c, d: (a * b - c * d) % q == 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,34 +289,53 @@ def _power_multiplicities(m: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _root_tables(shadow, orders) -> dict[int, list[int]]:
+    """For each element order r, the powers omega_r^k (k < r) over F_q of
+    omega_r = root^(W / r), which has exact order r (the shadow's root has
+    exact order W).  One table per order, not one of length W: W can be
+    far larger than any element order."""
+    q, tables = shadow.prime, {}
+    for r in set(orders):
+        omega, table = pow(shadow.root, shadow.order // r, q), [1]
+        for _ in range(1, r):
+            table.append(table[-1] * omega % q)
+        tables[r] = table
+    return tables
+
+
 @per_group
 def _eigen_pass(G: FiniteMatrixGroup):
     """(multiplicities, reflection flags) of every element, over F_q
     (`FiniteMatrixGroup.working_shadow`: q = 1 mod the working conductor
-    W, so every element order r has the root omega_r = root^(W/r)).
+    W, so every element order r has the root omega_r = root^(W/r)).  The
+    powers of each omega_r are read from one table per order
+    (`_root_tables`), built once per group.
 
     Elements are visited by descending order; an element not yet filled
     generates a new cyclic subgroup and gets the guarded F_q DFT of its
     power traces: each value must be an integer in [0, dim] and the values
     must sum to dim.  All of its powers are filled from its vector.  Each
     derived vector must have the stored order of its element and reproduce
-    its F_q trace.  The flag of x is rank(x - 1) == 1 over F_q.  Then every
-    conjugacy-class representative x is checked exactly: tr(x) must equal
-    sum_a m_a zeta_r^a in Q(zeta), and `is_reflection` must give its flag,
-    which must be constant on the class; else ArithmeticError.  Last, every
-    flag must match the multiplicity test (r > 1 and m_0 = dim - 1), else
+    its F_q trace.  The flag of x is rank(x - 1) == 1 over F_q, by the
+    rank-one test `_rank_is_one`: rows of x - 1 with different supports
+    settle it without arithmetic, else the 2x2 minors through the first
+    nonzero row do.  Then every conjugacy-class representative x is
+    checked exactly: tr(x) must equal sum_a m_a zeta_r^a in Q(zeta), and
+    the exact rank-one test `is_reflection` must give its flag, which must
+    be constant on the class; else ArithmeticError.  Last, every flag must
+    match the multiplicity test (r > 1 and m_0 = dim - 1), else
     ConsistencyError."""
     shadow = G.working_shadow()
-    q, modulus, traces = shadow.prime, shadow.order, shadow.traces
+    q, traces = shadow.prime, shadow.traces
     orders = G.element_orders
+    roots = _root_tables(shadow, orders)
     result: list[Optional[tuple[int, ...]]] = [None] * len(G)
     for x in sorted(G.carrier_labels(), key=lambda y: -orders[y]):
         if result[x] is not None:
             continue
         r = orders[x]
         powers = _powers(G, x)
-        omega = pow(shadow.root, modulus // r, q)
-        m = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, omega)
+        m = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, roots[r])
         result[x] = m
         for j, y in enumerate(powers):
             if result[y] is not None:
@@ -262,22 +347,15 @@ def _eigen_pass(G: FiniteMatrixGroup):
                     f"derived multiplicities of element {y} give order "
                     f"{s}, but its order is {orders[y]}"
                 )
-            omega_s = pow(shadow.root, modulus // s, q)
-            trace = sum(mb * pow(omega_s, b, q) for b, mb in enumerate(mj) if mb)
+            table = roots[s]
+            trace = sum(mb * table[b] for b, mb in enumerate(mj) if mb)
             if trace % q != traces[y]:
                 raise ArithmeticError(
                     f"derived multiplicities {list(mj)} of element {y} "
                     f"do not reproduce its trace modulo {q}"
                 )
             result[y] = mj
-    flags = tuple(
-        _rank_mod(
-            [[(v - (i == j)) % q for j, v in enumerate(row)]
-             for i, row in enumerate(img)],
-            q,
-        ) == 1
-        for img in shadow.images
-    )
+    flags = tuple(_is_reflection_mod(img, q) for img in shadow.images)
     for cls in G.conjugacy_classes():
         x = cls[0]
         m = result[x]
@@ -306,18 +384,17 @@ def _eigen_pass(G: FiniteMatrixGroup):
     return tuple(result), flags
 
 
-def _multiplicities_mod(traces, r: int, dim: int, q: int, omega: int):
-    """m_a = (1/r) sum_k tr(g^k) omega^(-ak) over F_q, omega of exact order
-    r; each must be an integer in [0, dim], summing to dim."""
-    roots = [1] * r
-    for k in range(1, r):
-        roots[k] = roots[k - 1] * omega % q
-    inv_r = pow(r, -1, q)
+def _multiplicities_mod(traces, r: int, dim: int, q: int, roots):
+    """m_a = (1/r) sum_k tr(g^k) omega^(-ak) over F_q, with `roots` the
+    powers omega^k (k < r) of an omega of exact order r; each must be an
+    integer in [0, dim], summing to dim.  As r * dim < q (q > 2^60), that
+    holds exactly when the sum, reduced mod q, is r * m_a with m_a <= dim,
+    so no inverse of r is taken."""
     out = []
     for a in range(r):
         acc = sum(t * roots[(-a * k) % r] for k, t in enumerate(traces) if t)
-        m_a = acc * inv_r % q
-        if m_a > dim:
+        m_a, rest = divmod(acc % q, r)
+        if rest or m_a > dim:
             raise ArithmeticError(
                 f"eigenvalue multiplicity m_{a} is not an integer in "
                 f"[0, {dim}] modulo {q}"
@@ -335,17 +412,25 @@ def age_records(
 ) -> tuple[AgeRecord, ...]:
     """One AgeRecord per element id.  Multiplicities and reflection flags
     are twist-independent and come from the per-group `_eigen_pass`; only
-    the exponent bookkeeping varies with t.  The records are not memoised:
-    the sweep would keep |G| per twist."""
+    the exponent bookkeeping varies with t, and it is done once per distinct
+    multiplicity vector: the age of each vector (which must be integral
+    in a determinant-one group; the error names the first element with
+    that vector) and its weights.  The records are not memoised: the sweep
+    would keep |G| per twist."""
     mults, reflections = _eigen_pass(G)
+    ages: dict[tuple[int, ...], tuple[Fraction, tuple[int, ...]]] = {}
     records = []
     for x in G.carrier_labels():
         m = mults[x]
-        a = _age_from_multiplicities(m, twist)
-        if G.is_special_linear and a.denominator != 1:
-            raise ConsistencyError(
-                f"non-integral age {a} for element {x} of a determinant-one group"
-            )
+        if m not in ages:
+            a = _age_from_multiplicities(m, twist)
+            if G.is_special_linear and a.denominator != 1:
+                raise ConsistencyError(
+                    f"non-integral age {a} for element {x} of a "
+                    "determinant-one group"
+                )
+            ages[m] = a, _weights_from_multiplicities(m, twist)
+        a, weights = ages[m]
         records.append(
             AgeRecord(
                 element_id=x,
@@ -354,7 +439,7 @@ def age_records(
                 age=a,
                 is_junior=(a == 1),
                 is_reflection=reflections[x],
-                weights=_weights_from_multiplicities(m, twist),
+                weights=weights,
             )
         )
     return tuple(records)

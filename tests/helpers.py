@@ -375,6 +375,24 @@ def dense_minus_identity(m):
     )
 
 
+def rank_mod(rows, p):
+    """Rank over F_p by elimination: each row, in order, is reduced against
+    the echelon rows kept before it (each with a 1 at its pivot) and kept,
+    divided by its leading entry, if anything is left."""
+    basis = {}
+    for row in rows:
+        vec = [c % p for c in row]
+        for pivot, kept in basis.items():
+            c = vec[pivot]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, kept)]
+        lead = next((k for k, c in enumerate(vec) if c), None)
+        if lead is not None:
+            inv = pow(vec[lead], -1, p)
+            basis[lead] = [c * inv % p for c in vec]
+    return len(basis)
+
+
 # --- schoolbook cyclotomic reference -------------------------------------------
 # Fraction polynomials reduced by long division by the whole of
 # cyclotomic_polynomial(n): no integer kernel, no common denominator carried

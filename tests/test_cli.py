@@ -22,7 +22,7 @@ from crepant.cli import (
 )
 from crepant.mckay import ConsistencyError
 
-from conftest import EX72_ROWS, Q8_ROWS
+from conftest import EX72_ROWS, Q8_ROWS, S3_ROWS
 
 
 def doc(dimension, generators, **extra):
@@ -390,15 +390,34 @@ def test_reports_are_deterministic():
 # tests/data/golden are `render_report` output; a change that alters any of
 # them changes the CLI contract.  2T's order-3 generator has the fractional
 # entries (+-1+-E(4))/2; C12 is written at conductor 60, whose basis
-# reduction mixes the primes 2, 3 and 5.
+# reduction mixes the primes 2, 3 and 5.  In S3 (permutation matrices in
+# GL3) g - 1 of a transposition has two nonzero rows with one support, so
+# the 2x2 minors decide that it is a reflection.  The diagonal C3^3 in SL4
+# is abelian: every one of its 27 elements is its own class, so every
+# element gets the exact trace and rank checks.
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 TETRA_T = [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
 TWO_T_DOC = doc(2, [[list(r) for r in m] for m in Q8_ROWS] + [TETRA_T])
 C12_AT_60_DOC = doc(
     3, [[["E(3)", "0", "0"], ["0", "E(4)", "0"], ["0", "0", "E(60)^-35"]]]
 )
+S3_DOC = doc(3, S3_ROWS)
+# C3^3 = <diag(z, 1, 1, z^-1), diag(1, z, 1, z^-1), diag(1, 1, z, z^-1)>
+C3_CUBED_DOC = doc(
+    4,
+    [
+        [[e if i == j else "0" for j in range(4)] for i, e in enumerate(diagonal)]
+        for diagonal in (
+            ["E(3)", "1", "1", "E(3)^2"],
+            ["1", "E(3)", "1", "E(3)^2"],
+            ["1", "1", "E(3)", "E(3)^2"],
+        )
+    ],
+)
 GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
+    "s3_age": (S3_DOC, "age"),
+    "c3_cubed_analyze": (C3_CUBED_DOC, "analyze"),
     **{f"q8_{mode}": (Q8_DOC, mode) for mode in MODES},
     "2t_check": (TWO_T_DOC, "check"),
     "2t_age": (TWO_T_DOC, "age"),
@@ -409,9 +428,10 @@ GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
 def test_console_script_job_is_the_golden_q8_job():
     # CI pipes tests/data/jobs/q8.json through the installed `crepant
-    # <mode>` for all five modes, and 2t.json through `check` and `age`,
-    # and compares each output with the golden report of that job and mode
-    for name, source in (("q8", Q8_DOC), ("2t", TWO_T_DOC)):
+    # <mode>` for all five modes, 2t.json through `check` and `age`, and
+    # s3.json through `age`, and compares each output with the golden
+    # report of that job and mode
+    for name, source in (("q8", Q8_DOC), ("2t", TWO_T_DOC), ("s3", S3_DOC)):
         path = GOLDEN_DIR.parent / "jobs" / f"{name}.json"
         assert json.loads(path.read_text(encoding="utf-8")) == json.loads(source)
 

@@ -5,10 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant import cli, mckay
 from crepant.cyclo import CyclotomicNumber, rational, zeta
-from crepant.matgrp import CycMatrix, close_group
+from crepant.matgrp import (
+    CycMatrix,
+    close_group,
+    _denominators,
+    _reduce_matrix,
+    _root_of_unity,
+    _shadow_prime,
+)
 from crepant.mckay import (
     GaloisTwist,
     NotSpecialLinearError,
@@ -24,7 +33,12 @@ from crepant.mckay import (
 )
 
 from conftest import Q8_ROWS, S3_ROWS, cyclic_sl2
-from helpers import diagonal_exponents
+from helpers import (
+    dense_minus_identity,
+    dense_rank,
+    diagonal_exponents,
+    rank_mod,
+)
 
 
 G1_ROWS = [
@@ -276,12 +290,71 @@ def test_non_diagonal_reflection_at_conductor_12():
     assert s @ s @ s == CycMatrix.identity(2)
 
 
-@pytest.mark.parametrize("exponents", [(1, 4, 0, 0), (1, 2, 3, 4, 0, 0)])
-def test_reflection_test_subtracts_on_the_diagonal_only(exponents, monkeypatch):
-    g = CycMatrix.from_rows(
-        [[f"E(5)^{a}" if i == j else "0" for j in range(len(exponents))]
-         for i, a in enumerate(exponents)]
+@st.composite
+def _identity_plus_outer_products(draw):
+    """1 + u v^T or 1 + u v^T + u' v'^T over Q(zeta_n), dims 1-4,
+    conductors 1, 4 and 12.  u and u' take zero entries often, so the
+    nonzero rows of the matrix minus 1 sometimes share one support and
+    sometimes do not; rank(m - 1) = 1 is common."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 4, 12]))
+    entry = st.builds(
+        lambda c, k: Fraction(c, 2) * zeta(n, k),
+        st.integers(-2, 2),
+        st.integers(0, n - 1),
     )
+    sparse = st.one_of(st.just(rational(0)), entry)
+    rows = [[rational(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(1, 2))):
+        u = [draw(sparse) for _ in range(dim)]
+        v = [draw(entry) for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                rows[i][j] = rows[i][j] + u[i] * v[j]
+    return CycMatrix.from_rows(rows)
+
+
+def _dense_rank_one_mod(image, q):
+    """rank(image - 1) == 1 over F_q, by elimination."""
+    return rank_mod(
+        [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(image)],
+        q,
+    ) == 1
+
+
+@given(_identity_plus_outer_products())
+@settings(max_examples=150, deadline=None)
+def test_rank_one_tests_match_dense_ranks(m):
+    # the exact test against Leibniz minors, and the test over F_q on the
+    # matrix's image against elimination modulo q
+    assert is_reflection(m) == (dense_rank(dense_minus_identity(m)) == 1)
+    q = _shadow_prime(m.conductor, _denominators([m]))
+    image = _reduce_matrix(m, q, _root_of_unity(q, m.conductor))
+    assert mckay._is_reflection_mod(image, q) == _dense_rank_one_mod(image, q)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 13]),
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_rank_one_test_mod_small_primes(q, dim, terms, data):
+    # 1 + u v^T (+ u' v'^T) over the integers, then reduced: small primes
+    # make minors vanish modulo q that are not zero over Z
+    image = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    vectors = st.lists(st.integers(0, 12), min_size=dim, max_size=dim)
+    sparse = st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=dim, max_size=dim)
+    for _ in range(terms):
+        u, v = data.draw(sparse), data.draw(vectors)
+        image = [[a + ui * vj for a, vj in zip(row, v)] for row, ui in zip(image, u)]
+    image = [[a % q for a in row] for row in image]
+    assert mckay._is_reflection_mod(image, q) == _dense_rank_one_mod(image, q)
+
+
+def _count_additions(monkeypatch):
+    """The signs of every cyclotomic addition or subtraction from now on."""
     calls = []
     add = CyclotomicNumber._add
 
@@ -290,8 +363,29 @@ def test_reflection_test_subtracts_on_the_diagonal_only(exponents, monkeypatch):
         return add(self, other, sign)
 
     monkeypatch.setattr(CyclotomicNumber, "_add", counting_add)
+    return calls
+
+
+@pytest.mark.parametrize("exponents", [(1, 4, 0, 0), (1, 2, 3, 4, 0, 0)])
+def test_reflection_test_subtracts_on_the_diagonal_only(exponents, monkeypatch):
+    g = CycMatrix.from_rows(
+        [[f"E(5)^{a}" if i == j else "0" for j in range(len(exponents))]
+         for i, a in enumerate(exponents)]
+    )
+    calls = _count_additions(monkeypatch)
     assert not is_reflection(g)
-    assert 0 < len(calls) <= g.dim
+    # rows of g - 1 with different supports settle it before any entry of
+    # g - 1 is built
+    assert len(calls) <= g.dim
+
+
+def test_reflection_test_subtracts_when_the_minors_need_it(monkeypatch):
+    # both rows of g - 1 have support {0, 1}, so the minor through the
+    # first row decides, and it needs the two diagonal entries of g - 1
+    g = CycMatrix.from_rows([["0", "1"], ["1", "0"]])
+    calls = _count_additions(monkeypatch)
+    assert is_reflection(g)
+    assert 1 <= len(calls) <= 2
 
 
 def test_transpositions_are_reflections(s3):
