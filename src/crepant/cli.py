@@ -26,7 +26,7 @@ from .classgroup import (
     junior_subgroup,
     terminalization_class_group,
 )
-from .cyclo import CyclotomicNumber, parse_cyclotomic
+from .cyclo import CyclotomicNumber, _overlong, parse_cyclotomic
 from .invariants import (
     CharacterOfAb,
     _verify_graded,
@@ -120,19 +120,14 @@ def _parse_matrix(index: int, rows: object, dimension: int) -> CycMatrix:
                 ) from exc
         parsed.append(out_row)
     matrix = CycMatrix.from_rows(parsed)
-    # reports render every entry, and str() refuses an int with more digits
-    # than the interpreter's limit (0: none; absent before Python 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # reports render every entry; the parser refuses an overlong power, and
+    # this scan the rest, after embedding into the common conductor, which
+    # can grow the coefficients
     for i, row in enumerate(matrix.rows):
         for j, e in enumerate(row):
-            if limit and any(
-                abs(c).bit_length() > 3 * limit and abs(c) >= 10**limit
-                for c in e.nums + (e.den,)
-            ):
-                raise JobError(
-                    f"{where}, row {i + 1}, column {j + 1}: a numerator or "
-                    f"denominator has more than {limit} digits"
-                )
+            reason = _overlong(e)
+            if reason:
+                raise JobError(f"{where}, row {i + 1}, column {j + 1}: {reason}")
     return matrix
 
 
@@ -289,7 +284,7 @@ def _run_analyze(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
 
 def _run_age(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
     twist = GaloisTwist(job.twist)
-    records = {rec.element_id: rec for rec in age_records(G, twist)}
+    records = age_records(G, twist)  # one per element id, in id order
     classes = []
     for cls in G.conjugacy_classes():
         rec = records[cls[0]]
@@ -525,33 +520,30 @@ def _is_scalar(value: object) -> bool:
 
 
 def _text_lines(value: object, indent: int) -> list[str]:
+    """A dict entry renders as "key: ..." and a list item as "- ...", by one
+    rule: a scalar or a list of scalars on the line itself; anything else
+    nested one level deeper, under "key:" or starting on the "- " line."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for key, item in value.items():
-            if _is_scalar(item):
-                lines.append(f"{pad}{key}: {_scalar_text(item)}")
-            elif isinstance(item, list) and all(_is_scalar(v) for v in item):
-                inner = ", ".join(_scalar_text(v) for v in item)
-                lines.append(f"{pad}{key}: [{inner}]")
-            else:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(item, indent + 1))
+        entries = [(f"{key}:", item) for key, item in value.items()]
     elif isinstance(value, list):
-        for item in value:
-            if _is_scalar(item):
-                lines.append(f"{pad}- {_scalar_text(item)}")
-            elif isinstance(item, list) and all(_is_scalar(v) for v in item):
-                inner = ", ".join(_scalar_text(v) for v in item)
-                lines.append(f"{pad}- [{inner}]")
-            else:
-                body = _text_lines(item, indent + 1)
-                if body:
-                    first = body[0].lstrip()
-                    lines.append(f"{pad}- {first}")
-                    lines.extend(body[1:])
+        entries = [("-", item) for item in value]
     else:
-        lines.append(f"{pad}{_scalar_text(value)}")
+        return [f"{pad}{_scalar_text(value)}"]
+    lines: list[str] = []
+    for head, item in entries:
+        if _is_scalar(item):
+            lines.append(f"{pad}{head} {_scalar_text(item)}")
+        elif isinstance(item, list) and all(_is_scalar(v) for v in item):
+            inner = ", ".join(_scalar_text(v) for v in item)
+            lines.append(f"{pad}{head} [{inner}]")
+        else:
+            body = _text_lines(item, indent + 1)
+            if head != "-":
+                lines.append(f"{pad}{head}")
+            elif body:
+                body[0] = f"{pad}- {body[0].lstrip()}"
+            lines.extend(body)
     return lines
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -87,31 +88,27 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Long division by a monic integer polynomial; the remainder must vanish.
-    work = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(work) - dn)
-    for i in range(len(work) - 1, dn - 1, -1):
-        c = work[i]
-        if c:
-            out[i - dn] = c
-            for j, dj in enumerate(den):
-                work[i - dn + j] -= c * dj
-    if any(work[:dn]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree,
+    from the Moebius product Phi_n = prod over squarefree s | n of
+    (x^(n/s) - 1)^mu(s) (Lang, Algebra, ch. VI sec. 3): the binomials with
+    mu(s) = 1 are multiplied in, then those with mu(s) = -1 are divided
+    out exactly, Q_i = Q_(i-m) - P_i for P = Q * (x^m - 1).  No Phi_d of a
+    smaller d is needed."""
+    plus, minus = [n], []  # n / s for the squarefree s | n, mu(s) = 1, -1
+    for p, _ in _factorize(n):
+        plus, minus = plus + [m // p for m in minus], minus + [m // p for m in plus]
+    poly = [1]
+    for m in plus:
+        poly = [a - b for a, b in zip([0] * m + poly, poly + [0] * m)]
+    for m in minus:
+        quo = [0] * m  # quo[i + m] = Q_i = Q_(i-m) - P_i
+        for c in poly[:-m]:
+            quo.append(quo[-m] - c)
+        if quo[-m:] != poly[-m:]:
+            raise ArithmeticError("non-exact polynomial division")
+        poly = quo[m:]
     return tuple(poly)
 
 
@@ -370,9 +367,7 @@ class CyclotomicNumber:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        one = rational(1).embed(base.conductor)
-        return _power(base, abs(exponent), operator.mul, one)
+        return _signed_power(self, exponent, operator.mul)
 
     # -- comparison and hashing -------------------------------------------
 
@@ -464,6 +459,13 @@ def _power(x, k: int, mul, one):
         if k:
             x = mul(x, x)
     return one if result is None else result
+
+
+def _signed_power(x: CyclotomicNumber, k: int, mul) -> CyclotomicNumber:
+    """x^k by `_power` with the product `mul`; a negative k powers the
+    inverse, and x^0 is 1 at the conductor of x."""
+    base = x if k >= 0 else x.inverse()
+    return _power(base, abs(k), mul, rational(1).embed(base.conductor))
 
 
 def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -647,6 +649,20 @@ def as_root_of_unity(a: CyclotomicNumber) -> Optional[tuple[int, int]]:
 # -- parser ------------------------------------------------------------------
 
 
+def _overlong(x: CyclotomicNumber) -> Optional[str]:
+    """Why no report could render x, or None: a numerator or the
+    denominator of x has more digits than str() converts (the limit of
+    `sys.get_int_max_str_digits`; none when it is 0 or, before Python
+    3.10.7, absent)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(
+        abs(c).bit_length() > 3 * limit and abs(c) >= 10**limit
+        for c in x.nums + (x.den,)
+    ):
+        return f"a numerator or denominator has more than {limit} digits"
+    return None
+
+
 class CycloParseError(ValueError):
     """Syntax or semantic error in a cyclotomic expression, with position."""
 
@@ -664,6 +680,8 @@ class _Parser:
     # A leading sign negates the first term.  "p/q" comes out of term-level
     # division and is exact either way.  Each '(' recurses through all four
     # rules, so nesting is bounded well inside Python's recursion limit.
+    # A power is taken by `_signed_power` and refused at its '^' as soon
+    # as a partial product is `_overlong`, so a huge one is never built.
     MAX_NESTING = 100
 
     def __init__(self, text: str):
@@ -731,7 +749,16 @@ class _Parser:
             exponent = self._int(signed=True)
             if exponent < 0 and value.is_zero:
                 raise CycloParseError("zero raised to a negative power", at)
-            value = value**exponent
+
+            def mul(a, b):
+                # refuse as soon as a partial product is overlong
+                c = a * b
+                reason = _overlong(c)
+                if reason:
+                    raise CycloParseError(reason, at)
+                return c
+
+            value = _signed_power(value, exponent, mul)
         return value
 
     def _base(self) -> CyclotomicNumber:

@@ -449,16 +449,6 @@ def _cyclic_walks(grp) -> tuple[dict, dict]:
     return orders, inverses
 
 
-def _dedup(labels: Iterable) -> list:
-    seen = set()
-    out = []
-    for x in labels:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed matrix groups
 
@@ -1027,7 +1017,7 @@ def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
     """Partition into conjugacy classes; each class is sorted and classes are
     ordered by least member, so representatives (= first entries) are
     deterministic."""
-    gens = _dedup(grp.generator_labels())
+    gens = list(dict.fromkeys(grp.generator_labels()))
     gen_invs = [grp.inv(g) for g in gens]
     assigned = set()
     classes = []
@@ -1054,7 +1044,7 @@ def commutator_subgroup(grp) -> SubgroupHandle:
     """The derived subgroup: the normal closure of the generators'
     commutators (Holt, Eick and O'Brien, Handbook of Computational Group
     Theory, 2005), grown by conjugates under the generators until stable."""
-    gens = _dedup(grp.generator_labels())
+    gens = list(dict.fromkeys(grp.generator_labels()))
     seed = set()
     for a in gens:
         for b in gens:
@@ -1072,7 +1062,7 @@ def commutator_subgroup(grp) -> SubgroupHandle:
 def _escaping_conjugates(grp, sub: SubgroupHandle):
     """(g, h, g h g^-1) for every generator g of `grp` and member h of
     `sub` whose conjugate lies outside `sub`, g-major."""
-    for g in _dedup(grp.generator_labels()):
+    for g in dict.fromkeys(grp.generator_labels()):
         gi = grp.inv(g)
         for h in sub.members:
             c = grp.mul(grp.mul(g, h), gi)
@@ -1105,7 +1095,7 @@ class QuotientGroup:
         self.identity_label = 0
         self._inv = tuple(coset_of[parent.inv(r)] for r in reps)
         self._generators = tuple(
-            _dedup(coset_of[g] for g in parent.generator_labels())
+            dict.fromkeys(coset_of[g] for g in parent.generator_labels())
         )
 
     def carrier_labels(self):
@@ -1181,7 +1171,7 @@ class AbelianDecomposition:
 
 
 def _verify_abelian(grp):
-    gens = _dedup(grp.generator_labels())
+    gens = list(dict.fromkeys(grp.generator_labels()))
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
             if grp.mul(a, b) != grp.mul(b, a):
@@ -1205,7 +1195,13 @@ def abelian_invariants(grp) -> AbelianStructure:
     """Invariant factors of a finite abelian group, from the counts
     N_k = #{x : x^(p^k) = 1} per prime p (recovered via element orders)."""
     _verify_abelian(grp)
-    orders = list(_cyclic_walks(grp)[0].values())
+    return _counted_invariants(_cyclic_walks(grp)[0].values())
+
+
+def _counted_invariants(orders) -> AbelianStructure:
+    """The invariant factors of an abelian group read off the orders of
+    its elements (`abelian_invariants`); `orders` is sized and may be
+    iterated more than once."""
     n = len(orders)
     partitions: dict[int, list[int]] = {}
     for p, _ in _factorize(n):
@@ -1280,15 +1276,17 @@ def _p_valuation(n: int, p: int) -> int:
 
 def abelian_decomposition(grp) -> AbelianDecomposition:
     """Invariant factors together with explicit independent generators and a
-    full discrete-log table (label -> exponent tuple).  One order table
-    (`_cyclic_walks`) serves the per-prime filter and the peel-off; the
-    `abelian_invariants` cross-check, which also verifies that the group is
-    abelian, reads the factors off counts of elements by order, a route of
-    its own."""
-    counted = abelian_invariants(grp)
+    full discrete-log table (label -> exponent tuple).  The group must be
+    abelian (`_verify_abelian`).  One order table (`_cyclic_walks`, one walk
+    of the group) serves the per-prime filter, the peel-off and the
+    cross-check, which reads the factors off counts of elements by order
+    (`_counted_invariants`, as `abelian_invariants` does), a route of its
+    own."""
+    _verify_abelian(grp)
     labels = sorted(grp.carrier_labels())
     n = len(labels)
     orders = _cyclic_walks(grp)[0]
+    counted = _counted_invariants(orders.values())
     primes = [p for p, _ in _factorize(n)]
     per_prime: dict[int, list] = {}
     for p in primes:

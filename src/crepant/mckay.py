@@ -25,8 +25,10 @@ the first nonzero row do.  Every conjugacy-class representative is still
 checked exactly: its exact trace must equal sum_a m_a zeta_r^a, and the
 same rank-one test in exact arithmetic (`is_reflection`) must match the F_q
 one.  Each twist makes one `age_records` pass, in `junior_elements`, which
-computes the age and weights once per distinct multiplicity vector; its
-junior classes, H and Ab(G/H) are read from that.
+computes the weights once per distinct multiplicity vector and reads the
+age off them.  Its junior classes are read from that, and so are H and
+G/H, built once per twist (`_junior_quotient`): building G/H is the proof
+that H is normal.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
     NotNormalError,
+    QuotientGroup,
     SubgroupHandle,
-    _check_normal,
     _power_traces,
     _powers,
     abelian_invariants,
@@ -181,13 +183,9 @@ def eigen_multiplicities(
     return _multiplicities_from_traces(traces, r, g.dim)
 
 
-def _age_from_multiplicities(m, twist: GaloisTwist) -> Fraction:
-    r = len(m)
-    t_inv = twist.inverse_mod(r)
-    return Fraction(sum(((t_inv * j) % r) * mj for j, mj in enumerate(m)), r)
-
-
 def _weights_from_multiplicities(m, twist: GaloisTwist) -> tuple[int, ...]:
+    """The twisted exponents, ascending: zeta_r^j (r = len(m)) counted m_j
+    times becomes weight t^-1 * j mod r.  The age is their sum over r."""
     r = len(m)
     t_inv = twist.inverse_mod(r)
     out = []
@@ -197,7 +195,8 @@ def _weights_from_multiplicities(m, twist: GaloisTwist) -> tuple[int, ...]:
 
 
 def age(g: CycMatrix, twist: GaloisTwist = IDENTITY_TWIST) -> Fraction:
-    return _age_from_multiplicities(eigen_multiplicities(g), twist)
+    m = eigen_multiplicities(g)
+    return Fraction(sum(_weights_from_multiplicities(m, twist)), len(m))
 
 
 def _shifted(g: CycMatrix, lam: CyclotomicNumber) -> CycMatrix:
@@ -413,23 +412,25 @@ def age_records(
     """One AgeRecord per element id.  Multiplicities and reflection flags
     are twist-independent and come from the per-group `_eigen_pass`; only
     the exponent bookkeeping varies with t, and it is done once per distinct
-    multiplicity vector: the age of each vector (which must be integral
-    in a determinant-one group; the error names the first element with
-    that vector) and its weights.  The records are not memoised: the sweep
-    would keep |G| per twist."""
+    multiplicity vector, in `_weights_from_multiplicities`: the weights of
+    the vector, and its age read off them as their sum over the order
+    (which must be integral in a determinant-one group; the error names the
+    first element with that vector).  The records are not memoised: the
+    sweep would keep |G| per twist."""
     mults, reflections = _eigen_pass(G)
     ages: dict[tuple[int, ...], tuple[Fraction, tuple[int, ...]]] = {}
     records = []
     for x in G.carrier_labels():
         m = mults[x]
         if m not in ages:
-            a = _age_from_multiplicities(m, twist)
+            weights = _weights_from_multiplicities(m, twist)
+            a = Fraction(sum(weights), len(m))
             if G.is_special_linear and a.denominator != 1:
                 raise ConsistencyError(
                     f"non-integral age {a} for element {x} of a "
                     "determinant-one group"
                 )
-            ages[m] = a, _weights_from_multiplicities(m, twist)
+            ages[m] = a, weights
         a, weights = ages[m]
         records.append(
             AgeRecord(
@@ -490,30 +491,39 @@ def junior_classes(
 
 
 @per_group
-def junior_subgroup(
+def _junior_quotient(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
-) -> SubgroupHandle:
-    """H: generated by every junior element (class representatives alone do
-    not suffice in general).  Normality is verified, not assumed."""
+) -> QuotientGroup:
+    """G/H, H generated by every junior element under `twist`.  Building
+    the quotient verifies that H is normal: a conjugate of a member of H by
+    a generator of G that escapes H is a ConsistencyError."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "the junior subgroup is defined for determinant-one groups only"
         )
-    H = subgroup_generated(G, junior_elements(G, twist))
     try:
-        _check_normal(G, H)
+        return quotient(G, subgroup_generated(G, junior_elements(G, twist)))
     except NotNormalError as exc:
         raise ConsistencyError(
             "the junior subgroup failed its normality check"
         ) from exc
-    return H
+
+
+def junior_subgroup(
+    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
+) -> SubgroupHandle:
+    """H: generated by every junior element (class representatives alone do
+    not suffice in general).  Normality is verified, not assumed: H is the
+    normal subgroup of the per-twist quotient G/H (`_junior_quotient`),
+    whose construction checks it."""
+    return _junior_quotient(G, twist).normal
 
 
 @per_group
 def _junior_quotient_abelianization(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ):
-    return abelianization(quotient(G, junior_subgroup(G, twist)))
+    return abelianization(_junior_quotient(G, twist))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +544,7 @@ def valuation_weights(
     """
     m = eigen_multiplicities(g) if multiplicities is None else multiplicities
     r = len(m)
-    a = _age_from_multiplicities(m, twist)
+    a = Fraction(sum(_weights_from_multiplicities(m, twist)), r)
     if a != 1:
         raise ValueError(f"element has age {a}, not junior under twist {twist.t}")
     t_inv = twist.inverse_mod(r)

@@ -4,8 +4,19 @@ torsion, push-forward data, and the built-in consistency checks."""
 import pytest
 
 from crepant import matgrp
-from crepant.matgrp import CycMatrix, close_group, subgroup_generated
-from crepant.mckay import GaloisTwist, NotSpecialLinearError, galois_sweep
+from crepant.matgrp import (
+    CycMatrix,
+    NotNormalError,
+    close_group,
+    subgroup_generated,
+)
+from crepant.mckay import (
+    ConsistencyError,
+    GaloisTwist,
+    NotSpecialLinearError,
+    _junior_quotient_abelianization,
+    galois_sweep,
+)
 from crepant.classgroup import (
     class_group_of_quotient,
     freeness_criterion,
@@ -14,7 +25,7 @@ from crepant.classgroup import (
     terminalization_class_group,
 )
 
-from conftest import EX72_ROWS, Q8_ROWS, cyclic_sl2
+from conftest import EX72_ROWS, Q8_ROWS, TETRA_ROWS, cyclic_sl2
 from helpers import assert_independent_generators
 
 
@@ -89,8 +100,48 @@ def test_junior_subgroup_of_q8(q8):
 
 
 def test_junior_subgroup_rejects_gl(s3):
-    with pytest.raises(NotSpecialLinearError):
+    with pytest.raises(
+        NotSpecialLinearError,
+        match="^the junior subgroup is defined for determinant-one groups only$",
+    ):
         junior_subgroup(s3)
+
+
+def test_junior_normality_is_scanned_once_per_twist(monkeypatch):
+    # G/H is built once per twist, and building it is the normality proof
+    # of H: H's escaping conjugates are searched once, not once more for
+    # junior_subgroup
+    scans = []
+    real = matgrp._escaping_conjugates
+
+    def counted(grp, sub):
+        scans.append((grp, sub))
+        return real(grp, sub)
+
+    monkeypatch.setattr(matgrp, "_escaping_conjugates", counted)
+    G = close_group([CycMatrix.from_rows(r) for r in TETRA_ROWS])
+    entries = galois_sweep(G)
+    assert len(entries) > 1
+    for e in entries:
+        twist = GaloisTwist(e.twist)
+        H = junior_subgroup(G, twist)
+        _junior_quotient_abelianization(G, twist)
+        assert len(H) == e.junior_subgroup_order
+        assert sum(g is G and sub is H for g, sub in scans) == 1
+
+
+def test_junior_subgroup_that_is_not_normal_is_a_consistency_error(
+    monkeypatch,
+):
+    def escaping(grp, sub):
+        # a conjugate that escapes whatever subgroup is scanned
+        yield grp.generator_labels()[0], sub.members[-1], None
+
+    G = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
+    monkeypatch.setattr(matgrp, "_escaping_conjugates", escaping)
+    with pytest.raises(ConsistencyError, match="normality check") as err:
+        junior_subgroup(G)
+    assert isinstance(err.value.__cause__, NotNormalError)
 
 
 def test_group_invariants_are_computed_once_per_group(monkeypatch):

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -598,6 +599,44 @@ def test_main_refuses_entries_past_the_digit_limit(
     assert err.startswith(f"error: generator 1, {where}: ")
     assert "finite" not in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, position",
+    [
+        ("2^1000000000", 1),
+        ("2^-1000000000", 1),
+        ("(1+E(5))^3000000", 8),
+        ("(1/2)^-20000", 5),
+    ],
+)
+def test_main_refuses_an_overlong_power_at_parse(
+    entry, position, digit_limit, monkeypatch, capsys
+):
+    # the parser stops the power at its first overlong partial product
+    start = time.perf_counter()
+    code, out, err = run_main(
+        ["age"], stdin_text=doc(1, [[[entry]]]),
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (
+        "error: generator 1, row 1, column 1: a numerator or denominator "
+        f"has more than 4300 digits (at position {position})\n"
+    )
+
+
+def test_main_accepts_a_huge_power_of_a_root_of_unity(
+    digit_limit, monkeypatch, capsys
+):
+    code, out, err = run_main(
+        ["age"], stdin_text=doc(1, [[["E(3)^100000000000000000000"]]]),
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert "E(3)" in out
 
 
 def test_main_refuses_a_json_integer_past_the_digit_limit(

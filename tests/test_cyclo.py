@@ -7,6 +7,8 @@ harness at 1e-9; every assertion of substance is exact.
 import math
 import operator
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,47 @@ def test_parse_bounds_nesting():
     with pytest.raises(CycloParseError, match="nested deeper") as err:
         parse_cyclotomic("(" * 101 + "1" + ")" * 101)
     assert err.value.position == 100
+
+
+@pytest.fixture
+def digit_limit():
+    # the interpreter's default limit on int -> str conversion
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("2^1000000000", 1),
+        ("2^-1000000000", 1),
+        ("(1+E(5))^3000000", 8),
+        ("(1/2)^-20000", 5),
+        ("3*10^4300", 4),
+    ],
+)
+def test_parse_refuses_an_overlong_power_before_building_it(
+    text, position, digit_limit
+):
+    # each power stops at the first partial product past the limit, long
+    # before the whole power would be built
+    start = time.perf_counter()
+    with pytest.raises(CycloParseError, match="more than 4300 digits") as err:
+        parse_cyclotomic(text)
+    assert time.perf_counter() - start < 2
+    assert err.value.position == position
+
+
+def test_parse_keeps_powers_within_the_digit_limit(digit_limit):
+    # roots of unity stay small under any exponent
+    assert parse_cyclotomic("E(3)^100000000000000000000") == zeta(3)
+    assert parse_cyclotomic("E(12)^-99999999999999999999") == zeta(12, -(10**20 - 1))
+    # 10^4299 has 4300 digits, and 2^-14000 a 4215-digit denominator
+    assert parse_cyclotomic("10^4299") == 10**4299
+    assert parse_cyclotomic("2^-14000") == Fraction(1, 2**14000)
+    assert parse_cyclotomic("(2/3)^0") == 1
 
 
 def test_parse_rejects_E0():
@@ -298,6 +341,44 @@ def test_cyclotomic_polynomial_degrees():
         poly = cyclotomic_polynomial(n)
         assert len(poly) == euler_phi(n) + 1
         assert poly[-1] == 1
+
+
+def _product_is_binomial(n):
+    # prod over d | n of Phi_d == x^n - 1, decided exactly by Kronecker
+    # substitution: write each polynomial as an integer in base t = 2^B.
+    # The coefficients of the product are bounded by the product of the
+    # factors' L1 norms, so with t over twice that bound plus one, the
+    # balanced base-t digits of an integer are unique and equal integers
+    # mean equal polynomials.
+    polys = [cyclotomic_polynomial(d) for d in cyclo.divisors(n)]
+    bound = math.prod(sum(map(abs, p)) for p in polys) + 1
+    shift = (2 * bound).bit_length()
+    product = 1
+    for p in polys:
+        value = 0
+        for c in reversed(p):
+            value = (value << shift) + c
+        product *= value
+    return product == (1 << (shift * n)) - 1
+
+
+def test_cyclotomic_polynomials_multiply_to_the_binomial():
+    for n in range(1, 301):
+        assert _product_is_binomial(n), n
+    # every divisor of 4620 = 2^2 * 3 * 5 * 7 * 11, so Phi_4620 is pinned
+    # down by the identities of its divisors
+    for n in cyclo.divisors(4620):
+        assert _product_is_binomial(n), n
+
+
+def test_cyclotomic_polynomial_of_a_large_conductor_is_fast():
+    # one Moebius product: no Phi_d of a divisor d is built first
+    cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    poly = cyclotomic_polynomial(30030)
+    assert time.perf_counter() - start < 2
+    assert len(poly) == euler_phi(30030) + 1
+    assert poly[0] == poly[-1] == 1
 
 
 # --- property tests ---------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from crepant import cli, matgrp
 from crepant.cyclo import _dot, _factorize, _is_prime, rational, zeta
 from crepant.matgrp import (
+    AbelianStructure,
     CycMatrix,
     GroupTooLargeError,
     NotAbelianError,
@@ -952,3 +953,30 @@ def test_trivial_group_structure():
     dec = abelian_decomposition(g)
     assert dec.generators == ()
     assert dec.dlog == {0: ()}
+
+
+def test_decomposition_walks_its_group_once(monkeypatch):
+    # one order table serves the counting route and the peel-off; the
+    # peel-off still walks each of its own quotients
+    grp, orders = _random_block_group(random.Random(5), max_order=120)
+    walked = []
+
+    def counted(g):
+        walked.append(g)
+        return real(g)
+
+    real = matgrp._cyclic_walks
+    monkeypatch.setattr(matgrp, "_cyclic_walks", counted)
+    dec = abelian_decomposition(grp)
+    assert dec.structure.invariant_factors == invariant_factors_of_product(orders)
+    assert sum(g is grp for g in walked) == 1
+
+
+def test_decomposition_checks_the_counting_route(ex72, monkeypatch):
+    # counting and peel-off share the order table, but each reads the
+    # factors its own way, and a disagreement is refused
+    monkeypatch.setattr(
+        matgrp, "_counted_invariants", lambda orders: AbelianStructure((), 1)
+    )
+    with pytest.raises(ArithmeticError, match="counting invariants"):
+        abelian_decomposition(ex72)

@@ -1,6 +1,7 @@
 """Ages, junior detection, valuation weights, and Galois sweeps."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -211,6 +212,24 @@ def test_age_records_of_order_six_group(ex72):
     assert records[2].weights == (0, 0, 1, 2)
     assert records[3].multiplicities == (0, 4)
     assert not any(rec.is_reflection for rec in records)
+
+
+@pytest.mark.parametrize(
+    "name", ["q8", "ex72", "s3", "icosa", "c7", "c15", "scalar3"]
+)
+def test_ages_are_the_weight_sums(name, request):
+    # the age is read off the twisted weights, and the exact route through
+    # one matrix's traces gives the same age on every class representative
+    G = request.getfixturevalue(name)
+    twists = [t for t in (1, 2, 7) if math.gcd(t, G.exponent) == 1]
+    for t in twists:
+        twist = GaloisTwist(t)
+        records = age_records(G, twist)
+        for rec in records:
+            assert len(rec.weights) == G.dim
+            assert rec.age == Fraction(sum(rec.weights), rec.order)
+        for cls in G.conjugacy_classes():
+            assert age(G.matrix(cls[0]), twist) == records[cls[0]].age
 
 
 def test_age_inverse_pairing(q8, ex72, icosa):
