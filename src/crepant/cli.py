@@ -407,12 +407,10 @@ def _run_check(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
             record(f"relative_invariant[{label}]", False, str(exc))
             continue
         if f is None:
-            record(
-                f"relative_invariant[{label}]",
-                False,
-                f"no invariant up to degree {bound}",
+            raise PreconditionError(
+                f"no nonzero relative invariant for character {label} up to "
+                f"degree {bound}"
             )
-            continue
         record(
             f"relative_invariant[{label}]",
             True,

@@ -22,6 +22,17 @@ the lcm of the two; lifting a rational pads it with zeros.  The roots of
 unity in Q(zeta_N) are the +-zeta_N^j, so `as_root_of_unity` walks
 a * zeta_N^i, one shift and one fold per step, and computes no power.
 
+A value made as a root of unity carries its exponent: `zeta`, `rational`
+of +-1, negation, `embed` and the product of two such values (so also
+the parser's E(n)^k) set `_root` = e for zeta_2N^e, and nothing searches
+for it.  Two such values multiply by adding exponents, the product read
+from a table of the most recent 256 roots; such a value times another
+rotates the other's numerators in Z[x]/(x^N - 1) and folds them once,
+with no gcd, as a unit keeps lowest terms; `_dot` adds such products the
+same way; `as_root_of_unity` reads the exponent off.  The power-basis
+numerators stay the one canonical form, so `==`, `hash` and `render`
+never look at `_root`.
+
 `to_complex` is the only bridge to floating point.  It exists for numerical
 cross-check harnesses; no arithmetic in this module depends on it.
 """
@@ -173,17 +184,34 @@ class CyclotomicNumber:
     integer `nums` and a positive integer `den` in lowest terms:
     gcd(den, *nums) == 1.  Each value has exactly one such form at a given
     conductor, so equality at one conductor is equality of (nums, den).
+
+    `_root` is e when the value is known to be zeta_2N^e (0 <= e < 2N; e
+    is even unless N is odd, so these are the +-zeta_N^k), else None.  It
+    is set where such a value is made (`zeta`, `rational` of +-1,
+    negation, `embed`, and the product of two such values, so also the
+    parser's E(n)^k) and never searched for: a sum that happens to be a
+    root of unity stays untagged.  It is a hint for products only;
+    `nums` and `den` stay the one canonical form, and `==`, `hash` and
+    `render` ignore it.
     """
 
-    __slots__ = ("conductor", "nums", "den", "_hash")
+    __slots__ = ("conductor", "nums", "den", "_root", "_hash")
 
-    def __init__(self, conductor: int, nums: tuple[int, ...], den: int = 1):
+    def __init__(
+        self,
+        conductor: int,
+        nums: tuple[int, ...],
+        den: int = 1,
+        root: Optional[int] = None,
+    ):
         # Internal constructor: `nums` must already be reduced (length
-        # phi(conductor)) and in lowest terms with `den`.  Use rational(),
-        # zeta(), or parse_cyclotomic().
+        # phi(conductor)) and in lowest terms with `den`, and equal to
+        # zeta_2N^root when `root` is given.  Use rational(), zeta(), or
+        # parse_cyclotomic().
         self.conductor = conductor
         self.nums = nums
         self.den = den
+        self._root = root
         self._hash: Optional[int] = None
 
     @property
@@ -219,6 +247,8 @@ class CyclotomicNumber:
             raise ValueError(
                 f"cannot embed conductor {self.conductor} into {m}: not a multiple"
             )
+        if self._root is not None:
+            return _root_value(m, self._root * (m // self.conductor))
         return CyclotomicNumber(m, self._lifted_nums(m), self.den)
 
     # -- predicates -------------------------------------------------------
@@ -273,8 +303,12 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
+        n, root = self.conductor, self._root
         return CyclotomicNumber(
-            self.conductor, tuple(-c for c in self.nums), self.den
+            n,
+            tuple(-c for c in self.nums),
+            self.den,
+            None if root is None else (root + n) % (2 * n),
         )
 
     def __sub__(self, other):
@@ -293,18 +327,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n, m = self.conductor, other.conductor
-        den = self.den * other.den
-        if n == 1 or m == 1:
-            # a rational operand scales the other one's numerators
-            x, r = (self, other.nums[0]) if m == 1 else (other, self.nums[0])
-            return _canonical(x.conductor, [r * c for c in x.nums], den)
-        if n == m:
-            a, b = self.nums, other.nums
-        else:
-            n = math.lcm(n, m)
-            a, b = self._lifted_nums(n), other._lifted_nums(n)
-        return _canonical(n, _mul_ints(n, a, b), den)
+        return _times(self, other)
 
     __rmul__ = __mul__
 
@@ -468,6 +491,65 @@ def _signed_power(x: CyclotomicNumber, k: int, mul) -> CyclotomicNumber:
     return _power(base, abs(k), mul, rational(1).embed(base.conductor))
 
 
+def _times(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
+    """x * y at the lcm of the two conductors.  Two roots of unity (both
+    `_root` set) multiply by adding exponents; a rational operand scales
+    the other one's numerators; a root times any other value rotates that
+    value's numerators (`_rotated`) and keeps its denominator, as a unit
+    keeps lowest terms; otherwise the numerators are convolved and
+    reduced (`_mul_ints`)."""
+    n, m = x.conductor, y.conductor
+    c = n if n == m else math.lcm(n, m)
+    if x._root is not None and y._root is not None:
+        return _root_value(c, (x._root * (c // n) + y._root * (c // m)) % (2 * c))
+    den = x.den * y.den
+    if n == 1 or m == 1:
+        x, r = (x, y.nums[0]) if m == 1 else (y, x.nums[0])
+        return _canonical(c, [r * v for v in x.nums], den)
+    if y._root is not None:
+        x, y, n = y, x, m
+    if x._root is not None:
+        nums = _rotated(c, y._lifted_nums(c), x._root * (c // n))
+        return CyclotomicNumber(c, tuple(nums), y.den)
+    return _canonical(c, _mul_ints(c, x._lifted_nums(c), y._lifted_nums(c)), den)
+
+
+def _root_shift(n: int, e: int) -> tuple[int, int]:
+    """(j, s) with zeta_2n^e = s * zeta_n^j, 0 <= j < n, s = +-1, for
+    0 <= e < 2n (e odd only when n is odd, where -1 = zeta_2n^n)."""
+    if e % 2:
+        return (e + n) // 2 % n, -1
+    return e // 2, 1
+
+
+def _rotated(n: int, nums, e: int) -> list[int]:
+    """The numerators of (nums at conductor n) * zeta_2n^e: a rotation by
+    j in Z[x]/(x^n - 1), which Phi_n divides, and one `_reduce_ints`, which
+    folds only the n - phi(n) top coefficients."""
+    j, sign = _root_shift(n, e)
+    vec = list(nums)
+    vec += [0] * (n - len(vec))
+    if j:
+        vec = vec[n - j:] + vec[:n - j]
+    if sign < 0:
+        vec = [-c for c in vec]
+    return _reduce_ints(n, vec)
+
+
+@lru_cache(maxsize=256)
+def _root_value(n: int, e: int) -> CyclotomicNumber:
+    """zeta_2n^e at conductor n, tagged.  Kept for the most recent 256
+    (n, e) only, so a large conductor leaves few phi(n)-entry values
+    behind."""
+    return CyclotomicNumber(n, tuple(_rotated(n, (1,), e)), 1, e)
+
+
+@lru_cache(maxsize=64)
+def _zero(n: int) -> CyclotomicNumber:
+    """0 at conductor n, one shared value per conductor."""
+    return CyclotomicNumber(n, (0,) * euler_phi(n))
+
+
 def _mul_ints(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Product of two integer residues at conductor n, reduced mod Phi_n."""
     b = [(j, c) for j, c in enumerate(b) if c]
@@ -486,8 +568,10 @@ def _dot(n: int, pairs) -> CyclotomicNumber:
     conductor n.  The products are convolved into one integer buffer at the
     lcm of their denominators, then reduced mod Phi_n and brought to lowest
     terms once, so the result is the canonical form that the sum of the
-    separate products would have."""
-    conv = [0] * (2 * euler_phi(n) - 1)
+    separate products would have.  A product with a root of unity (`_root`
+    set) is added as a rotation mod x^n - 1, and one of two roots as the
+    single term of the summed exponents."""
+    conv = [0] * max(2 * euler_phi(n) - 1, n)
     den = 1
     for a, b in pairs:
         d = a.den * b.den
@@ -499,12 +583,23 @@ def _dot(n: int, pairs) -> CyclotomicNumber:
                 conv = [c * grow for c in conv]
                 den = common
             scale = den // d
-        nonzero = [(j, y) for j, y in enumerate(b.nums) if y]
-        for i, x in enumerate(a.nums):
-            if x:
-                x *= scale
-                for j, y in nonzero:
-                    conv[i + j] += x * y
+        if a._root is not None and b._root is not None:
+            j, sign = _root_shift(n, (a._root + b._root) % (2 * n))
+            conv[j] += sign * scale
+        elif a._root is not None or b._root is not None:
+            root, nums = (a._root, b.nums) if b._root is None else (b._root, a.nums)
+            j, sign = _root_shift(n, root)
+            scale *= sign
+            for i, y in enumerate(nums):
+                if y:
+                    conv[(i + j) % n] += scale * y
+        else:
+            nonzero = [(j, y) for j, y in enumerate(b.nums) if y]
+            for i, x in enumerate(a.nums):
+                if x:
+                    x *= scale
+                    for j, y in nonzero:
+                        conv[i + j] += x * y
     return _canonical(n, _reduce_ints(n, conv), den)
 
 
@@ -604,6 +699,8 @@ def _norm_and_adjugate_mod(
 def rational(value: Rationalish) -> CyclotomicNumber:
     """The rational number `value` as a cyclotomic value (conductor 1)."""
     value = Fraction(value)
+    if abs(value) == 1:
+        return _root_value(1, int(value < 0))
     return CyclotomicNumber(1, (value.numerator,), value.denominator)
 
 
@@ -611,10 +708,7 @@ def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     """The k-th power of the canonical primitive n-th root of unity."""
     if n < 1:
         raise ValueError(f"E({n}) is not a root of unity")
-    k %= n
-    vec = [0] * (k + 1)
-    vec[k] = 1
-    return CyclotomicNumber(n, tuple(_reduce_ints(n, vec)))
+    return _root_value(n, 2 * k % (2 * n))
 
 
 def as_root_of_unity(a: CyclotomicNumber) -> Optional[tuple[int, int]]:
@@ -627,23 +721,27 @@ def as_root_of_unity(a: CyclotomicNumber) -> Optional[tuple[int, int]]:
     +-1.  So the walk multiplies a by zeta_N, one shift and one fold
     through Phi_N per step, until a single entry is left; a is a root of
     unity exactly when that entry is +-1.  Within N - phi(N) + 1 steps a
-    root of unity reaches one."""
-    if a.den != 1 or a.is_zero:
-        return None
-    n = a.conductor
-    zeros = len(a.nums) - 1
-    work = list(a.nums)
-    for i in range(n):
-        if work.count(0) == zeros:
-            # a * zeta_N^i = c * zeta_N^j
-            j, c = next((j, c) for j, c in enumerate(work) if c)
-            if abs(c) != 1:
-                return None
-            e = (n * (c < 0) + 2 * (j - i)) % (2 * n)  # a = zeta_2N^e
-            g = math.gcd(e, 2 * n)
-            return (2 * n // g, e // g)
-        work = _reduce_ints(n, [0] + work)
-    return None
+    root of unity reaches one.  A value made as a root (`_root` set) needs
+    no walk."""
+    n, e = a.conductor, a._root
+    if e is None:
+        if a.den != 1 or a.is_zero:
+            return None
+        zeros = len(a.nums) - 1
+        work = list(a.nums)
+        for i in range(n):
+            if work.count(0) == zeros:
+                # a * zeta_N^i = c * zeta_N^j
+                j, c = next((j, c) for j, c in enumerate(work) if c)
+                if abs(c) != 1:
+                    return None
+                e = (n * (c < 0) + 2 * (j - i)) % (2 * n)  # a = zeta_2N^e
+                break
+            work = _reduce_ints(n, [0] + work)
+        else:
+            return None
+    g = math.gcd(e, 2 * n)
+    return (2 * n // g, e // g)
 
 
 # -- parser ------------------------------------------------------------------

@@ -53,6 +53,8 @@ from .cyclo import (
     _factorize,
     _is_prime,
     _power,
+    _times,
+    _zero,
     as_root_of_unity,
     parse_cyclotomic,
     rational,
@@ -155,7 +157,7 @@ class CycMatrix:
     @staticmethod
     def identity(dim: int, conductor: int = 1) -> "CycMatrix":
         one = rational(1).embed(conductor)
-        zero = rational(0).embed(conductor)
+        zero = _zero(conductor)
         return CycMatrix(
             dim,
             conductor,
@@ -174,15 +176,31 @@ class CycMatrix:
         )
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
+        """The product at the lcm of the two conductors.  A row of self
+        with one nonzero entry a_ik scales row k of other, one product
+        per nonzero entry (`cyclo._times`: two roots of unity add their
+        exponents), and a_ik = 1 takes row k as it is.  Every other
+        output entry is one fused `_dot` over the nonzero a_ik b_kj, read
+        from the sparse rows of other, which are built only when such a
+        row comes up."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
         n = self.dim
         m = math.lcm(self.conductor, other.conductor)
-        b = other.lift(m)._nonzero()
-        zero = rational(0).embed(m)
+        other = other.lift(m)
+        zero = _zero(m)
+        b = None
         out = []
         for row in self.lift(m)._nonzero():
-            # each output entry is one fused sum over the nonzero a_ik b_kj
+            if len(row) == 1:
+                k, a = row[0]
+                out.append(other.rows[k] if a._root == 0 else tuple(
+                    zero if x is zero or not x else _times(a, x)
+                    for x in other.rows[k]
+                ))
+                continue
+            if b is None:
+                b = other._nonzero()
             terms: list[list] = [[] for _ in range(n)]
             for k, aik in row:
                 for j, bkj in b[k]:

@@ -429,9 +429,10 @@ def schoolbook_form(n, poly):
 def _schoolbook_product_poly(x, y, n):
     a, b = schoolbook_poly(x, n), schoolbook_poly(y, n)
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if ai and bj:
+        if ai:
+            for j, bj in nonzero:
                 out[i + j] += ai * bj
     return out
 

@@ -734,6 +734,19 @@ def test_main_precondition_exits(monkeypatch, capsys, tmp_path):
     assert "degree 3" in err
 
 
+def test_check_below_a_first_invariant_degree_is_a_precondition(capsys):
+    # a user-set bound below the degree of a character's first invariant
+    # is the precondition `invariant` refuses, not a failed check
+    job = GOLDEN_DIR.parent / "jobs" / "q8.json"
+    code = main(["check", "--degree-bound", "1", "--input", str(job)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert (
+        "no nonzero relative invariant for character 0-0 up to degree 1" in err
+    )
+
+
 def test_main_bad_twist_is_input_error(monkeypatch, capsys):
     code, _, err = run_main(
         ["analyze", "--twist", "3"],

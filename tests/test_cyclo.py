@@ -520,10 +520,100 @@ def _kernel_operands(n, rng):
     return ops
 
 
-@pytest.mark.parametrize("n", list(range(1, 61)) + [84, 105, 420])
+def _root_operands(n, below, past, k, d, j):
+    """Roots of unity made by every route that tags one, as (value,
+    conductor, sign, e) with value = sign * zeta_conductor^e: zeta(n, k)
+    below and past phi(n) and outside [0, n), negated, made at the divisor
+    d of n and embedded (negated before and after), +-1, and the parsed
+    E(n)^k and -E(n)^past."""
+    s = n // d
+    return [
+        (zeta(n, below), n, 1, below),
+        (zeta(n, past), n, 1, past),
+        (zeta(n, k - 2 * n), n, 1, k),
+        (-zeta(n, below), n, -1, below),
+        (-zeta(n, past), n, -1, past),
+        (zeta(d, j).embed(n), n, 1, j * s),
+        ((-zeta(d, j)).embed(n), n, -1, j * s),
+        (-zeta(d, j).embed(n), n, -1, j * s),
+        (rational(-1), 1, -1, 0),
+        (rational(1).embed(n), n, 1, 0),
+        (parse_cyclotomic(f"E({n})^{k}"), n, 1, k),
+        (parse_cyclotomic(f"-E({n})^{past}"), n, -1, past),
+    ]
+
+
+def _root_form(n, sign, e):
+    """The stored form of sign * zeta_n^e by the schoolbook reduction."""
+    return schoolbook_form(n, [Fraction(0)] * (e % n) + [Fraction(sign)])
+
+
+def _tag_form(x):
+    """The stored form of zeta_2N^t, t the tag of x and N its conductor:
+    zeta_N^(t/2) for even t; an odd t needs an odd N, where zeta_2N =
+    -zeta_N^((N+1)/2)."""
+    n, t = x.conductor, x._root
+    if t % 2:
+        return _root_form(n, -1, t * (n + 1) // 2)
+    return _root_form(n, 1, t // 2)
+
+
+def _check_root_operands(n, roots, others):
+    """Each root and each product of two roots is tagged, and its stored
+    form is the schoolbook sign * zeta^e and that of its tag; a root times
+    each of `others`, and `_dot` sums with one or two roots per pair, match
+    the schoolbook products.  The root is the left operand for odd
+    positions in `roots` and the right one for even positions."""
+
+    def placed(i, r, y):
+        return (r, y) if i % 2 else (y, r)
+
+    for x, c, s, e in roots:
+        assert x._root is not None, x
+        assert value_key(x) == _root_form(c, s, e) == _tag_form(x), x
+    for i, (x, c, s, e) in enumerate(roots):
+        for y, d, t, f in roots[:3]:
+            m = math.lcm(c, d)
+            p = x * y
+            assert p._root is not None, (x, y)
+            want = _root_form(m, s * t, e * (m // c) + f * (m // d))
+            assert value_key(p) == want == _tag_form(p), (x, y)
+        for a, b in (placed(i, x, y) for y in others):
+            assert value_key(a * b) == schoolbook_product(a, b), (a, b)
+    lifted = [x.embed(n) for x, *_ in roots]
+    first = lifted[0]  # zeta(n, below), a single stored term
+    at_n = [y.embed(n) for y in others if n % y.conductor == 0]
+    one = [placed(i, r, at_n[i % len(at_n)]) for i, r in enumerate(lifted)]
+    both = [placed(i, r, first) for i, r in enumerate(lifted)]
+    for pairs in (one, both):
+        assert value_key(cyclo._dot(n, pairs)) == schoolbook_dot(n, pairs)
+
+
+@pytest.mark.parametrize("n", list(range(1, 61)) + [84, 105, 420, 1009, 2003])
 def test_kernel_matches_schoolbook_reference(n):
     rng = random.Random(n)
+    if n > 1000:
+        # prime conductors: roots of unity times roots and 2-term values
+        # only, with exponents that keep the schoolbook reductions short
+        others = [
+            parse_cyclotomic(f"1/3+2*E({n})^3"),
+            parse_cyclotomic(f"7-5/2*E({n})"),
+        ]
+        _check_root_operands(n, _root_operands(n, 1, n - 1, n - 3, 1, 0), others)
+        return
     ops = _kernel_operands(n, rng)
+    phi = euler_phi(n)
+    d = rng.choice(cyclo.divisors(n))
+    roots = _root_operands(
+        n,
+        rng.randrange(phi),
+        rng.randrange(phi, n) if phi < n else 0,
+        rng.randrange(n),
+        d,
+        rng.randrange(d),
+    )
+    _check_root_operands(n, roots, ops)
+    ops += [x for x, *_ in roots[:4]]
     small, large = ops[4:6]
     # every operand on the left of one dense value and on the right of the
     # other, so rational operands come on both sides

@@ -1,6 +1,7 @@
 """Matrix arithmetic and finite group machinery against brute-force oracles."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from helpers import (
     exact_closure,
     invariant_factors_of_product,
     naive_closure,
+    schoolbook_dot,
     seed_closure,
     value_key,
     verify_group_law,
@@ -272,6 +274,52 @@ def test_product_matches_dense_reference(pair):
     assert product.conductor == expected.conductor
     assert product.key() == expected.key()
     assert value_key(product.trace()) == value_key(dense_trace(expected))
+
+
+@st.composite
+def _monomial_row_pairs(draw):
+    """Two matrices of one dimension, each at a conductor from 1, 4, 5 and
+    12, whose rows have a single nonzero entry or are dense.  Entries are
+    +-1, roots of unity (E(n)^0 among them) and values that are not roots,
+    one of them the untagged 1 = (1+E(1))/2."""
+    dim = draw(st.integers(1, 4))
+    out = []
+    for _ in range(2):
+        n = draw(st.sampled_from([1, 4, 5, 12]))
+        k = st.integers(0, n - 1)
+        entry = st.one_of(
+            st.sampled_from(["1", "-1", f"(1+E({n}))/2", "(1+E(4))/2"]),
+            k.map(lambda j: f"E({n})^{j}"),
+            k.map(lambda j: f"-E({n})^{j}"),
+            k.map(lambda j: f"2/3-E({n})^{j}"),
+        )
+        rows = []
+        for _ in range(dim):
+            if draw(st.booleans()):
+                row = ["0"] * dim
+                row[draw(st.integers(0, dim - 1))] = draw(entry)
+            else:
+                row = [draw(st.one_of(st.just("0"), entry)) for _ in range(dim)]
+            rows.append(row)
+        out.append(CycMatrix.from_rows(rows))
+    return tuple(out)
+
+
+@given(_monomial_row_pairs())
+@settings(max_examples=120, deadline=None)
+def test_monomial_rows_multiply_to_the_schoolbook_product(pair):
+    # rows with one nonzero entry scale a row of the right factor; every
+    # entry, its conductor included, is the schoolbook sum of products
+    a, b = pair
+    m = math.lcm(a.conductor, b.conductor)
+    product = a @ b
+    assert product.conductor == m
+    for i in range(a.dim):
+        for j in range(a.dim):
+            pairs = [
+                (a.rows[i][k].embed(m), b.rows[k][j].embed(m)) for k in range(a.dim)
+            ]
+            assert value_key(product.rows[i][j]) == schoolbook_dot(m, pairs)
 
 
 def test_dot_sums_at_a_common_denominator():
