@@ -512,15 +512,14 @@ def _molien_coefficients(
     by |G|, else ConsistencyError."""
     N = G.exponent
     ab = chi.decomposition.group
-    mults, _ = _eigen_pass(G)
+    exponents, _ = _eigen_pass(G)
     # per class of x: (class size, conj(chi(x)) = chi(y), eigenvalues of y),
     # y = x^-1, each root of unity as its exponent of zeta_N
     terms = []
     for cls in G.conjugacy_classes():
         y = G.inv(cls[0])
-        m = mults[y]
-        step = N // len(m)
-        shifts = [a * step for a, ma in enumerate(m) for _ in range(ma)]
+        step = N // G.element_orders[y]
+        shifts = [a * step for a in exponents[y]]
         terms.append((len(cls), chi._exponent_on_coset(ab.coset_of[y], N), shifts))
     # hs[k][i] = h_d(first i eigenvalues of class k), starting at d = 0
     unit = [1] + [0] * (N - 1)

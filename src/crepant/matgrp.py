@@ -3,9 +3,11 @@
 `close_group` closes a generating set by breadth-first search (queue order,
 generators applied in input order, left multiplication), which makes element
 ids, conjugacy class representatives, and everything derived from them
-deterministic for a given input.  Each discovered element remembers the
-generator word that produced it, so group multiplication afterwards is a walk
-through the per-generator permutation tables rather than a matrix product.
+deterministic for a given input.  Each discovered element remembers only
+its parent in the search tree and the generator that reached it from there
+(a Schreier vector), and group multiplication afterwards walks that tree
+through per-generator permutation tables rather than taking a matrix
+product.
 
 The search runs on a modular shadow of the group, not on exact matrices.
 With N the entry conductor and p a prime with p = 1 (mod N) dividing no
@@ -15,7 +17,7 @@ GL_n(Z[zeta_N][1/den]): the prime above p it defines is unramified, and the
 kernel of reduction modulo an unramified prime above p >= 3 is torsion-free
 (H. Minkowski, J. reine angew. Math. 101, 1887; J.-P. Serre, "Rigidite du
 foncteur de Jacobi d'echelon n >= 3", Sem. H. Cartan 13, 1960/61, appendix).
-So for a finite group the search over F_p meets the elements, ids, words
+So for a finite group the search over F_p meets the elements, ids, tree
 and tables of the exact search; an infinite group can close to a finite
 image, so `close_group` then proves exactly that the group is finite.
 Exact matrices are built on demand, one product each along the search
@@ -440,12 +442,14 @@ def order_of(grp, label) -> int:
 
 
 def _powers(grp, x) -> list:
-    """[1, x, ..., x^(r-1)] for x of order r in any group-like."""
+    """[1, x, ..., x^(r-1)] for x of order r in any group-like.  Each
+    power is the one before times x, with x on the right, where
+    `FiniteMatrixGroup.mul` walks the depth of x alone."""
     powers = [grp.identity_label]
     y = x
     while y != grp.identity_label:
         powers.append(y)
-        y = grp.mul(x, y)
+        y = grp.mul(y, x)
     return powers
 
 
@@ -497,12 +501,19 @@ class FiniteMatrixGroup:
     """A finite matrix group closed from generators; see `close_group`.
 
     Element labels are the ids 0..order-1 in discovery order (0 is the
-    identity).  Multiplication replays the stored generator word of the left
-    operand through the per-generator permutation tables.  The ids, words
-    and tables come from the closure over F_p (module docstring); the index
-    behind `id_of` is keyed by F_p images, and a match is confirmed exactly.
+    identity).  Element y != 0 was found as h.p, h the generator `_steps[y]`
+    and p = `_parents[y]`, and `_lmul[h]` is left multiplication by h.  The
+    right multiplications `_rmul[g]` by each generator g follow from those
+    tables by lookups alone, in search order: y.g = h.(p.g), so they are
+    right wherever `_lmul` is, which `_certify_finite` proves.  a.b walks
+    the tree from b up to the root, one lookup per step: a.b = (a.h).p, so
+    its cost is the depth of the right operand.  This is the Schreier
+    vector of Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory (2005), section 4.1.  The ids, tree and tables
+    come from the closure over F_p (module docstring); the index behind
+    `id_of` is keyed by F_p images, and a match is confirmed exactly.
     Element orders and inverses come from one walk per cyclic subgroup
-    (`_cyclic_walks`), with no word replayed backwards.
+    (`_cyclic_walks`).
 
     Exact matrices are built on demand: `matrix(x)` is the generator that
     discovered x times the matrix of x's parent in the search tree, one
@@ -510,7 +521,7 @@ class FiniteMatrixGroup:
     matrices and traces of every element, built on first access.
 
     What is derived from the group (conjugacy classes, Ab(G) and its
-    decomposition, multiplicities, junior data, K and H) is computed once per
+    decomposition, eigenvalues, junior data, K and H) is computed once per
     group object: `per_group` functions keep it in `_memo`, so a second
     closure shares nothing.
     """
@@ -522,7 +533,7 @@ class FiniteMatrixGroup:
         entry_conductor: int,
         shadow: "_Shadow",
         index: dict,
-        words: list[tuple[int, ...]],
+        steps: list[int],
         parents: list[int],
         lmul: list[list[int]],
         is_special_linear: bool,
@@ -532,14 +543,17 @@ class FiniteMatrixGroup:
         self.entry_conductor = entry_conductor
         self._shadow = shadow
         self._index = index
-        self._words = words
+        self._steps = steps
         self._parents = parents
         self._lmul = lmul
-        self._matrices: list[Optional[CycMatrix]] = [None] * len(words)
+        self._rmul = [[left[0]] for left in lmul]
+        self._matrices: list[Optional[CycMatrix]] = [None] * len(steps)
         self._matrices[0] = CycMatrix.identity(dim, entry_conductor)
-        for x in range(1, len(words)):
+        for x in range(1, len(steps)):
+            for right in self._rmul:
+                right.append(lmul[steps[x]][right[parents[x]]])
             if parents[x] == 0:
-                self._matrices[x] = self.generators[words[x][0]]
+                self._matrices[x] = self.generators[steps[x]]
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
         orders, inverses = _cyclic_walks(self)
@@ -553,19 +567,20 @@ class FiniteMatrixGroup:
     # protocol ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._steps)
 
     def carrier_labels(self):
-        return range(len(self._words))
+        return range(len(self._steps))
 
     def generator_labels(self):
         return self.generator_ids
 
     def mul(self, a: int, b: int) -> int:
-        y = b
-        for gi in reversed(self._words[a]):
-            y = self._lmul[gi][y]
-        return y
+        steps, parents, rmul = self._steps, self._parents, self._rmul
+        while b:
+            a = rmul[steps[b]][a]
+            b = parents[b]
+        return a
 
     def inv(self, a: int) -> int:
         return self.inverse_ids[a]
@@ -580,7 +595,7 @@ class FiniteMatrixGroup:
             x = self._parents[x]
         m = self._matrices[x]
         for y in reversed(chain):
-            m = self.generators[self._words[y][0]] @ m
+            m = self.generators[self._steps[y]] @ m
             self._matrices[y] = m
         return m
 
@@ -628,7 +643,7 @@ class FiniteMatrixGroup:
         images = [base.images[0]]
         for x in range(1, len(self)):
             parent = images[self._parents[x]]
-            images.append(_mul_mod(gens[self._words[x][0]], parent, q))
+            images.append(_mul_mod(gens[self._steps[x]], parent, q))
         return _Shadow(q, modulus, root, images)
 
     @per_group
@@ -658,15 +673,17 @@ def close_group(
     """Close a generating set under multiplication.
 
     BFS from the identity, applying generators in input order by left
-    multiplication, so the element ids are deterministic.  The search runs
-    over F_p (module docstring): p is the first prime = 1 (mod N) from
-    (2^61 // N) * N + 1 upwards, N the entry conductor, that divides no
-    generator-entry denominator, and zeta_N maps to an element of exact
-    order N.  Determinants are checked on the exact generators, and must
-    reduce to those of their images.  `_certify_finite` then proves
-    exactly that the group is finite, so that the tables are its own.
-    Raises GroupTooLargeError (with the partial count) if the closure
-    exceeds max_size elements, and ValueError if the group is not finite.
+    multiplication, so the element ids are deterministic.  Each new element
+    keeps its parent and the index of the generator that found it, and
+    nothing longer (a Schreier vector).  The search runs over F_p (module
+    docstring): p is the first prime = 1 (mod N) from (2^61 // N) * N + 1
+    upwards, N the entry conductor, that divides no generator-entry
+    denominator, and zeta_N maps to an element of exact order N.
+    Determinants are checked on the exact generators, and must reduce to
+    those of their images.  `_certify_finite` then proves exactly that the
+    group is finite, so that the tables are its own.  Raises
+    GroupTooLargeError (with the partial count) if the closure exceeds
+    max_size elements, and ValueError if the group is not finite.
     """
     gens = list(generators)
     if not gens:
@@ -705,7 +722,7 @@ def close_group(
     identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     images = [identity]
     index = {identity: 0}
-    words: list[tuple[int, ...]] = [()]
+    steps = [0]
     parents = [0]
     lmul: list[list[int]] = [[] for _ in gens]
     i = 0
@@ -720,7 +737,7 @@ def close_group(
                 known = len(images)
                 index[y] = known
                 images.append(y)
-                words.append((gi,) + words[i])
+                steps.append(gi)
                 parents.append(i)
             lmul[gi].append(known)
         i += 1
@@ -730,7 +747,7 @@ def close_group(
         conductor,
         _Shadow(p, conductor, root, images),
         index,
-        words,
+        steps,
         parents,
         lmul,
         is_sl,
@@ -778,7 +795,7 @@ def _certify_finite(G: FiniteMatrixGroup) -> None:
     spans V, into itself, so G acts faithfully on a finite set and is
     finite."""
     gens, images, p = G.generators, G._shadow.images, G._shadow.prime
-    words, parents, lmul, ids = G._words, G._parents, G._lmul, G.generator_ids
+    steps, parents, lmul, ids = G._steps, G._parents, G._lmul, G.generator_ids
     if all(lmul[i][ids[j]] == lmul[j][ids[i]]
            for i in range(len(ids)) for j in range(i)):
         _certify_abelian(G)
@@ -810,10 +827,10 @@ def _certify_finite(G: FiniteMatrixGroup) -> None:
     for v in chosen:
         w = [tuple(values[c] for c in v)]
         for y in range(1, len(images)):
-            w.append(_apply(columns[words[y][0]], w[parents[y]], zero))
+            w.append(_apply(columns[steps[y]], w[parents[y]], zero))
         for gi, table in enumerate(lmul):
             for x, y in enumerate(table):
-                if y and parents[y] == x and words[y][0] == gi:
+                if y and parents[y] == x and steps[y] == gi:
                     continue  # the search-tree edge that defined w_y
                 if _apply(columns[gi], w[x], zero) != w[y]:
                     raise ValueError(
@@ -1034,7 +1051,8 @@ def subgroup_generated(grp, seed_labels: Iterable) -> SubgroupHandle:
 def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
     """Partition into conjugacy classes; each class is sorted and classes are
     ordered by least member, so representatives (= first entries) are
-    deterministic."""
+    deterministic.  Orbits grow by g^-1 y g over the generators g, which
+    puts g on the right of each product (`_escaping_conjugates`)."""
     gens = list(dict.fromkeys(grp.generator_labels()))
     gen_invs = [grp.inv(g) for g in gens]
     assigned = set()
@@ -1049,7 +1067,7 @@ def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
             y = queue[qi]
             qi += 1
             for g, gi in zip(gens, gen_invs):
-                z = grp.mul(grp.mul(g, y), gi)
+                z = grp.mul(grp.mul(gi, y), g)
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
@@ -1078,12 +1096,15 @@ def commutator_subgroup(grp) -> SubgroupHandle:
 
 
 def _escaping_conjugates(grp, sub: SubgroupHandle):
-    """(g, h, g h g^-1) for every generator g of `grp` and member h of
-    `sub` whose conjugate lies outside `sub`, g-major."""
+    """(g, h, g^-1 h g) for every generator g of `grp` and member h of
+    `sub` whose conjugate lies outside `sub`, g-major.  Conjugating by g^-1
+    rather than by g puts the generator g on the right, where
+    `FiniteMatrixGroup.mul` takes one step for it; for a finite group the
+    verdict is the same, as g H g^-1 lies in H exactly when g^-1 H g does."""
     for g in dict.fromkeys(grp.generator_labels()):
         gi = grp.inv(g)
         for h in sub.members:
-            c = grp.mul(grp.mul(g, h), gi)
+            c = grp.mul(grp.mul(gi, h), g)
             if c not in sub.member_set:
                 yield g, h, c
 

@@ -13,22 +13,26 @@ Fourier transform of the trace sequence k -> tr(g^k).  The transform must land
 on nonnegative integers summing to the dimension; anything else is reported as
 an internal arithmetic failure rather than silently accepted.  For a whole
 group the transform runs over F_q (the group's modular shadow, see `matgrp`)
-once per cyclic subgroup, on one generator x; the vector of every power x^j
-is derived from it (the eigenvalue zeta_r^a of x becomes zeta_r^(a*j) of
-x^j) and checked against the stored order and F_q trace of x^j.  Both the
-transform and that check read the powers of the root of unity of order r in
-F_q from one table per element order r, built once per group.  The same
-pass (`_eigen_pass`, once per group) decides rank(x - 1) == 1 over F_q with
-the rank-one test `_rank_is_one`: nonzero rows of x - 1 with different
-supports settle it without arithmetic, and otherwise the 2x2 minors through
-the first nonzero row do.  Every conjugacy-class representative is still
-checked exactly: its exact trace must equal sum_a m_a zeta_r^a, and the
-same rank-one test in exact arithmetic (`is_reflection`) must match the F_q
-one.  Each twist makes one `age_records` pass, in `junior_elements`, which
-computes the weights once per distinct multiplicity vector and reads the
-age off them.  Its junior classes are read from that, and so are H and
-G/H, built once per twist (`_junior_quotient`): building G/H is the proof
-that H is normal.
+once per cyclic subgroup, on one generator x, and gives the dim exponents a
+of its eigenvalues zeta_r^a (r the order of x).  The exponents of every
+power x^j are derived from them (zeta_r^a becomes zeta_r^(a*j)) and checked
+against the stored order and F_q trace of x^j.  Both the transform and that
+check read the powers of the root of unity of order r in F_q from one table
+per element order r, built once per group.  Each element keeps its dim
+exponents, ascending, whatever its order; the length-r multiplicity vector
+(m_a counting the eigenvalue zeta_r^a) is built only where the public API
+or a report shows it.  The same pass (`_eigen_pass`, once per group)
+decides rank(x - 1) == 1 over F_q with the rank-one test `_rank_is_one`:
+nonzero rows of x - 1 with different supports settle it without
+arithmetic, and otherwise the 2x2 minors through the first nonzero row do.
+Every conjugacy-class representative is still checked exactly: its exact
+trace must equal sum_a zeta_r^a over its exponents, and the same rank-one
+test in exact arithmetic (`is_reflection`) must match the F_q one.  Each
+twist makes one `age_records` pass, in `junior_elements`, which computes
+the weights once per distinct order and exponents and reads the age off
+them.  Its junior classes are read from that, and so are H and G/H, built
+once per twist (`_junior_quotient`): building G/H is the proof that H is
+normal.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cyclo import (
     CyclotomicNumber,
@@ -111,11 +115,17 @@ IDENTITY_TWIST = GaloisTwist(1)
 class AgeRecord:
     element_id: int
     order: int
-    multiplicities: tuple[int, ...]
+    exponents: tuple[int, ...]  # eigenvalues zeta_order^a, a ascending
     age: Fraction
     is_junior: bool
     is_reflection: bool
-    weights: tuple[int, ...]  # exponent multiset, ascending
+    weights: tuple[int, ...]  # twisted exponents, ascending
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """(m_0, ..., m_{order-1}), m_j counting the eigenvalue
+        zeta_order^j."""
+        return tuple(_multiplicity_vector(self.exponents, self.order))
 
 
 @dataclass(frozen=True)
@@ -183,20 +193,31 @@ def eigen_multiplicities(
     return _multiplicities_from_traces(traces, r, g.dim)
 
 
-def _weights_from_multiplicities(m, twist: GaloisTwist) -> tuple[int, ...]:
-    """The twisted exponents, ascending: zeta_r^j (r = len(m)) counted m_j
-    times becomes weight t^-1 * j mod r.  The age is their sum over r."""
-    r = len(m)
+def _exponents(m) -> tuple[int, ...]:
+    """The exponents a, ascending, of the eigenvalues zeta_r^a that the
+    multiplicity vector m (r = len(m)) counts, a repeated m_a times."""
+    return tuple(a for a, ma in enumerate(m) for _ in range(ma))
+
+
+def _multiplicity_vector(exponents, r: int) -> list[int]:
+    """[m_0, ..., m_{r-1}], m_a counting a among the exponents: the one
+    place a vector of length r is built from them."""
+    m = [0] * r
+    for a in exponents:
+        m[a] += 1
+    return m
+
+
+def _weights(exponents, r: int, twist: GaloisTwist) -> tuple[int, ...]:
+    """The twisted exponents, ascending: zeta_r^a becomes weight
+    t^-1 * a mod r.  The age is their sum over r."""
     t_inv = twist.inverse_mod(r)
-    out = []
-    for j, mj in enumerate(m):
-        out.extend([(t_inv * j) % r] * mj)
-    return tuple(sorted(out))
+    return tuple(sorted(t_inv * a % r for a in exponents))
 
 
 def age(g: CycMatrix, twist: GaloisTwist = IDENTITY_TWIST) -> Fraction:
     m = eigen_multiplicities(g)
-    return Fraction(sum(_weights_from_multiplicities(m, twist)), len(m))
+    return Fraction(sum(_weights(_exponents(m), len(m), twist)), len(m))
 
 
 def _shifted(g: CycMatrix, lam: CyclotomicNumber) -> CycMatrix:
@@ -276,16 +297,12 @@ def _is_reflection_mod(image, q: int) -> bool:
 # per-group records
 
 
-def _power_multiplicities(m: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Multiplicities of x^j from those of x: with r = len(m) and
-    g = gcd(r, j), x^j has order r/g and zeta_r^a becomes zeta_{r/g}^(a*j/g)."""
-    r = len(m)
+def _power_exponents(e: tuple[int, ...], r: int, j: int) -> tuple[int, ...]:
+    """The exponents of x^j from those of x, of order r: with
+    g = gcd(r, j), x^j has order r/g and zeta_r^a becomes
+    zeta_{r/g}^(a*j/g)."""
     g = math.gcd(r, j)
-    s, step = r // g, j // g
-    out = [0] * s
-    for a, ma in enumerate(m):
-        out[(step * a) % s] += ma
-    return tuple(out)
+    return tuple(sorted(a * (j // g) % (r // g) for a in e))
 
 
 def _root_tables(shadow, orders) -> dict[int, list[int]]:
@@ -304,25 +321,27 @@ def _root_tables(shadow, orders) -> dict[int, list[int]]:
 
 @per_group
 def _eigen_pass(G: FiniteMatrixGroup):
-    """(multiplicities, reflection flags) of every element, over F_q
-    (`FiniteMatrixGroup.working_shadow`: q = 1 mod the working conductor
-    W, so every element order r has the root omega_r = root^(W/r)).  The
-    powers of each omega_r are read from one table per order
-    (`_root_tables`), built once per group.
+    """(eigenvalue exponents, reflection flags) of every element, over
+    F_q (`FiniteMatrixGroup.working_shadow`: q = 1 mod the working
+    conductor W, so every element order r has the root omega_r =
+    root^(W/r)).  The exponents of x, of order r, are the dim values a of
+    its eigenvalues zeta_r^a, ascending.  The powers of each omega_r are
+    read from one table per order (`_root_tables`), built once per group.
 
     Elements are visited by descending order; an element not yet filled
     generates a new cyclic subgroup and gets the guarded F_q DFT of its
-    power traces: each value must be an integer in [0, dim] and the values
-    must sum to dim.  All of its powers are filled from its vector.  Each
-    derived vector must have the stored order of its element and reproduce
-    its F_q trace.  The flag of x is rank(x - 1) == 1 over F_q, by the
-    rank-one test `_rank_is_one`: rows of x - 1 with different supports
-    settle it without arithmetic, else the 2x2 minors through the first
-    nonzero row do.  Then every conjugacy-class representative x is
-    checked exactly: tr(x) must equal sum_a m_a zeta_r^a in Q(zeta), and
-    the exact rank-one test `is_reflection` must give its flag, which must
-    be constant on the class; else ArithmeticError.  Last, every flag must
-    match the multiplicity test (r > 1 and m_0 = dim - 1), else
+    power traces (`_multiplicities_mod`).  All of its powers are filled
+    from its exponents (`_power_exponents`).  Each power must have the
+    derived order r / gcd(r, j) as its stored order, and its derived
+    exponents must reproduce its F_q trace, a sum of dim table entries.
+    The flag of x is rank(x - 1) == 1 over F_q, by the rank-one test
+    `_rank_is_one`: rows of x - 1 with different supports settle it
+    without arithmetic, else the 2x2 minors through the first nonzero row
+    do.  Then every conjugacy-class representative x is checked exactly:
+    tr(x) must equal sum_a zeta_r^a over its exponents in Q(zeta), and the
+    exact rank-one test `is_reflection` must give its flag, which must be
+    constant on the class; else ArithmeticError.  Last, every flag must
+    match the eigenvalue test (exactly dim - 1 exponents are 0), else
     ConsistencyError."""
     shadow = G.working_shadow()
     q, traces = shadow.prime, shadow.traces
@@ -334,37 +353,35 @@ def _eigen_pass(G: FiniteMatrixGroup):
             continue
         r = orders[x]
         powers = _powers(G, x)
-        m = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, roots[r])
-        result[x] = m
+        e = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, roots[r])
+        result[x] = e
         for j, y in enumerate(powers):
             if result[y] is not None:
                 continue
-            mj = _power_multiplicities(m, j)
-            s = len(mj)
+            s = r // math.gcd(r, j)
             if s != orders[y]:
                 raise ArithmeticError(
-                    f"derived multiplicities of element {y} give order "
+                    f"derived eigenvalues of element {y} give order "
                     f"{s}, but its order is {orders[y]}"
                 )
-            table = roots[s]
-            trace = sum(mb * table[b] for b, mb in enumerate(mj) if mb)
-            if trace % q != traces[y]:
+            ej = _power_exponents(e, r, j)
+            if sum(roots[s][a] for a in ej) % q != traces[y]:
                 raise ArithmeticError(
-                    f"derived multiplicities {list(mj)} of element {y} "
+                    f"derived eigenvalue exponents {list(ej)} of element {y} "
                     f"do not reproduce its trace modulo {q}"
                 )
-            result[y] = mj
+            result[y] = ej
     flags = tuple(_is_reflection_mod(img, q) for img in shadow.images)
     for cls in G.conjugacy_classes():
         x = cls[0]
-        m = result[x]
-        expected = CyclotomicNumber(len(m), tuple(_reduce_ints(len(m), list(m))))
+        r, e = orders[x], result[x]
+        expected = CyclotomicNumber(r, tuple(_reduce_ints(r, _multiplicity_vector(e, r))))
         g = G.matrix(x)
         exact = g.trace()
         if exact != expected:
             raise ArithmeticError(
-                f"multiplicities {list(m)} of class representative {x} do "
-                f"not reproduce its exact trace {exact.render()}"
+                f"eigenvalue exponents {list(e)} of class representative {x} "
+                f"do not reproduce its exact trace {exact.render()}"
             )
         if is_reflection(g) != flags[x]:
             raise ArithmeticError(
@@ -375,10 +392,10 @@ def _eigen_pass(G: FiniteMatrixGroup):
             raise ArithmeticError(
                 f"the reflection flag is not constant on the class of {x}"
             )
-    for x, m in enumerate(result):
-        if flags[x] != (len(m) > 1 and m[0] == G.dim - 1):
+    for x, e in enumerate(result):
+        if flags[x] != (e.count(0) == G.dim - 1):
             raise ConsistencyError(
-                f"rank test and multiplicity test disagree on reflection {x}"
+                f"rank test and eigenvalue test disagree on reflection {x}"
             )
     return tuple(result), flags
 
@@ -388,7 +405,8 @@ def _multiplicities_mod(traces, r: int, dim: int, q: int, roots):
     powers omega^k (k < r) of an omega of exact order r; each must be an
     integer in [0, dim], summing to dim.  As r * dim < q (q > 2^60), that
     holds exactly when the sum, reduced mod q, is r * m_a with m_a <= dim,
-    so no inverse of r is taken."""
+    so no inverse of r is taken.  Returns the exponents (`_exponents`): a
+    repeated m_a times, ascending."""
     out = []
     for a in range(r):
         acc = sum(t * roots[(-a * k) % r] for k, t in enumerate(traces) if t)
@@ -403,40 +421,40 @@ def _multiplicities_mod(traces, r: int, dim: int, q: int, roots):
         raise ArithmeticError(
             f"multiplicities {out} do not sum to the dimension {dim}"
         )
-    return tuple(out)
+    return _exponents(out)
 
 
 def age_records(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[AgeRecord, ...]:
-    """One AgeRecord per element id.  Multiplicities and reflection flags
-    are twist-independent and come from the per-group `_eigen_pass`; only
-    the exponent bookkeeping varies with t, and it is done once per distinct
-    multiplicity vector, in `_weights_from_multiplicities`: the weights of
-    the vector, and its age read off them as their sum over the order
-    (which must be integral in a determinant-one group; the error names the
-    first element with that vector).  The records are not memoised: the
-    sweep would keep |G| per twist."""
-    mults, reflections = _eigen_pass(G)
-    ages: dict[tuple[int, ...], tuple[Fraction, tuple[int, ...]]] = {}
+    """One AgeRecord per element id.  Eigenvalue exponents and reflection
+    flags are twist-independent and come from the per-group `_eigen_pass`;
+    only the weights vary with t, and they are computed once per distinct
+    order and exponents (`_weights`), with the age read off them as their
+    sum over the order (which must be integral in a determinant-one group;
+    the error names the first element with those exponents).  A record
+    builds its multiplicity vector only when asked for it.  The records
+    are not memoised: the sweep would keep |G| per twist."""
+    exponents, reflections = _eigen_pass(G)
+    ages: dict[tuple, tuple[Fraction, tuple[int, ...]]] = {}
     records = []
     for x in G.carrier_labels():
-        m = mults[x]
-        if m not in ages:
-            weights = _weights_from_multiplicities(m, twist)
-            a = Fraction(sum(weights), len(m))
+        r, e = G.element_orders[x], exponents[x]
+        if (r, e) not in ages:
+            weights = _weights(e, r, twist)
+            a = Fraction(sum(weights), r)
             if G.is_special_linear and a.denominator != 1:
                 raise ConsistencyError(
                     f"non-integral age {a} for element {x} of a "
                     "determinant-one group"
                 )
-            ages[m] = a, weights
-        a, weights = ages[m]
+            ages[r, e] = a, weights
+        a, weights = ages[r, e]
         records.append(
             AgeRecord(
                 element_id=x,
-                order=len(m),
-                multiplicities=m,
+                order=r,
+                exponents=e,
                 age=a,
                 is_junior=(a == 1),
                 is_reflection=reflections[x],
@@ -466,10 +484,11 @@ def junior_gradings(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[tuple[int, "GradingData"], ...]:
     """(representative id, GradingData) for every junior conjugacy class."""
-    mults, _ = _eigen_pass(G)
+    exponents, _ = _eigen_pass(G)
     _, reps = junior_classes(G, twist)
     return tuple(
-        (x, valuation_weights(G.matrix(x), twist, multiplicities=mults[x]))
+        (x, valuation_weights(G.matrix(x), twist, _multiplicity_vector(
+            exponents[x], G.element_orders[x])))
         for x in reps
     )
 
@@ -533,7 +552,7 @@ def _junior_quotient_abelianization(
 def valuation_weights(
     g: CycMatrix,
     twist: GaloisTwist = IDENTITY_TWIST,
-    multiplicities: Optional[tuple[int, ...]] = None,
+    multiplicities: Optional[Sequence[int]] = None,
 ) -> GradingData:
     """Weight vector and eigenbasis of a junior element.
 
@@ -544,7 +563,7 @@ def valuation_weights(
     """
     m = eigen_multiplicities(g) if multiplicities is None else multiplicities
     r = len(m)
-    a = Fraction(sum(_weights_from_multiplicities(m, twist)), r)
+    a = Fraction(sum(_weights(_exponents(m), r, twist)), r)
     if a != 1:
         raise ValueError(f"element has age {a}, not junior under twist {twist.t}")
     t_inv = twist.inverse_mod(r)

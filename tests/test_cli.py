@@ -762,9 +762,9 @@ def test_main_arithmetic_check_failure_exits_1(monkeypatch, capsys):
     from crepant import mckay
 
     # every element gets "all eigenvalues 1": the derived-power check of
-    # the multiplicities refuses it with an ArithmeticError
+    # the eigenvalue exponents refuses it with an ArithmeticError
     def wrong(traces, r, dim, q, omega):
-        return (dim,) + (0,) * (r - 1)
+        return (0,) * dim
 
     monkeypatch.setattr(mckay, "_multiplicities_mod", wrong)
     code, out, err = run_main(
@@ -773,7 +773,7 @@ def test_main_arithmetic_check_failure_exits_1(monkeypatch, capsys):
     assert code == EXIT_CHECK_FAILED
     assert out == ""
     assert err.startswith("error: internal arithmetic check failed: ")
-    assert "multiplicities" in err
+    assert "eigenvalue exponents" in err
     assert "Traceback" not in err
 
 

@@ -831,16 +831,16 @@ def test_molien_promise_too_low_is_refused(q8, monkeypatch):
         relative_invariant(q8, trivial)
 
 
-@pytest.mark.parametrize("order, fake", [(2, (1, 1)), (4, (0, 2, 0, 0))])
+@pytest.mark.parametrize("order, fake", [(2, (0, 1)), (4, (1, 1))])
 def test_non_integral_molien_coefficient_is_refused(q8, monkeypatch, order, fake):
-    # (1, 1) on -I leaves 2/8 in degree 1; (0, 2, 0, 0) on the elements of
-    # order 4 leaves an irrational class sum
-    true_mults, flags = invariants._eigen_pass(q8)
-    mults = [
-        fake if q8.element_orders[x] == order else m
-        for x, m in enumerate(true_mults)
+    # eigenvalues 1 and -1 on -I leave 2/8 in degree 1; a double eigenvalue
+    # E(4) on the elements of order 4 leaves an irrational class sum
+    true_exponents, flags = invariants._eigen_pass(q8)
+    exponents = [
+        fake if q8.element_orders[x] == order else e
+        for x, e in enumerate(true_exponents)
     ]
-    monkeypatch.setattr(invariants, "_eigen_pass", lambda G: (mults, flags))
+    monkeypatch.setattr(invariants, "_eigen_pass", lambda G: (exponents, flags))
     trivial = ab_characters(q8)[0]
     with pytest.raises(ConsistencyError, match="Molien coefficient"):
         relative_invariant(q8, trivial)

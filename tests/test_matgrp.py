@@ -1,8 +1,11 @@
 """Matrix arithmetic and finite group machinery against brute-force oracles."""
 
+import itertools
 import json
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -535,7 +538,10 @@ def _shadow_group(name, request):
 def test_modular_closure_matches_exact_oracle(name, request):
     G = _shadow_group(name, request)
     elements, words, lmul = exact_closure(G.generators)
-    assert G._words == words
+    # each element's generator and parent rebuild the oracle's word
+    assert [()] + [
+        (G._steps[x],) + words[G._parents[x]] for x in range(1, len(G))
+    ] == words
     assert G._lmul == lmul
     assert list(G.elements) == elements
     index = {m.key(): x for x, m in enumerate(elements)}
@@ -548,6 +554,60 @@ def test_modular_closure_matches_exact_oracle(name, request):
         assert records[x].is_reflection == is_reflection(m)
         assert G.id_of(m) == x
         assert G.traces[x] == m.trace()
+
+
+@pytest.mark.parametrize("name, pairs", [
+    ("q8", None), ("s3", None), ("2t", None), ("ex72", None),
+    ("icosa", 300), ("c30", 300),
+])
+def test_group_law_matches_exact_products(name, pairs, request):
+    # mul walks the search tree of its right operand through the right
+    # multiplication tables; every product must be the exact one, also in
+    # Ab(G), whose mul multiplies coset representatives in G
+    G = _shadow_group(name, request)
+    labels = list(G.carrier_labels())
+    rng = random.Random(0)
+    if pairs is None:
+        todo = list(itertools.product(labels, repeat=2))
+    else:
+        todo = [(rng.choice(labels), rng.choice(labels)) for _ in range(pairs)]
+    for a, b in todo:
+        assert G.mul(a, b) == G.id_of(G.matrix(a) @ G.matrix(b))
+    ab = abelianization(G)
+    reps = ab.coset_reps
+    for a, b in itertools.product(ab.carrier_labels(), repeat=2):
+        exact = G.id_of(G.matrix(reps[a]) @ G.matrix(reps[b]))
+        assert ab.mul(a, b) == ab.coset_of[exact]
+
+
+def test_search_tree_memory_is_bounded():
+    # <diag(E(6000), E(6000)^5999)> closes to a path 6000 elements deep: a
+    # tree that kept each element's generator word would hold 18 M letters
+    g = CycMatrix.from_rows([["E(6000)", "0"], ["0", "E(6000)^5999"]])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        G = close_group([g])
+        elapsed = time.perf_counter() - start
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(G) == 6000
+    assert retained < 20 * 2**20
+    assert elapsed < 5
+    # each power of the generator is the one before times it, one step of
+    # the walk; with the generator on the left, a power would walk the
+    # whole path below it, 18 M steps in all
+    reads = [0]
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return list.__getitem__(self, i)
+
+    G._parents = Counted(G._parents)
+    assert order_of(G, G.generator_ids[0]) == 6000
+    assert reads[0] <= len(G)
 
 
 @pytest.mark.parametrize("name", SHADOW_ZOO)

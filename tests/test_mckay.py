@@ -147,11 +147,14 @@ def test_derived_multiplicities_are_checked(monkeypatch):
     with pytest.raises(ArithmeticError, match="order"):
         age_records(G)
 
-    # a faulty derivation that keeps the order is caught by the trace check
-    derive = mckay._power_multiplicities
+    # a faulty derivation that keeps the order is caught by the trace check:
+    # every derived exponent one too high, as a vector rotated by one
+    derive = mckay._power_exponents
     monkeypatch.setattr(
-        mckay, "_power_multiplicities",
-        lambda m, j: (lambda v: v[-1:] + v[:-1])(derive(m, j)),
+        mckay, "_power_exponents",
+        lambda e, r, j: tuple(sorted(
+            (a + 1) % (r // math.gcd(r, j)) for a in derive(e, r, j)
+        )),
     )
     with pytest.raises(ArithmeticError, match="trace modulo"):
         age_records(cyclic_sl2(6))
@@ -195,6 +198,31 @@ def test_group_multiplicities_match_per_element_dft(group, request):
         assert records[x].multiplicities == eigen_multiplicities(
             G.matrix(x), order=G.element_orders[x]
         ), f"element {x}"
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15", "scalar3", "c30",
+     "c1009"],
+)
+def test_eigen_pass_keeps_dim_exponents_per_element(group, request):
+    # C1009 has prime order, far above the dimension: each element keeps
+    # the dim exponents of its eigenvalues, and only a record asked for its
+    # multiplicities builds a vector of length r
+    if group in ("c30", "c1009"):
+        G = cyclic_sl2(int(group[1:]))
+    else:
+        G = request.getfixturevalue(group)
+    exponents, _ = mckay._eigen_pass(G)
+    records = age_records(G)
+    for x, e in enumerate(exponents):
+        r = G.element_orders[x]
+        assert type(e) is tuple and len(e) == G.dim
+        assert list(e) == sorted(e)
+        assert all(type(a) is int and 0 <= a < r for a in e)
+        assert records[x].exponents == e
+        assert len(records[x].multiplicities) == r
+        assert sum(records[x].multiplicities) == G.dim
 
 
 # --- ages --------------------------------------------------------------------
