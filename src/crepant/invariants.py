@@ -4,9 +4,11 @@ Sparse multivariate polynomials over cyclotomic fields, the contragredient
 group action (g.f)(v) = f(g^-1 v), valuations attached to graded one-parameter
 subgroups, characters of the abelianization, and a twisted averaging operator
 that produces relative invariants one character at a time.  A character is
-constant on the cosets of [G, G], so a monomial is averaged from one sum of
-its images per coset, kept per group and shared by every character; the
-image of a monomial under a single element is not kept.
+constant on the cosets of D = [G, G], so a monomial is averaged from one sum
+of its images per coset, kept per group and shared by every character.  The
+sum over D is taken once; the sum over a coset r D is its image under r when
+the sum over D has at most |D| terms, and is summed element by element
+otherwise.  The image of a monomial under a single element is not kept.
 """
 
 from __future__ import annotations
@@ -325,8 +327,8 @@ def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
     a linear form.  Group elements carry their inverses, so nothing is
     inverted.  Built once per group and element, extended lazily to the
     degrees asked for, and shared by every polynomial x acts on: the
-    monomials of the coset sums (`_coset_sums`) and the polynomials the
-    checks act on (`_act_by_id`)."""
+    monomials and the sums over [G, G] of the coset sums (`_coset_sums`)
+    and the polynomials the checks act on (`_act_by_id`)."""
     return _Powers(_linear_forms(G.matrix(G.inv(x))))
 
 
@@ -550,18 +552,41 @@ def _molien_coefficients(
 def _coset_sums(
     G: FiniteMatrixGroup, exps: tuple[int, ...]
 ) -> tuple[SparsePolynomial, ...]:
-    """For the monomial m with these exponents, the sum of x.m over the
-    elements x of each coset of [G, G]: cosets in the order of
-    `G.abelianization()`, images added in element id order.  Built once
-    per group and monomial from the elements' shared powers
-    (`_element_powers`); every character averages m from these |Ab(G)|
-    sums, and no image of m under a single element is kept."""
+    """For the monomial m with these exponents, S_c(m), the sum of x.m over
+    the elements x of each coset c of D = [G, G], cosets in the order of
+    `G.abelianization()`.  Built once per group and monomial; every
+    character averages m from these |Ab(G)| sums, and no image of m under
+    a single element is kept.
+
+    S_D(m), the sum over D itself, is summed from the images of m under
+    the elements of D.  The cosets are r D, r the representative, and the
+    action is a left action, so S_{rD}(m) = r.S_D(m): one image per coset.
+    That substitution costs about one image of m per term of S_D(m), so it
+    is taken when S_D(m) has at most |D| terms; otherwise each other coset
+    sums its |D| images of m.  Either way no monomial costs more than its
+    |G| images, and S_D(m) = 0 makes every coset sum 0.  Every element acts
+    through its shared powers (`_element_powers`)."""
     ab = G.abelianization()
+    derived = ab.normal.members
     mono = SparsePolynomial.monomial(G.dim, exps)
-    sums: list[dict] = [{} for _ in range(len(ab))]
+    inner: dict = {}
+    for h in derived:
+        _add_into(inner, mono._substitute(_element_powers(G, h)).terms)
+    s_d = SparsePolynomial._trusted(G.dim, inner)
+    if s_d.is_zero:
+        return (s_d,) * len(ab)
+    if len(s_d.terms) <= len(derived):
+        return (s_d,) + tuple(
+            s_d._substitute(_element_powers(G, r)) for r in ab.coset_reps[1:]
+        )
+    sums: list[dict] = [{} for _ in ab.coset_reps]
     for x in range(len(G)):
-        _add_into(sums[ab.coset_of[x]], mono._substitute(_element_powers(G, x)).terms)
-    return tuple(SparsePolynomial._trusted(G.dim, terms) for terms in sums)
+        c = ab.coset_of[x]
+        if c:
+            _add_into(sums[c], mono._substitute(_element_powers(G, x)).terms)
+    return (s_d,) + tuple(
+        SparsePolynomial._trusted(G.dim, terms) for terms in sums[1:]
+    )
 
 
 def _averages(
@@ -569,10 +594,12 @@ def _averages(
 ) -> Iterator[SparsePolynomial]:
     """sum_x conj(chi(x)) x.m for each monomial m of the degree, in
     `monomials_of_degree` order.  chi is constant on the cosets c of
-    [G, G], so this is sum_c conj(chi(c)) S_c(m), S_c(m) the sum of x.m
-    over c (`_coset_sums`).  The cosets are those of `G.abelianization()`;
-    chi is read on the inverse of each one's representative, through its
-    own Ab(G), so chi may be built on any Ab(G) object of G."""
+    D = [G, G], so this is sum_c conj(chi(c)) S_c(m), S_c(m) the sum of
+    x.m over c (`_coset_sums`: one sum over D, then one image of it per
+    coset, or the coset's own images when that sum has more than |D|
+    terms).  The cosets are those of `G.abelianization()`; chi is read on
+    the inverse of each one's representative, through its own Ab(G), so
+    chi may be built on any Ab(G) object of G."""
     conj = [chi.value_on_element(G, G.inv(r)) for r in G.abelianization().coset_reps]
     for exps in monomials_of_degree(G.dim, degree):
         terms: dict[tuple[int, ...], CyclotomicNumber] = {}
@@ -597,11 +624,13 @@ def relative_invariant(
     survivor a scan from degree 1 would find.  If every monomial of degree
     d0 dies, the two routes disagree and ConsistencyError is raised.
 
-    Each average is taken per coset of [G, G] (`_averages`): the sums of
-    a monomial's images over the cosets are kept per group
-    (`_coset_sums`), so characters whose search reaches the same monomial
-    scale the same |Ab(G)| sums, and no image of a monomial under a
-    single element is kept."""
+    Each average is taken per coset of D = [G, G] (`_averages`): the sum
+    S_D(m) of a monomial's images over D is taken once, and each coset
+    r D adds r.S_D(m), one image, when S_D(m) has at most |D| terms, or its
+    own |D| images of m otherwise (`_coset_sums`).  These |Ab(G)| sums are
+    kept per group, so characters whose search reaches the same monomial
+    scale the same sums, and no image of a monomial under a single element
+    is kept."""
     bound = degree_bound if degree_bound is not None else len(G)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")

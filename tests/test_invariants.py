@@ -1,6 +1,7 @@
 """Polynomial action, valuations, graded degrees, and relative invariants."""
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -41,7 +42,7 @@ from crepant.invariants import (
     relative_invariant,
 )
 
-from conftest import Q8_ROWS, TETRA_ROWS, cyclic_sl2
+from conftest import Q8_ROWS, S3_ROWS, TETRA_ROWS, cyclic_sl2
 from helpers import (
     character_value_by_product,
     chi_averages,
@@ -621,13 +622,15 @@ def test_no_molien_degree_below_bound_averages_nothing(monkeypatch):
     assert calls == []
     # the control: with bound 4 the same hook sees the degree-4 averaging
     assert relative_invariant(q8, trivial, degree_bound=4) is not None
-    assert len(calls) >= len(q8)
+    assert SparsePolynomial.monomial(2, (4, 0)) in calls
 
 
 def test_check_job_acts_once_per_element_and_polynomial(monkeypatch):
     # A check job on 2T: its three characters are averaged and each gets
     # the two lemma checks, yet no element acts on a polynomial twice and
-    # no element's powers of its linear forms are built twice.
+    # no element's powers of its linear forms are built twice.  The
+    # averaging acts on monomials with the 8 elements of [G, G] = Q8 only,
+    # and on their sums with one representative of each other coset.
     groups = []
     build = cli._build_group
 
@@ -670,8 +673,16 @@ def test_check_job_acts_once_per_element_and_polynomial(monkeypatch):
             (id(p), x) for p in built if p.forms == forms
         )
     acted = [key for key in images if key[0] in element_powers]
-    # the averaging alone acts with every element on some monomial
-    assert {element_powers[key[0]] for key in acted} == set(G.carrier_labels())
+    ab = G.abelianization()
+    assert len(ab.normal) == 8
+    on_monomials = {element_powers[p] for p, f in acted if len(f.terms) == 1}
+    assert on_monomials == set(ab.normal.members)
+    coset_sums = invariants._coset_sums.__wrapped__
+    over_derived = {
+        sums[0] for (fn, _), sums in G._memo.items() if fn is coset_sums
+    }
+    on_sums = {element_powers[p] for p, f in acted if f in over_derived}
+    assert on_sums == set(ab.coset_reps[1:])
     repeated = [key for key, n in images.items() if n > 1]
     assert repeated == []
 
@@ -747,13 +758,45 @@ Q8_C4_ROWS = [_in_corner(r, 4) for r in Q8_ROWS] + [
     [["1", "0", "0", "0"], ["0", "1", "0", "0"],
      ["0", "0", "E(4)", "0"], ["0", "0", "0", "-E(4)"]]
 ]
+
+
+def _dense_conjugate(rows, seed):
+    """P g P^-1 for each generator g, P = U L with U and L unipotent
+    integer triangular matrices whose off-diagonal entries are drawn from
+    [-2, 2] by random.Random(seed), U first, row by row."""
+    rng = random.Random(seed)
+    dim = len(rows[0])
+
+    def triangle(upper):
+        return CycMatrix.from_rows(
+            [
+                [
+                    1 if i == j else rng.randint(-2, 2) if (j > i) == upper else 0
+                    for j in range(dim)
+                ]
+                for i in range(dim)
+            ]
+        )
+
+    P = triangle(True) @ triangle(False)
+    P_inv = P.inverse()
+    return [(P @ CycMatrix.from_rows(g) @ P_inv).render_rows() for g in rows]
+
+
 COSET_GROUPS = {
     "Q8": Q8_ROWS,
     "2T": TETRA_ROWS,
     "2TxC3": TETRA_C3_ROWS,
     "C2xC6": C2_C6_ROWS,
     "Q8xC4": Q8_C4_ROWS,
+    # the sums over [G, G] = C3 of some cubics have more than 3 terms
+    "S3_dense": _dense_conjugate(S3_ROWS, 1),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_group(name):
+    return close_group([CycMatrix.from_rows(r) for r in COSET_GROUPS[name]])
 
 
 def _molien_degree(G, chi):
@@ -766,13 +809,28 @@ def test_coset_averages_match_the_per_element_loop(name):
     # Every character averages a monomial from one sum per coset of
     # [G, G]; each average must render as the element-by-element sum does,
     # which pins each coefficient's E(n) conductor as well as its value.
-    G = close_group([CycMatrix.from_rows(r) for r in COSET_GROUPS[name]])
+    G = _coset_group(name)
     for chi in characters_of(G.abelian_decomposition()):
         degree = _molien_degree(G, chi)
         got = [f.render() for f in invariants._averages(G, chi, degree)]
         want = [f.render() for f in per_element_averages(G, chi, degree)]
         assert got == want, (name, chi.exponents, degree)
         assert any(f != "0" for f in got)
+
+
+def test_coset_groups_reach_both_sides_of_the_term_count_rule():
+    # A coset sum is one image of the sum S over [G, G] when S has at most
+    # |[G, G]| terms, and is summed element by element otherwise; the
+    # comparison above must see both routes.
+    one_image = set()
+    for name in COSET_GROUPS:
+        G = _coset_group(name)
+        derived = G.abelianization().normal
+        for chi in characters_of(G.abelian_decomposition()):
+            for exps in monomials_of_degree(G.dim, _molien_degree(G, chi)):
+                over_derived = invariants._coset_sums(G, exps)[0]
+                one_image.add(len(over_derived.terms) <= len(derived))
+    assert one_image == {True, False}
 
 
 @pytest.mark.parametrize("name", ["2TxC3", "Q8xC4", "C2xC6"])

@@ -111,12 +111,28 @@ def _age_classes(rows):
     )
 
 
-@lru_cache(maxsize=None)
-def _monomial_answers(name):
-    rows = ZOO[name]
+def _checks(rows):
+    c = _report(rows, "check")
+    return [(k["name"], k["passed"]) for k in c["checks"]], c["summary"]
+
+
+# groups whose `check` job is compared too: the relative invariants change
+# with the basis, but not which checks run nor their verdicts
+CHECKED = ("Q8", "2T")
+
+
+def _answers(name, rows):
     if name == "S3":
         return _age_classes(rows)
-    return _class_group(rows), _sweep(rows)
+    answers = (_class_group(rows), _sweep(rows))
+    if name in CHECKED:
+        answers += (_checks(rows),)
+    return answers
+
+
+@lru_cache(maxsize=None)
+def _monomial_answers(name):
+    return _answers(name, ZOO[name])
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -131,11 +147,7 @@ def test_answers_do_not_depend_on_the_presentation(name, data):
     # invariants of G up to conjugacy in GL(V); a dense change of basis
     # must not move them, and every cross-route check must still pass
     P = data.draw(unimodular(len(ZOO[name][0])))
-    rows = _conjugated(name, P)
-    if name == "S3":
-        assert _age_classes(rows) == _monomial_answers(name)
-    else:
-        assert (_class_group(rows), _sweep(rows)) == _monomial_answers(name)
+    assert _answers(name, _conjugated(name, P)) == _monomial_answers(name)
 
 
 # --- bounded fuzzing of main ---------------------------------------------------
