@@ -210,10 +210,20 @@ class CycMatrix:
             out.append(tuple(_dot(m, t) if t else zero for t in terms))
         return CycMatrix(n, m, tuple(out))
 
-    def __mul__(self, other):
-        if isinstance(other, CycMatrix):
-            return self.__matmul__(other)
-        return NotImplemented
+    def _mul_vector(self, v: tuple) -> tuple:
+        """self v for a vector v at self's conductor, row by row as in
+        `__matmul__`: a row with one nonzero entry a_ik scales v_k
+        (`cyclo._times`), or passes it through when a_ik is tagged 1;
+        any other row is one `_dot` over its nonzero a_ik."""
+        out = []
+        for row in self._nonzero():
+            if len(row) == 1:
+                k, a = row[0]
+                x = v[k]
+                out.append(x if a._root == 0 or not x else _times(a, x))
+            else:
+                out.append(_dot(self.conductor, [(a, v[k]) for k, a in row]))
+        return tuple(out)
 
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
         if self.dim != other.dim:
@@ -517,8 +527,8 @@ class FiniteMatrixGroup:
 
     Exact matrices are built on demand: `matrix(x)` is the generator that
     discovered x times the matrix of x's parent in the search tree, one
-    product per element, memoised.  `elements` and `traces` hold the exact
-    matrices and traces of every element, built on first access.
+    product per element, memoised.  `elements` holds the exact matrices of
+    every element, built on first access.
 
     What is derived from the group (conjugacy classes, Ab(G) and its
     decomposition, eigenvalues, junior data, K and H) is computed once per
@@ -602,10 +612,6 @@ class FiniteMatrixGroup:
     @functools.cached_property
     def elements(self) -> tuple[CycMatrix, ...]:
         return tuple(self.matrix(x) for x in self.carrier_labels())
-
-    @functools.cached_property
-    def traces(self) -> list[CyclotomicNumber]:
-        return [self.matrix(x).trace() for x in self.carrier_labels()]
 
     def id_of(self, m: CycMatrix) -> Optional[int]:
         if self.entry_conductor % m.conductor == 0:
@@ -791,9 +797,10 @@ def _certify_finite(G: FiniteMatrixGroup) -> None:
     of v is {image . v}), until the orbits span F_p^n; then the exact
     orbits span V.  Exactly, w_x = M_x v is built along the search tree,
     and every other edge x -> g.x of the tables must hold: g w_x ==
-    w_(g.x).  Then each generator maps the finite set of all w_x, which
-    spans V, into itself, so G acts faithfully on a finite set and is
-    finite."""
+    w_(g.x).  Each g w is one `CycMatrix._mul_vector`, the row kernel of
+    the matrix product.  Then each generator maps the finite set of all
+    w_x, which spans V, into itself, so G acts faithfully on a finite set
+    and is finite."""
     gens, images, p = G.generators, G._shadow.images, G._shadow.prime
     steps, parents, lmul, ids = G._steps, G._parents, G._lmul, G.generator_ids
     if all(lmul[i][ids[j]] == lmul[j][ids[i]]
@@ -817,22 +824,15 @@ def _certify_finite(G: FiniteMatrixGroup) -> None:
             _insert_mod([c % p for c in orbit_point], basis, p)
     conductor = gens[0].conductor
     values = [rational(c).embed(conductor) for c in (0, 1)]
-    zero = values[0]
-    columns = [
-        [[(i, None if g.rows[i][k].is_one else g.rows[i][k])
-          for i in range(n) if not g.rows[i][k].is_zero]
-         for k in range(n)]
-        for g in gens
-    ]
     for v in chosen:
         w = [tuple(values[c] for c in v)]
         for y in range(1, len(images)):
-            w.append(_apply(columns[steps[y]], w[parents[y]], zero))
+            w.append(gens[steps[y]]._mul_vector(w[parents[y]]))
         for gi, table in enumerate(lmul):
             for x, y in enumerate(table):
                 if y and parents[y] == x and steps[y] == gi:
                     continue  # the search-tree edge that defined w_y
-                if _apply(columns[gi], w[x], zero) != w[y]:
+                if gens[gi]._mul_vector(w[x]) != w[y]:
                     raise ValueError(
                         f"generator {gi} maps element {x} outside the "
                         f"element {y} it meets modulo {p}; the generated "
@@ -862,19 +862,6 @@ def _certify_abelian(G: FiniteMatrixGroup) -> None:
                     f"generators {gj} and {gi} commute modulo {p} but not "
                     "exactly; the generated group is not finite"
                 )
-
-
-def _apply(columns, w: tuple, zero: CyclotomicNumber) -> tuple:
-    """g w for g given by its sparse columns of (row, entry) pairs, with
-    entry None for 1."""
-    acc: list = [None] * len(w)
-    for k, wk in enumerate(w):
-        if wk is zero or wk.is_zero:
-            continue
-        for i, c in columns[k]:
-            term = wk if c is None else c * wk
-            acc[i] = term if acc[i] is None else acc[i] + term
-    return tuple(zero if a is None else a for a in acc)
 
 
 def _insert_mod(vec: list[int], basis: dict, p: int) -> int:
@@ -1276,8 +1263,6 @@ def _p_group_basis(grp, p: int, orders: dict) -> list:
     adjust lifts so orders are preserved.  `orders` maps every label of
     `grp` to its order; each quotient's table is computed once, here."""
     labels = sorted(grp.carrier_labels())
-    if len(labels) == 1:
-        return []
     # max order, ties broken by least label
     best = max(orders[l] for l in labels)
     x = min(l for l in labels if orders[l] == best)

@@ -360,6 +360,70 @@ def test_molien_disagreement_is_a_failed_check(monkeypatch):
     assert report["check"]["all_passed"] is False
 
 
+def _forced_consistency_error(what):
+    def fail(*args, **kwargs):
+        raise ConsistencyError(f"forced {what} failure")
+
+    return fail
+
+
+def test_failed_routes_are_recorded_and_check_exits_one(monkeypatch, capsys):
+    import crepant.classgroup as classgroup_module
+    import crepant.cli as cli_module
+
+    freeness = _forced_consistency_error("freeness")
+    monkeypatch.setattr(classgroup_module, "freeness_criterion", freeness)
+    monkeypatch.setattr(cli_module, "freeness_criterion", freeness)
+    monkeypatch.setattr(
+        cli_module, "check_congruence_lemma",
+        _forced_consistency_error("congruence"),
+    )
+    monkeypatch.setattr(
+        cli_module, "check_junior_ring_membership",
+        _forced_consistency_error("membership"),
+    )
+    job = GOLDEN_DIR.parent / "jobs" / "q8.json"
+    code = main(["check", "--format", "json", "--input", str(job)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    body = json.loads(out)["check"]
+    checks = {c["name"]: c for c in body["checks"]}
+    assert checks["freeness_routes_agree"]["passed"] is False
+    assert checks["freeness_routes"] == {
+        "name": "freeness_routes",
+        "passed": False,
+        "detail": "forced freeness failure",
+    }
+    for label in ("0-0", "0-1", "1-0", "1-1"):
+        assert checks[f"relative_invariant[{label}]"]["passed"] is True
+        for name, what in (
+            ("valuation_congruence", "congruence"),
+            ("junior_membership", "membership"),
+        ):
+            entry = checks[f"{name}[{label}]"]
+            assert entry["passed"] is False
+            assert entry["detail"] == f"forced {what} failure"
+    # 10 structural checks, the sweep, freeness and 3 per character
+    assert body["summary"] == "12/22 checks passed"
+    assert body["all_passed"] is False
+
+
+def test_main_reports_a_consistency_error_from_run(monkeypatch, capsys):
+    from crepant import mckay
+
+    monkeypatch.setattr(
+        mckay, "_junior_quotient", _forced_consistency_error("junior quotient")
+    )
+    job = GOLDEN_DIR.parent / "jobs" / "q8.json"
+    code = main(["analyze", "--input", str(job)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == (
+        "internal consistency failure: forced junior quotient failure\n"
+    )
+
+
 # --- rendering ----------------------------------------------------------------
 
 
@@ -626,6 +690,35 @@ def test_main_refuses_an_overlong_power_at_parse(
         "error: generator 1, row 1, column 1: a numerator or denominator "
         f"has more than 4300 digits (at position {position})\n"
     )
+
+
+@pytest.mark.skipif(
+    sys.get_int_max_str_digits() == 0, reason="no limit on int -> str"
+)
+@pytest.mark.parametrize(
+    "neighbour, reason",
+    [
+        # conductor 15: embedding doubles c, one digit past the limit
+        ("E(3)", "a numerator or denominator has more than {} digits"),
+        # conductor 5: c fits, and the job fails for another reason
+        ("1", "generators do not span a finite group"),
+    ],
+)
+def test_main_refuses_an_entry_that_embedding_makes_overlong(
+    neighbour, reason, monkeypatch, capsys
+):
+    limit = sys.get_int_max_str_digits()
+    c = "6" + "0" * (limit - 1)
+    text = doc(2, [[[f"{c}*E(5)^2-{c}*E(5)^3", neighbour], ["0", "1"]]])
+    code, out, err = run_main(
+        ["age"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert reason.format(limit) in err
+    if neighbour == "E(3)":
+        assert err.startswith("error: generator 1, row 1, column 1: ")
+        assert "(at position" not in err
 
 
 def test_main_accepts_a_huge_power_of_a_root_of_unity(

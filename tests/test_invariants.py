@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -781,6 +782,17 @@ def _dense_conjugate(rows, seed):
     P = triangle(True) @ triangle(False)
     P_inv = P.inverse()
     return [(P @ CycMatrix.from_rows(g) @ P_inv).render_rows() for g in rows]
+
+
+def test_dense_2i_c12_job_is_the_conjugated_monomial_job():
+    # CI runs `analyze` on both job files and compares their answers
+    jobs = Path(__file__).parent / "data" / "jobs"
+    mono = json.loads((jobs / "2i_c12.json").read_text(encoding="utf-8"))
+    dense = json.loads((jobs / "2i_c12_dense.json").read_text(encoding="utf-8"))
+    assert dense == {
+        "dimension": mono["dimension"],
+        "generators": _dense_conjugate(mono["generators"], 1),
+    }
 
 
 COSET_GROUPS = {
