@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .classgroup import (
@@ -545,11 +546,71 @@ def _text_lines(value: object, indent: int) -> list[str]:
     return lines
 
 
+_SCALAR_WRITERS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_text(value: object, level: int, memo: dict) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it at nesting
+    `level`, for the types a report holds: dicts with str keys, lists,
+    tuples, str, int, bool and None.  Anything else raises TypeError, so
+    no value is written differently from `json.dumps`.  A container's text
+    is kept in `memo` by (object, level): a block the report holds in two
+    places, such as the junior class representatives, is formed once."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"a report cannot hold {type(value).__name__}")
+    key = (id(value), level)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    if not value:
+        text = "{}" if isinstance(value, dict) else "[]"
+    else:
+        if isinstance(value, dict):
+            brackets = "{}"
+            items = []
+            for k, v in value.items():
+                if not isinstance(k, str):
+                    raise TypeError(
+                        f"a report key must be str, not {type(k).__name__}"
+                    )
+                items.append(
+                    f"{encode_basestring_ascii(k)}: "
+                    f"{_json_text(v, level + 1, memo)}"
+                )
+        else:
+            brackets = "[]"
+            # a list of strings or of ints, such as a matrix row, in one step
+            kinds = set(map(type, value))
+            write = _SCALAR_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+            if write is not None:
+                items = map(write, value)
+            else:
+                items = (_json_text(v, level + 1, memo) for v in value)
+        pad = "\n" + "  " * (level + 1)
+        text = (
+            brackets[0] + pad + ("," + pad).join(items)
+            + "\n" + "  " * level + brackets[1]
+        )
+    memo[key] = text
+    return text
+
+
 def render_report(report: dict, output_format: str) -> str:
     """Serialize the structured report; text is a projection of the same
-    structure the JSON writer emits."""
+    structure the JSON writer emits.  The JSON bytes are those of
+    `json.dumps(report, indent=2) + "\\n"`."""
     if output_format == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json_text(report, 0, {}) + "\n"
     return "\n".join(_text_lines(report, 0)) + "\n"
 
 

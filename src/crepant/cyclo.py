@@ -30,8 +30,9 @@ from a table of the most recent 256 roots; such a value times another
 rotates the other's numerators in Z[x]/(x^N - 1) and folds them once,
 with no gcd, as a unit keeps lowest terms; `_dot` adds such products the
 same way; `as_root_of_unity` reads the exponent off.  The power-basis
-numerators stay the one canonical form, so `==`, `hash` and `render`
-never look at `_root`.
+numerators stay the one canonical form, so `==` and `hash` never look at
+`_root`; `render` writes +-zeta_N^j, j < phi(N), from it, a single basis
+term, without scanning the phi(N) numerators.
 
 `to_complex` is the only bridge to floating point.  It exists for numerical
 cross-check harnesses; no arithmetic in this module depends on it.
@@ -190,12 +191,14 @@ class CyclotomicNumber:
     is set where such a value is made (`zeta`, `rational` of +-1,
     negation, `embed`, and the product of two such values, so also the
     parser's E(n)^k) and never searched for: a sum that happens to be a
-    root of unity stays untagged.  It is a hint for products only;
-    `nums` and `den` stay the one canonical form, and `==`, `hash` and
-    `render` ignore it.
+    root of unity stays untagged.  It is a hint for products and for
+    `render`, which writes a root from it the same text the numerators
+    give; `nums` and `den` stay the one canonical form, and `==` and
+    `hash` ignore it.  `_text` keeps the rendered text, formed at most
+    once per value.
     """
 
-    __slots__ = ("conductor", "nums", "den", "_root", "_hash")
+    __slots__ = ("conductor", "nums", "den", "_root", "_hash", "_text")
 
     def __init__(
         self,
@@ -213,6 +216,7 @@ class CyclotomicNumber:
         self.den = den
         self._root = root
         self._hash: Optional[int] = None
+        self._text: Optional[str] = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -437,7 +441,20 @@ class CyclotomicNumber:
         ) or complex(0)
 
     def render(self) -> str:
-        """Canonical expression string; parse_cyclotomic(render()) == self."""
+        """Canonical expression string; parse_cyclotomic(render()) == self.
+        Formed once per value and kept.  A root of unity +-zeta_N^j with
+        j < phi(N) is one basis term, written from its exponent."""
+        if self._text is None:
+            n, e = self.conductor, self._root
+            j, sign = (0, 0) if e is None else _root_shift(n, e)
+            if sign and j < len(self.nums):
+                text = "1" if j == 0 else _power_text(n, j)
+                self._text = text if sign > 0 else "-" + text
+            else:
+                self._text = self._basis_text()
+        return self._text
+
+    def _basis_text(self) -> str:
         n = self.conductor
         den = self.den
         parts = []
@@ -450,7 +467,7 @@ class CyclotomicNumber:
             if j == 0:
                 term = coeff
             else:
-                power = f"E({n})" if j == 1 else f"E({n})^{j}"
+                power = _power_text(n, j)
                 if c == den:
                     term = power
                 elif c == -den:
@@ -512,6 +529,11 @@ def _times(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
         nums = _rotated(c, y._lifted_nums(c), x._root * (c // n))
         return CyclotomicNumber(c, tuple(nums), y.den)
     return _canonical(c, _mul_ints(c, x._lifted_nums(c), y._lifted_nums(c)), den)
+
+
+def _power_text(n: int, j: int) -> str:
+    """zeta_n^j, 0 < j, as an expression string."""
+    return f"E({n})" if j == 1 else f"E({n})^{j}"
 
 
 def _root_shift(n: int, e: int) -> tuple[int, int]:

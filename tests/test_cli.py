@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crepant.cli import (
     EXIT_CHECK_FAILED,
@@ -442,6 +444,79 @@ def test_text_rendering_projects_the_structure():
     assert "all_checks_passed: true" in text
     assert "- [-1, 0, 0, 0]" in text
     assert text.endswith("\n")
+
+
+# `render_report` writes JSON with its own writer; `json.dumps` is the
+# oracle it must match byte for byte.
+_JSON_TEXT = st.text(
+    alphabet=st.characters()
+    | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_JSON_TREES, st.lists(_JSON_TREES | _JSON_TEXT, max_size=3))
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+def test_json_writer_matches_json_dumps(tree, shared):
+    # `shared` is held twice at one depth, as the junior representatives
+    # are, and once more at another depth
+    report = {
+        "tree": tree,
+        "junior": {"class_representatives": shared},
+        "pushforward": {"free_images": shared},
+        "deeper": [[shared], {}, [], ()],
+    }
+    for value in (report, tree, shared):
+        assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": [0, 2.0]}, {1: "a"}, {(1,): 2}, {"a": {1, 2}}, [b"x"]]
+)
+def test_json_writer_refuses_what_reports_do_not_hold(value):
+    # a report holds no float and no int key, which `json.dumps` would
+    # write, nor a set, bytes or a tuple key, which it refuses too
+    with pytest.raises(TypeError):
+        render_report(value, "json")
+
+
+# Left out: `check` on C2003 and on the dense 2I x C12, and `sweep` on
+# C2003, each take over a minute; `age` on C2003 writes 53 MB, which the
+# oracle's chunk list turns into about half a gigabyte.
+_UNWRITTEN = {
+    ("c2003", "check"),
+    ("c2003", "sweep"),
+    ("2i_c12_dense", "check"),
+    ("c2003", "age"),
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).parent / "data" / "jobs").glob("*.json")),
+    ids=lambda p: p.stem,
+)
+def test_json_writer_matches_json_dumps_on_every_job(path):
+    source = path.read_text(encoding="utf-8")
+    written = 0
+    for mode in MODES:
+        if (path.stem, mode) in _UNWRITTEN:
+            continue
+        try:
+            report, _ = run(parse_job(source, mode=mode))
+        except PreconditionError:
+            continue  # no report: a GL job in a terminalization mode
+        text = render_report(report, "json")
+        assert text == json.dumps(report, indent=2) + "\n", (path.stem, mode)
+        written += 1
+    assert written >= 2
 
 
 def test_reports_are_deterministic():

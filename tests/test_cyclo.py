@@ -419,10 +419,54 @@ def test_ring_axioms(x, y, z):
     assert x - x == 0
 
 
+def _round_trips(x):
+    """parse(render(x)) equals x, and a value that is not rational keeps
+    its conductor: its text names E(N) for that N."""
+    y = parse_cyclotomic(x.render())
+    assert y == x, x
+    if x.rational_value is None:
+        assert y.conductor == x.conductor, x
+
+
 @given(cyclotomic_values())
 @settings(max_examples=150)
 def test_render_parse_round_trip(x):
-    assert parse_cyclotomic(x.render()) == x
+    _round_trips(x)
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [2003])
+def test_roots_render_as_their_numerators_do(n):
+    # A root +-zeta_n^j with j < phi(n) is written from its tag, any other
+    # value by its numerators; both must give the same text.  Every tag
+    # for n <= 64, where an odd n has odd tags, zeta_2n^e =
+    # -zeta_n^((e + n) / 2); for 2003, j = 0, 1, phi - 1 and phi, negated
+    # too.  The phi(2003) = 2002 terms of zeta^phi are not parsed back:
+    # that alone takes seconds.
+    phi = euler_phi(n)
+    tags = range(2 * n) if n < 100 else [2 * j for j in (0, 1, phi - 1, phi)]
+    for e in tags:
+        if e % 2 and n % 2 == 0:
+            continue
+        root = cyclo._root_value(n, e)
+        for x in (root, -root):
+            plain = CyclotomicNumber(n, x.nums, x.den)
+            assert x._root is not None and x.render() == plain.render(), (n, e)
+            if n < 100 or e < 2 * phi:
+                _round_trips(x)
+
+
+def test_equal_values_keep_their_own_text():
+    # text is kept per value, never looked up by equality: the same number
+    # at two conductors renders as each was made
+    half = rational(Fraction(1, 2))
+    for first, second, texts in (
+        (zeta(4), zeta(12, 3), ("E(4)", "E(12)^3")),
+        (1 + zeta(3), zeta(6), ("1+E(3)", "E(6)")),
+        (half, half.embed(5), ("1/2", "1/2")),
+    ):
+        assert first == second and hash(first) == hash(second)
+        assert (first.render(), second.render()) == texts
+        assert (second.render(), first.render()) == texts[::-1]
 
 
 @given(cyclotomic_values(), cyclotomic_values())
