@@ -38,7 +38,7 @@ from .mckay import (
     IDENTITY_TWIST,
     NotSpecialLinearError,
     _eigen_pass,
-    _junior_quotient_abelianization,
+    _junior_quotient,
     junior_classes,
     junior_elements,
     junior_subgroup,
@@ -164,7 +164,7 @@ def terminalization_class_group(
     count, reps = junior_classes(G, twist)
     juniors = junior_elements(G, twist)
     H = junior_subgroup(G, twist)
-    ab_of_quotient = _junior_quotient_abelianization(G, twist)
+    _, ab_of_quotient = _junior_quotient(G, twist)
     torsion = abelian_invariants(ab_of_quotient)
 
     ab = G.abelianization()
@@ -272,7 +272,7 @@ def freeness_criterion(
     span = subgroup_generated(G, [*juniors, *derived.generator_labels()])
     generated = len(span) == len(G)
 
-    torsion_trivial = len(_junior_quotient_abelianization(G, twist)) == 1
+    torsion_trivial = len(_junior_quotient(G, twist)[1]) == 1
     if generated != torsion_trivial:
         raise ConsistencyError(
             "the generation route and the torsion route to freeness disagree"

@@ -801,7 +801,8 @@ class _Parser:
     # division and is exact either way.  Each '(' recurses through all four
     # rules, so nesting is bounded well inside Python's recursion limit.
     # A power is taken by `_signed_power` and refused at its '^' as soon
-    # as a partial product is `_overlong`, so a huge one is never built.
+    # as a partial product is `_overlong`, so a huge one is never built;
+    # a partial product tagged as a root of unity is not scanned.
     MAX_NESTING = 100
 
     def __init__(self, text: str):
@@ -871,9 +872,10 @@ class _Parser:
                 raise CycloParseError("zero raised to a negative power", at)
 
             def mul(a, b):
-                # refuse as soon as a partial product is overlong
+                # refuse as soon as a partial product is overlong; a
+                # tagged one is a single +-zeta_N^j, which never is
                 c = a * b
-                reason = _overlong(c)
+                reason = None if c._root is not None else _overlong(c)
                 if reason:
                     raise CycloParseError(reason, at)
                 return c

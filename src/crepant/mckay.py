@@ -30,9 +30,11 @@ trace must equal sum_a zeta_r^a over its exponents, and the same rank-one
 test in exact arithmetic (`is_reflection`) must match the F_q one.  Each
 twist makes one `age_records` pass, in `junior_elements`, which computes
 the weights once per distinct order and exponents and reads the age off
-them.  Its junior classes are read from that, and so are H and G/H, built
-once per twist (`_junior_quotient`): building G/H is the proof that H is
-normal.
+them.  Its junior classes are read from that.  H, G/H and Ab(G/H) are
+built once per junior set, not once per twist (`_junior_set_quotients`):
+a twist t replaces the junior elements by their t-th powers, so every
+twist generates the same H, and twists with one junior set share one
+G/H.  Building G/H is the proof that H is normal.
 """
 
 from __future__ import annotations
@@ -510,22 +512,32 @@ def junior_classes(
 
 
 @per_group
-def _junior_quotient(
-    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
-) -> QuotientGroup:
-    """G/H, H generated by every junior element under `twist`.  Building
-    the quotient verifies that H is normal: a conjugate of a member of H by
+def _junior_set_quotients(
+    G: FiniteMatrixGroup, juniors: tuple[int, ...]
+) -> tuple[QuotientGroup, QuotientGroup]:
+    """(G/H, Ab(G/H)), H generated by the junior set `juniors`: built once
+    per junior set, so twists with the same junior elements share them.
+    Building G/H verifies that H is normal: a conjugate of a member of H by
     a generator of G that escapes H is a ConsistencyError."""
-    if not G.is_special_linear:
-        raise NotSpecialLinearError(
-            "the junior subgroup is defined for determinant-one groups only"
-        )
     try:
-        return quotient(G, subgroup_generated(G, junior_elements(G, twist)))
+        G_H = quotient(G, subgroup_generated(G, juniors))
     except NotNormalError as exc:
         raise ConsistencyError(
             "the junior subgroup failed its normality check"
         ) from exc
+    return G_H, abelianization(G_H)
+
+
+def _junior_quotient(
+    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
+) -> tuple[QuotientGroup, QuotientGroup]:
+    """(G/H, Ab(G/H)) for the junior elements under `twist`, looked up by
+    their set (`_junior_set_quotients`).  Requires determinant one."""
+    if not G.is_special_linear:
+        raise NotSpecialLinearError(
+            "the junior subgroup is defined for determinant-one groups only"
+        )
+    return _junior_set_quotients(G, junior_elements(G, twist))
 
 
 def junior_subgroup(
@@ -533,16 +545,9 @@ def junior_subgroup(
 ) -> SubgroupHandle:
     """H: generated by every junior element (class representatives alone do
     not suffice in general).  Normality is verified, not assumed: H is the
-    normal subgroup of the per-twist quotient G/H (`_junior_quotient`),
-    whose construction checks it."""
-    return _junior_quotient(G, twist).normal
-
-
-@per_group
-def _junior_quotient_abelianization(
-    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
-):
-    return abelianization(_junior_quotient(G, twist))
+    normal subgroup of G/H (`_junior_quotient`), whose construction checks
+    it."""
+    return _junior_quotient(G, twist)[0].normal
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +623,9 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
 
     Twists congruent modulo the group exponent act identically on all
     element orders, so only one representative per residue is computed.
-    Each twist's H and Ab(G/H) come from the per-group memo, so the entries
-    of twist 1 are those the report already built.
+    H, G/H and Ab(G/H) are built once per junior set, not once per twist
+    (`_junior_set_quotients`), so twists with the same junior elements
+    share them, and twist 1 reads those the report already built.
     The junior element sets may genuinely differ between twists; the class
     count and the invariant factors of Ab(G/H) must not, and a violation is
     raised as a ConsistencyError.
@@ -636,17 +642,15 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
         twist = GaloisTwist(t)
         count, reps = junior_classes(G, twist)
         ids = junior_elements(G, twist)
-        H = junior_subgroup(G, twist)
-        torsion = abelian_invariants(
-            _junior_quotient_abelianization(G, twist)
-        ).invariant_factors
+        G_H, ab = _junior_quotient(G, twist)
+        torsion = abelian_invariants(ab).invariant_factors
         entries.append(
             SweepEntry(
                 twist=t,
                 junior_count=count,
                 junior_class_representatives=reps,
                 junior_element_ids=ids,
-                junior_subgroup_order=len(H),
+                junior_subgroup_order=len(G_H.normal),
                 torsion_factors=torsion,
             )
         )

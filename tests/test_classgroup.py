@@ -3,7 +3,7 @@ torsion, push-forward data, and the built-in consistency checks."""
 
 import pytest
 
-from crepant import matgrp
+from crepant import matgrp, mckay
 from crepant.matgrp import (
     CycMatrix,
     NotNormalError,
@@ -14,7 +14,7 @@ from crepant.mckay import (
     ConsistencyError,
     GaloisTwist,
     NotSpecialLinearError,
-    _junior_quotient_abelianization,
+    _junior_quotient,
     galois_sweep,
 )
 from crepant.classgroup import (
@@ -108,9 +108,9 @@ def test_junior_subgroup_rejects_gl(s3):
 
 
 def test_junior_normality_is_scanned_once_per_twist(monkeypatch):
-    # G/H is built once per twist, and building it is the normality proof
-    # of H: H's escaping conjugates are searched once, not once more for
-    # junior_subgroup
+    # G/H is built once per junior set, and building it is the normality
+    # proof of H: H's escaping conjugates are searched once, not once more
+    # for junior_subgroup, Ab(G/H) or another twist with the same juniors
     scans = []
     real = matgrp._escaping_conjugates
 
@@ -125,7 +125,7 @@ def test_junior_normality_is_scanned_once_per_twist(monkeypatch):
     for e in entries:
         twist = GaloisTwist(e.twist)
         H = junior_subgroup(G, twist)
-        _junior_quotient_abelianization(G, twist)
+        _junior_quotient(G, twist)
         assert len(H) == e.junior_subgroup_order
         assert sum(g is G and sub is H for g, sub in scans) == 1
 
@@ -166,14 +166,13 @@ def test_group_invariants_are_computed_once_per_group(monkeypatch):
     assert len(calls) == seen
 
     # the sweep reads twist 1 from the memo; twist 3, coprime to the
-    # exponent 4, builds its own Ab(G/H) once
+    # exponent 4, has the same junior set, so it reads the same H and
+    # Ab(G/H)
     galois_sweep(G)
-    assert len(calls) == seen + 1
-    other = junior_subgroup(G, GaloisTwist(3))
-    assert other is not H
-    assert other.members == H.members
+    assert len(calls) == seen
+    assert junior_subgroup(G, GaloisTwist(3)) is H
     galois_sweep(G)
-    assert len(calls) == seen + 1
+    assert len(calls) == seen
 
     # a second closure of the same generators starts from nothing
     before = len(calls)
@@ -181,6 +180,43 @@ def test_group_invariants_are_computed_once_per_group(monkeypatch):
     terminalization_class_group(G2)
     assert len(calls) - before == seen
     assert junior_subgroup(G2) is not H
+
+
+def test_sweep_abelianizes_g_mod_h_once_per_junior_set(monkeypatch):
+    # every twist of <diag(z15, z15^-1)> makes every nontrivial element
+    # junior: eight twists, one junior set, one commutator run on G/H
+    runs = []
+    derived = matgrp.commutator_subgroup
+
+    def counted(grp):
+        runs.append(grp)
+        return derived(grp)
+
+    monkeypatch.setattr(matgrp, "commutator_subgroup", counted)
+    G = cyclic_sl2(15)
+    entries = galois_sweep(G)
+    assert len(entries) == 8
+    assert len({e.junior_element_ids for e in entries}) == 1
+    assert sum(getattr(grp, "parent", None) is G for grp in runs) == 1
+
+
+def test_sweep_builds_one_quotient_per_junior_set(monkeypatch, c7):
+    # the junior sets of diag(z7, z7, z7^5) differ between twists; each
+    # set builds its own G/H, and every twist keeps trivial torsion
+    built = []
+    real = mckay.quotient
+
+    def counted(grp, normal):
+        built.append(grp)
+        return real(grp, normal)
+
+    monkeypatch.setattr(mckay, "quotient", counted)
+    G = close_group(c7.generators)
+    entries = galois_sweep(G)
+    assert sum(grp is G for grp in built) == len(
+        {e.junior_element_ids for e in entries}
+    ) > 1
+    assert all(e.torsion_factors == () for e in entries)
 
 
 def test_every_report_handle_has_independent_generators(monkeypatch):

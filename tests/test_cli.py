@@ -25,7 +25,7 @@ from crepant.cli import (
 )
 from crepant.mckay import ConsistencyError
 
-from conftest import EX72_ROWS, Q8_ROWS, S3_ROWS
+from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, S3_ROWS
 
 
 def doc(dimension, generators, **extra):
@@ -270,6 +270,22 @@ def test_check_mode_passes_everything():
     assert len(names) == 10 + 18
     assert body["summary"] == "28/28 checks passed"
     assert all(c["passed"] for c in body["checks"])
+
+
+def test_check_names_the_only_character_of_a_perfect_group_trivial():
+    # the binary icosahedral group is perfect: Ab(G) is trivial, and so is
+    # its one character
+    report, status = run(parse_job(doc(2, ICOSA_ROWS), mode="check"))
+    assert status == EXIT_OK
+    body = report["check"]
+    names = [c["name"] for c in body["checks"]]
+    assert names[-3:] == [
+        "relative_invariant[trivial]",
+        "valuation_congruence[trivial]",
+        "junior_membership[trivial]",
+    ]
+    assert body["summary"] == "13/13 checks passed"
+    assert body["all_passed"] is True
 
 
 def test_check_decomposes_ab_g_once_per_group(monkeypatch):

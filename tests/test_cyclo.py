@@ -140,6 +140,27 @@ def test_parse_keeps_powers_within_the_digit_limit(digit_limit):
     assert parse_cyclotomic("(2/3)^0") == 1
 
 
+def test_parse_scans_no_tagged_partial_product(monkeypatch):
+    # crepant's text of zeta_2003^2002 is 2002 powers of E(2003); every
+    # partial product of such a power is a tagged +-zeta_N^j, whose
+    # numerators are 0 and +-1, so none is scanned for overlong digits
+    scans = []
+    real = cyclo._overlong
+
+    def counted(x):
+        scans.append(x)
+        return real(x)
+
+    monkeypatch.setattr(cyclo, "_overlong", counted)
+    x = zeta(2003, 2002)
+    assert len(x.render()) == 24906
+    _round_trips(x)
+    assert scans == []
+    # a power of an untagged value is still scanned
+    assert parse_cyclotomic("(1+E(5))^3") == (1 + zeta(5)) ** 3
+    assert scans
+
+
 def test_parse_rejects_E0():
     with pytest.raises(CycloParseError):
         parse_cyclotomic("E(0)")
