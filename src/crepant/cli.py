@@ -41,6 +41,7 @@ from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
     GroupTooLargeError,
+    MAX_GROUP_SIZE,
     SingularMatrixError,
     close_group,
 )
@@ -136,7 +137,7 @@ def parse_job(
     source: str,
     mode: str = "analyze",
     *,
-    max_group_size: int = 20000,
+    max_group_size: int = MAX_GROUP_SIZE,
     degree_bound: Optional[int] = None,
     twist: int = 1,
     output_format: str = "text",
@@ -553,9 +554,11 @@ def _json_text(value: object, level: int, memo: dict) -> str:
     """`value` as `json.dumps(value, indent=2)` writes it at nesting
     `level`, for the types a report holds: dicts with str keys, lists,
     tuples, str, int, bool and None.  Anything else raises TypeError, so
-    no value is written differently from `json.dumps`.  A container's text
-    is kept in `memo` by (object, level): a block the report holds in two
-    places, such as the junior class representatives, is formed once."""
+    no value is written differently from `json.dumps`.  Only the text of a
+    list of dicts is kept in `memo`, by (object, level): that is the one
+    shape of block a report holds twice (the junior class representatives,
+    whose element blocks are then formed once).  Keeping nothing else, the
+    memo holds one level of text, not a copy per nesting level."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -568,40 +571,41 @@ def _json_text(value: object, level: int, memo: dict) -> str:
         return int.__repr__(value)
     if not isinstance(value, (list, tuple, dict)):
         raise TypeError(f"a report cannot hold {type(value).__name__}")
-    key = (id(value), level)
-    text = memo.get(key)
-    if text is not None:
-        return text
     if not value:
-        text = "{}" if isinstance(value, dict) else "[]"
-    else:
-        if isinstance(value, dict):
-            brackets = "{}"
-            items = []
-            for k, v in value.items():
-                if not isinstance(k, str):
-                    raise TypeError(
-                        f"a report key must be str, not {type(k).__name__}"
-                    )
-                items.append(
-                    f"{encode_basestring_ascii(k)}: "
-                    f"{_json_text(v, level + 1, memo)}"
+        return "{}" if isinstance(value, dict) else "[]"
+    key = None
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = []
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(
+                    f"a report key must be str, not {type(k).__name__}"
                 )
+            items.append(
+                f"{encode_basestring_ascii(k)}: "
+                f"{_json_text(v, level + 1, memo)}"
+            )
+    else:
+        brackets = "[]"
+        kinds = set(map(type, value))
+        if kinds == {dict}:
+            key = (id(value), level)
+            if key in memo:
+                return memo[key]
+        # a list of strings or of ints, such as a matrix row, in one step
+        write = _SCALAR_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is not None:
+            items = map(write, value)
         else:
-            brackets = "[]"
-            # a list of strings or of ints, such as a matrix row, in one step
-            kinds = set(map(type, value))
-            write = _SCALAR_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-            if write is not None:
-                items = map(write, value)
-            else:
-                items = (_json_text(v, level + 1, memo) for v in value)
-        pad = "\n" + "  " * (level + 1)
-        text = (
-            brackets[0] + pad + ("," + pad).join(items)
-            + "\n" + "  " * level + brackets[1]
-        )
-    memo[key] = text
+            items = (_json_text(v, level + 1, memo) for v in value)
+    pad = "\n" + "  " * (level + 1)
+    text = (
+        brackets[0] + pad + ("," + pad).join(items)
+        + "\n" + "  " * level + brackets[1]
+    )
+    if key is not None:
+        memo[key] = text
     return text
 
 
@@ -641,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-group-size",
             type=int,
-            default=20000,
-            help="abort closure beyond this many elements (default 20000)",
+            default=MAX_GROUP_SIZE,
+            help="abort closure beyond this many elements (default %(default)s)",
         )
         p.add_argument(
             "--degree-bound",

@@ -416,7 +416,7 @@ def _graded_residue(
     root = as_root_of_unity(scalar)
     if root is None:
         return None
-    r = order if order is not None else _power_traces(g, 10000)[0]
+    r = order if order is not None else _power_traces(g)[0]
     r0, k0 = root
     if r % r0 != 0:
         raise ArithmeticError(

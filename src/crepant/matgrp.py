@@ -86,6 +86,11 @@ __all__ = [
     "subgroup_generated",
 ]
 
+# The default caps: the most elements `close_group` builds, and the highest
+# order `_power_traces` powers a matrix up to.
+MAX_GROUP_SIZE = 20000
+MAX_ORDER = 10000
+
 
 class SingularMatrixError(ZeroDivisionError):
     pass
@@ -417,7 +422,7 @@ def kernel_basis(m: CycMatrix) -> list[tuple[CyclotomicNumber, ...]]:
     return basis
 
 
-def _power_traces(g: CycMatrix, max_order: int):
+def _power_traces(g: CycMatrix, max_order: int = MAX_ORDER):
     """(order r, [tr(g^0), ..., tr(g^(r-1))]); errors out past max_order."""
     ident = CycMatrix.identity(g.dim, g.conductor)
     traces = []
@@ -674,7 +679,7 @@ class FiniteMatrixGroup:
 
 
 def close_group(
-    generators: Sequence[CycMatrix], max_size: int = 20000
+    generators: Sequence[CycMatrix], max_size: int = MAX_GROUP_SIZE
 ) -> FiniteMatrixGroup:
     """Close a generating set under multiplication.
 

@@ -27,10 +27,15 @@ nonzero rows of x - 1 with different supports settle it without
 arithmetic, and otherwise the 2x2 minors through the first nonzero row do.
 Every conjugacy-class representative is still checked exactly: its exact
 trace must equal sum_a zeta_r^a over its exponents, and the same rank-one
-test in exact arithmetic (`is_reflection`) must match the F_q one.  Each
-twist makes one `age_records` pass, in `junior_elements`, which computes
-the weights once per distinct order and exponents and reads the age off
-them.  Its junior classes are read from that.  H, G/H and Ab(G/H) are
+test in exact arithmetic (`is_reflection`) must match the F_q one.  The
+pass also checks the facts every twist relies on, once per group: order
+and exponents are constant on each class, and in a determinant-one group
+the exponents of x sum to a multiple of its order r (det x =
+zeta_r^(sum a) = 1).  A twist t turns the exponents a into t^-1 a mod r,
+so its ages are then a class function and integral as well.  Each twist
+makes one `age_records` pass, in `junior_elements`, which computes the
+weights once per distinct order and exponents and reads the age off
+them, and its junior classes are read from that.  H, G/H and Ab(G/H) are
 built once per junior set, not once per twist (`_junior_set_quotients`):
 a twist t replaces the junior elements by their t-th powers, so every
 twist generates the same H, and twists with one junior set share one
@@ -55,6 +60,7 @@ from .cyclo import (
 from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
+    MAX_ORDER,
     NotNormalError,
     QuotientGroup,
     SubgroupHandle,
@@ -185,7 +191,7 @@ def _multiplicities_from_traces(traces, r: int, dim: int) -> tuple[int, ...]:
 
 
 def eigen_multiplicities(
-    g: CycMatrix, order: Optional[int] = None, max_order: int = 10000
+    g: CycMatrix, order: Optional[int] = None, max_order: int = MAX_ORDER
 ) -> tuple[int, ...]:
     """Multiplicity vector (m_0, ..., m_{r-1}) where m_j counts the
     eigenvalue zeta_r^j and r is the order of g (verified by powering)."""
@@ -341,10 +347,13 @@ def _eigen_pass(G: FiniteMatrixGroup):
     without arithmetic, else the 2x2 minors through the first nonzero row
     do.  Then every conjugacy-class representative x is checked exactly:
     tr(x) must equal sum_a zeta_r^a over its exponents in Q(zeta), and the
-    exact rank-one test `is_reflection` must give its flag, which must be
-    constant on the class; else ArithmeticError.  Last, every flag must
-    match the eigenvalue test (exactly dim - 1 exponents are 0), else
-    ConsistencyError."""
+    exact rank-one test `is_reflection` must give its flag, and its flag,
+    order and exponents must be those of every member of its class; else
+    ArithmeticError.  Last, every flag must match the eigenvalue test
+    (exactly dim - 1 exponents are 0), and in a determinant-one group the
+    exponents of every element must sum to a multiple of its order; else
+    ConsistencyError.  Both facts hold under every twist, so no twist
+    checks them again."""
     shadow = G.working_shadow()
     q, traces = shadow.prime, shadow.traces
     orders = G.element_orders
@@ -390,14 +399,20 @@ def _eigen_pass(G: FiniteMatrixGroup):
                 f"the exact rank test and the rank modulo {q} disagree on "
                 f"class representative {x}"
             )
-        if any(flags[y] != flags[x] for y in cls):
+        if any((flags[y], orders[y], result[y]) != (flags[x], r, e) for y in cls):
             raise ArithmeticError(
-                f"the reflection flag is not constant on the class of {x}"
+                f"the reflection flag or the eigenvalue exponents {list(e)} "
+                f"of {x} are not constant on its class"
             )
     for x, e in enumerate(result):
         if flags[x] != (e.count(0) == G.dim - 1):
             raise ConsistencyError(
                 f"rank test and eigenvalue test disagree on reflection {x}"
+            )
+        if G.is_special_linear and sum(e) % orders[x]:
+            raise ConsistencyError(
+                f"exponents {list(e)} of element {x} sum to {sum(e)}, not a "
+                f"multiple of its order {orders[x]}: its determinant is not 1"
             )
     return tuple(result), flags
 
@@ -433,8 +448,9 @@ def age_records(
     flags are twist-independent and come from the per-group `_eigen_pass`;
     only the weights vary with t, and they are computed once per distinct
     order and exponents (`_weights`), with the age read off them as their
-    sum over the order (which must be integral in a determinant-one group;
-    the error names the first element with those exponents).  A record
+    sum over the order.  That sum is integral in a determinant-one group
+    because `_eigen_pass` checks that the exponents sum to a multiple of
+    the order, and t^-1 times that sum is the twisted sum mod r.  A record
     builds its multiplicity vector only when asked for it.  The records
     are not memoised: the sweep would keep |G| per twist."""
     exponents, reflections = _eigen_pass(G)
@@ -444,13 +460,7 @@ def age_records(
         r, e = G.element_orders[x], exponents[x]
         if (r, e) not in ages:
             weights = _weights(e, r, twist)
-            a = Fraction(sum(weights), r)
-            if G.is_special_linear and a.denominator != 1:
-                raise ConsistencyError(
-                    f"non-integral age {a} for element {x} of a "
-                    "determinant-one group"
-                )
-            ages[r, e] = a, weights
+            ages[r, e] = Fraction(sum(weights), r), weights
         a, weights = ages[r, e]
         records.append(
             AgeRecord(
@@ -470,16 +480,10 @@ def age_records(
 def junior_elements(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, ...]:
-    """The ids of age exactly 1 under `twist`, ascending, from the twist's
-    one `age_records` pass; verifies that the age is constant on every
-    conjugacy class."""
-    records = age_records(G, twist)
-    for cls in G.conjugacy_classes():
-        if any(records[x].age != records[cls[0]].age for x in cls):
-            raise ConsistencyError(
-                f"age is not constant on the conjugacy class of {cls[0]}"
-            )
-    return tuple(x for x in G.carrier_labels() if records[x].is_junior)
+    """The ids of age exactly 1 under `twist`, ascending, read off the
+    twist's one `age_records` pass.  The age is a class function because
+    `_eigen_pass` checks that order and exponents are."""
+    return tuple(rec.element_id for rec in age_records(G, twist) if rec.is_junior)
 
 
 def junior_gradings(
@@ -500,7 +504,7 @@ def junior_classes(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, tuple[int, ...]]:
     """(m, class representatives): the conjugacy classes of age exactly 1,
-    read off `junior_elements` (which checks that age is a class function).
+    read off `junior_elements` (age is a class function: `_eigen_pass`).
     Requires determinant one throughout."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(

@@ -493,6 +493,47 @@ def test_json_writer_matches_json_dumps(tree, shared):
         assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
 
 
+def _containers(value, found):
+    """Every list, tuple and dict in `value`, by id."""
+    if isinstance(value, (list, tuple, dict)):
+        found[id(value)] = value
+        for v in value.values() if isinstance(value, dict) else value:
+            _containers(v, found)
+    return found
+
+
+def test_json_writer_keeps_only_the_shared_element_blocks(monkeypatch):
+    import crepant.cli as cli_module
+
+    report, _ = run(parse_job(EX72_DOC))
+    block = report["analyze"]
+    juniors = block["junior"]["class_representatives"]
+    assert juniors and block["pushforward"]["free_images"] is juniors
+    writer, memo, calls = cli_module._json_text, {}, []
+
+    def counted(value, level, memo_):
+        assert memo_ is memo
+        calls.append((id(value), (id(value), level) in memo))
+        return writer(value, level, memo_)
+
+    monkeypatch.setattr(cli_module, "_json_text", counted)
+    text = cli_module._json_text(report, 0, memo)
+    assert text == json.dumps(report, indent=2)
+    # one level of text: only lists of dicts are kept, each once
+    found = _containers(report, {})
+    kept = [found[i] for i, _ in memo]
+    assert kept and all(
+        isinstance(v, list) and all(isinstance(d, dict) for d in v)
+        for v in kept
+    )
+    assert len(kept) == len({id(v) for v in kept})
+    # the junior list is formed at `class_representatives` and its copy at
+    # `free_images` is a memo hit; each element block is written once
+    assert [hit for i, hit in calls if i == id(juniors)] == [False, True]
+    for element in juniors:
+        assert [i for i, _ in calls].count(id(element)) == 1
+
+
 @pytest.mark.parametrize(
     "value", [1.5, {"a": [0, 2.0]}, {1: "a"}, {(1,): 2}, {"a": {1, 2}}, [b"x"]]
 )

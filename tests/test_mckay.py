@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,37 @@ def test_reflection_flags_must_be_constant_on_classes():
     shadow.images[y] = shadow.images[G.identity_label]
     with pytest.raises(ArithmeticError, match="constant"):
         age_records(G)
+
+
+def test_eigenvalue_exponents_must_be_constant_on_classes():
+    # merge the class of -1 (exponents 1, 1 of order 2) with one of order 4
+    # (exponents 1, 3): the eigen pass refuses the partition, once for
+    # every twist
+    G = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
+    classes = G.conjugacy_classes()
+    two, four = (
+        next(c for c in classes if G.element_orders[c[0]] == r) for r in (2, 4)
+    )
+    merged = tuple(sorted(two + four))
+    G.conjugacy_classes = lambda: (merged,) + tuple(
+        c for c in classes if c not in (two, four)
+    )
+    rep = merged[0]
+    exponents = "[1, 1]" if G.element_orders[rep] == 2 else "[1, 3]"
+    with pytest.raises(ArithmeticError, match="not constant") as info:
+        age_records(G)
+    assert f"exponents {exponents} of {rep} " in str(info.value)
+
+
+def test_exponents_must_sum_to_a_multiple_of_the_order_in_sl():
+    # a transposition has eigenvalues 1, 1, -1, so determinant -1: its
+    # exponents (0, 0, 1) sum to 1, not a multiple of its order 2
+    G = close_group([CycMatrix.from_rows(r) for r in S3_ROWS])
+    G.is_special_linear = True
+    with pytest.raises(mckay.ConsistencyError, match="determinant is not 1") as info:
+        age_records(G)
+    found = re.search(r"exponents \[0, 0, 1\] of element (\d+)", str(info.value))
+    assert found and int(found[1]) in _transposition_class(G)
 
 
 @pytest.mark.parametrize(
