@@ -628,15 +628,36 @@ def _dot(n: int, pairs) -> CyclotomicNumber:
 # -- inverse: extended Euclid modulo word-sized primes ----------------------
 
 
+# The product of the odd primes below 100: one gcd sieves a candidate.
+_SIEVE = math.prod(
+    (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+     73, 79, 83, 89, 97)
+)
+# Sinclair's seven bases (2011): Miller-Rabin with them is exact for
+# n < 2^64.
+_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# The first thirteen prime bases: exact below psi_13 =
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017).
+_BASES_PSI_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin for odd n > 37 with the first twelve prime bases: exact
-    # below 3.3e24.
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Whether the odd n > 97 is prime.  An n sharing a factor with the odd
+    primes below 100 is not; any other goes to Miller-Rabin, with
+    Sinclair's seven bases below 2^64, where they are exact, and the first
+    thirteen prime bases above, exact below psi_13 =
+    3317044064679887385961981 and only probabilistic from there on.  Each
+    answer is kept for the life of the process."""
+    if math.gcd(n, _SIEVE) > 1:
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for q in bases:
+    for q in _BASES_64 if n < 2**64 else _BASES_PSI_13:
+        if q % n == 0:
+            continue  # past the sieve only a prime n divides a base
         x = pow(q, d, n)
         if x in (1, n - 1):
             continue

@@ -24,7 +24,14 @@ Exact matrices are built on demand, one product each along the search
 tree; ids are found from F_p images and confirmed exactly.
 The primes searched for exceed 2^60, so they do not divide |G|; then
 reduction keeps distinct roots of unity distinct, and eigenvalue
-multiplicities and rank(g - 1) can be read over F_p.
+multiplicities and rank(g - 1) can be read over F_p.  A candidate is
+proven prime by one gcd with the odd primes below 100 and Miller-Rabin
+with Sinclair's seven bases (2011), exact below 2^64; the first thirteen
+prime bases take over above 2^64, exact below psi_13 (J. Sorenson and
+J. Webster, Math. Comp. 86, 2017, who also give the psi_12 that twelve
+bases accept).  Each proof is kept for the life of the process, so the
+many groups of one conductor, and conductors that share a prime, prove
+it once.
 `FiniteMatrixGroup.working_shadow` gives the images modulo a prime = 1
 modulo the working conductor.
 
@@ -689,7 +696,8 @@ def close_group(
     nothing longer (a Schreier vector).  The search runs over F_p (module
     docstring): p is the first prime = 1 (mod N) from (2^61 // N) * N + 1
     upwards, N the entry conductor, that divides no generator-entry
-    denominator, and zeta_N maps to an element of exact order N.
+    denominator (`_shadow_prime`, whose proofs are kept for the life of
+    the process), and zeta_N maps to an element of exact order N.
     Determinants are checked on the exact generators, and must reduce to
     those of their images.  `_certify_finite` then proves exactly that the
     group is finite, so that the tables are its own.  Raises
@@ -888,7 +896,11 @@ def _insert_mod(vec: list[int], basis: dict, p: int) -> int:
 
 def _shadow_prime(n: int, dens: Iterable[int]) -> int:
     """The first prime p = 1 (mod n) from (2^61 // n) * n + 1 upwards that
-    divides none of `dens`."""
+    divides none of `dens`.  Each odd candidate is sieved by the odd primes
+    below 100, then tested by Miller-Rabin with Sinclair's seven bases
+    (2011), exact below 2^64 (`cyclo._is_prime`); each answer is kept for
+    the life of the process, so a prime that several conductors or groups
+    reach is proven once."""
     dens = tuple(dens)
     c = max(1, 2**61 // n) * n + 1
     while not (c % 2 and _is_prime(c) and all(d % c for d in dens)):

@@ -467,3 +467,24 @@ def schoolbook_dot(n, pairs):
 def schoolbook_embed(x, m):
     """The stored form of x lifted to conductor m."""
     return schoolbook_form(m, schoolbook_poly(x, m))
+
+
+def miller_rabin_12(n):
+    """Miller-Rabin for odd n > 37 with the first twelve prime bases, the
+    primality test the package used before its sieve and Sinclair's bases:
+    exact below psi_12 = 318665857834031151167461, which it accepts."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

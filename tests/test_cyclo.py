@@ -33,6 +33,7 @@ from crepant.matgrp import CycMatrix
 from conftest import TETRA_ROWS
 from helpers import (
     close_enough,
+    miller_rabin_12,
     schoolbook_dot,
     schoolbook_embed,
     schoolbook_form,
@@ -257,6 +258,55 @@ def test_square_and_multiply_on_matrices_and_polynomials():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         rational(0).inverse()
+
+
+# --- primality of the word-sized primes -----------------------------------
+
+# psi_12, the least strong pseudoprime to the first twelve prime bases
+# (Sorenson and Webster, Math. Comp. 86, 2017); above 2^64
+PSI_12 = 318665857834031151167461
+assert PSI_12 == 399165290221 * 798330580441
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        PSI_12,  # the thirteen-base path: base 41 rejects it
+        # below 2^64, Sinclair's bases: strong pseudoprimes to the prime
+        # bases up to 31 and up to 7, with no factor below 100
+        3825123056546413051,
+        3215031751,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert miller_rabin_12(n) == (n == PSI_12)
+    assert not cyclo._is_prime(n)
+
+
+def test_is_prime_agrees_with_the_twelve_base_test():
+    # Unmemoised, so the memo keeps none of these 10^5 answers.  Every odd
+    # n in [99, 2 * 10^5] covers the sieve's primes' multiples and 193,
+    # the one prime below the bound that divides one of Sinclair's bases.
+    is_prime = cyclo._is_prime.__wrapped__
+    for n in range(99, 2 * 10**5 + 1, 2):
+        assert is_prime(n) == miller_rabin_12(n), n
+    rng = random.Random(1)
+    for _ in range(3000):
+        n = rng.randrange(2**60, 2**62) | 1
+        assert is_prime(n) == miller_rabin_12(n), n
+
+
+def test_first_inverse_primes_are_pinned():
+    # 2^61 - p for the first 40 primes of `_primes`, as found before the
+    # sieve and Sinclair's bases
+    gaps = [
+        1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759,
+        799, 819, 829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281,
+        1299, 1351, 1371, 1425, 1489, 1525, 1533, 1543, 1609, 1621, 1669,
+        1741, 1753, 1813,
+    ]
+    primes = cyclo._primes()
+    assert [2**61 - next(primes) for _ in gaps] == gaps
 
 
 # --- embed -----------------------------------------------------------------

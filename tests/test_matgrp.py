@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crepant import cli, matgrp
+from crepant import cli, cyclo, matgrp
 from crepant.cyclo import (
     _dot,
     _factorize,
@@ -717,6 +717,53 @@ def test_shadow_prime_avoids_denominators():
     assert len(G) == 2
     assert G.id_of(gen) == 1
     assert G.id_of(CycMatrix.from_rows([["-1", f"1/{p0}"], ["0", "1"]])) is None
+
+
+# p - 2^61 for the shadow prime of each conductor n = 1..199, 2003, 4096,
+# 30030 and 65536, as found before the sieve and Sinclair's bases: ids,
+# exponents and reports follow from these primes and their roots.
+PINNED_SHADOW_PRIMES = [
+    15, 15, -1, 21, -1, -1, -1, 57, -1, -1, -1, 65, -1, -1, -1, 65, 1397, -1,
+    899, 429, -1, -1, 305, 65, -1, -1, 197, 545, 491, -1, -1, 65, -1, -31, -1,
+    197, 1239, 899, -1, -31, -1, -1, -31, 21, -1, 305, 885, -31, 2267, -1,
+    -31, 545, 1397, 197, -1, 545, 899, -31, 1409, -31, -1, -1, -1, 65, -1,
+    -1, 2369, -31, 305, -1, 8715, 305, 1479, 1239, -1, 2457, -1, -1, 1071,
+    -31, 197, -1, -45, 545, -31, -31, -31, 65, 15245, -1, -1, 305, -1, 885,
+    899, -31, 539, 2267, -1, 1049, 3059, -31, 7217, 545, -1, 1397, 899, 197,
+    5579, -1, 3977, 545, -31, 899, 1409, -31, -1, 1409, 18941, -31, 65, -1,
+    -1, 2045, 1049, -1, -31, 1409, -31, -1, 20609, 65, 2267, 2369, 899, -31,
+    2391, 305, 9851, 1049, 1919, 8715, -1, 305, -31, 1479, 2267, 3977, 3527,
+    -1, -1, 2457, 4967, -1, -1, 545, 1059, 1071, 1397, -31, 2421, 197, 4619,
+    1557, -1, -45, 2145, 545, 3327, -31, 899, -31, 5769, -31, -1, 65, 1409,
+    15245, 3297, 3149, 2439, -1, -1, 305, 1239, -1, 7347, 885, 14237, 899,
+    4725, 65, 5105, 539, -1, 3149, 1397, -1, 6801, 4175, 106497, -1, 720897,
+]
+
+
+def test_shadow_primes_are_pinned():
+    conductors = [*range(1, 200), 2003, 4096, 30030, 65536]
+    got = [_shadow_prime(n, {1}) - 2**61 for n in conductors]
+    assert got == PINNED_SHADOW_PRIMES
+
+
+def test_each_shadow_prime_is_proven_once(monkeypatch):
+    # C3 and C5 both land on 2^61 - 1.  Proving it takes Sinclair's seven
+    # Miller-Rabin rounds, one modular power each; the second closure
+    # finds it in the memo and takes none.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    cyclo._is_prime.cache_clear()
+    monkeypatch.setattr(cyclo, "pow", counted, raising=False)
+    assert cyclic_sl2(3)._shadow.prime == 2**61 - 1
+    assert len(calls) == 7
+    assert {args[2] for args in calls} == {2**61 - 1}
+    calls.clear()
+    assert cyclic_sl2(5)._shadow.prime == 2**61 - 1
+    assert calls == []
 
 
 @pytest.mark.parametrize(

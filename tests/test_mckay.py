@@ -116,6 +116,24 @@ def test_integrality_guard_fires_on_bogus_traces():
         _multiplicities_from_traces([rational(2), rational(1)], 2, 2)
 
 
+@pytest.mark.parametrize(
+    "r, traces, message",
+    [
+        # m_0 = (2 + 1) / 2 is no integer
+        (2, (2, 1), r"multiplicity m_0 is not an integer in \[0, 2\] modulo "),
+        # m_0 = 3 exceeds the dimension
+        (1, (3,), r"multiplicity m_0 is not an integer in \[0, 2\] modulo "),
+        # m_0 = 1 and m_1 = 0 are integers in [0, 2] that miss the dimension
+        (2, (1, 1), r"multiplicities \[1, 0\] do not sum to the dimension 2"),
+    ],
+)
+def test_multiplicity_guards_modulo_q(r, traces, message):
+    q = _shadow_prime(r, ())
+    roots = [pow(_root_of_unity(q, r), k, q) for k in range(r)]
+    with pytest.raises(ArithmeticError, match=message):
+        mckay._multiplicities_mod(traces, r, 2, q, roots)
+
+
 def _minus_identity_id(G):
     (y,) = [x for x in G.carrier_labels() if G.element_orders[x] == 2]
     return y
