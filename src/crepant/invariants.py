@@ -9,6 +9,17 @@ of its images per coset, kept per group and shared by every character.  The
 sum over D is taken once; the sum over a coset r D is its image under r when
 the sum over D has at most |D| terms, and is summed element by element
 otherwise.  The image of a monomial under a single element is not kept.
+
+Every sum of products goes through `cyclo._dot`, one call per output
+monomial: a product of polynomials, the powers of a form (multinomial
+expansion), a substitution and a character's average each collect the
+coefficient pairs that meet on a monomial and sum them at once, with one
+reduction and one gcd, not one value per pair.  Such a sum sits at the lcm
+of its operands' conductors, as a running sum does.  Where the running sum
+went through `_add_into`, which starts afresh after a cancellation, the
+fused sum is brought to the conductor that order gives
+(`_summed_in_order`), so the averages, which `invariant` prints, are
+written as before.
 """
 
 from __future__ import annotations
@@ -21,7 +32,15 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .cyclo import (
-    CyclotomicNumber, _power, _reduce_ints, as_root_of_unity, rational, zeta
+    CyclotomicNumber,
+    _canonical,
+    _dot,
+    _power,
+    _reduce_ints,
+    _times,
+    as_root_of_unity,
+    rational,
+    zeta,
 )
 from .matgrp import (
     AbelianDecomposition,
@@ -162,17 +181,14 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._check_compatible(other)
-        acc: dict[tuple[int, ...], CyclotomicNumber] = {}
+        groups: dict = {}
         add = operator.add
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(map(add, ea, eb))
-                prod = ca * cb
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return SparsePolynomial._trusted(self.nvars, acc)
+                groups.setdefault(tuple(map(add, ea, eb)), []).append((ca, cb))
+        return SparsePolynomial._trusted(
+            self.nvars, {e: _sum_of_products(p) for e, p in groups.items()}
+        )
 
     def __rmul__(self, other: Scalar) -> "SparsePolynomial":
         return self.scale(other)
@@ -212,10 +228,14 @@ class SparsePolynomial:
         return self._substitute(_Powers(forms))
 
     def _substitute(self, powers: "_Powers") -> "SparsePolynomial":
-        """Evaluate at x_j = powers.forms[j].  Each term is the product of
-        its powers of the forms, taken from `powers`, scaled once by its
-        coefficient; the terms are summed in ascending exponent order."""
-        acc: dict[tuple[int, ...], CyclotomicNumber] = {}
+        """Evaluate at x_j = powers.forms[j].  Each term's piece is the
+        product of its powers of the forms, taken from `powers`.  Every
+        output monomial is one `_summed_in_order` over the pairs
+        (coefficient, coefficient of the piece) that meet on it, terms in
+        ascending exponent order; a one-term polynomial is its piece
+        scaled."""
+        nvars = powers.nvars
+        groups: dict = {}
         for exps in sorted(self.terms):
             coeff = self.terms[exps]
             piece = None
@@ -224,10 +244,14 @@ class SparsePolynomial:
                     p = powers.power(j, a)
                     piece = p if piece is None else piece * p
             if piece is None:
-                _add_into(acc, {(0,) * powers.nvars: coeff})
-            else:
-                _add_into(acc, piece.scale(coeff).terms)
-        return SparsePolynomial._trusted(powers.nvars, acc)
+                piece = SparsePolynomial._trusted(nvars, {(0,) * nvars: _ONE})
+            if len(self.terms) == 1:
+                return piece.scale(coeff)
+            for e, c in piece.terms.items():
+                groups.setdefault(e, []).append((coeff, c))
+        return SparsePolynomial._trusted(
+            nvars, {e: _summed_in_order(p) for e, p in groups.items()}
+        )
 
     def render(self) -> str:
         """Terms like c*x1^a1*x3 joined by +, constants and unit coefficients
@@ -264,7 +288,10 @@ def _add_into(
     terms: dict[tuple[int, ...], CyclotomicNumber],
 ) -> None:
     """acc += terms in place; a coefficient that cancels is removed at
-    once, so a later term on the same exponent starts afresh."""
+    once, so a later term on the same exponent starts afresh, at its own
+    conductor: a sum's conductor depends on the order of summing.
+    `__add__` and `_coset_sums` sum through here; `_summed_in_order` gives
+    the same coefficients from one fused sum."""
     for exps, coeff in terms.items():
         old = acc.get(exps)
         if old is None:
@@ -277,25 +304,133 @@ def _add_into(
                 acc[exps] = total
 
 
-class _Powers:
-    """Powers of the linear forms that x_1..x_n are substituted by:
-    forms[j]^a is built on first use, as forms[j]^(a-1) * forms[j], and
-    kept for every later substitution through the same object.  One is
-    kept per group element (`_element_powers`) and per junior grading
-    (`_basis_powers`)."""
+_ONE = rational(1)
 
-    __slots__ = ("nvars", "forms", "rows")
+
+def _scaled(c: CyclotomicNumber, k: int) -> CyclotomicNumber:
+    """k * c for an integer k, at the conductor of c: its numerators
+    scaled and brought to lowest terms."""
+    return _canonical(c.conductor, [k * x for x in c.nums], c.den)
+
+
+def _sum_of_products(pairs: list) -> CyclotomicNumber:
+    """The sum of a * b over the (a, b) in `pairs`, at the lcm n of all
+    their conductors: one `_dot`, each operand lifted to n by `embed`.
+    That is the value and the conductor of the running sum of the
+    products, which keeps every conductor it meets.  A single pair is one
+    product, and a rational 1 in it returns the other operand."""
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        if a.conductor == 1 and a.is_one:
+            return b
+        if b.conductor == 1 and b.is_one:
+            return a
+        return _times(a, b)
+    conductors = {x.conductor for pair in pairs for x in pair}
+    if len(conductors) == 1:
+        return _dot(conductors.pop(), pairs)
+    n = math.lcm(*conductors)
+    return _dot(
+        n,
+        [
+            (
+                a if a.conductor == n else a.embed(n),
+                b if b.conductor == n else b.embed(n),
+            )
+            for a, b in pairs
+        ],
+    )
+
+
+def _summed_in_order(pairs: list) -> CyclotomicNumber:
+    """`_sum_of_products(pairs)` at the conductor `_add_into` would leave
+    it at, adding the products in order.  There a partial sum that is zero
+    starts the sum afresh, so the result sits at the lcm of the products'
+    conductors after the last such zero.  Only a zero after the last
+    product that brings the lcm up to the full conductor n can lower it:
+    the products after that one are summed from the end, and the first
+    suffix equal to the total is the result.  A key whose last product is
+    at n is returned as fused."""
+    total = _sum_of_products(pairs)
+    n = total.conductor
+    a, b = pairs[-1]
+    if a.conductor == n or b.conductor == n or total.is_zero:
+        return total
+    m = 1
+    tail = None
+    for a, b in reversed(pairs):
+        m = math.lcm(m, a.conductor, b.conductor)
+        if m == n:
+            break
+        product = _times(a, b)
+        tail = product if tail is None else tail + product
+        if tail == total:
+            return tail
+    return total
+
+
+class _Powers:
+    """Powers of the forms that x_1..x_n are substituted by, each built on
+    first use and kept for every later substitution through the same
+    object.  One is kept per group element (`_element_powers`) and per
+    junior grading (`_basis_powers`).
+
+    forms[j]^a is expanded by the multinomial theorem, one term at a time:
+    with c x^e the first term of the form and r the rest,
+    (c x^e + r)^a = sum_b binom(a, b) c^b x^(b e) r^(a - b).  The powers
+    c^b are kept (`leads`), and so are the powers of the rests, in one
+    `_Powers` of the rests (`rest`).  Each monomial of forms[j]^a is one
+    `_sum_of_products` over the pairs (binom(a, b) c^b, coefficient of
+    r^(a - b)) that meet on it.  For a linear form one pair meets on each
+    monomial, so each coefficient is one product, at the conductor that
+    forms[j]^(a-1) * forms[j] gives it; the terms of a form that is not
+    linear may meet, and are summed by `_dot`.  The powers of the zero
+    form are zero, and a form of one term needs no rest."""
+
+    __slots__ = ("nvars", "forms", "rows", "leads", "rest")
 
     def __init__(self, forms: Sequence[SparsePolynomial]):
         self.nvars = forms[0].nvars
         self.forms = tuple(forms)
-        self.rows = [[form] for form in forms]  # rows[j][a - 1] = forms[j]^a
+        self.rows = [{1: form} for form in self.forms]  # rows[j][a] = forms[j]^a
+        # leads[j] = [c, c^2, ...] for the first coefficient c of forms[j]
+        self.leads = [list(itertools.islice(f.terms.values(), 1)) for f in self.forms]
+        self.rest: Optional[_Powers] = None
 
     def power(self, j: int, a: int) -> SparsePolynomial:
         row = self.rows[j]
-        while len(row) < a:
-            row.append(row[-1] * self.forms[j])
-        return row[a - 1]
+        if a not in row:
+            row[a] = self._expand(j, a)
+        return row[a]
+
+    def _expand(self, j: int, a: int) -> SparsePolynomial:
+        form = self.forms[j]
+        if not form.terms:
+            return form
+        e = next(iter(form.terms))
+        cs = self.leads[j]
+        while len(cs) < a:
+            cs.append(_times(cs[-1], cs[0]))
+        top = tuple([a * x for x in e])
+        if len(form.terms) == 1:
+            return SparsePolynomial._trusted(self.nvars, {top: cs[a - 1]})
+        if self.rest is None:
+            self.rest = _Powers([
+                SparsePolynomial._trusted(
+                    self.nvars, dict(itertools.islice(f.terms.items(), 1, None))
+                )
+                for f in self.forms
+            ])
+        groups = {top: [(cs[a - 1], _ONE)]}
+        add = operator.add
+        for b in range(a):
+            head = _scaled(cs[b - 1], math.comb(a, b)) if b else _ONE
+            shift = [b * x for x in e]
+            for f, c in self.rest.power(j, a - b).terms.items():
+                groups.setdefault(tuple(map(add, shift, f)), []).append((head, c))
+        return SparsePolynomial._trusted(
+            self.nvars, {k: _sum_of_products(p) for k, p in groups.items()}
+        )
 
 
 def act(g: CycMatrix, f: SparsePolynomial) -> SparsePolynomial:
@@ -599,13 +734,19 @@ def _averages(
     coset, or the coset's own images when that sum has more than |D|
     terms).  The cosets are those of `G.abelianization()`; chi is read on
     the inverse of each one's representative, through its own Ab(G), so
-    chi may be built on any Ab(G) object of G."""
+    chi may be built on any Ab(G) object of G.  Each coefficient of the
+    average is one `_summed_in_order` over the pairs (conj(chi(c)),
+    coefficient of S_c(m)), cosets in order: one `_dot`, at the conductor
+    that scaling each S_c(m) and adding it would leave."""
     conj = [chi.value_on_element(G, G.inv(r)) for r in G.abelianization().coset_reps]
     for exps in monomials_of_degree(G.dim, degree):
-        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
+        groups: dict = {}
         for value, sums in zip(conj, _coset_sums(G, exps)):
-            _add_into(terms, sums.scale(value).terms)
-        yield SparsePolynomial._trusted(G.dim, terms)
+            for e, c in sums.terms.items():
+                groups.setdefault(e, []).append((value, c))
+        yield SparsePolynomial._trusted(
+            G.dim, {e: _summed_in_order(p) for e, p in groups.items()}
+        )
 
 
 def relative_invariant(
@@ -689,11 +830,15 @@ def _junior_valuation(
     return _valuation(grading, f, powers)
 
 
+@per_group
 def _verify_graded(
     G: FiniteMatrixGroup, f: SparsePolynomial, twist: GaloisTwist
 ) -> tuple[int, ...]:
     """The graded residue of f under each of `G.generator_ids`; ValueError
-    when f is not semi-invariant under one of them."""
+    when f is not semi-invariant under one of them.  Kept per group, so
+    the congruence and membership checks and the `invariant` report on one
+    f compute each residue once; a ValueError is raised again on every
+    call, as nothing is kept for it."""
     residues = tuple(
         _graded_residue(_act_by_id(G, gid, f), f, G.element_orders[gid], twist)
         for gid in G.generator_ids

@@ -25,6 +25,22 @@ TETRA_ROWS = Q8_ROWS + [
     [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
 ]
 
+
+def in_corner(rows, dim):
+    """An entry-string matrix in the top-left corner of the dim x dim
+    identity."""
+    out = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    for i, row in enumerate(rows):
+        out[i][: len(row)] = row
+    return out
+
+
+# 2T x C3 in SL4: 2T on x1, x2 and diag(1, 1, z3, z3^2)
+TETRA_C3_ROWS = [in_corner(r, 4) for r in TETRA_ROWS] + [
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+     ["0", "0", "E(3)", "0"], ["0", "0", "0", "E(3)^2"]]
+]
+
 S3_ROWS = [
     [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
     [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],

@@ -488,3 +488,74 @@ def miller_rabin_12(n):
         else:
             return False
     return True
+
+
+# --- polynomial sums one coefficient at a time --------------------------------
+# The polynomial loops the package used before it summed through `_dot`: one
+# CyclotomicNumber product and one `+` per pair of coefficients, and
+# `_add_into` where a running sum may cancel and start afresh.
+
+
+def pairwise_product(f, g):
+    """f * g by the pair loop: each product of two coefficients is added
+    onto its exponent with `+`, so the sum keeps every conductor it meets."""
+    from crepant.invariants import SparsePolynomial
+
+    acc = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            prod = ca * cb
+            acc[key] = acc[key] + prod if key in acc else prod
+    return SparsePolynomial._trusted(f.nvars, acc)
+
+
+def repeated_power(form, a):
+    """form^a for a >= 1 as form^(a-1) * form by `pairwise_product`."""
+    power = form
+    for _ in range(a - 1):
+        power = pairwise_product(power, form)
+    return power
+
+
+def termwise_substitute(f, forms):
+    """f at x_j = forms[j] by the term loop: each term's product of
+    `repeated_power`s, scaled by its coefficient and added by `_add_into`,
+    terms in ascending exponent order."""
+    from crepant.invariants import SparsePolynomial, _add_into
+
+    nvars = forms[0].nvars
+    acc = {}
+    for exps in sorted(f.terms):
+        coeff = f.terms[exps]
+        piece = None
+        for j, a in enumerate(exps):
+            if a:
+                p = repeated_power(forms[j], a)
+                piece = p if piece is None else pairwise_product(piece, p)
+        if piece is None:
+            _add_into(acc, {(0,) * nvars: coeff})
+        else:
+            _add_into(acc, piece.scale(coeff).terms)
+    return SparsePolynomial._trusted(nvars, acc)
+
+
+def scale_and_add_averages(grp, chi, degree, coset_sums):
+    """For each monomial of the degree, in monomials_of_degree order, its
+    coset sums S_c, as `coset_sums(grp, exponents)` gives them, each scaled
+    by conj(chi(c)) and added by `_add_into`, cosets in order."""
+    from crepant.invariants import (
+        SparsePolynomial,
+        _add_into,
+        monomials_of_degree,
+    )
+
+    conj = [
+        chi.value_on_element(grp, grp.inv(r))
+        for r in grp.abelianization().coset_reps
+    ]
+    for exps in monomials_of_degree(grp.dim, degree):
+        terms = {}
+        for value, sums in zip(conj, coset_sums(grp, exps)):
+            _add_into(terms, sums.scale(value).terms)
+        yield SparsePolynomial._trusted(grp.dim, terms)

@@ -25,7 +25,7 @@ from crepant.cli import (
 )
 from crepant.mckay import ConsistencyError
 
-from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, S3_ROWS
+from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, S3_ROWS, TETRA_C3_ROWS
 
 
 def doc(dimension, generators, **extra):
@@ -611,6 +611,14 @@ C3_CUBED_DOC = doc(
         )
     ],
 )
+# 2T x C3 in SL4 (2T on x1, x2 and diag(1, 1, z3, z3^2)): the relative
+# invariants of the characters [0, 1] and [1, 1] have the coefficient
+# 36-72*E(12)^2, written at conductor 12, the lcm of the conductors of the
+# products it is summed from.
+TWO_T_C3_DOCS = {
+    f"2t_c3_chi{a}{b}": doc(4, TETRA_C3_ROWS, character=[a, b])
+    for a, b in ((0, 1), (1, 1))
+}
 GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
     "s3_age": (S3_DOC, "age"),
@@ -619,6 +627,8 @@ GOLDEN_JOBS = {
     "2t_check": (TWO_T_DOC, "check"),
     "2t_age": (TWO_T_DOC, "age"),
     "c12_conductor60_analyze": (C12_AT_60_DOC, "analyze"),
+    **{f"{name}_invariant": (source, "invariant")
+       for name, source in TWO_T_C3_DOCS.items()},
 }
 GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
@@ -631,6 +641,17 @@ def test_console_script_job_is_the_golden_q8_job():
     for name, source in (("q8", Q8_DOC), ("2t", TWO_T_DOC), ("s3", S3_DOC)):
         path = GOLDEN_DIR.parent / "jobs" / f"{name}.json"
         assert json.loads(path.read_text(encoding="utf-8")) == json.loads(source)
+
+
+def test_console_script_jobs_are_the_golden_2t_c3_invariant_jobs():
+    # CI pipes these job files through the installed `crepant invariant`
+    # and compares each output with its golden report
+    for name, source in TWO_T_C3_DOCS.items():
+        path = GOLDEN_DIR.parent / "jobs" / f"{name}.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(source)
+    for name in TWO_T_C3_DOCS:
+        golden = (GOLDEN_DIR / f"{name}_invariant.txt").read_text(encoding="utf-8")
+        assert "(36-72*E(12)^2)" in golden
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crepant.cyclo import rational, zeta
@@ -43,12 +43,23 @@ from crepant.invariants import (
     relative_invariant,
 )
 
-from conftest import Q8_ROWS, S3_ROWS, TETRA_ROWS, cyclic_sl2
+from conftest import (
+    Q8_ROWS,
+    S3_ROWS,
+    TETRA_C3_ROWS,
+    TETRA_ROWS,
+    cyclic_sl2,
+    in_corner,
+)
 from helpers import (
     character_value_by_product,
     chi_averages,
     exhaustive_relative_invariant,
+    pairwise_product,
     per_element_averages,
+    repeated_power,
+    scale_and_add_averages,
+    termwise_substitute,
     value_key,
 )
 
@@ -688,22 +699,6 @@ def test_check_job_acts_once_per_element_and_polynomial(monkeypatch):
     assert repeated == []
 
 
-def _in_corner(rows, dim):
-    """An entry-string matrix in the top-left corner of the dim x dim
-    identity."""
-    out = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
-    for i, row in enumerate(rows):
-        out[i][: len(row)] = row
-    return out
-
-
-# 2T x C3 in SL4: 2T on x1, x2 and diag(1, 1, z3, z3^2)
-TETRA_C3_ROWS = [_in_corner(r, 4) for r in TETRA_ROWS] + [
-    [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-     ["0", "0", "E(3)", "0"], ["0", "0", "0", "E(3)^2"]]
-]
-
-
 @pytest.mark.parametrize(
     "rows", [Q8_ROWS, TETRA_ROWS, TETRA_C3_ROWS], ids=["Q8", "2T", "2TxC3"]
 )
@@ -755,7 +750,7 @@ def test_value_on_coset_matches_zeta_product(rows):
 
 
 # Q8 x C4 in SL4: Q8 on x1, x2 and diag(1, 1, i, -i); Ab = C2 x C2 x C4
-Q8_C4_ROWS = [_in_corner(r, 4) for r in Q8_ROWS] + [
+Q8_C4_ROWS = [in_corner(r, 4) for r in Q8_ROWS] + [
     [["1", "0", "0", "0"], ["0", "1", "0", "0"],
      ["0", "0", "E(4)", "0"], ["0", "0", "0", "-E(4)"]]
 ]
@@ -792,6 +787,17 @@ def test_dense_2i_c12_job_is_the_conjugated_monomial_job():
     assert dense == {
         "dimension": mono["dimension"],
         "generators": _dense_conjugate(mono["generators"], 1),
+    }
+
+
+def test_dense_2t_c3_job_is_the_conjugated_job():
+    # CI runs `check` on this job: dense forms of four terms each, so every
+    # power and substitution meets several pairs on each monomial
+    jobs = Path(__file__).parent / "data" / "jobs"
+    dense = json.loads((jobs / "2t_c3_dense.json").read_text(encoding="utf-8"))
+    assert dense == {
+        "dimension": 4,
+        "generators": _dense_conjugate(TETRA_C3_ROWS, 1),
     }
 
 
@@ -843,6 +849,248 @@ def test_coset_groups_reach_both_sides_of_the_term_count_rule():
                 over_derived = invariants._coset_sums(G, exps)[0]
                 one_image.add(len(over_derived.terms) <= len(derived))
     assert one_image == {True, False}
+
+
+# --- sums of products through one kernel -------------------------------------
+# Products, powers, substitutions and averages sum each output coefficient
+# in one `_dot`; the loops of tests/helpers.py add one product at a time.
+# A coefficient that reaches a report must also keep the conductor the loop
+# leaves it at, so where that conductor is pinned the rendered text is
+# compared: for products, for powers of linear forms, for substitutions of
+# linear forms and for averages.  Small numerators over a few conductors
+# make sums cancel part-way.
+
+FUSED_CONDUCTORS = (1, 3, 4, 12)
+
+
+@st.composite
+def fused_coefficients(draw):
+    n = draw(st.sampled_from(FUSED_CONDUCTORS))
+    if draw(st.booleans()):
+        return zeta(n, draw(st.integers(0, n - 1)))
+    parts = draw(
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    den = draw(st.sampled_from((1, 2, 3)))
+    return sum((k * zeta(n, j) for k, j in parts), rational(0)) / den
+
+
+def fused_polynomials(nvars, max_exponent=2, max_terms=4):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exponent)] * nvars),
+        fused_coefficients(),
+        max_size=max_terms,
+    ).map(lambda terms: SparsePolynomial(nvars, terms))
+
+
+def fused_linear_forms(nvars):
+    units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    return st.dictionaries(
+        st.sampled_from(units), fused_coefficients(), max_size=nvars
+    ).map(lambda terms: SparsePolynomial(nvars, terms))
+
+
+def _is_linear(form):
+    return all(sum(e) == 1 for e in form.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(fused_polynomials(n), fused_polynomials(n))
+))
+def test_products_match_the_pair_loop(operands):
+    f, g = operands
+    product = f * g
+    assert product == pairwise_product(f, g)
+    assert product.render() == pairwise_product(f, g).render()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.one_of(
+            fused_linear_forms(n),
+            fused_polynomials(n, max_exponent=2, max_terms=3),
+        )
+    ),
+    st.integers(1, 5),
+)
+@example(form=SparsePolynomial.zero(2), a=4)
+def test_powers_match_repeated_products(form, a):
+    # the multinomial expansion against form^(a-1) * form; forms that are
+    # not linear have terms that meet, and the zero form has zero powers
+    powers = invariants._Powers([form])
+    got = powers.power(0, a)
+    assert got == repeated_power(form, a)
+    if _is_linear(form):
+        assert got.render() == repeated_power(form, a).render()
+    assert powers.power(0, a) is got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        fused_polynomials(n, max_exponent=3, max_terms=4),
+        st.lists(
+            st.one_of(
+                fused_linear_forms(n),
+                st.just(SparsePolynomial.zero(n)),
+                fused_polynomials(n, max_exponent=2, max_terms=3),
+            ),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+))
+# x1 and x2 both go to x1 + x2, so the three terms meet on every monomial,
+# in ascending exponent order: E(4) - E(4) is zero, and each sum starts
+# afresh at E(3), at conductor 3
+@example(case=(
+    SparsePolynomial(2, {(0, 2): zeta(4), (1, 1): -zeta(4), (2, 0): zeta(3)}),
+    [x(2, 0) + x(2, 1)] * 2,
+))
+@example(case=(
+    x(2, 0) ** 3 * x(2, 1) + x(2, 1) ** 2 + SparsePolynomial.constant(2, 5),
+    [SparsePolynomial.zero(2), x(2, 0) - x(2, 1)],
+))
+def test_substitution_matches_the_term_loop(case):
+    f, forms = case
+    got = f.substitute(forms)
+    assert got == termwise_substitute(f, forms)
+    if all(_is_linear(form) for form in forms):
+        assert got.render() == termwise_substitute(f, forms).render()
+
+
+# products drawn from a few values, so that a running sum often cancels
+FUSED_POOL = (zeta(4), -zeta(4), zeta(3), -zeta(3), zeta(12), rational(-1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["2TxC3", "C2xC6", "Q8xC4"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.integers(0, 10**6),
+            st.lists(
+                st.one_of(
+                    st.just({}),
+                    st.dictionaries(
+                        st.sampled_from([(1, 0), (0, 1)]),
+                        st.sampled_from(FUSED_POOL),
+                        min_size=1,
+                        max_size=2,
+                    ),
+                ),
+                min_size=len(_coset_group(name).abelianization()),
+                max_size=len(_coset_group(name).abelianization()),
+            ),
+        )
+    )
+)
+def test_averages_of_drawn_coset_sums_match_scale_and_add(case):
+    # coset sums whose products with the character values are drawn from a
+    # few values at conductors 1, 3, 4 and 12: keys cancel part-way, and the
+    # text must show the conductor the loop leaves each one at
+    name, pick, products = case
+    G = _coset_group(name)
+    characters = characters_of(G.abelian_decomposition())
+    chi = characters[pick % len(characters)]
+    conj = [
+        chi.value_on_element(G, G.inv(r)) for r in G.abelianization().coset_reps
+    ]
+    pad = (0,) * (G.dim - 2)
+    sums = tuple(
+        SparsePolynomial(G.dim, {e + pad: c / v for e, c in terms.items()})
+        for terms, v in zip(products, conj)
+    )
+
+    def drawn(grp, exps):
+        return sums
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_coset_sums", drawn)
+        got = [f.render() for f in invariants._averages(G, chi, 1)]
+    want = [
+        f.render() for f in scale_and_add_averages(G, chi, 1, drawn)
+    ]
+    assert got == want
+
+
+def test_average_that_cancels_part_way_keeps_the_smaller_conductor(monkeypatch):
+    # On one key the first two cosets add E(4) and -E(4), the second at
+    # conductor 12, and the third adds E(3) at conductor 3.  Summed in
+    # order the sum is zero after two cosets and starts afresh, so the
+    # coefficient is E(3) at conductor 3, not -1+E(12)^2 at conductor 12.
+    G = _coset_group("2TxC3")
+    chi = characters_of(G.abelian_decomposition())[4]
+    conj = [
+        chi.value_on_element(G, G.inv(r)) for r in G.abelianization().coset_reps
+    ]
+    assert conj[1].conductor == 3 and {v.conductor for v in conj} <= {1, 3}
+    targets = [zeta(4), -zeta(4), zeta(3)] + [None] * (len(conj) - 3)
+    sums = tuple(
+        SparsePolynomial.zero(4) if t is None
+        else SparsePolynomial.monomial(4, (1, 0, 0, 0), t / v)
+        for t, v in zip(targets, conj)
+    )
+
+    def drawn(grp, exps):
+        return sums
+
+    monkeypatch.setattr(invariants, "_coset_sums", drawn)
+    first = next(invariants._averages(G, chi, 1))
+    assert first.render() == "(E(3))*x1"
+    assert first.terms[(1, 0, 0, 0)].conductor == 3
+    want = next(scale_and_add_averages(G, chi, 1, drawn))
+    assert first.render() == want.render()
+
+
+def test_check_reads_each_generator_residue_once_per_invariant(monkeypatch):
+    # The congruence and membership checks both verify that f is graded
+    # under every generator; the second reads the kept residues, so a check
+    # on 2T takes one residue per generator and one per junior grading of
+    # each relative invariant.
+    groups = []
+    build = cli._build_group
+
+    def captured(job):
+        groups.append(build(job))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "_build_group", captured)
+    residues = collections.Counter()
+    residue = invariants._graded_residue
+
+    def counted(gf, f, *args, **kwargs):
+        residues[f] += 1
+        return residue(gf, f, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_graded_residue", counted)
+    text = json.dumps({"dimension": 2, "generators": TETRA_ROWS})
+    report, status = cli.run(cli.parse_job(text, mode="check"))
+    assert status == 0
+    (G,) = groups
+    gradings = junior_gradings(G, GaloisTwist(1))
+    found = [
+        relative_invariant(G, chi)
+        for chi in characters_of(G.abelian_decomposition())
+    ]
+    assert len(found) == 3
+    assert residues == {
+        f: len(G.generator_ids) + len(gradings) for f in found
+    }
+
+
+def test_graded_failure_is_raised_on_every_call(q8):
+    # nothing is kept for a polynomial that is not semi-invariant
+    f = x(2, 0) + x(2, 1) ** 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not semi-invariant"):
+            invariants._verify_graded(q8, f, GaloisTwist(1))
 
 
 @pytest.mark.parametrize("name", ["2TxC3", "Q8xC4", "C2xC6"])
