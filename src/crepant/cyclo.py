@@ -740,11 +740,16 @@ def _norm_and_adjugate_mod(
 
 
 def rational(value: Rationalish) -> CyclotomicNumber:
-    """The rational number `value` as a cyclotomic value (conductor 1)."""
-    value = Fraction(value)
-    if abs(value) == 1:
+    """The rational number `value` as a cyclotomic value (conductor 1).
+    A plain int (not a bool) is taken as it is, without a Fraction."""
+    if type(value) is not int:
+        value = Fraction(value)
+        if value.denominator != 1:
+            return CyclotomicNumber(1, (value.numerator,), value.denominator)
+        value = value.numerator
+    if value == 1 or value == -1:
         return _root_value(1, int(value < 0))
-    return CyclotomicNumber(1, (value.numerator,), value.denominator)
+    return CyclotomicNumber(1, (value,))
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:

@@ -193,7 +193,8 @@ class CycMatrix:
         """The product at the lcm of the two conductors.  A row of self
         with one nonzero entry a_ik scales row k of other, one product
         per nonzero entry (`cyclo._times`: two roots of unity add their
-        exponents), and a_ik = 1 takes row k as it is.  Every other
+        exponents; a zero, told by its numerator tuple, stays the shared
+        zero), and a_ik = 1 takes row k as it is.  Every other
         output entry is one fused `_dot` over the nonzero a_ik b_kj, read
         from the sparse rows of other, which are built only when such a
         row comes up."""
@@ -203,13 +204,14 @@ class CycMatrix:
         m = math.lcm(self.conductor, other.conductor)
         other = other.lift(m)
         zero = _zero(m)
+        zeros = zero.nums
         b = None
         out = []
         for row in self.lift(m)._nonzero():
             if len(row) == 1:
                 k, a = row[0]
                 out.append(other.rows[k] if a._root == 0 else tuple(
-                    zero if x is zero or not x else _times(a, x)
+                    zero if x is zero or x.nums == zeros else _times(a, x)
                     for x in other.rows[k]
                 ))
                 continue
@@ -475,22 +477,24 @@ def _powers(grp, x) -> list:
     return powers
 
 
-def _cyclic_walks(grp) -> tuple[dict, dict]:
-    """(orders, inverses) of every label of a group-like, one walk per
-    cyclic subgroup: the powers of a label x not yet reached are walked
-    once, and each x^j, with x^r = 1, gets the order r / gcd(r, j) and the
-    inverse x^(r - j)."""
+def _cyclic_walks(grp) -> tuple[dict, dict, list]:
+    """(orders, inverses, walks) of every label of a group-like: the
+    powers [1, x, ..., x^(r-1)] of each label x not yet reached, in label
+    order, are walked once and kept, and each x^j gets the order
+    r / gcd(r, j) and the inverse x^(r - j)."""
     orders: dict = {}
     inverses: dict = {}
+    walks = []
     for x in grp.carrier_labels():
         if x in orders:
             continue
         powers = _powers(grp, x)
+        walks.append(powers)
         r = len(powers)
         for j, y in enumerate(powers):
             orders[y] = r // math.gcd(r, j)
             inverses[y] = powers[-j]
-    return orders, inverses
+    return orders, inverses, walks
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +539,7 @@ class FiniteMatrixGroup:
     come from the closure over F_p (module docstring); the index behind
     `id_of` is keyed by F_p images, and a match is confirmed exactly.
     Element orders and inverses come from one walk per cyclic subgroup
-    (`_cyclic_walks`).
+    (`_cyclic_walks`), whose power lists `walks` keeps for the eigen pass.
 
     Exact matrices are built on demand: `matrix(x)` is the generator that
     discovered x times the matrix of x's parent in the search tree, one
@@ -578,7 +582,7 @@ class FiniteMatrixGroup:
                 self._matrices[x] = self.generators[steps[x]]
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
-        orders, inverses = _cyclic_walks(self)
+        orders, inverses, self.walks = _cyclic_walks(self)
         self.element_orders = [orders[x] for x in self.carrier_labels()]
         self.inverse_ids = [inverses[x] for x in self.carrier_labels()]
         self.exponent = math.lcm(*self.element_orders)

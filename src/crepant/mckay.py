@@ -12,26 +12,22 @@ Eigenvalue multiplicities of a single matrix are read off by an exact discrete
 Fourier transform of the trace sequence k -> tr(g^k).  The transform must land
 on nonnegative integers summing to the dimension; anything else is reported as
 an internal arithmetic failure rather than silently accepted.  For a whole
-group the transform runs over F_q (the group's modular shadow, see `matgrp`)
-once per cyclic subgroup, on one generator x, and gives the dim exponents a
-of its eigenvalues zeta_r^a (r the order of x).  The exponents of every
-power x^j are derived from them (zeta_r^a becomes zeta_r^(a*j)) and checked
-against the stored order and F_q trace of x^j.  Both the transform and that
-check read the powers of the root of unity of order r in F_q from one table
-per element order r, built once per group.  Each element keeps its dim
-exponents, ascending, whatever its order; the length-r multiplicity vector
-(m_a counting the eigenvalue zeta_r^a) is built only where the public API
-or a report shows it.  The same pass (`_eigen_pass`, once per group)
-decides rank(x - 1) == 1 over F_q with the rank-one test `_rank_is_one`:
-nonzero rows of x - 1 with different supports settle it without
-arithmetic, and otherwise the 2x2 minors through the first nonzero row do.
-Every conjugacy-class representative is still checked exactly: its exact
-trace must equal sum_a zeta_r^a over its exponents, and the same rank-one
-test in exact arithmetic (`is_reflection`) must match the F_q one.  The
-pass also checks the facts every twist relies on, once per group: order
-and exponents are constant on each class, and in a determinant-one group
-the exponents of x sum to a multiple of its order r (det x =
-zeta_r^(sum a) = 1).  A twist t turns the exponents a into t^-1 a mod r,
+group one pass (`_eigen_pass`) works over F_q (the group's modular shadow,
+see `matgrp`), once per cyclic subgroup: Newton's identities give the
+characteristic polynomial of its generator x from the traces of x, ...,
+x^dim, and the powers of the root of unity of order r that divide it give
+the dim exponents a of its eigenvalues zeta_r^a, in O(r * dim).  Every
+power of x derives its exponents from them and must reproduce its own
+order and F_q trace.  Each element keeps its dim exponents, ascending;
+the length-r multiplicity vector (m_a counting the eigenvalue zeta_r^a)
+is built only where the public API or a report shows it.  The same pass
+flags rank(x - 1) == 1 over F_q (`_rank_is_one`) and checks every
+conjugacy-class representative exactly: its exact trace against
+sum_a zeta_r^a, and the exact rank-one test (`is_reflection`) against
+its flag.  The pass also checks the facts every twist relies on, once
+per group: order and exponents are constant on each class, and in a
+determinant-one group the exponents of x sum to a multiple of its order r
+(det x = zeta_r^(sum a) = 1).  A twist t turns the exponents a into t^-1 a mod r,
 so its ages are then a class function and integral as well.  Each twist
 makes one `age_records` pass, in `junior_elements`, which computes the
 weights once per distinct order and exponents and reads the age off
@@ -45,6 +41,7 @@ G/H.  Building G/H is the proof that H is normal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -53,6 +50,7 @@ from .cyclo import (
     CyclotomicNumber,
     _dot,
     _reduce_ints,
+    _zero,
     as_root_of_unity,
     rational,
     zeta,
@@ -65,7 +63,6 @@ from .matgrp import (
     QuotientGroup,
     SubgroupHandle,
     _power_traces,
-    _powers,
     abelian_invariants,
     abelianization,
     kernel_basis,
@@ -244,20 +241,23 @@ def _shifted(g: CycMatrix, lam: CyclotomicNumber) -> CycMatrix:
 
 def _rank_is_one(supports, entry, vanishes) -> bool:
     """rank == 1 for a matrix given by the supports of its rows (the
-    columns of their nonzero entries) and by `entry(i, j)`, asked only for
-    the entries a minor needs.  With no nonzero row the rank is 0.  Two
-    nonzero rows with different supports are independent, which takes no
-    arithmetic.  Otherwise every nonzero row i must be a multiple of the
-    first one, row t: with p the first column of the common support, each
-    minor entry(t, p) * entry(i, j) - entry(t, j) * entry(i, p) must
-    vanish, which `vanishes(a, b, c, d)` (a*b - c*d == 0) decides."""
-    nonzero = [i for i, s in enumerate(supports) if s]
-    if not nonzero:
+    columns of their nonzero entries), an iterable read in row order, and
+    by `entry(i, j)`, asked only for the entries a minor needs.  With no
+    nonzero row the rank is 0.  Two nonzero rows with different supports
+    are independent, which takes no arithmetic, and no later support is
+    read.  Otherwise every nonzero row i must be a multiple of the first
+    one, row t: with p the first column of the common support, each minor
+    entry(t, p) * entry(i, j) - entry(t, j) * entry(i, p) must vanish,
+    which `vanishes(a, b, c, d)` (a*b - c*d == 0) decides."""
+    nonzero = ((i, s) for i, s in enumerate(supports) if s)
+    top, support = next(nonzero, (None, None))
+    if support is None:
         return False
-    top, rest = nonzero[0], nonzero[1:]
-    support = supports[top]
-    if any(supports[i] != support for i in rest):
-        return False
+    rest = []
+    for i, s in nonzero:
+        if s != support:
+            return False
+        rest.append(i)
     p, others = support[0], support[1:]
     if not (rest and others):
         return True
@@ -273,16 +273,20 @@ def _rank_is_one(supports, entry, vanishes) -> bool:
 
 def is_reflection(g: CycMatrix) -> bool:
     """rank(g - id) = 1; the classical pseudo-reflection condition, by
-    `_rank_is_one`.  The supports of the rows of g - 1 are read off g (a
-    diagonal entry is in its row's support unless it is 1), an entry of
-    g - 1 is built only when a minor needs it, with 1 subtracted on the
-    diagonal only, and each minor is one `_dot`."""
+    `_rank_is_one`.  The support of each row of g - 1 is read off g, one
+    row at a time as the test asks for it, by comparing numerators: a
+    diagonal entry is in it unless it is 1, any other entry unless it is
+    0.  An entry of g - 1 is built only when a minor needs it, with 1
+    subtracted on the diagonal only, and each minor is one `_dot`."""
     rows, n = g.rows, g.conductor
+    zeros = _zero(n).nums
+    one = (1,) + zeros[1:]
     return _rank_is_one(
-        [
-            tuple(j for j, e in enumerate(row) if (not e.is_one if i == j else e))
+        (
+            [j for j, e in enumerate(row)
+             if e.nums != (one if j == i and e.den == 1 else zeros)]
             for i, row in enumerate(rows)
-        ],
+        ),
         lambda i, j: rows[i][j] - 1 if i == j else rows[i][j],
         lambda a, b, c, d: not _dot(n, ((a, b), (-c, d))),
     )
@@ -290,12 +294,11 @@ def is_reflection(g: CycMatrix) -> bool:
 
 def _is_reflection_mod(image, q: int) -> bool:
     """rank(image - 1) == 1 over F_q, `image` the rows of an element's
-    F_q image, by `_rank_is_one`."""
+    F_q image, by `_rank_is_one`, each row's support read as the test
+    asks for it."""
     return _rank_is_one(
-        [
-            tuple(j for j, v in enumerate(row) if v != (i == j))
-            for i, row in enumerate(image)
-        ],
+        ([j for j, v in enumerate(row) if v != (i == j)]
+         for i, row in enumerate(image)),
         lambda i, j: (image[i][j] - (i == j)) % q,
         lambda a, b, c, d: (a * b - c * d) % q == 0,
     )
@@ -332,40 +335,35 @@ def _eigen_pass(G: FiniteMatrixGroup):
     """(eigenvalue exponents, reflection flags) of every element, over
     F_q (`FiniteMatrixGroup.working_shadow`: q = 1 mod the working
     conductor W, so every element order r has the root omega_r =
-    root^(W/r)).  The exponents of x, of order r, are the dim values a of
-    its eigenvalues zeta_r^a, ascending.  The powers of each omega_r are
-    read from one table per order (`_root_tables`), built once per group.
+    root^(W/r), its powers read from one table per order,
+    `_root_tables`).  The exponents of x, of order r, are the dim values a
+    of its eigenvalues zeta_r^a, ascending.
 
-    Elements are visited by descending order; an element not yet filled
-    generates a new cyclic subgroup and gets the guarded F_q DFT of its
-    power traces (`_multiplicities_mod`).  All of its powers are filled
-    from its exponents (`_power_exponents`).  Each power must have the
-    derived order r / gcd(r, j) as its stored order, and its derived
-    exponents must reproduce its F_q trace, a sum of dim table entries.
-    The flag of x is rank(x - 1) == 1 over F_q, by the rank-one test
-    `_rank_is_one`: rows of x - 1 with different supports settle it
-    without arithmetic, else the 2x2 minors through the first nonzero row
-    do.  Then every conjugacy-class representative x is checked exactly:
-    tr(x) must equal sum_a zeta_r^a over its exponents in Q(zeta), and the
-    exact rank-one test `is_reflection` must give its flag, and its flag,
-    order and exponents must be those of every member of its class; else
-    ArithmeticError.  Last, every flag must match the eigenvalue test
+    Each walk the group kept (`FiniteMatrixGroup.walks`) is the powers of
+    an x no earlier walk reached; the exponents of x come from the traces
+    of x, ..., x^dim by Newton's identities (`_exponents_mod`).  Every
+    power x^j not yet filled gets them by `_power_exponents`, and must
+    have the derived order r / gcd(r, j) as its stored order and reproduce
+    its F_q trace, a sum of dim table entries.  The flag of x is
+    rank(x - 1) == 1 over F_q (`_is_reflection_mod`).  Then every
+    conjugacy-class representative x is checked exactly: tr(x) must equal
+    sum_a zeta_r^a, compared as numerators at the lcm of its conductor and
+    r, the exact rank-one test `is_reflection` must give its flag, and its
+    flag, order and exponents must be those of every member of its class;
+    else ArithmeticError.  Last, every flag must match the eigenvalue test
     (exactly dim - 1 exponents are 0), and in a determinant-one group the
     exponents of every element must sum to a multiple of its order; else
     ConsistencyError.  Both facts hold under every twist, so no twist
     checks them again."""
     shadow = G.working_shadow()
     q, traces = shadow.prime, shadow.traces
-    orders = G.element_orders
+    orders, dim = G.element_orders, G.dim
     roots = _root_tables(shadow, orders)
     result: list[Optional[tuple[int, ...]]] = [None] * len(G)
-    for x in sorted(G.carrier_labels(), key=lambda y: -orders[y]):
-        if result[x] is not None:
-            continue
-        r = orders[x]
-        powers = _powers(G, x)
-        e = _multiplicities_mod([traces[y] for y in powers], r, G.dim, q, roots[r])
-        result[x] = e
+    for powers in G.walks:
+        r = len(powers)
+        sums = [traces[powers[k % r]] for k in range(1, dim + 1)]
+        e = _exponents_mod(sums, r, dim, q, roots[r])
         for j, y in enumerate(powers):
             if result[y] is not None:
                 continue
@@ -376,7 +374,8 @@ def _eigen_pass(G: FiniteMatrixGroup):
                     f"{s}, but its order is {orders[y]}"
                 )
             ej = _power_exponents(e, r, j)
-            if sum(roots[s][a] for a in ej) % q != traces[y]:
+            table = roots[s]
+            if sum([table[a] for a in ej]) % q != traces[y]:
                 raise ArithmeticError(
                     f"derived eigenvalue exponents {list(ej)} of element {y} "
                     f"do not reproduce its trace modulo {q}"
@@ -386,10 +385,13 @@ def _eigen_pass(G: FiniteMatrixGroup):
     for cls in G.conjugacy_classes():
         x = cls[0]
         r, e = orders[x], result[x]
-        expected = CyclotomicNumber(r, tuple(_reduce_ints(r, _multiplicity_vector(e, r))))
         g = G.matrix(x)
         exact = g.trace()
-        if exact != expected:
+        n = math.lcm(exact.conductor, r)
+        expected = [0] * n
+        for a in e:
+            expected[a * n // r] += 1
+        if exact.den != 1 or exact._lifted_nums(n) != tuple(_reduce_ints(n, expected)):
             raise ArithmeticError(
                 f"eigenvalue exponents {list(e)} of class representative {x} "
                 f"do not reproduce its exact trace {exact.render()}"
@@ -405,7 +407,7 @@ def _eigen_pass(G: FiniteMatrixGroup):
                 f"of {x} are not constant on its class"
             )
     for x, e in enumerate(result):
-        if flags[x] != (e.count(0) == G.dim - 1):
+        if flags[x] != (e.count(0) == dim - 1):
             raise ConsistencyError(
                 f"rank test and eigenvalue test disagree on reflection {x}"
             )
@@ -417,28 +419,44 @@ def _eigen_pass(G: FiniteMatrixGroup):
     return tuple(result), flags
 
 
-def _multiplicities_mod(traces, r: int, dim: int, q: int, roots):
-    """m_a = (1/r) sum_k tr(g^k) omega^(-ak) over F_q, with `roots` the
-    powers omega^k (k < r) of an omega of exact order r; each must be an
-    integer in [0, dim], summing to dim.  As r * dim < q (q > 2^60), that
-    holds exactly when the sum, reduced mod q, is r * m_a with m_a <= dim,
-    so no inverse of r is taken.  Returns the exponents (`_exponents`): a
-    repeated m_a times, ascending."""
-    out = []
-    for a in range(r):
-        acc = sum(t * roots[(-a * k) % r] for k, t in enumerate(traces) if t)
-        m_a, rest = divmod(acc % q, r)
-        if rest or m_a > dim:
-            raise ArithmeticError(
-                f"eigenvalue multiplicity m_{a} is not an integer in "
-                f"[0, {dim}] modulo {q}"
-            )
-        out.append(m_a)
-    if sum(out) != dim:
-        raise ArithmeticError(
-            f"multiplicities {out} do not sum to the dimension {dim}"
-        )
-    return _exponents(out)
+def _exponents_mod(sums, r: int, dim: int, q: int, roots) -> tuple[int, ...]:
+    """The exponents a, ascending, of the eigenvalues omega^a over F_q of
+    an element of order r, from `sums` = [tr(x), ..., tr(x^dim)] mod q;
+    `roots` holds the powers omega^k (k < r) of an omega of exact order r.
+    Newton's identities give the characteristic polynomial x^dim + c_1
+    x^(dim-1) + ... + c_dim: k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), c_0 =
+    1, with k <= dim < q invertible.  Each omega^a, a ascending, is then
+    divided out as often as it is a root, O(r * dim); the last root, -c_1
+    of what is left, is looked up in `roots` from a on.  Fewer than dim
+    roots is an ArithmeticError."""
+    poly = [1]
+    for k in range(1, dim + 1):
+        poly.append(-sum(map(operator.mul, reversed(poly), sums)) * pow(k, -1, q) % q)
+    found = []
+    for a, w in enumerate(roots):
+        while len(poly) > 2:
+            value = 0
+            for c in poly:
+                value = value * w + c
+            if value % q:
+                break
+            quotient, b = [], 0
+            for c in poly[:-1]:
+                b = (b * w + c) % q
+                quotient.append(b)
+            poly = quotient
+            found.append(a)
+        if len(poly) == 2:
+            try:
+                found.append(roots.index(-poly[1] % q, a))
+            except ValueError:
+                break
+            return tuple(found)
+    raise ArithmeticError(
+        f"the characteristic polynomial modulo {q} has {len(found)} of its "
+        f"{dim} roots among the powers of omega_{r}: omega_{r}^a for a in "
+        f"{found}"
+    )
 
 
 def age_records(

@@ -6,6 +6,7 @@ available, independent of the package's fast paths.  Tests compare the two.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from crepant.cyclo import cyclotomic_polynomial, rational, zeta
@@ -559,3 +560,27 @@ def scale_and_add_averages(grp, chi, degree, coset_sums):
         for value, sums in zip(conj, coset_sums(grp, exps)):
             _add_into(terms, sums.scale(value).terms)
         yield SparsePolynomial._trusted(grp.dim, terms)
+
+
+def dense_conjugate(rows, seed):
+    """P g P^-1 for each generator g, P = U L with U and L unipotent
+    integer triangular matrices whose off-diagonal entries are drawn from
+    [-2, 2] by random.Random(seed), U first, row by row: a presentation
+    with dense rows of a group given by `rows`."""
+    rng = random.Random(seed)
+    dim = len(rows[0])
+
+    def triangle(upper):
+        return CycMatrix.from_rows(
+            [
+                [
+                    1 if i == j else rng.randint(-2, 2) if (j > i) == upper else 0
+                    for j in range(dim)
+                ]
+                for i in range(dim)
+            ]
+        )
+
+    P = triangle(True) @ triangle(False)
+    P_inv = P.inverse()
+    return [(P @ CycMatrix.from_rows(g) @ P_inv).render_rows() for g in rows]

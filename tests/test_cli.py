@@ -619,6 +619,11 @@ TWO_T_C3_DOCS = {
     f"2t_c3_chi{a}{b}": doc(4, TETRA_C3_ROWS, character=[a, b])
     for a, b in ((0, 1), (1, 1))
 }
+# The age reports of C17 (element order 17, far above the dimension 2) and
+# of 2T x C3 conjugated by a dense unimodular P read their job files: they
+# pin the exponents, multiplicities and weights of elements whose order
+# exceeds the dimension and of elements with dense rows.
+AGE_JOB_FILES = ("c17", "2t_c3_dense")
 GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
     "s3_age": (S3_DOC, "age"),
@@ -629,6 +634,10 @@ GOLDEN_JOBS = {
     "c12_conductor60_analyze": (C12_AT_60_DOC, "analyze"),
     **{f"{name}_invariant": (source, "invariant")
        for name, source in TWO_T_C3_DOCS.items()},
+    **{f"{name}_age": (
+        (GOLDEN_DIR.parent / "jobs" / f"{name}.json").read_text(encoding="utf-8"),
+        "age",
+    ) for name in AGE_JOB_FILES},
 }
 GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
@@ -1009,10 +1018,10 @@ def test_main_arithmetic_check_failure_exits_1(monkeypatch, capsys):
 
     # every element gets "all eigenvalues 1": the derived-power check of
     # the eigenvalue exponents refuses it with an ArithmeticError
-    def wrong(traces, r, dim, q, omega):
+    def wrong(sums, r, dim, q, roots):
         return (0,) * dim
 
-    monkeypatch.setattr(mckay, "_multiplicities_mod", wrong)
+    monkeypatch.setattr(mckay, "_exponents_mod", wrong)
     code, out, err = run_main(
         ["analyze"], stdin_text=EX72_DOC, monkeypatch=monkeypatch, capsys=capsys
     )

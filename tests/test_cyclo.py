@@ -581,6 +581,27 @@ def test_canonical_form(x, y):
     assert _same_data(x * 3 / 3, x)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, -1, 2, -7, 10**40, -(10**40), Fraction(1, 2), Fraction(-3, 4),
+     Fraction(1), Fraction(-1), Fraction(6, 3), True, False],
+    ids=lambda v: f"{type(v).__name__}-{v}",
+)
+def test_rational_of_an_int_matches_the_fraction_route(value):
+    # a plain int skips the Fraction; every value gets the numerators,
+    # denominator and root tag that Fraction(value) gives
+    fraction = Fraction(value)
+    if abs(fraction) == 1:
+        expected = cyclo._root_value(1, int(fraction < 0))
+    else:
+        expected = CyclotomicNumber(1, (fraction.numerator,), fraction.denominator)
+    got = rational(value)
+    assert (got.conductor, got.nums, got.den, got._root) == (
+        1, expected.nums, expected.den, expected._root
+    )
+    assert all(type(c) is int for c in got.nums + (got.den,))
+
+
 @given(cyclotomic_values(), cyclotomic_values(), st.integers(1, 3))
 @settings(max_examples=100)
 def test_embed_is_ring_homomorphism(x, y, scale):

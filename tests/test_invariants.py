@@ -54,6 +54,7 @@ from conftest import (
 from helpers import (
     character_value_by_product,
     chi_averages,
+    dense_conjugate,
     exhaustive_relative_invariant,
     pairwise_product,
     per_element_averages,
@@ -756,29 +757,6 @@ Q8_C4_ROWS = [in_corner(r, 4) for r in Q8_ROWS] + [
 ]
 
 
-def _dense_conjugate(rows, seed):
-    """P g P^-1 for each generator g, P = U L with U and L unipotent
-    integer triangular matrices whose off-diagonal entries are drawn from
-    [-2, 2] by random.Random(seed), U first, row by row."""
-    rng = random.Random(seed)
-    dim = len(rows[0])
-
-    def triangle(upper):
-        return CycMatrix.from_rows(
-            [
-                [
-                    1 if i == j else rng.randint(-2, 2) if (j > i) == upper else 0
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
-        )
-
-    P = triangle(True) @ triangle(False)
-    P_inv = P.inverse()
-    return [(P @ CycMatrix.from_rows(g) @ P_inv).render_rows() for g in rows]
-
-
 def test_dense_2i_c12_job_is_the_conjugated_monomial_job():
     # CI runs `analyze` on both job files and compares their answers
     jobs = Path(__file__).parent / "data" / "jobs"
@@ -786,7 +764,7 @@ def test_dense_2i_c12_job_is_the_conjugated_monomial_job():
     dense = json.loads((jobs / "2i_c12_dense.json").read_text(encoding="utf-8"))
     assert dense == {
         "dimension": mono["dimension"],
-        "generators": _dense_conjugate(mono["generators"], 1),
+        "generators": dense_conjugate(mono["generators"], 1),
     }
 
 
@@ -797,7 +775,7 @@ def test_dense_2t_c3_job_is_the_conjugated_job():
     dense = json.loads((jobs / "2t_c3_dense.json").read_text(encoding="utf-8"))
     assert dense == {
         "dimension": 4,
-        "generators": _dense_conjugate(TETRA_C3_ROWS, 1),
+        "generators": dense_conjugate(TETRA_C3_ROWS, 1),
     }
 
 
@@ -808,7 +786,7 @@ COSET_GROUPS = {
     "C2xC6": C2_C6_ROWS,
     "Q8xC4": Q8_C4_ROWS,
     # the sums over [G, G] = C3 of some cubics have more than 3 terms
-    "S3_dense": _dense_conjugate(S3_ROWS, 1),
+    "S3_dense": dense_conjugate(S3_ROWS, 1),
 }
 
 

@@ -659,15 +659,33 @@ def test_search_tree_memory_is_bounded():
 def test_element_orders_match_powering(name, request):
     G = _shadow_group(name, request)
     assert G.element_orders == [order_of(G, x) for x in G.carrier_labels()]
+    _assert_walks(G, G.walks)
     assert all(G.mul(x, G.inv(x)) == 0 for x in G.carrier_labels())
     handle = subgroup_generated(G, G.generator_ids[-1:])
     for grp in (abelianization(G), commutator_subgroup(G), handle):
-        orders, inverses = _cyclic_walks(grp)
+        orders, inverses, walks = _cyclic_walks(grp)
         assert orders == {x: order_of(grp, x) for x in grp.carrier_labels()}
         assert all(
             grp.mul(x, inverses[x]) == grp.identity_label
             for x in grp.carrier_labels()
         )
+        _assert_walks(grp, walks)
+
+
+def _assert_walks(grp, walks):
+    """Each walk is [1, x, ..., x^(r-1)] for a label x that no earlier
+    walk reached, taken in label order, and the walks reach every label."""
+    reached: set = set()
+    starts = []
+    for powers in walks:
+        x = powers[1] if len(powers) > 1 else powers[0]
+        assert x not in reached
+        assert powers == [power(grp, x, j) for j in range(len(powers))]
+        assert power(grp, x, len(powers)) == grp.identity_label
+        starts.append(x)
+        reached.update(powers)
+    assert starts == sorted(starts)
+    assert reached == set(grp.carrier_labels())
 
 
 def test_element_orders_walk_each_cyclic_subgroup_once(monkeypatch):

@@ -34,8 +34,9 @@ from crepant.mckay import (
     _multiplicities_from_traces,
 )
 
-from conftest import Q8_ROWS, S3_ROWS, cyclic_sl2
+from conftest import Q8_ROWS, S3_ROWS, TETRA_C3_ROWS, cyclic_sl2
 from helpers import (
+    dense_conjugate,
     dense_minus_identity,
     dense_rank,
     diagonal_exponents,
@@ -117,21 +118,50 @@ def test_integrality_guard_fires_on_bogus_traces():
 
 
 @pytest.mark.parametrize(
-    "r, traces, message",
+    "r, sums, message",
     [
-        # m_0 = (2 + 1) / 2 is no integer
-        (2, (2, 1), r"multiplicity m_0 is not an integer in \[0, 2\] modulo "),
-        # m_0 = 3 exceeds the dimension
-        (1, (3,), r"multiplicity m_0 is not an integer in \[0, 2\] modulo "),
-        # m_0 = 1 and m_1 = 0 are integers in [0, 2] that miss the dimension
-        (2, (1, 1), r"multiplicities \[1, 0\] do not sum to the dimension 2"),
+        # tr(x) = 1 and tr(x^2) = tr(1) = 2 give x^2 - x - 1/2, with
+        # neither 1 nor -1 as a root
+        (2, (1, 2), r"has 0 of its 2 roots among the powers of omega_2: "
+                    r"omega_2\^a for a in \[\]$"),
+        # tr(x) = tr(x^2) = 3 give x^2 - 3x + 3, which 1 does not annul
+        (1, (3, 3), r"has 0 of its 2 roots among the powers of omega_1: "
+                    r"omega_1\^a for a in \[\]$"),
+        # tr(x) = tr(x^2) = 1 give x^2 - x: the root 1 once, and -1 is none
+        (2, (1, 1), r"has 1 of its 2 roots among the powers of omega_2: "
+                    r"omega_2\^a for a in \[0\]$"),
     ],
+    ids=["half-integral", "above-the-dimension", "short-of-the-dimension"],
 )
-def test_multiplicity_guards_modulo_q(r, traces, message):
+def test_multiplicity_guards_modulo_q(r, sums, message):
     q = _shadow_prime(r, ())
     roots = [pow(_root_of_unity(q, r), k, q) for k in range(r)]
     with pytest.raises(ArithmeticError, match=message):
-        mckay._multiplicities_mod(traces, r, 2, q, roots)
+        mckay._exponents_mod(sums, r, 2, q, roots)
+
+
+@pytest.mark.parametrize(
+    "exponents, found",
+    [((3, 9), []), ((0, 3), [0]), ((3, 3), [])],
+    ids=["i-and-minus-i", "1-and-i", "i-twice"],
+)
+def test_dim_roots_guard_fires_when_the_polynomial_does_not_split(
+    exponents, found
+):
+    # eigenvalues omega_12^b over F_q, q = 1 mod 12, passed as an element
+    # of order 3: i and -i, 1 and i, or i twice split over F_q but not over
+    # the cube roots of unity omega_12^(0, 4, 8), so fewer than dim roots
+    # are found among them
+    q = _shadow_prime(12, ())
+    omega = _root_of_unity(q, 12)
+    sums = [sum(pow(omega, b * k, q) for b in exponents) % q for k in (1, 2)]
+    cube_roots = [pow(omega, 4 * a, q) for a in range(3)]
+    with pytest.raises(ArithmeticError) as info:
+        mckay._exponents_mod(sums, 3, 2, q, cube_roots)
+    assert str(info.value) == (
+        f"the characteristic polynomial modulo {q} has {len(found)} of its 2 "
+        f"roots among the powers of omega_3: omega_3^a for a in {found}"
+    )
 
 
 def _minus_identity_id(G):
@@ -237,12 +267,30 @@ def test_exponents_must_sum_to_a_multiple_of_the_order_in_sl():
     assert found and int(found[1]) in _transposition_class(G)
 
 
+# S3 and 2T x C3 conjugated by a dense unimodular P (`dense_conjugate`):
+# the only groups here whose elements have dense rows, so the root test,
+# the flags over F_q and the exact rank-one test see full supports
+DENSE_ROWS = {
+    "s3_dense": dense_conjugate(S3_ROWS, 1),
+    "2t_c3_dense": dense_conjugate(TETRA_C3_ROWS, 1),
+}
+
+
+def _eigen_group(group, request):
+    if group in DENSE_ROWS:
+        return close_group([CycMatrix.from_rows(r) for r in DENSE_ROWS[group]])
+    if group in ("c30", "c1009"):
+        return cyclic_sl2(int(group[1:]))
+    return request.getfixturevalue(group)
+
+
 @pytest.mark.parametrize(
     "group",
-    ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15", "scalar3", "c30"],
+    ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15", "scalar3", "c30",
+     "s3_dense", "2t_c3_dense"],
 )
 def test_group_multiplicities_match_per_element_dft(group, request):
-    G = cyclic_sl2(30) if group == "c30" else request.getfixturevalue(group)
+    G = _eigen_group(group, request)
     records = age_records(G)
     for x in G.carrier_labels():
         assert records[x].multiplicities == eigen_multiplicities(
@@ -253,19 +301,19 @@ def test_group_multiplicities_match_per_element_dft(group, request):
 @pytest.mark.parametrize(
     "group",
     ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15", "scalar3", "c30",
-     "c1009"],
+     "c1009", "s3_dense", "2t_c3_dense"],
 )
 def test_eigen_pass_keeps_dim_exponents_per_element(group, request):
     # C1009 has prime order, far above the dimension: each element keeps
     # the dim exponents of its eigenvalues, and only a record asked for its
     # multiplicities builds a vector of length r
-    if group in ("c30", "c1009"):
-        G = cyclic_sl2(int(group[1:]))
-    else:
-        G = request.getfixturevalue(group)
-    exponents, _ = mckay._eigen_pass(G)
+    G = _eigen_group(group, request)
+    exponents, flags = mckay._eigen_pass(G)
     records = age_records(G)
     for x, e in enumerate(exponents):
+        # the flag against the rank of x - 1 from Leibniz minors
+        minus_one = dense_minus_identity(G.matrix(x))
+        assert flags[x] == (dense_rank(minus_one) == 1), f"element {x}"
         r = G.element_orders[x]
         assert type(e) is tuple and len(e) == G.dim
         assert list(e) == sorted(e)
