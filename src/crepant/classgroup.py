@@ -120,16 +120,17 @@ def class_group_of_quotient(G: FiniteMatrixGroup) -> AbelianStructure:
     return abelian_invariants(abelianization(quotient(G, K)))
 
 
-def _abelian_image(ab_quotient, members) -> SubgroupHandle:
+def _abelian_image(ab_quotient, labels) -> SubgroupHandle:
     return subgroup_generated(
-        ab_quotient, sorted({ab_quotient.coset_of[x] for x in members})
+        ab_quotient, sorted({ab_quotient.coset_of[x] for x in labels})
     )
 
 
 def _annihilator_of_image(ab_quotient, decomposition, image_generators):
     """Elements of Ab(G) pairing to zero with every generator of the junior
     image, under the self-pairing <a, b> = sum (L/d_j) e_j(a) e_j(b) mod L
-    written in the invariant-factor basis."""
+    written in the invariant-factor basis; the pairing is bilinear, so they
+    pair to zero with the whole image."""
     factors = decomposition.structure.invariant_factors
     L = factors[-1] if factors else 1
     weights = [L // d for d in factors]
@@ -162,7 +163,6 @@ def terminalization_class_group(
     cl_vg = class_group_of_quotient(G)
 
     count, reps = junior_classes(G, twist)
-    juniors = junior_elements(G, twist)
     H = junior_subgroup(G, twist)
     _, ab_of_quotient = _junior_quotient(G, twist)
     torsion = abelian_invariants(ab_of_quotient)
@@ -171,11 +171,10 @@ def terminalization_class_group(
     ab_dec = G.abelian_decomposition()
     ab_structure = ab_dec.structure
 
-    hbar = _abelian_image(ab, H.members)
+    hbar = _abelian_image(ab, H.generator_labels())
     hbar_structure = abelian_invariants(hbar)
 
-    junior_images = sorted({ab.coset_of[x] for x in juniors})
-    annihilator = _annihilator_of_image(ab, ab_dec, junior_images)
+    annihilator = _annihilator_of_image(ab, ab_dec, hbar.generator_labels())
     annihilator_dec = abelian_decomposition(annihilator)
     witnesses = tuple(ab.coset_reps[idx] for idx in annihilator_dec.generators)
     pushforward = PushforwardData(free_images=reps, torsion_witnesses=witnesses)

@@ -741,8 +741,13 @@ def _norm_and_adjugate_mod(
 
 def rational(value: Rationalish) -> CyclotomicNumber:
     """The rational number `value` as a cyclotomic value (conductor 1).
-    A plain int (not a bool) is taken as it is, without a Fraction."""
+    A plain int (not a bool) is taken as it is, without a Fraction.  Any
+    value that is not an int or a Fraction (a float, a Decimal, a string) is
+    refused with TypeError: a float's binary expansion is not the rational
+    it was written as."""
     if type(value) is not int:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an int or a Fraction: {type(value).__name__}")
         value = Fraction(value)
         if value.denominator != 1:
             return CyclotomicNumber(1, (value.numerator,), value.denominator)

@@ -35,9 +35,11 @@ it once.
 `FiniteMatrixGroup.working_shadow` gives the images modulo a prime = 1
 modulo the working conductor.
 
-Subgroups are handles onto a parent group's label set; quotients get their own
-contiguous label set (coset indices, representative = least parent label) and
-multiply their representatives in the parent.
+Subgroups are handles onto a parent group's label set, known by generators
+that generate their members, so normality and normal closures are tested on
+the conjugates of those generators; quotients get their own contiguous label
+set (coset indices, representative = least parent label) and multiply their
+representatives in the parent.
 The table algorithms below (closure, conjugacy, commutators, quotients,
 abelian structure) only require the small group-protocol surface
 (carrier_labels / generator_labels / mul / inv / identity_label), so they work
@@ -992,7 +994,8 @@ def _det_mod(rows, p: int) -> int:
 
 class SubgroupHandle:
     """A subgroup as a subset of a parent group's labels.  Group operations
-    delegate to the parent, so handles nest without label translation."""
+    delegate to the parent, so handles nest without label translation.
+    The generators generate the members: normality is read off them."""
 
     def __init__(self, parent, members: tuple, generators: tuple):
         self.parent = parent
@@ -1087,7 +1090,10 @@ def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
 def commutator_subgroup(grp) -> SubgroupHandle:
     """The derived subgroup: the normal closure of the generators'
     commutators (Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005), grown by conjugates under the generators until stable."""
+    Theory, 2005).  While a generator of the subgroup S grown so far has a
+    conjugate outside S, S is regrown from its generators and the escaping
+    conjugates; each round at least doubles |S|, so there are at most
+    log2 |G| rounds."""
     gens = list(dict.fromkeys(grp.generator_labels()))
     seed = set()
     for a in gens:
@@ -1095,23 +1101,26 @@ def commutator_subgroup(grp) -> SubgroupHandle:
             seed.add(
                 grp.mul(grp.mul(grp.mul(grp.inv(a), grp.inv(b)), a), b)
             )
+    sub = subgroup_generated(grp, sorted(seed))
     while True:
-        sub = subgroup_generated(grp, sorted(seed))
         new = {c for _, _, c in _escaping_conjugates(grp, sub)}
         if not new:
             return sub
-        seed |= new
+        sub = subgroup_generated(grp, [*sub.generator_labels(), *sorted(new)])
 
 
 def _escaping_conjugates(grp, sub: SubgroupHandle):
-    """(g, h, g^-1 h g) for every generator g of `grp` and member h of
-    `sub` whose conjugate lies outside `sub`, g-major.  Conjugating by g^-1
-    rather than by g puts the generator g on the right, where
-    `FiniteMatrixGroup.mul` takes one step for it; for a finite group the
-    verdict is the same, as g H g^-1 lies in H exactly when g^-1 H g does."""
+    """(g, h, g^-1 h g) for every generator g of `grp` and generator h of
+    `sub` whose conjugate lies outside `sub`, g-major.  Conjugation by g is
+    an automorphism, so g^-1 S g lies in S exactly when the conjugate of
+    each generator of S does: none escapes exactly when S is normal in the
+    group the g generate.  Conjugating by g^-1 rather than by g puts the
+    generator g on the right, where `FiniteMatrixGroup.mul` takes one step
+    for it; for a finite group the verdict is the same, as g S g^-1 lies in
+    S exactly when g^-1 S g does."""
     for g in dict.fromkeys(grp.generator_labels()):
         gi = grp.inv(g)
-        for h in sub.members:
+        for h in sub.generator_labels():
             c = grp.mul(grp.mul(gi, h), g)
             if c not in sub.member_set:
                 yield g, h, c
@@ -1174,7 +1183,8 @@ def _check_normal(parent, normal: SubgroupHandle):
 
 
 def quotient(grp, normal: SubgroupHandle) -> QuotientGroup:
-    """G/N with normality verified (NotNormalError otherwise)."""
+    """G/N with normality verified on the conjugates of N's generators by
+    G's generators (NotNormalError otherwise)."""
     return QuotientGroup(grp, normal)
 
 

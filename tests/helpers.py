@@ -120,6 +120,28 @@ def brute_commutators(grp):
     return out
 
 
+def member_scan_escapes(grp, members):
+    """The conjugates g^-1 h g that leave `members`, for every generator g
+    of `grp` and every h in `members`: normality read off all members."""
+    return {
+        grp.mul(grp.mul(grp.inv(g), h), g)
+        for g in grp.generator_labels()
+        for h in members
+    } - set(members)
+
+
+def member_scan_normal_closure(grp, seeds):
+    """Members of the normal closure of `seeds`: the closure of the seeds,
+    grown by every member's escaping conjugates until none escapes."""
+    seeds = set(seeds)
+    while True:
+        members = seed_closure(grp, sorted(seeds))
+        escaping = member_scan_escapes(grp, members)
+        if not escaping:
+            return members
+        seeds |= escaping
+
+
 class ExplicitGroup:
     """A finite group given by explicit label set and multiplication
     callable; satisfies the same protocol as the package's group classes."""
@@ -584,3 +606,94 @@ def dense_conjugate(rows, seed):
     P = triangle(True) @ triangle(False)
     P_inv = P.inverse()
     return [(P @ CycMatrix.from_rows(g) @ P_inv).render_rows() for g in rows]
+
+
+def toric_class_group(r, exponent_rows):
+    """(free rank, torsion) of Cl(X) for a terminalization X of C^n / G,
+    G <= SL_n diagonal, generated by diag(z_r^a_1, ..., z_r^a_n) for each
+    row a of `exponent_rows`, read off the toric fan with the standard
+    library alone.  G is enumerated as vectors in (Q/Z)^n; N = Z^n +
+    sum Z a/r; the rays are e_1..e_n and each element whose reduced vector
+    sums to 1 (a junior element).  Written in a basis of N, the rays form
+    an integer matrix whose cokernel is Cl(X): its rank is the number of
+    juniors and its torsion the Smith invariants other than 1."""
+    n = len(exponent_rows[0])
+    steps = [tuple(Fraction(a, r) for a in row) for row in exponent_rows]
+    elements = {(Fraction(0),) * n}
+    queue = list(elements)
+    for x in queue:
+        for s in steps:
+            y = tuple((u + v) % 1 for u, v in zip(x, s))
+            if y not in elements:
+                elements.add(y)
+                queue.append(y)
+    juniors = sorted(x for x in elements if sum(x) == 1)
+    rays = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    rays += juniors
+    # r N is spanned by r e_1, ..., r e_n and the exponent rows; its
+    # triangular basis writes each ray r v with integer coordinates
+    basis = _triangular_basis(
+        [[r * int(i == j) for j in range(n)] for i in range(n)]
+        + [list(row) for row in exponent_rows]
+    )
+    matrix = []
+    for v in rays:
+        w = [r * x for x in v]
+        coords = []
+        for col in range(n):
+            rest = w[col] - sum(c * b[col] for c, b in zip(coords, basis))
+            assert rest % basis[col][col] == 0, (v, basis)
+            coords.append(int(rest // basis[col][col]))
+        matrix.append(coords)
+    invariants = _smith_invariants(matrix)
+    assert len(invariants) == n
+    return len(juniors), [d for d in invariants if d != 1]
+
+
+def _triangular_basis(rows):
+    """An upper triangular basis of the full-rank integer lattice spanned
+    by `rows`, by gcd elimination one column at a time."""
+    n = len(rows[0])
+    rows = [list(row) for row in rows]
+    basis = []
+    for col in range(n):
+        while True:
+            live = sorted((row for row in rows if row[col]), key=lambda r: abs(r[col]))
+            if len(live) == 1:
+                break
+            for row in live[1:]:
+                q = row[col] // live[0][col]
+                row[:] = [x - q * y for x, y in zip(row, live[0])]
+        rows = [row for row in rows if row is not live[0]]
+        basis.append(live[0])
+    return basis
+
+
+def _smith_invariants(matrix):
+    """The nonzero Smith invariants d_1 | d_2 | ... of an integer matrix."""
+    a = [list(row) for row in matrix]
+    out = []
+    while a and a[0]:
+        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, a[0])]
+        qs = [x // p for x in a[0]]
+        for row in a:
+            row[1:] = [x - q * row[0] for x, q in zip(row[1:], qs[1:])]
+        if any(row[0] for row in a[1:]) or any(a[0][1:]):
+            continue  # a smaller remainder is the next pivot
+        bad = next((row for row in a[1:] if any(x % p for x in row[1:])), None)
+        if bad is not None:
+            a[0] = [x + y for x, y in zip(a[0], bad)]
+            continue
+        out.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return out

@@ -1,7 +1,11 @@
 """Class group reports: reflection subgroup, junior subgroup, free rank,
 torsion, push-forward data, and the built-in consistency checks."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant import matgrp, mckay
 from crepant.matgrp import (
@@ -26,7 +30,11 @@ from crepant.classgroup import (
 )
 
 from conftest import EX72_ROWS, Q8_ROWS, TETRA_ROWS, cyclic_sl2
-from helpers import assert_independent_generators
+from helpers import (
+    assert_independent_generators,
+    dense_conjugate,
+    toric_class_group,
+)
 
 
 # --- reflections and the quotient's class group -------------------------------
@@ -414,3 +422,165 @@ def test_annihilator_spans_abelianization_when_no_juniors(scalar3):
     span = subgroup_generated(scalar3, witnesses)
     # H is trivial, so the torsion part is all of Ab(G) = G here
     assert len(span) == report.abelianization_structure.order
+
+
+# --- oracles stated without crepant: binary dihedral blocks, toric fans ---------
+
+
+def _binary_dihedral(n):
+    """BD_4n = <diag(z_2n, z_2n^-1), [[0, 1], [-1, 0]]> in SL2."""
+    return [
+        [[f"E({2 * n})", "0"], ["0", f"E({2 * n})^{2 * n - 1}"]],
+        [["0", "1"], ["-1", "0"]],
+    ]
+
+
+def _blocks(*grids):
+    """The block-diagonal entry-string matrix of square entry-string grids."""
+    dim = sum(len(g) for g in grids)
+    out = [["0"] * dim for _ in range(dim)]
+    at = 0
+    for grid in grids:
+        for i, row in enumerate(grid):
+            out[at + i][at:at + len(row)] = row
+        at += len(grid)
+    return out
+
+
+_I2 = [["1", "0"], ["0", "1"]]
+# (generators in SL2, number of conjugacy classes)
+_SL2_BLOCKS = {
+    "Q8": (Q8_ROWS, 5),
+    "BD12": (_binary_dihedral(3), 6),
+    "BD16": (_binary_dihedral(4), 7),
+    "2T": (TETRA_ROWS, 7),
+}
+
+
+def _direct_sum(k, k2):
+    return [_blocks(g, _I2) for g in k] + [_blocks(_I2, g) for g in k2]
+
+
+def _diagonal_copy(k):
+    return [_blocks(g, g) for g in k]
+
+
+def _block_and_diagonal_copy(k, k2):
+    return [_blocks(g, _I2, _I2) for g in k] + [_blocks(_I2, g, g) for g in k2]
+
+
+def _report(rows):
+    G = close_group([CycMatrix.from_rows(r) for r in rows])
+    report = terminalization_class_group(G)
+    assert report.all_checks_passed
+    return G, report
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_binary_dihedral_class_groups(n):
+    # every element of SL2 but 1 is junior, so the free rank is the number
+    # of classes less one and H = G; Ab(BD_4n) is C4 for odd n and C2 x C2
+    # for even n
+    G, report = _report(_binary_dihedral(n))
+    assert len(G) == 4 * n
+    assert len(G.conjugacy_classes()) == n + 3
+    assert report.free_rank == n + 2
+    assert report.torsion.invariant_factors == ()
+    expected = (4,) if n % 2 else (2, 2)
+    assert report.quotient_class_group.invariant_factors == expected
+
+
+@pytest.mark.parametrize(
+    "first, second", itertools.combinations_with_replacement(_SL2_BLOCKS, 2)
+)
+def test_direct_sum_of_sl2_blocks(first, second):
+    # (k, 1) and (1, k') are junior, and they generate K + K'
+    (k, c), (k2, c2) = _SL2_BLOCKS[first], _SL2_BLOCKS[second]
+    _, report = _report(_direct_sum(k, k2))
+    assert report.free_rank == (c - 1) + (c2 - 1)
+    assert report.torsion.invariant_factors == ()
+
+
+@pytest.mark.parametrize("name, torsion", [("Q8", (2, 2)), ("BD12", (4,))])
+def test_diagonal_copy_has_no_juniors(name, torsion):
+    # every (k, k) with k != 1 has age 2: H = 1 and Cl(X) = Ab(K)^dual
+    _, report = _report(_diagonal_copy(_SL2_BLOCKS[name][0]))
+    assert report.free_rank == 0
+    assert report.torsion.invariant_factors == torsion
+
+
+def test_block_beside_a_diagonal_copy():
+    # 2T on x1, x2 and a diagonal Q8 on x3..x6: the juniors are (k, 1, 1),
+    # so H = 2T and the torsion is Ab(Q8)
+    G, report = _report(_block_and_diagonal_copy(TETRA_ROWS, Q8_ROWS))
+    assert len(G) == 192
+    assert report.free_rank == 6
+    assert report.torsion.invariant_factors == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "rows, free_rank, torsion",
+    [
+        (_direct_sum(_binary_dihedral(3), _binary_dihedral(4)), 11, ()),
+        (_diagonal_copy(Q8_ROWS), 0, (2, 2)),
+    ],
+    ids=["BD12+BD16", "diagonal-Q8"],
+)
+def test_block_oracles_in_a_dense_presentation(rows, free_rank, torsion):
+    _, report = _report(dense_conjugate(rows, 1))
+    assert report.free_rank == free_rank
+    assert report.torsion.invariant_factors == torsion
+
+
+def _diagonal_rows(r, exponents):
+    return [
+        ["0" if i != j else f"E({r})^{a}" for j in range(len(exponents))]
+        for i, a in enumerate(exponents)
+    ]
+
+
+def _check_against_the_fan(r, exponent_rows):
+    G = close_group(
+        [CycMatrix.from_rows(_diagonal_rows(r, a)) for a in exponent_rows]
+    )
+    report = terminalization_class_group(G)
+    assert report.all_checks_passed
+    free_rank, torsion = toric_class_group(r, exponent_rows)
+    assert report.free_rank == free_rank
+    assert list(report.torsion.invariant_factors) == torsion
+    return free_rank, torsion
+
+
+@st.composite
+def _diagonal_sl_groups(draw):
+    """(r, exponent rows): one or two generators diag(z_r^a_1, ..., z_r^a_n)
+    with n <= 4, r <= 12 and sum a = 0 (mod r)."""
+    r = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        head = draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
+        rows.append((*head, -sum(head) % r))
+    return r, rows
+
+
+@given(_diagonal_sl_groups())
+@settings(max_examples=100, deadline=None)
+def test_diagonal_groups_match_the_toric_fan(group):
+    _check_against_the_fan(*group)
+
+
+@pytest.mark.parametrize(
+    "r, exponent_rows, answer",
+    [
+        # EX72 = diag(-1, -1, -z3, -z3^2)
+        (6, [(3, 3, 5, 1)], (2, [2])),
+        # C3^3 = <diag(z, 1, 1, z^-1), diag(1, z, 1, z^-1), diag(1, 1, z, z^-1)>
+        (3, [(1, 0, 0, 2), (0, 1, 0, 2), (0, 0, 1, 2)], (16, [])),
+        # C12 = diag(z3, z4, z60^-35), written at conductor 60
+        (12, [(4, 3, 5)], (8, [])),
+    ],
+    ids=["ex72", "c3_cubed", "c12_conductor60"],
+)
+def test_golden_diagonal_jobs_match_the_toric_fan(r, exponent_rows, answer):
+    assert _check_against_the_fan(r, exponent_rows) == answer

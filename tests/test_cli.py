@@ -552,6 +552,8 @@ _UNWRITTEN = {
     ("c2003", "sweep"),
     ("2i_c12_dense", "check"),
     ("c2003", "age"),
+    # `check` reads no character: this is 2t_c3_dense's check report, ~4 s
+    ("2t_c3_dense_chi11", "check"),
 }
 
 
@@ -624,6 +626,9 @@ TWO_T_C3_DOCS = {
 # pin the exponents, multiplicities and weights of elements whose order
 # exceeds the dimension and of elements with dense rows.
 AGE_JOB_FILES = ("c17", "2t_c3_dense")
+# The dense 2T x C3 job with the character [1, 1]: its relative invariant is
+# formed from powers and substitutions of four-term linear forms.
+DENSE_INVARIANT_JOB = "2t_c3_dense_chi11"
 GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
     "s3_age": (S3_DOC, "age"),
@@ -638,6 +643,12 @@ GOLDEN_JOBS = {
         (GOLDEN_DIR.parent / "jobs" / f"{name}.json").read_text(encoding="utf-8"),
         "age",
     ) for name in AGE_JOB_FILES},
+    f"{DENSE_INVARIANT_JOB}_invariant": (
+        (GOLDEN_DIR.parent / "jobs" / f"{DENSE_INVARIANT_JOB}.json").read_text(
+            encoding="utf-8"
+        ),
+        "invariant",
+    ),
 }
 GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
@@ -661,6 +672,13 @@ def test_console_script_jobs_are_the_golden_2t_c3_invariant_jobs():
     for name in TWO_T_C3_DOCS:
         golden = (GOLDEN_DIR / f"{name}_invariant.txt").read_text(encoding="utf-8")
         assert "(36-72*E(12)^2)" in golden
+
+
+def test_dense_invariant_job_is_the_dense_job_with_a_character():
+    jobs = GOLDEN_DIR.parent / "jobs"
+    dense = json.loads((jobs / "2t_c3_dense.json").read_text(encoding="utf-8"))
+    job = json.loads((jobs / f"{DENSE_INVARIANT_JOB}.json").read_text(encoding="utf-8"))
+    assert job == {**dense, "character": [1, 1]}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))

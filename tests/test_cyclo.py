@@ -9,6 +9,7 @@ import operator
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -600,6 +601,26 @@ def test_rational_of_an_int_matches_the_fraction_route(value):
         1, expected.nums, expected.den, expected._root
     )
     assert all(type(c) is int for c in got.nums + (got.den,))
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, 0.5, Decimal("0.5"), 1 + 0j, "1/3"],
+    ids=lambda v: f"{type(v).__name__}-{v}",
+)
+def test_rational_values_that_are_not_int_or_fraction_are_refused(value):
+    # 0.1 would be 3602879701896397/36028797018963968, not 1/10
+    name = type(value).__name__
+    routes = [
+        lambda: rational(value),
+        lambda: SparsePolynomial(1, {(1,): value}),
+        lambda: SparsePolynomial.variable(1, 0).scale(value),
+    ]
+    if not isinstance(value, str):
+        # a string matrix entry is parsed as an expression (matgrp._entry)
+        routes.append(lambda: CycMatrix.from_rows([[value]]))
+    for route in routes:
+        with pytest.raises(TypeError, match=f"^not an int or a Fraction: {name}$"):
+            route()
 
 
 @given(cyclotomic_values(), cyclotomic_values(), st.integers(1, 3))

@@ -65,6 +65,8 @@ from helpers import (
     dense_trace,
     exact_closure,
     invariant_factors_of_product,
+    member_scan_escapes,
+    member_scan_normal_closure,
     naive_closure,
     schoolbook_dot,
     seed_closure,
@@ -984,6 +986,52 @@ def test_quotient_of_s3_by_a3(s3):
     q = quotient(s3, a3)
     assert len(q) == 2
     assert order_of(q, 1) == 2
+
+
+def _two_t():
+    return close_group([CycMatrix.from_rows(r) for r in TETRA_ROWS])
+
+
+def test_normality_from_generators_matches_the_member_scan(s3, q8):
+    # <a, b> for every ordered pair: G/<a, b> is built exactly when no
+    # member of <a, b> has a conjugate outside it
+    for grp in (s3, q8, _two_t()):
+        for a, b in itertools.product(grp.carrier_labels(), repeat=2):
+            sub = subgroup_generated(grp, [a, b])
+            if member_scan_escapes(grp, sub.members):
+                with pytest.raises(NotNormalError, match="^subgroup is not normal"):
+                    quotient(grp, sub)
+            else:
+                assert len(quotient(grp, sub)) * len(sub) == len(grp)
+
+
+def test_normality_reads_every_generator_of_the_subgroup():
+    # <-1, b> in 2T, b of order 4: -1 is central, so only the second kept
+    # seed b has a conjugate that escapes
+    grp = _two_t()
+    minus_one = grp.element_orders.index(2)
+    b = grp.element_orders.index(4)
+    sub = subgroup_generated(grp, [minus_one, b])
+    assert sub.generator_labels() == (minus_one, b)
+    assert len(sub) == 4 and member_scan_escapes(grp, sub.members)
+    with pytest.raises(NotNormalError, match=f"conjugate of {b!r} by"):
+        quotient(grp, sub)
+
+
+def test_commutator_subgroup_is_the_member_scan_normal_closure(
+    ex72, q8, s3, icosa, icosa_diag, c7, c15, scalar3
+):
+    for G in (ex72, q8, s3, icosa, icosa_diag, c7, c15, scalar3, _two_t()):
+        for grp in (G, G.abelianization()):
+            gens = list(dict.fromkeys(grp.generator_labels()))
+            seeds = {
+                grp.mul(grp.mul(grp.mul(grp.inv(a), grp.inv(b)), a), b)
+                for a in gens
+                for b in gens
+            }
+            derived = commutator_subgroup(grp)
+            assert derived.members == member_scan_normal_closure(grp, seeds)
+            assert not member_scan_escapes(grp, derived.members)
 
 
 def _c4_times_c12():
