@@ -489,8 +489,8 @@ MODES = tuple(_MODE_TABLE)
 
 def run(job: JobSpec) -> tuple[dict, int]:
     """Execute a job; returns (structured report, exit status)."""
-    G = _build_group(job)
     _require(job.mode in _MODE_TABLE, f"unknown mode {job.mode!r}")
+    G = _build_group(job)
     try:
         payload, status = _MODE_TABLE[job.mode][0](job, G)
     except NotSpecialLinearError as exc:

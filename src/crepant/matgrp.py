@@ -40,10 +40,15 @@ that generate their members, so normality and normal closures are tested on
 the conjugates of those generators; quotients get their own contiguous label
 set (coset indices, representative = least parent label) and multiply their
 representatives in the parent.
-The table algorithms below (closure, conjugacy, commutators, quotients,
-abelian structure) only require the small group-protocol surface
-(carrier_labels / generator_labels / mul / inv / identity_label), so they work
-uniformly on groups, subgroup handles, quotients, and ad-hoc table groups.
+Each group-like holds one element-order table, `element_orders`, indexed by
+label: a closed group's comes with its closure and a quotient's from one walk
+of its cyclic subgroups on first read (`_cyclic_walks`), while a handle reads
+its parent's, so no subgroup is walked again.
+The table algorithms below (closure, conjugacy, commutators, quotients) only
+require the small group-protocol surface (carrier_labels / generator_labels /
+mul / inv / identity_label), so they work uniformly on groups, subgroup
+handles, quotients, and ad-hoc table groups; abelian structure also reads
+`element_orders`.
 """
 
 from __future__ import annotations
@@ -479,16 +484,17 @@ def _powers(grp, x) -> list:
     return powers
 
 
-def _cyclic_walks(grp) -> tuple[dict, dict, list]:
-    """(orders, inverses, walks) of every label of a group-like: the
-    powers [1, x, ..., x^(r-1)] of each label x not yet reached, in label
-    order, are walked once and kept, and each x^j gets the order
-    r / gcd(r, j) and the inverse x^(r - j)."""
-    orders: dict = {}
-    inverses: dict = {}
+def _cyclic_walks(grp) -> tuple[list[int], list[int], list]:
+    """(orders, inverses, walks) of a group-like labelled 0..n-1, the
+    first two indexed by label: the powers [1, x, ..., x^(r-1)] of each
+    label x not yet reached, in label order, are walked once and kept, and
+    each x^j gets the order r / gcd(r, j) and the inverse x^(r - j).  A
+    closed group and a quotient call it, once each (`element_orders`)."""
+    orders = [0] * len(grp)
+    inverses = [0] * len(grp)
     walks = []
     for x in grp.carrier_labels():
-        if x in orders:
+        if orders[x]:
             continue
         powers = _powers(grp, x)
         walks.append(powers)
@@ -584,9 +590,7 @@ class FiniteMatrixGroup:
                 self._matrices[x] = self.generators[steps[x]]
         self.identity_label = 0
         self.generator_ids = tuple(lmul[gi][0] for gi in range(len(generators)))
-        orders, inverses, self.walks = _cyclic_walks(self)
-        self.element_orders = [orders[x] for x in self.carrier_labels()]
-        self.inverse_ids = [inverses[x] for x in self.carrier_labels()]
+        self.element_orders, self.inverse_ids, self.walks = _cyclic_walks(self)
         self.exponent = math.lcm(*self.element_orders)
         self.working_conductor = math.lcm(entry_conductor, self.exponent)
         self.is_special_linear = is_special_linear
@@ -1016,6 +1020,11 @@ class SubgroupHandle:
     def inv(self, a):
         return self.parent.inv(a)
 
+    @property
+    def element_orders(self):
+        """The parent's order table: a handle's labels are its parent's."""
+        return self.parent.element_orders
+
     def __contains__(self, label) -> bool:
         return label in self.member_set
 
@@ -1168,6 +1177,12 @@ class QuotientGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
+    @functools.cached_property
+    def element_orders(self) -> list[int]:
+        """The order of each coset, from one `_cyclic_walks` of the
+        quotient, kept on first read."""
+        return _cyclic_walks(self)[0]
+
     def __len__(self) -> int:
         return len(self.coset_reps)
 
@@ -1250,9 +1265,11 @@ def _merge_primary(partitions: dict[int, list[int]]) -> tuple[int, ...]:
 
 def abelian_invariants(grp) -> AbelianStructure:
     """Invariant factors of a finite abelian group, from the counts
-    N_k = #{x : x^(p^k) = 1} per prime p (recovered via element orders)."""
+    N_k = #{x : x^(p^k) = 1} per prime p, recovered from the group's
+    order table (`element_orders`)."""
     _verify_abelian(grp)
-    return _counted_invariants(_cyclic_walks(grp)[0].values())
+    orders = grp.element_orders
+    return _counted_invariants([orders[x] for x in grp.carrier_labels()])
 
 
 def _counted_invariants(orders) -> AbelianStructure:
@@ -1288,11 +1305,13 @@ def _counted_invariants(orders) -> AbelianStructure:
     return AbelianStructure(factors, n)
 
 
-def _p_group_basis(grp, p: int, orders: dict) -> list:
+def _p_group_basis(grp, p: int) -> list:
     """Independent generators of an abelian p-group-like, orders descending.
     Classical peel-off: take x of maximal order, recurse on the quotient, and
-    adjust lifts so orders are preserved.  `orders` maps every label of
-    `grp` to its order; each quotient's table is computed once, here."""
+    adjust lifts so orders are preserved.  Orders are read from
+    `element_orders`: a handle's are its parent's, and each quotient walks
+    its own once."""
+    orders = grp.element_orders
     labels = sorted(grp.carrier_labels())
     # max order, ties broken by least label
     best = max(orders[l] for l in labels)
@@ -1301,13 +1320,12 @@ def _p_group_basis(grp, p: int, orders: dict) -> list:
     if len(powers) == len(labels):
         return [x]
     quo = quotient(grp, SubgroupHandle(grp, tuple(sorted(powers)), (x,)))
-    quo_orders = _cyclic_walks(quo)[0]
     log_x = {y: k for k, y in enumerate(powers)}
     lam = _p_valuation(orders[x], p)
     basis = [x]
-    for ybar in _p_group_basis(quo, p, quo_orders):
+    for ybar in _p_group_basis(quo, p):
         y = quo.coset_reps[ybar]
-        mu = _p_valuation(quo_orders[ybar], p)
+        mu = _p_valuation(quo.element_orders[ybar], p)
         z = power(grp, y, p**mu)
         s = log_x[z]
         if s:
@@ -1332,22 +1350,23 @@ def _p_valuation(n: int, p: int) -> int:
 def abelian_decomposition(grp) -> AbelianDecomposition:
     """Invariant factors together with explicit independent generators and a
     full discrete-log table (label -> exponent tuple).  The group must be
-    abelian (`_verify_abelian`).  One order table (`_cyclic_walks`, one walk
-    of the group) serves the per-prime filter, the peel-off and the
-    cross-check, which reads the factors off counts of elements by order
-    (`_counted_invariants`, as `abelian_invariants` does), a route of its
-    own."""
+    abelian (`_verify_abelian`).  The group's order table
+    (`element_orders`: a closed group's from its closure, a quotient's
+    walked once, a handle's its parent's) serves the per-prime filter,
+    the peel-off and the cross-check, which reads the factors off counts
+    of elements by order (`_counted_invariants`, as `abelian_invariants`
+    does), a route of its own."""
     _verify_abelian(grp)
     labels = sorted(grp.carrier_labels())
     n = len(labels)
-    orders = _cyclic_walks(grp)[0]
-    counted = _counted_invariants(orders.values())
+    orders = grp.element_orders
+    counted = _counted_invariants([orders[x] for x in labels])
     primes = [p for p, _ in _factorize(n)]
     per_prime: dict[int, list] = {}
     for p in primes:
         p_part = [x for x in labels if orders[x] == p ** _p_valuation(orders[x], p)]
         handle = subgroup_generated(grp, p_part)
-        per_prime[p] = _p_group_basis(handle, p, orders)
+        per_prime[p] = _p_group_basis(handle, p)
     width = max((len(b) for b in per_prime.values()), default=0)
     gens = []
     factors = []

@@ -31,11 +31,13 @@ determinant-one group the exponents of x sum to a multiple of its order r
 so its ages are then a class function and integral as well.  Each twist
 makes one `age_records` pass, in `junior_elements`, which computes the
 weights once per distinct order and exponents and reads the age off
-them, and its junior classes are read from that.  H, G/H and Ab(G/H) are
-built once per junior set, not once per twist (`_junior_set_quotients`):
-a twist t replaces the junior elements by their t-th powers, so every
-twist generates the same H, and twists with one junior set share one
-G/H.  Building G/H is the proof that H is normal.
+them.  The junior classes are scanned once per junior set, not once per
+twist (`_junior_set_classes`), and so are H, G/H and Ab(G/H)
+(`_junior_set_quotients`): a twist t replaces the junior elements by
+their t-th powers, so every twist generates the same H, and twists with
+one junior set share one class scan, one G/H and one Ab(G/H), whose
+element orders are walked once.  Building G/H is the proof that H is
+normal.
 """
 
 from __future__ import annotations
@@ -517,19 +519,29 @@ def junior_gradings(
     )
 
 
-@per_group
 def junior_classes(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, tuple[int, ...]]:
     """(m, class representatives): the conjugacy classes of age exactly 1,
-    read off `junior_elements` (age is a class function: `_eigen_pass`).
-    Requires determinant one throughout."""
+    read off `junior_elements` (age is a class function: `_eigen_pass`)
+    and looked up by their set (`_junior_set_classes`).  Requires
+    determinant one throughout."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "junior classes are defined for determinant-one groups only"
         )
-    juniors = set(junior_elements(G, twist))
-    reps = tuple(cls[0] for cls in G.conjugacy_classes() if cls[0] in juniors)
+    return _junior_set_classes(G, junior_elements(G, twist))
+
+
+@per_group
+def _junior_set_classes(
+    G: FiniteMatrixGroup, juniors: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """(m, class representatives) of the classes in the junior set
+    `juniors`: the classes are scanned once per junior set, so twists with
+    the same junior elements share the scan and its tuple."""
+    members = set(juniors)
+    reps = tuple(cls[0] for cls in G.conjugacy_classes() if cls[0] in members)
     return len(reps), reps
 
 
@@ -645,9 +657,10 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
 
     Twists congruent modulo the group exponent act identically on all
     element orders, so only one representative per residue is computed.
-    H, G/H and Ab(G/H) are built once per junior set, not once per twist
-    (`_junior_set_quotients`), so twists with the same junior elements
-    share them, and twist 1 reads those the report already built.
+    The class scan, H, G/H and Ab(G/H) are made once per junior set, not
+    once per twist (`_junior_set_classes`, `_junior_set_quotients`), so
+    twists with the same junior elements share them, Ab(G/H) walks its
+    element orders once, and twist 1 reads those the report already built.
     The junior element sets may genuinely differ between twists; the class
     count and the invariant factors of Ab(G/H) must not, and a violation is
     raised as a ConsistencyError.

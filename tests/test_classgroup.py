@@ -539,10 +539,13 @@ def _diagonal_rows(r, exponents):
     ]
 
 
-def _check_against_the_fan(r, exponent_rows):
-    G = close_group(
-        [CycMatrix.from_rows(_diagonal_rows(r, a)) for a in exponent_rows]
-    )
+def _check_against_the_fan(r, exponent_rows, seed=None):
+    """The report on the diagonal group against the toric fan; with a seed,
+    on the group conjugated by a dense P (`dense_conjugate`)."""
+    rows = [_diagonal_rows(r, a) for a in exponent_rows]
+    if seed is not None:
+        rows = dense_conjugate(rows, seed)
+    G = close_group([CycMatrix.from_rows(g) for g in rows])
     report = terminalization_class_group(G)
     assert report.all_checks_passed
     free_rank, torsion = toric_class_group(r, exponent_rows)
@@ -564,10 +567,10 @@ def _diagonal_sl_groups(draw):
     return r, rows
 
 
-@given(_diagonal_sl_groups())
+@given(_diagonal_sl_groups(), st.none() | st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_diagonal_groups_match_the_toric_fan(group):
-    _check_against_the_fan(*group)
+def test_diagonal_groups_match_the_toric_fan(group, seed):
+    _check_against_the_fan(*group, seed)
 
 
 @pytest.mark.parametrize(
@@ -579,8 +582,11 @@ def test_diagonal_groups_match_the_toric_fan(group):
         (3, [(1, 0, 0, 2), (0, 1, 0, 2), (0, 0, 1, 2)], (16, [])),
         # C12 = diag(z3, z4, z60^-35), written at conductor 60
         (12, [(4, 3, 5)], (8, [])),
+        # order 1944: <diag(z18, 1, 1, z18^-1), diag(1, z18, 1, z18^-1),
+        # diag(1, 1, z6, z6^-1)>
+        (18, [(1, 0, 0, 17), (0, 1, 0, 17), (0, 0, 3, 15)], (507, [])),
     ],
-    ids=["ex72", "c3_cubed", "c12_conductor60"],
+    ids=["ex72", "c3_cubed", "c12_conductor60", "order1944"],
 )
 def test_golden_diagonal_jobs_match_the_toric_fan(r, exponent_rows, answer):
     assert _check_against_the_fan(r, exponent_rows) == answer

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crepant import cli, matgrp
 from crepant.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -17,12 +18,14 @@ from crepant.cli import (
     EXIT_PRECONDITION,
     MODES,
     JobError,
+    JobSpec,
     PreconditionError,
     main,
     parse_job,
     render_report,
     run,
 )
+from crepant.matgrp import CycMatrix, SubgroupHandle
 from crepant.mckay import ConsistencyError
 
 from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, S3_ROWS, TETRA_C3_ROWS
@@ -136,6 +139,25 @@ def test_parse_job_option_validation():
         parse_job(EX72_DOC, degree_bound=0)
     with pytest.raises(JobError, match="format"):
         parse_job(EX72_DOC, output_format="xml")
+
+
+def test_run_refuses_an_unknown_mode_before_closing_the_group(monkeypatch):
+    def closed(*args, **kwargs):
+        raise AssertionError("the group was closed for an unknown mode")
+
+    monkeypatch.setattr(cli, "close_group", closed)
+    job = JobSpec(
+        dimension=4,
+        generators=(CycMatrix.from_rows(EX72_ROWS),),
+        mode="explode",
+        character=None,
+        max_group_size=20000,
+        degree_bound=None,
+        twist=1,
+        output_format="json",
+    )
+    with pytest.raises(JobError, match="unknown mode"):
+        run(job)
 
 
 # --- run: analyze -------------------------------------------------------------
@@ -320,6 +342,41 @@ def test_check_decomposes_ab_g_once_per_group(monkeypatch):
         # share one decomposition
         assert len(ab_g_calls()) == runs
     assert len({id(grp) for grp in ab_g_calls()}) == 2
+
+
+# C6^3 = <diag(z, 1, 1, z^-1), diag(1, z, 1, z^-1), diag(1, 1, z, z^-1)>, z = z6
+C6_CUBED_DOC = doc(4, [
+    [[f"E(6)^{a}" if i == j else "0" for j in range(4)] for i, a in enumerate(row)]
+    for row in [(1, 0, 0, 5), (0, 1, 0, 5), (0, 0, 1, 5)]
+])
+
+
+@pytest.mark.parametrize(
+    "text", [doc(4, TETRA_C3_ROWS), C6_CUBED_DOC], ids=["2TxC3", "C6^3"]
+)
+@pytest.mark.parametrize("mode", ["analyze", "check", "sweep"])
+def test_no_subgroup_handle_is_walked(text, mode, monkeypatch):
+    # a handle's element orders are its parent's, so only closed groups
+    # and quotients walk their cyclic subgroups
+    walked = []
+    walks = matgrp._cyclic_walks
+
+    def counted(grp):
+        walked.append(grp)
+        return walks(grp)
+
+    monkeypatch.setattr(matgrp, "_cyclic_walks", counted)
+    if text is C6_CUBED_DOC:
+        # every order table is read before the per-character checks, and
+        # the 216 characters of Ab(C6^3) would take seconds
+        characters = cli.characters_of
+        monkeypatch.setattr(
+            cli, "characters_of", lambda dec: characters(dec)[:3]
+        )
+    report, status = run(parse_job(text, mode=mode))
+    assert status == EXIT_OK
+    assert walked
+    assert not [grp for grp in walked if isinstance(grp, SubgroupHandle)]
 
 
 def test_sweep_mode_table():

@@ -663,15 +663,20 @@ def test_element_orders_match_powering(name, request):
     assert G.element_orders == [order_of(G, x) for x in G.carrier_labels()]
     _assert_walks(G, G.walks)
     assert all(G.mul(x, G.inv(x)) == 0 for x in G.carrier_labels())
+    ab = abelianization(G)
+    orders, inverses, walks = _cyclic_walks(ab)
+    assert orders == ab.element_orders
+    assert orders == [order_of(ab, x) for x in ab.carrier_labels()]
+    assert all(
+        ab.mul(x, inverses[x]) == ab.identity_label for x in ab.carrier_labels()
+    )
+    _assert_walks(ab, walks)
+    # a handle is not walked: its labels, and so its orders, are its parent's
     handle = subgroup_generated(G, G.generator_ids[-1:])
-    for grp in (abelianization(G), commutator_subgroup(G), handle):
-        orders, inverses, walks = _cyclic_walks(grp)
-        assert orders == {x: order_of(grp, x) for x in grp.carrier_labels()}
+    for sub in (commutator_subgroup(G), handle):
         assert all(
-            grp.mul(x, inverses[x]) == grp.identity_label
-            for x in grp.carrier_labels()
+            sub.element_orders[x] == order_of(sub, x) for x in sub.carrier_labels()
         )
-        _assert_walks(grp, walks)
 
 
 def _assert_walks(grp, walks):
@@ -1240,7 +1245,8 @@ def test_trivial_group_structure():
 
 
 def test_decomposition_walks_its_group_once(monkeypatch):
-    # one order table serves the counting route and the peel-off; the
+    # one order table serves the counting route and the peel-off: a closed
+    # group's comes with its closure, a quotient's is walked once, and the
     # peel-off still walks each of its own quotients
     grp, orders = _random_block_group(random.Random(5), max_order=120)
     walked = []
@@ -1253,7 +1259,11 @@ def test_decomposition_walks_its_group_once(monkeypatch):
     monkeypatch.setattr(matgrp, "_cyclic_walks", counted)
     dec = abelian_decomposition(grp)
     assert dec.structure.invariant_factors == invariant_factors_of_product(orders)
-    assert sum(g is grp for g in walked) == 1
+    assert sum(g is grp for g in walked) == 0
+    ab = abelianization(grp)
+    assert abelian_decomposition(ab).structure == dec.structure
+    assert abelian_invariants(ab) == dec.structure
+    assert sum(g is ab for g in walked) == 1
 
 
 def test_decomposition_checks_the_counting_route(ex72, monkeypatch):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crepant import cli, mckay
+from crepant import cli, matgrp, mckay
 from crepant.cyclo import CyclotomicNumber, rational, zeta
 from crepant.matgrp import (
     CycMatrix,
+    FiniteMatrixGroup,
     close_group,
     _denominators,
     _reduce_matrix,
@@ -707,6 +708,49 @@ def test_sweep_of_trivial_group():
     assert len(entries) == 1
     assert entries[0].junior_count == 0
     assert entries[0].torsion_factors == ()
+
+
+def test_sweep_walks_a_shared_abelian_quotient_once(monkeypatch):
+    # <diag(z15, z15^-1)>: eight twists share one junior set, so one
+    # Ab(G/H), whose element orders are walked once, not once per twist
+    G = cyclic_sl2(15)
+    walked = []
+    walks = matgrp._cyclic_walks
+
+    def counted(grp):
+        walked.append(grp)
+        return walks(grp)
+
+    monkeypatch.setattr(matgrp, "_cyclic_walks", counted)
+    entries = galois_sweep(G)
+    assert len(entries) == 8
+    assert len({e.junior_element_ids for e in entries}) == 1
+    _, ab = mckay._junior_quotient(G)
+    assert sum(grp is ab for grp in walked) == 1
+
+
+def test_sweep_scans_the_classes_once_per_junior_set(c7, monkeypatch):
+    # the eight twists of <diag(z15, z15^-1)> share one junior set; the six
+    # of c7 have six.  Each group is closed afresh, so no memo is shared
+    # with other tests, and its eigen pass, which reads the classes too,
+    # is made before counting.
+    scans = []
+    classes = FiniteMatrixGroup.conjugacy_classes
+
+    def counted(G):
+        scans.append(G)
+        return classes(G)
+
+    for G, twists, sets in (
+        (cyclic_sl2(15), 8, 1), (close_group(c7.generators), 6, 6)
+    ):
+        mckay._eigen_pass(G)
+        monkeypatch.setattr(FiniteMatrixGroup, "conjugacy_classes", counted)
+        entries = galois_sweep(G)
+        monkeypatch.undo()
+        assert len(entries) == twists
+        assert len({e.junior_element_ids for e in entries}) == sets
+        assert sum(g is G for g in scans) == sets
 
 
 def _count_age_records(monkeypatch):
