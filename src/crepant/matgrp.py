@@ -541,7 +541,8 @@ class FiniteMatrixGroup:
     tables by lookups alone, in search order: y.g = h.(p.g), so they are
     right wherever `_lmul` is, which `_certify_finite` proves.  a.b walks
     the tree from b up to the root, one lookup per step: a.b = (a.h).p, so
-    its cost is the depth of the right operand.  This is the Schreier
+    its cost is the depth of the right operand, while conjugation by a
+    generator takes two lookups (`_conjugator`).  This is the Schreier
     vector of Holt, Eick and O'Brien, Handbook of Computational Group
     Theory (2005), section 4.1.  The ids, tree and tables
     come from the closure over F_p (module docstring); the index behind
@@ -616,6 +617,18 @@ class FiniteMatrixGroup:
 
     def inv(self, a: int) -> int:
         return self.inverse_ids[a]
+
+    @functools.cached_property
+    def _lmul_inverses(self) -> list[list[int]]:
+        """The inverse permutation of each `_lmul[h]`, which is left
+        multiplication by h^-1, built on first read."""
+        tables = []
+        for left in self._lmul:
+            back = [0] * len(left)
+            for y, z in enumerate(left):
+                back[z] = y
+            tables.append(back)
+        return tables
 
     # matrix access -------------------------------------------------------
 
@@ -1068,13 +1081,28 @@ def subgroup_generated(grp, seed_labels: Iterable) -> SubgroupHandle:
     return SubgroupHandle(grp, tuple(sorted(members)), tuple(kept))
 
 
+def _conjugator(grp, g):
+    """y -> g^-1 y g for a generator g of `grp`.  On a closed group that is
+    two lookups: left multiplication by g^-1, the inverse of g's left
+    table (`FiniteMatrixGroup._lmul_inverses`), then right multiplication
+    by g (`_rmul`).  Any other group-like has no left tables and takes two
+    products."""
+    if isinstance(grp, FiniteMatrixGroup):
+        h = grp.generator_ids.index(g)
+        back, right = grp._lmul_inverses[h], grp._rmul[h]
+        return lambda y: right[back[y]]
+    gi = grp.inv(g)
+    return lambda y: grp.mul(grp.mul(gi, y), g)
+
+
 def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
     """Partition into conjugacy classes; each class is sorted and classes are
     ordered by least member, so representatives (= first entries) are
-    deterministic.  Orbits grow by g^-1 y g over the generators g, which
-    puts g on the right of each product (`_escaping_conjugates`)."""
-    gens = list(dict.fromkeys(grp.generator_labels()))
-    gen_invs = [grp.inv(g) for g in gens]
+    deterministic.  Orbits grow by y -> g^-1 y g over the generators g
+    (`_conjugator`): two lookups on a closed group, two products on any
+    other group-like."""
+    gens = dict.fromkeys(grp.generator_labels())
+    conjugators = [_conjugator(grp, g) for g in gens]
     assigned = set()
     classes = []
     for x in sorted(grp.carrier_labels()):
@@ -1086,8 +1114,8 @@ def conjugacy_classes(grp) -> tuple[tuple[int, ...], ...]:
         while qi < len(queue):
             y = queue[qi]
             qi += 1
-            for g, gi in zip(gens, gen_invs):
-                z = grp.mul(grp.mul(gi, y), g)
+            for conjugate in conjugators:
+                z = conjugate(y)
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
@@ -1123,14 +1151,14 @@ def _escaping_conjugates(grp, sub: SubgroupHandle):
     `sub` whose conjugate lies outside `sub`, g-major.  Conjugation by g is
     an automorphism, so g^-1 S g lies in S exactly when the conjugate of
     each generator of S does: none escapes exactly when S is normal in the
-    group the g generate.  Conjugating by g^-1 rather than by g puts the
-    generator g on the right, where `FiniteMatrixGroup.mul` takes one step
-    for it; for a finite group the verdict is the same, as g S g^-1 lies in
-    S exactly when g^-1 S g does."""
+    group the g generate.  The conjugate is g^-1 h g (`_conjugator`: two
+    lookups on a closed group, two products on any other group-like); for
+    a finite group the verdict is that of g h g^-1, as g S g^-1 lies in S
+    exactly when g^-1 S g does."""
     for g in dict.fromkeys(grp.generator_labels()):
-        gi = grp.inv(g)
+        conjugate = _conjugator(grp, g)
         for h in sub.generator_labels():
-            c = grp.mul(grp.mul(gi, h), g)
+            c = conjugate(h)
             if c not in sub.member_set:
                 yield g, h, c
 

@@ -13,18 +13,23 @@ Fourier transform of the trace sequence k -> tr(g^k).  The transform must land
 on nonnegative integers summing to the dimension; anything else is reported as
 an internal arithmetic failure rather than silently accepted.  For a whole
 group one pass (`_eigen_pass`) works over F_q (the group's modular shadow,
-see `matgrp`), once per cyclic subgroup: Newton's identities give the
-characteristic polynomial of its generator x from the traces of x, ...,
-x^dim, and the powers of the root of unity of order r that divide it give
-the dim exponents a of its eigenvalues zeta_r^a, in O(r * dim).  Every
-power of x derives its exponents from them and must reproduce its own
-order and F_q trace.  Each element keeps its dim exponents, ascending;
-the length-r multiplicity vector (m_a counting the eigenvalue zeta_r^a)
-is built only where the public API or a report shows it.  The same pass
-flags rank(x - 1) == 1 over F_q (`_rank_is_one`) and checks every
-conjugacy-class representative exactly: its exact trace against
-sum_a zeta_r^a, and the exact rank-one test (`is_reflection`) against
-its flag.  The pass also checks the facts every twist relies on, once
+see `matgrp`), walking each cyclic subgroup once: Newton's identities give
+the characteristic polynomial of its generator x from the traces of x,
+..., x^dim, and the powers of the root of unity of order r that divide it
+give the dim exponents a of its eigenvalues zeta_r^a, in O(r * dim).
+Every power of x derives its exponents from them and must reproduce its
+own order and F_q trace.  What depends only on an element's type is
+found once per type and dropped with the pass: the exponents once per
+order and F_q traces of x, ..., x^dim, the derived exponents and F_q trace
+of x^j once per order, exponents and j, and the expected exact trace once
+per conductor, order and exponents.  The comparisons with them stay per
+element and per class representative.  Each element keeps its dim
+exponents, ascending; the length-r multiplicity vector (m_a counting the
+eigenvalue zeta_r^a) is built only where the public API or a report shows
+it.  The same pass flags rank(x - 1) == 1 over F_q (`_rank_is_one`) and
+checks every conjugacy-class representative exactly: its exact trace
+against sum_a zeta_r^a, and the exact rank-one test (`is_reflection`)
+against its flag.  The pass also checks the facts every twist relies on, once
 per group: order and exponents are constant on each class, and in a
 determinant-one group the exponents of x sum to a multiple of its order r
 (det x = zeta_r^(sum a) = 1).  A twist t turns the exponents a into t^-1 a mod r,
@@ -344,15 +349,21 @@ def _eigen_pass(G: FiniteMatrixGroup):
     Each walk the group kept (`FiniteMatrixGroup.walks`) is the powers of
     an x no earlier walk reached; the exponents of x come from the traces
     of x, ..., x^dim by Newton's identities (`_exponents_mod`).  Every
-    power x^j not yet filled gets them by `_power_exponents`, and must
-    have the derived order r / gcd(r, j) as its stored order and reproduce
-    its F_q trace, a sum of dim table entries.  The flag of x is
+    power x^j not yet filled gets its exponents by `_power_exponents`, and
+    must have the derived order r / gcd(r, j) as its stored order and
+    reproduce its F_q trace, a sum of dim table entries.  The flag of x is
     rank(x - 1) == 1 over F_q (`_is_reflection_mod`).  Then every
-    conjugacy-class representative x is checked exactly: tr(x) must equal
-    sum_a zeta_r^a, compared as numerators at the lcm of its conductor and
-    r, the exact rank-one test `is_reflection` must give its flag, and its
-    flag, order and exponents must be those of every member of its class;
-    else ArithmeticError.  Last, every flag must match the eigenvalue test
+    conjugacy-class representative x is checked exactly: its exact matrix
+    is built, tr(x) must equal sum_a zeta_r^a, compared as numerators at
+    n = lcm(its conductor, r), the exact rank-one test `is_reflection`
+    must give its flag, and its flag, order and exponents must be those of
+    every member of its class; else ArithmeticError.  What depends only on
+    a type is computed once per type, in dicts dropped on return: the
+    exponents per (r, traces of x, ..., x^dim), which fix the
+    characteristic polynomial; the derived order, exponents and F_q trace
+    of x^j per (r, exponents of x, j); the expected numerators per (n, r,
+    exponents).  Every element and every representative is still compared
+    with them.  Last, every flag must match the eigenvalue test
     (exactly dim - 1 exponents are 0), and in a determinant-one group the
     exponents of every element must sum to a multiple of its order; else
     ConsistencyError.  Both facts hold under every twist, so no twist
@@ -362,22 +373,31 @@ def _eigen_pass(G: FiniteMatrixGroup):
     orders, dim = G.element_orders, G.dim
     roots = _root_tables(shadow, orders)
     result: list[Optional[tuple[int, ...]]] = [None] * len(G)
+    solved: dict[tuple, tuple[int, ...]] = {}  # (r, sums) -> exponents
+    derived: dict[tuple, list] = {}  # (r, e) -> [(s, e_j, F_q trace) per j]
+    expected: dict[tuple, tuple[int, ...]] = {}  # (n, r, e) -> numerators
     for powers in G.walks:
         r = len(powers)
-        sums = [traces[powers[k % r]] for k in range(1, dim + 1)]
-        e = _exponents_mod(sums, r, dim, q, roots[r])
+        sums = tuple(traces[powers[k % r]] for k in range(1, dim + 1))
+        e = solved.get((r, sums))
+        if e is None:
+            e = solved[r, sums] = _exponents_mod(sums, r, dim, q, roots[r])
+        by_power, table = derived.setdefault((r, e), [None] * r), roots[r]
         for j, y in enumerate(powers):
             if result[y] is not None:
                 continue
-            s = r // math.gcd(r, j)
+            if by_power[j] is None:
+                # x^j has order s, and omega_s = omega_r^(r/s)
+                s = r // math.gcd(r, j)
+                ej = _power_exponents(e, r, j)
+                by_power[j] = s, ej, sum([table[a * (r // s)] for a in ej]) % q
+            s, ej, trace = by_power[j]
             if s != orders[y]:
                 raise ArithmeticError(
                     f"derived eigenvalues of element {y} give order "
                     f"{s}, but its order is {orders[y]}"
                 )
-            ej = _power_exponents(e, r, j)
-            table = roots[s]
-            if sum([table[a] for a in ej]) % q != traces[y]:
+            if trace != traces[y]:
                 raise ArithmeticError(
                     f"derived eigenvalue exponents {list(ej)} of element {y} "
                     f"do not reproduce its trace modulo {q}"
@@ -390,10 +410,13 @@ def _eigen_pass(G: FiniteMatrixGroup):
         g = G.matrix(x)
         exact = g.trace()
         n = math.lcm(exact.conductor, r)
-        expected = [0] * n
-        for a in e:
-            expected[a * n // r] += 1
-        if exact.den != 1 or exact._lifted_nums(n) != tuple(_reduce_ints(n, expected)):
+        nums = expected.get((n, r, e))
+        if nums is None:
+            counts = [0] * n
+            for a in e:
+                counts[a * n // r] += 1
+            nums = expected[n, r, e] = tuple(_reduce_ints(n, counts))
+        if exact.den != 1 or exact._lifted_nums(n) != nums:
             raise ArithmeticError(
                 f"eigenvalue exponents {list(e)} of class representative {x} "
                 f"do not reproduce its exact trace {exact.render()}"

@@ -109,6 +109,27 @@ def brute_conjugacy(grp):
     return tuple(classes)
 
 
+def two_product_conjugacy(grp):
+    """Conjugation orbits grown over the generators g by two products,
+    y -> (g^-1 y) g, whatever tables the group keeps."""
+    gens = list(dict.fromkeys(grp.generator_labels()))
+    seen = set()
+    classes = []
+    for x in sorted(grp.carrier_labels()):
+        if x in seen:
+            continue
+        orbit, queue = {x}, [x]
+        for y in queue:
+            for g in gens:
+                z = grp.mul(grp.mul(grp.inv(g), y), g)
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
 def brute_commutators(grp):
     """The set of all commutators a^-1 b^-1 a b."""
     labels = list(grp.carrier_labels())

@@ -346,7 +346,8 @@ def test_check_decomposes_ab_g_once_per_group(monkeypatch):
 
 # C6^3 = <diag(z, 1, 1, z^-1), diag(1, z, 1, z^-1), diag(1, 1, z, z^-1)>, z = z6
 C6_CUBED_DOC = doc(4, [
-    [[f"E(6)^{a}" if i == j else "0" for j in range(4)] for i, a in enumerate(row)]
+    [[{0: "1", 1: "E(6)", 5: "E(6)^5"}[a] if i == j else "0" for j in range(4)]
+     for i, a in enumerate(row)]
     for row in [(1, 0, 0, 5), (0, 1, 0, 5), (0, 0, 1, 5)]
 ])
 
@@ -650,7 +651,10 @@ def test_reports_are_deterministic():
 # GL3) g - 1 of a transposition has two nonzero rows with one support, so
 # the 2x2 minors decide that it is a reflection.  The diagonal C3^3 in SL4
 # is abelian: every one of its 27 elements is its own class, so every
-# element gets the exact trace and rank checks.
+# element gets the exact trace and rank checks.  So is C6^3
+# (tests/data/jobs/c6_cubed.json), with 216 singleton classes whose walks
+# repeat a few eigen types: the eigen pass keeps its derived values per
+# type and compares every element and representative with them.
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 TETRA_T = [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
 TWO_T_DOC = doc(2, [[list(r) for r in m] for m in Q8_ROWS] + [TETRA_T])
@@ -690,6 +694,7 @@ GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
     "s3_age": (S3_DOC, "age"),
     "c3_cubed_analyze": (C3_CUBED_DOC, "analyze"),
+    "c6_cubed_analyze": (C6_CUBED_DOC, "analyze"),
     **{f"q8_{mode}": (Q8_DOC, mode) for mode in MODES},
     "2t_check": (TWO_T_DOC, "check"),
     "2t_age": (TWO_T_DOC, "age"),
@@ -712,10 +717,13 @@ GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
 def test_console_script_job_is_the_golden_q8_job():
     # CI pipes tests/data/jobs/q8.json through the installed `crepant
-    # <mode>` for all five modes, 2t.json through `check` and `age`, and
-    # s3.json through `age`, and compares each output with the golden
-    # report of that job and mode
-    for name, source in (("q8", Q8_DOC), ("2t", TWO_T_DOC), ("s3", S3_DOC)):
+    # <mode>` for all five modes, 2t.json through `check` and `age`,
+    # s3.json through `age` and c6_cubed.json through `analyze`, and
+    # compares each output with the golden report of that job and mode
+    for name, source in (
+        ("q8", Q8_DOC), ("2t", TWO_T_DOC), ("s3", S3_DOC),
+        ("c6_cubed", C6_CUBED_DOC),
+    ):
         path = GOLDEN_DIR.parent / "jobs" / f"{name}.json"
         assert json.loads(path.read_text(encoding="utf-8")) == json.loads(source)
 

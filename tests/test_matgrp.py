@@ -70,6 +70,7 @@ from helpers import (
     naive_closure,
     schoolbook_dot,
     seed_closure,
+    two_product_conjugacy,
     value_key,
     verify_group_law,
 )
@@ -840,6 +841,33 @@ def test_class_partition(q8, s3, icosa):
         reps = [c[0] for c in classes]
         assert reps == sorted(reps)
         assert all(c[0] == min(c) for c in classes)
+
+
+GROUP_FIXTURES = ["ex72", "q8", "s3", "icosa", "icosa_diag", "c7", "c15", "scalar3"]
+
+
+@pytest.mark.parametrize("name", GROUP_FIXTURES)
+def test_classes_match_the_two_product_oracle(name, request):
+    # a closed group conjugates by table lookups, its abelianization (a
+    # quotient, with no left tables) by two products: both give the orbits
+    # of y -> (g^-1 y) g
+    G = request.getfixturevalue(name)
+    for grp in (G, abelianization(G)):
+        assert conjugacy_classes(grp) == two_product_conjugacy(grp)
+
+
+@pytest.mark.parametrize("name", GROUP_FIXTURES)
+def test_closed_group_classes_take_no_product(name, request, monkeypatch):
+    # conjugation by a generator is two lookups: g^-1 y through the inverse
+    # of g's left table, then (g^-1 y) g through its right table
+    G = request.getfixturevalue(name)
+    expected = two_product_conjugacy(G)
+
+    def no_product(self, a, b):
+        raise AssertionError("conjugacy_classes took a product")
+
+    monkeypatch.setattr(matgrp.FiniteMatrixGroup, "mul", no_product)
+    assert conjugacy_classes(G) == expected
 
 
 def test_conjugation_by_generators_preserves_classes(s3):

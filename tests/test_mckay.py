@@ -170,6 +170,35 @@ def _minus_identity_id(G):
     return y
 
 
+# C6^3 = <diag(z, 1, 1, z^-1), diag(1, z, 1, z^-1), diag(1, 1, z, z^-1)>,
+# z = z6: its walks repeat a few eigen types
+C6_CUBED_ROWS = [
+    [[f"E(6)^{a}" if i == j else "0" for j in range(4)] for i, a in enumerate(row)]
+    for row in [(1, 0, 0, 5), (0, 1, 0, 5), (0, 0, 1, 5)]
+]
+
+
+def _type_keys(G):
+    """(order, F_q traces of x, ..., x^dim) of each walk's generator x."""
+    traces = G.working_shadow().traces
+    return [
+        (len(p), tuple(traces[p[k % len(p)]] for k in range(1, G.dim + 1)))
+        for p in G.walks
+    ]
+
+
+def test_exponents_are_solved_once_per_eigen_type(monkeypatch):
+    G = close_group([CycMatrix.from_rows(r) for r in C6_CUBED_ROWS])
+    solved = []
+    solve = mckay._exponents_mod
+    monkeypatch.setattr(
+        mckay, "_exponents_mod", lambda *args: solved.append(args) or solve(*args)
+    )
+    age_records(G)
+    keys = _type_keys(G)
+    assert len(solved) == len(set(keys)) < len(keys)
+
+
 def test_integrality_guard_covers_derived_powers():
     # -I is a proper power in <diag(z6, z6^-1)>, so its vector is derived,
     # never transformed on its own; a bogus trace must still be refused.
@@ -177,6 +206,26 @@ def test_integrality_guard_covers_derived_powers():
     G = cyclic_sl2(6)
     G.working_shadow().traces[_minus_identity_id(G)] = 2
     with pytest.raises(ArithmeticError):
+        age_records(G)
+
+    # A power's derived exponents and F_q trace are kept per (order,
+    # exponents) of its walk, but every element is still compared with
+    # them: in C6^3 a bogus trace on x^5 (not among x, ..., x^4, which
+    # fix the key) of the second walk of one type must be refused.
+    G = close_group([CycMatrix.from_rows(r) for r in C6_CUBED_ROWS])
+    exponents, _ = mckay._eigen_pass.__wrapped__(G)
+    seen, filled, target = set(), set(), None
+    for powers in G.walks[1:]:  # the first walk is the identity's
+        kind = (len(powers), exponents[powers[1]])
+        if kind in seen and len(powers) > G.dim + 1 and powers[-1] not in filled:
+            target = powers[-1]
+            break
+        seen.add(kind)
+        filled.update(powers)
+    assert target is not None
+    traces = G.working_shadow().traces
+    traces[target] = (traces[target] + 1) % G.working_shadow().prime
+    with pytest.raises(ArithmeticError, match="trace modulo"):
         age_records(G)
 
 
@@ -187,6 +236,16 @@ def test_exact_trace_guard_covers_class_representatives():
     y = _minus_identity_id(G)
     G.matrix(y)
     G._matrices[y] = CycMatrix.from_rows([["-1", "0"], ["0", "1"]])
+    with pytest.raises(ArithmeticError, match="exact trace"):
+        age_records(G)
+
+    # The expected numerators are kept per (conductor, order, exponents):
+    # x and x^-1 share (6, 6, (1, 5)), and the one checked second must
+    # still be compared with its own exact trace.
+    G = cyclic_sl2(6)
+    y = max(G.generator_ids[0], G.inv(G.generator_ids[0]))
+    G.matrix(y)
+    G._matrices[y] = CycMatrix.from_rows([["E(6)", "0"], ["0", "E(6)"]])
     with pytest.raises(ArithmeticError, match="exact trace"):
         age_records(G)
 
