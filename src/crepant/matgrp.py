@@ -1361,8 +1361,8 @@ def _p_group_basis(grp, p: int) -> list:
             # lift has the same order as its image.
             c = (-(s // p**mu)) % (p ** (lam - mu))
             y = grp.mul(y, powers[c])
-        assert orders[y] == p**mu
-        assert quo.coset_of[y] == ybar
+        if orders[y] != p**mu or quo.coset_of[y] != ybar:
+            raise ArithmeticError(f"lift {y} left coset {ybar} or order {p**mu}")
         basis.append(y)
     return basis
 

@@ -36,17 +36,17 @@ determinant-one group the exponents of x sum to a multiple of its order r
 so its ages are then a class function and integral as well.  Each twist
 makes one `age_records` pass, in `junior_elements`, which computes the
 weights once per distinct order and exponents and reads the age off
-them.  The junior classes are scanned once per junior set, not once per
-twist (`_junior_set_classes`), and so are H, G/H and Ab(G/H)
-(`_junior_set_quotients`): a twist t replaces the junior elements by
-their t-th powers, so every twist generates the same H, and twists with
-one junior set share one class scan, one G/H and one Ab(G/H), whose
-element orders are walked once.  Building G/H is the proof that H is
-normal.
+them.  What the junior elements determine is kept on one record per
+junior set (`_junior_set`): the id tuple, the class scan, G/H, Ab(G/H)
+and Ab(G/H)'s invariant factors.  A twist t replaces the junior elements
+by their t-th powers, so every twist generates the same H, and twists
+with one junior set share that record.  Building G/H is the proof that H
+is normal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -525,8 +525,11 @@ def junior_elements(
 ) -> tuple[int, ...]:
     """The ids of age exactly 1 under `twist`, ascending, read off the
     twist's one `age_records` pass.  The age is a class function because
-    `_eigen_pass` checks that order and exponents are."""
-    return tuple(rec.element_id for rec in age_records(G, twist) if rec.is_junior)
+    `_eigen_pass` checks that order and exponents are.  The tuple is that
+    of the junior set's record (`_junior_set`), so twists with the same
+    junior elements share one tuple."""
+    ids = tuple(rec.element_id for rec in age_records(G, twist) if rec.is_junior)
+    return _junior_set(G, ids).ids
 
 
 def junior_gradings(
@@ -542,59 +545,61 @@ def junior_gradings(
     )
 
 
+class _JuniorSet:
+    """What G's junior elements determine, whichever twist found them: their
+    ids, (m, class representatives) and, on first read, G/H and Ab(G/H)
+    for H generated by them and Ab(G/H)'s invariant factors (an
+    AbelianStructure).  Building G/H verifies that H is normal: a
+    conjugate of a member of H by a generator of G that escapes H is a
+    ConsistencyError."""
+
+    def __init__(self, G: FiniteMatrixGroup, ids: tuple[int, ...]):
+        self.group, self.ids, members = G, ids, set(ids)
+        reps = tuple(cls[0] for cls in G.conjugacy_classes() if cls[0] in members)
+        self.classes = len(reps), reps
+
+    @functools.cached_property
+    def quotients(self) -> tuple[QuotientGroup, QuotientGroup]:
+        try:
+            G_H = quotient(self.group, subgroup_generated(self.group, self.ids))
+        except NotNormalError as exc:
+            raise ConsistencyError(
+                "the junior subgroup failed its normality check"
+            ) from exc
+        return G_H, abelianization(G_H)
+
+    @functools.cached_property
+    def torsion(self):
+        return abelian_invariants(self.quotients[1])
+
+
+_junior_set = per_group(_JuniorSet)
+
+
 def junior_classes(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, tuple[int, ...]]:
     """(m, class representatives): the conjugacy classes of age exactly 1,
     read off `junior_elements` (age is a class function: `_eigen_pass`)
-    and looked up by their set (`_junior_set_classes`).  Requires
+    and kept on their junior set's record (`_junior_set`).  Requires
     determinant one throughout."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "junior classes are defined for determinant-one groups only"
         )
-    return _junior_set_classes(G, junior_elements(G, twist))
-
-
-@per_group
-def _junior_set_classes(
-    G: FiniteMatrixGroup, juniors: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    """(m, class representatives) of the classes in the junior set
-    `juniors`: the classes are scanned once per junior set, so twists with
-    the same junior elements share the scan and its tuple."""
-    members = set(juniors)
-    reps = tuple(cls[0] for cls in G.conjugacy_classes() if cls[0] in members)
-    return len(reps), reps
-
-
-@per_group
-def _junior_set_quotients(
-    G: FiniteMatrixGroup, juniors: tuple[int, ...]
-) -> tuple[QuotientGroup, QuotientGroup]:
-    """(G/H, Ab(G/H)), H generated by the junior set `juniors`: built once
-    per junior set, so twists with the same junior elements share them.
-    Building G/H verifies that H is normal: a conjugate of a member of H by
-    a generator of G that escapes H is a ConsistencyError."""
-    try:
-        G_H = quotient(G, subgroup_generated(G, juniors))
-    except NotNormalError as exc:
-        raise ConsistencyError(
-            "the junior subgroup failed its normality check"
-        ) from exc
-    return G_H, abelianization(G_H)
+    return _junior_set(G, junior_elements(G, twist)).classes
 
 
 def _junior_quotient(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[QuotientGroup, QuotientGroup]:
-    """(G/H, Ab(G/H)) for the junior elements under `twist`, looked up by
-    their set (`_junior_set_quotients`).  Requires determinant one."""
+    """(G/H, Ab(G/H)) for the junior elements under `twist`, kept on their
+    junior set's record (`_junior_set`).  Requires determinant one."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "the junior subgroup is defined for determinant-one groups only"
         )
-    return _junior_set_quotients(G, junior_elements(G, twist))
+    return _junior_set(G, junior_elements(G, twist)).quotients
 
 
 def junior_subgroup(
@@ -680,13 +685,13 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
 
     Twists congruent modulo the group exponent act identically on all
     element orders, so only one representative per residue is computed.
-    The class scan, H, G/H and Ab(G/H) are made once per junior set, not
-    once per twist (`_junior_set_classes`, `_junior_set_quotients`), so
-    twists with the same junior elements share them, Ab(G/H) walks its
-    element orders once, and twist 1 reads those the report already built.
-    The junior element sets may genuinely differ between twists; the class
-    count and the invariant factors of Ab(G/H) must not, and a violation is
-    raised as a ConsistencyError.
+    Each twist reads its junior set's record (`_junior_set`): the id tuple,
+    the class scan, H, G/H, Ab(G/H) and its invariant factors are made
+    once per junior set, not once per twist, so twists with the same
+    junior elements share them, and twist 1 reads those the report
+    already built.  The junior element sets may genuinely differ between
+    twists; the class count and the invariant factors of Ab(G/H) must not,
+    and a violation is raised as a ConsistencyError.
     """
     if not G.is_special_linear:
         raise NotSpecialLinearError("the sweep is defined for determinant-one groups")
@@ -697,19 +702,16 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
             twists.setdefault(t % G.exponent, t)
     entries = []
     for t in twists.values():
-        twist = GaloisTwist(t)
-        count, reps = junior_classes(G, twist)
-        ids = junior_elements(G, twist)
-        G_H, ab = _junior_quotient(G, twist)
-        torsion = abelian_invariants(ab).invariant_factors
+        juniors = _junior_set(G, junior_elements(G, GaloisTwist(t)))
+        (count, reps), (G_H, _) = juniors.classes, juniors.quotients
         entries.append(
             SweepEntry(
                 twist=t,
                 junior_count=count,
                 junior_class_representatives=reps,
-                junior_element_ids=ids,
+                junior_element_ids=juniors.ids,
                 junior_subgroup_order=len(G_H.normal),
-                torsion_factors=torsion,
+                torsion_factors=juniors.torsion.invariant_factors,
             )
         )
     counts = {e.junior_count for e in entries}

@@ -9,8 +9,9 @@ import math
 import random
 from fractions import Fraction
 
+from crepant.classgroup import reflection_subgroup
 from crepant.cyclo import cyclotomic_polynomial, rational, zeta
-from crepant.matgrp import CycMatrix
+from crepant.matgrp import CycMatrix, abelian_invariants, abelianization, quotient
 
 
 def naive_closure(mats, cap=30000):
@@ -188,6 +189,13 @@ class ExplicitGroup:
 
     def __len__(self):
         return len(self._labels)
+
+
+def quotient_class_group_via_g_mod_k(G):
+    """The invariant factors of Cl(V/G) = Ab(G/K)^dual by building G/K, K
+    the reflection subgroup, and abelianizing it: a route that never reads
+    Ab(G)."""
+    return abelian_invariants(abelianization(quotient(G, reflection_subgroup(G))))
 
 
 def verify_group_law(grp, limit=256):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crepant import matgrp, mckay
+from crepant import classgroup, matgrp, mckay
 from crepant.matgrp import (
     CycMatrix,
     NotNormalError,
@@ -29,10 +29,11 @@ from crepant.classgroup import (
     terminalization_class_group,
 )
 
-from conftest import EX72_ROWS, Q8_ROWS, TETRA_ROWS, cyclic_sl2
+from conftest import EX72_ROWS, Q8_ROWS, S3_ROWS, TETRA_ROWS, cyclic_sl2
 from helpers import (
     assert_independent_generators,
     dense_conjugate,
+    quotient_class_group_via_g_mod_k,
     toric_class_group,
 )
 
@@ -69,17 +70,48 @@ def test_quotient_class_group_of_q8(q8):
     assert class_group_of_quotient(q8).invariant_factors == (2, 2)
 
 
-def test_quotient_class_group_does_not_read_the_abelianization(monkeypatch):
-    # the G/K route of benson_determinant_one must stay independent of Ab(G)
-    def refused(G):
-        raise AssertionError("G.abelianization() was called")
+def _matrix_group(*rows):
+    return close_group([CycMatrix.from_rows(r) for r in rows])
 
-    monkeypatch.setattr(matgrp.FiniteMatrixGroup, "abelianization", refused)
-    grp = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
-    assert grp.is_special_linear
-    assert class_group_of_quotient(grp).invariant_factors == (2, 2)
-    with pytest.raises(AssertionError, match="abelianization"):
-        terminalization_class_group(grp)
+
+def _scalar_rows(entry, dim):
+    return [[entry if i == j else "0" for j in range(dim)] for i in range(dim)]
+
+
+def test_quotient_class_group_matches_the_g_mod_k_route(monkeypatch):
+    # Ab(G/K) = Ab(G)/Kbar is read off Ab(G); the oracle builds G/K and
+    # abelianizes it.  No quotient of G but Ab(G) itself is built.
+    reflection = [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    cases = [
+        (_matrix_group(*Q8_ROWS), (2, 2)),
+        (_matrix_group(*TETRA_ROWS), (3,)),
+        (_matrix_group(EX72_ROWS), (6,)),
+        (_matrix_group(*S3_ROWS), ()),
+        (_matrix_group([["-1", "0"], ["0", "1"]]), ()),
+        (close_group([CycMatrix.identity(2)]), ()),
+        # 1 < K < G: K = <diag(-1, 1, 1)> of order 2 in a group of order 6
+        (_matrix_group(reflection, _scalar_rows("E(3)", 3)), (3,)),
+        # K = the eight diagonal sign changes, in a group of order 48
+        (_matrix_group(reflection, S3_ROWS[1], _scalar_rows("E(4)", 3)), (6,)),
+    ]
+    built = []
+    init = matgrp.QuotientGroup.__init__
+
+    def recorded(self, parent, normal):
+        init(self, parent, normal)
+        built.append(self)
+
+    for G, factors in cases:
+        oracle = quotient_class_group_via_g_mod_k(G)
+        monkeypatch.setattr(matgrp.QuotientGroup, "__init__", recorded)
+        got = class_group_of_quotient(G)
+        monkeypatch.undo()
+        assert got == oracle
+        assert got.invariant_factors == factors
+        assert [q for q in built if q.parent is G] == [G.abelianization()]
+        built.clear()
+    assert [len(G) for G, _ in cases[-2:]] == [6, 48]
+    assert [len(reflection_subgroup(G)) for G, _ in cases[-2:]] == [2, 8]
 
 
 def test_quotient_class_group_accepts_gl_input():
@@ -163,8 +195,8 @@ def test_group_invariants_are_computed_once_per_group(monkeypatch):
     monkeypatch.setattr(matgrp, "commutator_subgroup", counted)
     G = close_group([CycMatrix.from_rows(r) for r in Q8_ROWS])
     terminalization_class_group(G)
-    # Ab(G), Ab(G/K) and Ab(G/H), once each
-    assert len(calls) <= 3
+    # Ab(G) and Ab(G/H), once each: Cl(V/G) is read off Ab(G)
+    assert len(calls) == 2
     seen = len(calls)
 
     H = junior_subgroup(G)
@@ -225,6 +257,37 @@ def test_sweep_builds_one_quotient_per_junior_set(monkeypatch, c7):
         {e.junior_element_ids for e in entries}
     ) > 1
     assert all(e.torsion_factors == () for e in entries)
+
+
+def test_twists_share_their_junior_set_record(monkeypatch, c7):
+    # every twist with one junior set gets the record's id tuple, class
+    # representatives, G/H and Ab(G/H), and Ab(G/H)'s invariants are
+    # counted once per junior set, not once per twist or per report
+    counted = []
+    real = matgrp.abelian_invariants
+
+    def recorded(grp):
+        counted.append(grp)
+        return real(grp)
+
+    monkeypatch.setattr(matgrp, "abelian_invariants", recorded)
+    monkeypatch.setattr(mckay, "abelian_invariants", recorded)
+    monkeypatch.setattr(classgroup, "abelian_invariants", recorded)
+    for G, sets in ((cyclic_sl2(15), 1), (close_group(c7.generators), 6)):
+        terminalization_class_group(G)
+        entries = galois_sweep(G)
+        galois_sweep(G)
+        records = {}
+        for e in entries:
+            twist = GaloisTwist(e.twist)
+            ids = mckay.junior_elements(G, twist)
+            juniors = records.setdefault(ids, mckay._junior_set(G, ids))
+            assert e.junior_element_ids is ids is juniors.ids
+            assert e.junior_class_representatives is juniors.classes[1]
+            assert _junior_quotient(G, twist) is juniors.quotients
+        assert len(records) == len({id(r) for r in records.values()}) == sets
+        for juniors in records.values():
+            assert sum(grp is juniors.quotients[1] for grp in counted) == 1
 
 
 def test_every_report_handle_has_independent_generators(monkeypatch):

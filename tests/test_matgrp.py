@@ -1256,6 +1256,20 @@ def test_peel_off_corrects_a_lift_by_a_power_of_x():
         assert acc == label
 
 
+def test_peel_off_refuses_a_lift_that_keeps_a_wrong_order(monkeypatch):
+    # the lift check is a raise, not an assert, so it survives python -O:
+    # with y^(p^mu) misread as 1 the lift is never corrected
+    grp = close_group([
+        CycMatrix.from_rows([["-E(8)^3", "0"], ["0", "E(8)^2"]]),
+        CycMatrix.from_rows([["E(8)^3", "0"], ["0", "1"]]),
+    ])
+    monkeypatch.setattr(
+        matgrp, "power", lambda g, label, k: g.identity_label
+    )
+    with pytest.raises(ArithmeticError, match=r"^lift \d+ left coset \d+ or order 4$"):
+        abelian_decomposition(grp)
+
+
 def test_decomposition_of_random_products():
     rng = random.Random(99)
     for _ in range(6):
