@@ -10,6 +10,13 @@ sum over D is taken once; the sum over a coset r D is its image under r when
 the sum over D has at most |D| terms, and is summed element by element
 otherwise.  The image of a monomial under a single element is not kept.
 
+The lemma checks take exact images of an invariant f under the generators
+only.  Every other element is a product of generators along its path in
+the closure's Schreier tree, so its graded residue is read from theirs
+(`_tree_exponents`).  Valuations are taken in a junior eigenbasis shared
+by the junior representatives of one cyclic walk, into which f is moved
+once (`_in_basis`).
+
 Every sum of products goes through `cyclo._dot`, one call per output
 monomial: a product of polynomials, the powers of a form (multinomial
 expansion), a substitution and a character's average each collect the
@@ -373,7 +380,7 @@ class _Powers:
     """Powers of the forms that x_1..x_n are substituted by, each built on
     first use and kept for every later substitution through the same
     object.  One is kept per group element (`_element_powers`) and per
-    junior grading (`_basis_powers`).
+    junior eigenbasis (`_basis_powers`).
 
     forms[j]^a is expanded by the multinomial theorem, one term at a time:
     with c x^e the first term of the form and r the rest,
@@ -463,7 +470,7 @@ def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
     inverted.  Built once per group and element, extended lazily to the
     degrees asked for, and shared by every polynomial x acts on: the
     monomials and the sums over [G, G] of the coset sums (`_coset_sums`)
-    and the polynomials the checks act on (`_act_by_id`)."""
+    and the polynomials the generators act on (`_act_by_id`)."""
     return _Powers(_linear_forms(G.matrix(G.inv(x))))
 
 
@@ -471,11 +478,13 @@ def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
 def _act_by_id(G: FiniteMatrixGroup, x: int, f: SparsePolynomial) -> SparsePolynomial:
     """x.f for the element with id x, as `act` computes it: f substituted
     at x_j = row j of x^-1, from that element's shared powers
-    (`_element_powers`).  The checks act through here, on the relative
-    invariants and on the polynomials they are given; each image is kept
-    per group, so the equivariance, residue, congruence and membership
-    checks on one f compute each of its images once.  The averaging does
-    not come here and keeps no image of a monomial."""
+    (`_element_powers`).  The equivariance test of `relative_invariant`
+    and the generator residues (`_verify_graded`) act through here, x a
+    generator; each image is kept per group, so the two take one image
+    per generator and f.  The congruence and membership checks read
+    residues along the tree (`_tree_exponents`) and act on no other
+    element.  The averaging does not come here and keeps no image of a
+    monomial."""
     return f._substitute(_element_powers(G, x))
 
 
@@ -500,23 +509,31 @@ def monomial_valuation(grading: GradingData, f: SparsePolynomial) -> int:
 
 
 def _valuation(
-    grading: GradingData, f: SparsePolynomial, powers: Optional[_Powers]
+    grading: GradingData, f: SparsePolynomial, support: Optional[tuple]
 ) -> int:
-    """monomial_valuation(grading, f).  A basis that is not standard is
-    substituted through `powers`, the powers of its linear forms, which
-    are built here when None."""
+    """monomial_valuation(grading, f), `support` the exponents of f's
+    terms in the grading's basis when the caller has them.  Otherwise a
+    basis that is not standard is substituted here (`_support`)."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
     if grading.basis.dim != f.nvars:
         raise ValueError("grading dimension does not match the polynomial")
-    if grading.basis_is_standard:
-        target = f
-    else:
-        target = f._substitute(powers or _Powers(_linear_forms(grading.basis)))
-        if target.is_zero:
-            raise ConsistencyError("change of basis killed a nonzero polynomial")
+    if support is None:
+        support = f.terms if grading.basis_is_standard else _support(
+            f, _Powers(_linear_forms(grading.basis))
+        )
     w = grading.weights
-    return min(sum(a * wj for a, wj in zip(exps, w)) for exps in target.terms)
+    return min(sum(map(operator.mul, exps, w)) for exps in support)
+
+
+def _support(f: SparsePolynomial, powers: _Powers) -> tuple:
+    """The exponents of the terms of f substituted through `powers`, the
+    powers of a basis's linear forms; ConsistencyError when the change of
+    basis leaves nothing."""
+    target = f._substitute(powers)
+    if target.is_zero:
+        raise ConsistencyError("change of basis killed a nonzero polynomial")
+    return tuple(target.terms)
 
 
 def graded_degree(
@@ -810,24 +827,28 @@ class CongruenceRecord:
 
 
 @per_group
-def _basis_powers(G: FiniteMatrixGroup, grading: GradingData) -> _Powers:
-    """The powers of the linear forms of a junior grading's basis, built
-    once per group and grading and shared by every polynomial valued in
-    that grading."""
-    return _Powers(_linear_forms(grading.basis))
+def _basis_powers(G: FiniteMatrixGroup, basis: CycMatrix) -> _Powers:
+    """The powers of the linear forms of a junior eigenbasis, built once
+    per group and basis and shared by every polynomial moved into it."""
+    return _Powers(_linear_forms(basis))
 
 
 @per_group
+def _in_basis(G: FiniteMatrixGroup, basis: CycMatrix, f: SparsePolynomial) -> tuple:
+    """The exponents of f's terms in a junior eigenbasis (`_support`),
+    once per group, basis and f: junior representatives in one walk share
+    their basis (`mckay.junior_gradings`), and the congruence and the
+    membership checks both read it."""
+    return _support(f, _basis_powers(G, basis))
+
+
 def _junior_valuation(
     G: FiniteMatrixGroup, grading: GradingData, f: SparsePolynomial
 ) -> int:
     """monomial_valuation(grading, f) for a junior representative's
-    grading, computed once per group: the congruence and the membership
-    checks both read it.  The change of basis goes through the grading's
-    shared powers (`_basis_powers`), so the relative invariants of every
-    character extend one set of powers."""
-    powers = None if grading.basis_is_standard else _basis_powers(G, grading)
-    return _valuation(grading, f, powers)
+    grading, f moved into a basis that is not standard through `_in_basis`."""
+    standard = grading.basis_is_standard
+    return _valuation(grading, f, None if standard else _in_basis(G, grading.basis, f))
 
 
 @per_group
@@ -850,6 +871,49 @@ def _verify_graded(
     return residues
 
 
+@per_group
+def _tree_exponents(
+    G: FiniteMatrixGroup, f: SparsePolynomial, twist: GaloisTwist
+) -> tuple[int, ...]:
+    """k(x) with x.f = zeta_E^k(x) f for every element x, E = G.exponent,
+    once per group, f and twist, from the graded residues of f under the
+    generators (`_verify_graded`, which raises ValueError when f is not
+    semi-invariant): a residue c of a generator of order r is the
+    eigenvalue zeta_r^(-t c).  Element y was found as h.p (the Schreier
+    tree of `FiniteMatrixGroup`), and acting is a homomorphism, so
+    k(y) = k(h) + k(p); labels are read in search order, each after its
+    parent.  No image of f under a non-generator is taken."""
+    E, orders = G.exponent, G.element_orders
+    by_step = [
+        -(twist.t * c) % r * (E // r)
+        for c, r in zip(
+            _verify_graded(G, f, twist), (orders[g] for g in G.generator_ids)
+        )
+    ]
+    exponents = [0] * len(G)
+    for y, (h, p) in enumerate(zip(G._steps, G._parents)):
+        if y:
+            exponents[y] = (by_step[h] + exponents[p]) % E
+    return tuple(exponents)
+
+
+def _tree_residue(
+    G: FiniteMatrixGroup, exponents: tuple[int, ...], x: int, twist: GaloisTwist
+) -> int:
+    """The graded residue of element x read off `_tree_exponents`: for x of
+    order r, zeta_E^k = zeta_r^(-c) gives c = -k / (E / r) mod r, twisted
+    as `_graded_residue` twists it.  E / r must divide k, else
+    ArithmeticError."""
+    k, r = exponents[x], G.element_orders[x]
+    step = G.exponent // r
+    if k % step:
+        raise ArithmeticError(
+            f"eigenvalue of order {G.exponent // math.gcd(G.exponent, k)} "
+            f"for an element of order {r}"
+        )
+    return twist.inverse_mod(r) * (-k // step) % r
+
+
 def check_congruence_lemma(
     G: FiniteMatrixGroup,
     gradings: Sequence[tuple[int, GradingData]],
@@ -857,21 +921,17 @@ def check_congruence_lemma(
     twist: GaloisTwist = IDENTITY_TWIST,
 ) -> tuple[CongruenceRecord, ...]:
     """For a semi-invariant f and each junior representative: the monomial
-    valuation must agree with the graded degree modulo the element order.
-    Raises ConsistencyError on any mismatch."""
+    valuation in its eigencoordinates must agree with its graded residue
+    modulo the element order.  The residue is read along the Schreier
+    tree from the generators' residues (`_tree_exponents`), not from an
+    image of f.  Raises ConsistencyError on any mismatch."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    _verify_graded(G, f, twist)
+    exponents = _tree_exponents(G, f, twist)
     records = []
     for element_id, grading in gradings:
         v = _junior_valuation(G, grading, f)
-        c = _graded_residue(
-            _act_by_id(G, element_id, f), f, grading.order, twist
-        )
-        if c is None:
-            raise ConsistencyError(
-                f"semi-invariant is not graded for element {element_id}"
-            )
+        c = _tree_residue(G, exponents, element_id, twist)
         if (v - c) % grading.order != 0:
             raise ConsistencyError(
                 f"element {element_id}: valuation {v} != residue {c} "
@@ -897,17 +957,18 @@ def check_junior_ring_membership(
 ) -> tuple[bool, bool]:
     """Two routes to 'f lives on the quotient by the junior span': every
     junior valuation divisible by the element order, versus invariance under
-    the subgroup the juniors generate.  Returns (divisible, invariant) and
-    insists the two answers agree."""
+    the subgroup the juniors generate, read as a residue of 0 along the
+    Schreier tree (`_tree_exponents`) for each of H's generators.  Returns
+    (divisible, invariant) and insists the two answers agree."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    _verify_graded(G, f, twist)
+    exponents = _tree_exponents(G, f, twist)
     divisible = all(
         _junior_valuation(G, grading, f) % grading.order == 0
         for _, grading in gradings
     )
     invariant = all(
-        _act_by_id(G, x, f) == f for x in H.generator_labels()
+        _tree_residue(G, exponents, x, twist) == 0 for x in H.generator_labels()
     )
     if divisible != invariant:
         raise ConsistencyError(

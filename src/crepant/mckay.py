@@ -535,14 +535,50 @@ def junior_elements(
 def junior_gradings(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[tuple[int, "GradingData"], ...]:
-    """(representative id, GradingData) for every junior conjugacy class."""
+    """(representative id, GradingData) for every junior conjugacy class.
+    A diagonal representative gets `valuation_weights`' standard basis.
+    Any other x lies in a walk of `G.walks`, x = z^k for its z = powers[1],
+    and an eigenbasis of z is one of x: the first walk that reaches x
+    lends it z's eigenbasis (`_walk_eigenbasis`, built once per group and
+    z, whatever the twist), and x's weights in it are derived from z's
+    exponents.  Representatives in one walk then share one basis, so the
+    checks substitute each polynomial into it once.  The weights must give
+    age 1 and have no common factor (`_junior_grading`)."""
     exponents, _ = _eigen_pass(G)
     _, reps = junior_classes(G, twist)
-    return tuple(
-        (x, valuation_weights(G.matrix(x), twist, _multiplicity_vector(
-            exponents[x], G.element_orders[x])))
-        for x in reps
-    )
+    dense = {x for x in reps if not G.matrix(x).is_diagonal()}
+    walk_of: dict[int, list] = {}
+    for powers in G.walks:
+        for k, y in enumerate(powers):
+            if y in dense and y not in walk_of:
+                walk_of[y] = powers, k
+    gradings = []
+    for x in reps:
+        r = G.element_orders[x]
+        if x not in dense:
+            m = _multiplicity_vector(exponents[x], r)
+            gradings.append((x, valuation_weights(G.matrix(x), twist, m)))
+            continue
+        powers, k = walk_of[x]
+        basis, column_exponents = _walk_eigenbasis(G, powers[1])
+        # zeta_R^a on a column of z is zeta_r^(a k / gcd(R, k)) for x = z^k
+        step, t_inv = k // math.gcd(len(powers), k), twist.inverse_mod(r)
+        weights = tuple(t_inv * a * step % r for a in column_exponents)
+        gradings.append((x, _junior_grading(r, weights, basis, False, twist)))
+    return tuple(gradings)
+
+
+@per_group
+def _walk_eigenbasis(
+    G: FiniteMatrixGroup, z: int
+) -> tuple[CycMatrix, tuple[int, ...]]:
+    """An eigenbasis of element z and the exponent a of each column's
+    eigenvalue zeta_R^a, R the order of z, columns by ascending a
+    (`_eigenbasis`); kept per group and z, and shared by every power of
+    z and every twist."""
+    r = G.element_orders[z]
+    m = _multiplicity_vector(_eigen_pass(G)[0][z], r)
+    return _eigenbasis(G.matrix(z), r, m, range(r))
 
 
 class _JuniorSet:
@@ -630,9 +666,6 @@ def valuation_weights(
     """
     m = eigen_multiplicities(g) if multiplicities is None else multiplicities
     r = len(m)
-    a = Fraction(sum(_weights(_exponents(m), r, twist)), r)
-    if a != 1:
-        raise ValueError(f"element has age {a}, not junior under twist {twist.t}")
     t_inv = twist.inverse_mod(r)
 
     if g.is_diagonal():
@@ -644,31 +677,57 @@ def valuation_weights(
             sub_r, k = root
             j = k * (r // sub_r) % r
             weights.append((t_inv * j) % r)
-        weights = tuple(weights)
-        basis = CycMatrix.identity(g.dim, g.conductor)
-        standard = True
-    else:
-        columns = []
-        weights = []
-        for w in range(r):
-            j = (twist.t * w) % r
-            if m[j] == 0:
-                continue
-            eigenvectors = kernel_basis(_shifted(g, zeta(r, j)))
-            if len(eigenvectors) != m[j]:
-                raise ConsistencyError(
-                    f"eigenspace for exponent {j} has dimension "
-                    f"{len(eigenvectors)}, expected {m[j]}"
-                )
-            columns.extend(eigenvectors)
-            weights.extend([w] * m[j])
-        weights = tuple(weights)
-        basis = CycMatrix.from_rows(
-            [[columns[c][p] for c in range(g.dim)] for p in range(g.dim)]
+        return _junior_grading(
+            r, tuple(weights), CycMatrix.identity(g.dim, g.conductor), True, twist
         )
-        if basis.rank() != g.dim:
-            raise ConsistencyError("eigenbasis is not invertible")
-        standard = False
+    basis, exponents = _eigenbasis(g, r, m, (twist.t * w % r for w in range(r)))
+    return _junior_grading(
+        r, tuple(t_inv * j % r for j in exponents), basis, False, twist
+    )
+
+
+def _eigenbasis(
+    g: CycMatrix, r: int, m: Sequence[int], order
+) -> tuple[CycMatrix, tuple[int, ...]]:
+    """(basis, exponents): eigenvectors of g, of order r and multiplicity
+    vector m, as columns, by exact elimination, one eigenspace per
+    exponent j with m_j > 0, in the order `order` gives; and the exponent
+    j of each column's eigenvalue zeta_r^j.  Each eigenspace must have
+    dimension m_j and the basis must be invertible; else
+    ConsistencyError."""
+    columns, exponents = [], []
+    for j in order:
+        if m[j] == 0:
+            continue
+        eigenvectors = kernel_basis(_shifted(g, zeta(r, j)))
+        if len(eigenvectors) != m[j]:
+            raise ConsistencyError(
+                f"eigenspace for exponent {j} has dimension "
+                f"{len(eigenvectors)}, expected {m[j]}"
+            )
+        columns.extend(eigenvectors)
+        exponents.extend([j] * m[j])
+    basis = CycMatrix.from_rows(
+        [[columns[c][p] for c in range(g.dim)] for p in range(g.dim)]
+    )
+    if basis.rank() != g.dim:
+        raise ConsistencyError("eigenbasis is not invertible")
+    return basis, tuple(exponents)
+
+
+def _junior_grading(
+    r: int,
+    weights: tuple[int, ...],
+    basis: CycMatrix,
+    standard: bool,
+    twist: GaloisTwist,
+) -> GradingData:
+    """The grading of an element of order r with these twisted weights.
+    They must sum to r, age 1, else ValueError, and have no common
+    factor, else ConsistencyError."""
+    a = Fraction(sum(weights), r)
+    if a != 1:
+        raise ValueError(f"element has age {a}, not junior under twist {twist.t}")
     if math.gcd(*weights) != 1:
         raise ConsistencyError(
             f"junior weights {weights} have a common factor"

@@ -690,6 +690,10 @@ AGE_JOB_FILES = ("c17", "2t_c3_dense")
 # The dense 2T x C3 job with the character [1, 1]: its relative invariant is
 # formed from powers and substitutions of four-term linear forms.
 DENSE_INVARIANT_JOB = "2t_c3_dense_chi11"
+# `check` on dense 2T x C3 (junior representatives with dense eigenbases)
+# and on C6^3 (216 junior-bearing singleton classes, 216 characters): the
+# congruence and membership records of groups larger than 2T.
+CHECK_JOB_FILES = ("2t_c3_dense", "c6_cubed")
 GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
     "s3_age": (S3_DOC, "age"),
@@ -711,6 +715,10 @@ GOLDEN_JOBS = {
         ),
         "invariant",
     ),
+    **{f"{name}_check": (
+        (GOLDEN_DIR.parent / "jobs" / f"{name}.json").read_text(encoding="utf-8"),
+        "check",
+    ) for name in CHECK_JOB_FILES},
 }
 GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
@@ -718,8 +726,9 @@ GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 def test_console_script_job_is_the_golden_q8_job():
     # CI pipes tests/data/jobs/q8.json through the installed `crepant
     # <mode>` for all five modes, 2t.json through `check` and `age`,
-    # s3.json through `age` and c6_cubed.json through `analyze`, and
-    # compares each output with the golden report of that job and mode
+    # s3.json through `age` and c6_cubed.json through `analyze` and
+    # `check`, and compares each output with the golden report of that
+    # job and mode
     for name, source in (
         ("q8", Q8_DOC), ("2t", TWO_T_DOC), ("s3", S3_DOC),
         ("c6_cubed", C6_CUBED_DOC),

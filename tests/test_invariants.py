@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -700,28 +701,101 @@ def test_check_job_acts_once_per_element_and_polynomial(monkeypatch):
     assert repeated == []
 
 
-@pytest.mark.parametrize(
-    "rows", [Q8_ROWS, TETRA_ROWS, TETRA_C3_ROWS], ids=["Q8", "2T", "2TxC3"]
-)
-def test_junior_valuation_shares_basis_powers(rows):
-    # The checks value every relative invariant through one set of powers
-    # per junior grading; the values must be those of the public route,
-    # and two groups built from one document must keep their own powers.
+ORACLE_GROUPS = {
+    "Q8": Q8_ROWS,
+    "2T": TETRA_ROWS,
+    "2TxC3": TETRA_C3_ROWS,
+    "2TxC3_dense": dense_conjugate(TETRA_C3_ROWS, 1),
+}
+
+
+def _oracle_polynomials(G, name):
+    """The relative invariants of G, only those of degree at most 2 on the
+    dense presentation, and the product of the last two: a semi-invariant
+    the search does not return."""
+    found = [relative_invariant(G, chi) for chi in ab_characters(G)]
+    found = [f for f in found if f.total_degree() <= 2 or "dense" not in name]
+    product = found[-1] * found[-2]
+    assert product not in found
+    return found + [product]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_junior_valuation_shares_basis_powers(name):
+    # The checks move every relative invariant into a junior eigenbasis
+    # through one set of powers per basis, and junior representatives in
+    # one walk share that basis; each valuation must still be the one
+    # read in the representative's own eigenbasis, and two groups built
+    # from one document must keep their own powers.
+    rows = ORACLE_GROUPS[name]
     text = json.dumps({"dimension": len(rows[0]), "generators": rows})
     groups = [cli._build_group(cli.parse_job(text, mode="check")) for _ in (0, 1)]
     shared = invariants._basis_powers.__wrapped__
     kept = []
     for G in groups:
-        found = [relative_invariant(G, chi) for chi in ab_characters(G)]
+        found = _oracle_polynomials(G, name)
+        bases = set()
         for t in (1, G.exponent - 1):
-            for _, grading in junior_gradings(G, GaloisTwist(t)):
+            for x, grading in junior_gradings(G, GaloisTwist(t)):
+                own = valuation_weights(G.matrix(x), GaloisTwist(t))
+                if not grading.basis_is_standard:
+                    bases.add(id(grading.basis))
                 for f in found:
                     assert invariants._junior_valuation(
                         G, grading, f
-                    ) == monomial_valuation(grading, f)
-        kept.append({id(v) for (fn, _), v in G._memo.items() if fn is shared})
+                    ) == monomial_valuation(own, f), (x, t, f)
+        powers = {
+            id(args[0]): id(v) for (fn, args), v in G._memo.items() if fn is shared
+        }
+        assert set(powers) == bases
+        kept.append(set(powers.values()))
     assert kept[0] and kept[1]
     assert not kept[0] & kept[1]
+
+
+def test_junior_representatives_in_one_walk_share_a_basis():
+    # dense 2T x C3: its 8 junior representatives lie in 5 walks, so the
+    # checks substitute each relative invariant into 5 eigenbases, not 8
+    jobs = Path(__file__).parent / "data" / "jobs"
+    source = (jobs / "2t_c3_dense.json").read_text(encoding="utf-8")
+    G = cli._build_group(cli.parse_job(source, mode="check"))
+    gradings = junior_gradings(G, GaloisTwist(1))
+    assert len(gradings) == 8
+    assert not any(grading.basis_is_standard for _, grading in gradings)
+    assert len({id(grading.basis) for _, grading in gradings}) == 5
+    twisted = junior_gradings(G, GaloisTwist(G.exponent - 1))
+    assert {id(g.basis) for _, g in twisted} == {id(g.basis) for _, g in gradings}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_tree_residues_match_exact_images(name):
+    # The residue the checks read along the Schreier tree, for every
+    # element and not only the junior ones, is the graded degree of the
+    # exact image, under the identity twist and under t = E - 1; f ranges
+    # over the relative invariants of low degree and a product of two of
+    # them, which the search does not return, so the residues come from
+    # f's generator images, not from a character.
+    rows = ORACLE_GROUPS[name]
+    G = close_group([CycMatrix.from_rows(r) for r in rows])
+    for f in _oracle_polynomials(G, name):
+        for t in (1, G.exponent - 1):
+            twist = GaloisTwist(t)
+            exponents = invariants._tree_exponents(G, f, twist)
+            for y in G.carrier_labels():
+                exact = graded_degree(G.matrix(y), f, G.element_orders[y], twist)
+                assert exact is not None
+                assert invariants._tree_residue(G, exponents, y, twist) == exact
+
+
+def test_tree_residue_refuses_a_root_of_the_wrong_order(q8):
+    # a generator residue that puts an eigenvalue of order 4 on an element
+    # of order 2 is an arithmetic failure, raised, not asserted
+    f = x(2, 0) * x(2, 1)
+    exponents = list(invariants._tree_exponents(q8, f, GaloisTwist(1)))
+    minus_one = next(y for y in q8.carrier_labels() if q8.element_orders[y] == 2)
+    exponents[minus_one] = q8.exponent // 4
+    with pytest.raises(ArithmeticError, match="eigenvalue of order 4"):
+        invariants._tree_residue(q8, exponents, minus_one, GaloisTwist(1))
 
 
 # Ab = C2 x C6: diag(-1, -1, 1) and diag(z6, 1, z6^5)
@@ -1028,10 +1102,10 @@ def test_average_that_cancels_part_way_keeps_the_smaller_conductor(monkeypatch):
 
 
 def test_check_reads_each_generator_residue_once_per_invariant(monkeypatch):
-    # The congruence and membership checks both verify that f is graded
-    # under every generator; the second reads the kept residues, so a check
-    # on 2T takes one residue per generator and one per junior grading of
-    # each relative invariant.
+    # The congruence and membership checks read every residue along the
+    # Schreier tree from the generators' residues, kept per invariant, so a
+    # check on 2T takes one residue per generator of each relative
+    # invariant and none per junior grading.
     groups = []
     build = cli._build_group
 
@@ -1058,9 +1132,8 @@ def test_check_reads_each_generator_residue_once_per_invariant(monkeypatch):
         for chi in characters_of(G.abelian_decomposition())
     ]
     assert len(found) == 3
-    assert residues == {
-        f: len(G.generator_ids) + len(gradings) for f in found
-    }
+    assert len(gradings) == 6
+    assert residues == {f: len(G.generator_ids) for f in found}
 
 
 def test_graded_failure_is_raised_on_every_call(q8):
@@ -1088,7 +1161,9 @@ def test_character_on_another_abelianization(name):
 def test_check_job_keeps_no_image_of_a_monomial(monkeypatch):
     # The averaging keeps coset sums, not images: after a check job the
     # per-group images of `_act_by_id` are those of the relative
-    # invariants the checks act on, and none is a bare monomial.
+    # invariants the checks act on, and none is a bare monomial.  They
+    # are images under the generators only: the junior residues are read
+    # along the Schreier tree, and no junior representative acts.
     groups = []
     build = cli._build_group
 
@@ -1113,6 +1188,39 @@ def test_check_job_keeps_no_image_of_a_monomial(monkeypatch):
         for chi in characters_of(G.abelian_decomposition())
     }
     assert acted == found
+    by = {args[0] for (fn, args) in G._memo if fn is acting}
+    assert by == set(G.generator_ids)
+    reps = [x for x, _ in junior_gradings(G, GaloisTwist(1))]
+    assert set(reps) - by
+
+
+def test_both_check_routes_still_bite(monkeypatch, ex72):
+    # A valuation off by one fails the congruence record of every
+    # character with its message, and the job exits 1; a divisibility
+    # route that disagrees with the tree's invariance route is raised.
+    valuation = invariants._junior_valuation
+    monkeypatch.setattr(
+        invariants, "_junior_valuation", lambda *args: valuation(*args) + 1
+    )
+    text = json.dumps({"dimension": 2, "generators": TETRA_ROWS})
+    report, status = cli.run(cli.parse_job(text, mode="check"))
+    assert status == cli.EXIT_CHECK_FAILED == 1
+    congruence = [
+        c for c in report["check"]["checks"]
+        if c["name"].startswith("valuation_congruence[")
+    ]
+    assert len(congruence) == 3
+    for c in congruence:
+        assert not c["passed"]
+        assert re.fullmatch(
+            r"element \d+: valuation \d+ != residue \d+ mod \d+", c["detail"]
+        ), c["detail"]
+    monkeypatch.setattr(
+        invariants, "_junior_valuation", lambda G, grading, f: grading.order
+    )
+    H = subgroup_generated(ex72, junior_elements(ex72))
+    with pytest.raises(ConsistencyError, match="divisibility says True"):
+        check_junior_ring_membership(ex72, H, junior_gradings(ex72), x(4, 2))
 
 
 def test_molien_promise_too_low_is_refused(q8, monkeypatch):
