@@ -13,13 +13,12 @@ no relative invariant within the degree bound).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .classgroup import (
     ClassGroupReport,
@@ -53,6 +52,9 @@ from .mckay import (
     galois_sweep,
     junior_gradings,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 
@@ -622,6 +624,10 @@ def render_report(report: dict, output_format: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `crepant` argument parser.  argparse is imported here, so that
+    importing this module, as library callers do, loads no parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="crepant",
         description="Class groups and invariants of finite linear group "

@@ -13,9 +13,10 @@ otherwise.  The image of a monomial under a single element is not kept.
 The lemma checks take exact images of an invariant f under the generators
 only.  Every other element is a product of generators along its path in
 the closure's Schreier tree, so its graded residue is read from theirs
-(`_tree_exponents`).  Valuations are taken in a junior eigenbasis shared
-by the junior representatives of one cyclic walk, into which f is moved
-once (`_in_basis`).
+(`_tree_exponents`).  Each junior class's valuation is read at the member
+`mckay.junior_gradings` chose: in the standard basis for a diagonal
+member, else in an eigenbasis shared by the classes that one cyclic walk
+meets, into which f is moved once (`_in_basis`).
 
 Every sum of products goes through `cyclo._dot`, one call per output
 monomial: a product of polynomials, the powers of a form (multinomial
@@ -836,7 +837,7 @@ def _basis_powers(G: FiniteMatrixGroup, basis: CycMatrix) -> _Powers:
 @per_group
 def _in_basis(G: FiniteMatrixGroup, basis: CycMatrix, f: SparsePolynomial) -> tuple:
     """The exponents of f's terms in a junior eigenbasis (`_support`),
-    once per group, basis and f: junior representatives in one walk share
+    once per group, basis and f: junior classes met on one walk share
     their basis (`mckay.junior_gradings`), and the congruence and the
     membership checks both read it."""
     return _support(f, _basis_powers(G, basis))
@@ -845,8 +846,8 @@ def _in_basis(G: FiniteMatrixGroup, basis: CycMatrix, f: SparsePolynomial) -> tu
 def _junior_valuation(
     G: FiniteMatrixGroup, grading: GradingData, f: SparsePolynomial
 ) -> int:
-    """monomial_valuation(grading, f) for a junior representative's
-    grading, f moved into a basis that is not standard through `_in_basis`."""
+    """monomial_valuation(grading, f) for a junior class's grading, f
+    moved into a basis that is not standard through `_in_basis`."""
     standard = grading.basis_is_standard
     return _valuation(grading, f, None if standard else _in_basis(G, grading.basis, f))
 
@@ -920,11 +921,15 @@ def check_congruence_lemma(
     f: SparsePolynomial,
     twist: GaloisTwist = IDENTITY_TWIST,
 ) -> tuple[CongruenceRecord, ...]:
-    """For a semi-invariant f and each junior representative: the monomial
-    valuation in its eigencoordinates must agree with its graded residue
-    modulo the element order.  The residue is read along the Schreier
-    tree from the generators' residues (`_tree_exponents`), not from an
-    image of f.  Raises ConsistencyError on any mismatch."""
+    """For a semi-invariant f and each junior class, listed as (x,
+    grading): the monomial valuation in the grading's eigencoordinates
+    must agree with the graded residue of the representative x modulo the
+    element order.  The grading may be that of another member y = h x h^-1
+    (`mckay.junior_gradings`); both sides are class functions for a
+    semi-invariant f, and the residue, read first, raises ValueError when
+    f is not one.  The residue is read along the Schreier tree from the
+    generators' residues (`_tree_exponents`), not from an image of f.
+    Raises ConsistencyError on any mismatch."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
     exponents = _tree_exponents(G, f, twist)

@@ -37,11 +37,11 @@ so its ages are then a class function and integral as well.  Each twist
 makes one `age_records` pass, in `junior_elements`, which computes the
 weights once per distinct order and exponents and reads the age off
 them.  What the junior elements determine is kept on one record per
-junior set (`_junior_set`): the id tuple, the class scan, G/H, Ab(G/H)
-and Ab(G/H)'s invariant factors.  A twist t replaces the junior elements
-by their t-th powers, so every twist generates the same H, and twists
-with one junior set share that record.  Building G/H is the proof that H
-is normal.
+junior set (`_junior_set`): the id tuple, the class scan, G/H, Ab(G/H),
+Ab(G/H)'s invariant factors and the class members the junior gradings are
+read at.  A twist t replaces the junior elements by their t-th powers, so
+every twist generates the same H, and twists with one junior set share
+that record.  Building G/H is the proof that H is normal.
 """
 
 from __future__ import annotations
@@ -144,7 +144,9 @@ class AgeRecord:
 class GradingData:
     """Weight data of one junior element: the grading deg(x_j) := weights[j]
     lives in the coordinates y with x = basis . y; column j of basis spans
-    the eigenspace matching weights[j]."""
+    the eigenspace matching weights[j].  `junior_gradings` gives each
+    junior class the grading of one chosen member, which need not be the
+    class representative it is listed under."""
 
     order: int
     weights: tuple[int, ...]
@@ -296,6 +298,14 @@ def is_reflection(g: CycMatrix) -> bool:
         ),
         lambda i, j: rows[i][j] - 1 if i == j else rows[i][j],
         lambda a, b, c, d: not _dot(n, ((a, b), (-c, d))),
+    )
+
+
+def _is_diagonal_mod(image) -> bool:
+    """Whether an element's F_q image, its rows, is diagonal; an exact
+    diagonal matrix has a diagonal image, not conversely."""
+    return not any(
+        v for i, row in enumerate(image) for j, v in enumerate(row) if i != j
     )
 
 
@@ -536,32 +546,30 @@ def junior_gradings(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[tuple[int, "GradingData"], ...]:
     """(representative id, GradingData) for every junior conjugacy class.
-    A diagonal representative gets `valuation_weights`' standard basis.
-    Any other x lies in a walk of `G.walks`, x = z^k for its z = powers[1],
-    and an eigenbasis of z is one of x: the first walk that reaches x
-    lends it z's eigenbasis (`_walk_eigenbasis`, built once per group and
-    z, whatever the twist), and x's weights in it are derived from z's
-    exponents.  Representatives in one walk then share one basis, so the
-    checks substitute each polynomial into it once.  The weights must give
-    age 1 and have no common factor (`_junior_grading`)."""
+    The grading is that of the class member y its junior set chose
+    (`_JuniorSet.graded_members`), not of the representative x: for a
+    semi-invariant f and y = h x h^-1, an eigenbasis B of x gives the
+    eigenbasis h B of y with the same weights, and f(h B) is f(B) times
+    a root of unity, so both give f one valuation.  A diagonal y gets
+    `valuation_weights`' standard basis.  Any other y = z^k lies in a walk
+    of `G.walks`, z = powers[1], and lends z's eigenbasis
+    (`_walk_eigenbasis`, built once per group and z, whatever the twist),
+    in which y's weights are derived from z's exponents.  Classes that
+    meet one walk then share one basis, so the checks substitute each
+    polynomial into it once.  The weights must give age 1 and have no
+    common factor (`_junior_grading`)."""
     exponents, _ = _eigen_pass(G)
     _, reps = junior_classes(G, twist)
-    dense = {x for x in reps if not G.matrix(x).is_diagonal()}
-    walk_of: dict[int, list] = {}
-    for powers in G.walks:
-        for k, y in enumerate(powers):
-            if y in dense and y not in walk_of:
-                walk_of[y] = powers, k
+    chosen = _junior_set(G, junior_elements(G, twist)).graded_members
     gradings = []
-    for x in reps:
+    for x, (y, powers, k) in zip(reps, chosen):
         r = G.element_orders[x]
-        if x not in dense:
+        if powers is None:
             m = _multiplicity_vector(exponents[x], r)
-            gradings.append((x, valuation_weights(G.matrix(x), twist, m)))
+            gradings.append((x, valuation_weights(G.matrix(y), twist, m)))
             continue
-        powers, k = walk_of[x]
         basis, column_exponents = _walk_eigenbasis(G, powers[1])
-        # zeta_R^a on a column of z is zeta_r^(a k / gcd(R, k)) for x = z^k
+        # zeta_R^a on a column of z is zeta_r^(a k / gcd(R, k)) for y = z^k
         step, t_inv = k // math.gcd(len(powers), k), twist.inverse_mod(r)
         weights = tuple(t_inv * a * step % r for a in column_exponents)
         gradings.append((x, _junior_grading(r, weights, basis, False, twist)))
@@ -584,8 +592,9 @@ def _walk_eigenbasis(
 class _JuniorSet:
     """What G's junior elements determine, whichever twist found them: their
     ids, (m, class representatives) and, on first read, G/H and Ab(G/H)
-    for H generated by them and Ab(G/H)'s invariant factors (an
-    AbelianStructure).  Building G/H verifies that H is normal: a
+    for H generated by them, Ab(G/H)'s invariant factors (an
+    AbelianStructure) and the members the gradings are read at
+    (`graded_members`).  Building G/H verifies that H is normal: a
     conjugate of a member of H by a generator of G that escapes H is a
     ConsistencyError."""
 
@@ -607,6 +616,40 @@ class _JuniorSet:
     @functools.cached_property
     def torsion(self):
         return abelian_invariants(self.quotients[1])
+
+    @functools.cached_property
+    def graded_members(self) -> tuple[tuple[int, Optional[list], int], ...]:
+        """For each class representative, in order, the member y whose
+        eigenbasis its junior grading is read in: (y, None, 0) for a
+        diagonal y, else (y, powers, k) with y = powers[k] in the walk
+        `powers` of `G.walks`.  A class with a diagonal member takes the
+        first one, found among the members whose F_q image is diagonal
+        and confirmed on its exact matrix; a diagonal representative is
+        its own choice.  The other classes take the first member met on
+        the walks read longest first, ties in walk order, so that one walk
+        serves as many classes as it meets.  Every twist with these
+        junior elements reads the same choice."""
+        G, (_, reps) = self.group, self.classes
+        wanted = set(reps)
+        classes = [cls for cls in G.conjugacy_classes() if cls[0] in wanted]
+        images = G.working_shadow().images
+        chosen: dict[int, tuple] = {}
+        for cls in classes:
+            for y in cls:
+                if _is_diagonal_mod(images[y]) and G.matrix(y).is_diagonal():
+                    chosen[cls[0]] = y, None, 0
+                    break
+        class_of = {
+            y: cls[0] for cls in classes if cls[0] not in chosen for y in cls
+        }
+        for powers in sorted(G.walks, key=len, reverse=True):
+            if len(chosen) == len(reps):
+                break
+            for k, y in enumerate(powers):
+                x = class_of.get(y)
+                if x is not None and x not in chosen:
+                    chosen[x] = y, powers, k
+        return tuple(chosen[x] for x in reps)
 
 
 _junior_set = per_group(_JuniorSet)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -690,10 +692,12 @@ AGE_JOB_FILES = ("c17", "2t_c3_dense")
 # The dense 2T x C3 job with the character [1, 1]: its relative invariant is
 # formed from powers and substitutions of four-term linear forms.
 DENSE_INVARIANT_JOB = "2t_c3_dense_chi11"
-# `check` on dense 2T x C3 (junior representatives with dense eigenbases)
-# and on C6^3 (216 junior-bearing singleton classes, 216 characters): the
-# congruence and membership records of groups larger than 2T.
-CHECK_JOB_FILES = ("2t_c3_dense", "c6_cubed")
+# `check` on dense 2T x C3 (junior representatives with dense eigenbases),
+# on C6^3 (216 junior-bearing singleton classes, 216 characters) and on
+# 2I x C12 (order 1440, junior classes read at diagonal members and in
+# shared eigenbases): the congruence and membership records of groups
+# larger than 2T.
+CHECK_JOB_FILES = ("2t_c3_dense", "c6_cubed", "2i_c12")
 GOLDEN_JOBS = {
     "ex72_analyze": (EX72_DOC, "analyze"),
     "s3_age": (S3_DOC, "age"),
@@ -778,6 +782,22 @@ def run_main(args, stdin_text=None, monkeypatch=None, capsys=None):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    # Library callers import crepant.cli for `parse_job`, `run` and
+    # `render_report`; only `build_parser` imports argparse.  Each check
+    # runs in a fresh interpreter, on the package under test.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, crepant.cli; sys.exit('argparse' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    shown = subprocess.run(
+        [sys.executable, "-m", "crepant.cli", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout.startswith("usage: crepant")
 
 
 def test_main_stdin_to_stdout(monkeypatch, capsys):

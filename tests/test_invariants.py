@@ -45,6 +45,7 @@ from crepant.invariants import (
 )
 
 from conftest import (
+    ICOSA_ROWS,
     Q8_ROWS,
     S3_ROWS,
     TETRA_C3_ROWS,
@@ -754,17 +755,88 @@ def test_junior_valuation_shares_basis_powers(name):
 
 
 def test_junior_representatives_in_one_walk_share_a_basis():
-    # dense 2T x C3: its 8 junior representatives lie in 5 walks, so the
-    # checks substitute each relative invariant into 5 eigenbases, not 8
+    # Each junior class reads its grading at a diagonal member when it has
+    # one, else at the first member met on the walks read longest first.
+    # Dense 2T x C3: its 8 junior classes, none with a diagonal member,
+    # meet 2 walks, so the checks substitute each relative invariant into
+    # 2 eigenbases, not 8.  2T: the diagonal classes of -1 and of the
+    # elements of order 4 take the standard basis, and the other 4 meet
+    # one walk of an element of order 6, so 1 eigenbasis.
     jobs = Path(__file__).parent / "data" / "jobs"
-    source = (jobs / "2t_c3_dense.json").read_text(encoding="utf-8")
-    G = cli._build_group(cli.parse_job(source, mode="check"))
-    gradings = junior_gradings(G, GaloisTwist(1))
-    assert len(gradings) == 8
-    assert not any(grading.basis_is_standard for _, grading in gradings)
-    assert len({id(grading.basis) for _, grading in gradings}) == 5
-    twisted = junior_gradings(G, GaloisTwist(G.exponent - 1))
-    assert {id(g.basis) for _, g in twisted} == {id(g.basis) for _, g in gradings}
+    for name, classes, standard, bases in (
+        ("2t_c3_dense", 8, 0, 2),
+        ("2t", 6, 2, 1),
+    ):
+        source = (jobs / f"{name}.json").read_text(encoding="utf-8")
+        G = cli._build_group(cli.parse_job(source, mode="check"))
+        gradings = junior_gradings(G, GaloisTwist(1))
+        assert len(gradings) == classes, name
+        assert sum(g.basis_is_standard for _, g in gradings) == standard, name
+        shared = {id(g.basis) for _, g in gradings if not g.basis_is_standard}
+        assert len(shared) == bases, name
+        twisted = junior_gradings(G, GaloisTwist(G.exponent - 1))
+        assert {
+            id(g.basis) for _, g in twisted if not g.basis_is_standard
+        } == shared, name
+
+
+def _eigen_member(G, cls, grading, twist):
+    """The first member of the class `cls` of which every column of the
+    grading's basis is an exact eigenvector with the eigenvalue its weight
+    grades, zeta_r^(t w) for the weight w of the column, or None."""
+    r, basis = grading.order, grading.basis
+    columns = [
+        [basis.rows[i][j] for i in range(basis.dim)] for j in range(basis.dim)
+    ]
+    for y in cls:
+        g = G.matrix(y)
+        if all(
+            all(
+                sum((g.rows[i][k] * v[k] for k in range(g.dim)), rational(0))
+                == zeta(r, twist.t * w % r) * v[i]
+                for i in range(g.dim)
+            )
+            for v, w in zip(columns, grading.weights)
+        ):
+            return y
+    return None
+
+
+GRADED_MEMBER_GROUPS = {**ORACLE_GROUPS, "2I": ICOSA_ROWS}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_MEMBER_GROUPS))
+def test_junior_grading_is_that_of_a_member_of_the_class(name):
+    # The grading of each junior class is read at one member of the class,
+    # not always at its representative: every basis column is an exact
+    # eigenvector of that member with the eigenvalue its weight grades,
+    # the basis is standard exactly when that member is diagonal, which
+    # is whenever the class has a diagonal member, and the congruence
+    # records are those of the representative's own eigenbasis, under the
+    # identity twist and under t = E - 1.
+    rows = GRADED_MEMBER_GROUPS[name]
+    G = close_group([CycMatrix.from_rows(r) for r in rows])
+    if name == "2I":
+        (f,) = [relative_invariant(G, chi) for chi in ab_characters(G)]
+        found = [f, f * f]
+    else:
+        found = _oracle_polynomials(G, name)
+    classes = {cls[0]: cls for cls in G.conjugacy_classes()}
+    for t in (1, G.exponent - 1):
+        twist = GaloisTwist(t)
+        gradings = junior_gradings(G, twist)
+        for x, grading in gradings:
+            cls = classes[x]
+            y = _eigen_member(G, cls, grading, twist)
+            assert y is not None, (name, t, x)
+            diagonal = G.matrix(y).is_diagonal()
+            assert grading.basis_is_standard == diagonal, (name, t, x, y)
+            assert diagonal == any(G.matrix(z).is_diagonal() for z in cls)
+        oracle = [(x, valuation_weights(G.matrix(x), twist)) for x, _ in gradings]
+        for f in found:
+            assert check_congruence_lemma(
+                G, gradings, f, twist
+            ) == check_congruence_lemma(G, oracle, f, twist), (name, t, f)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
