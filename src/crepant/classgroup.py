@@ -21,7 +21,7 @@ and reported as a named consistency check rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matgrp import (
     AbelianStructure,
@@ -57,15 +57,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
+class ConsistencyCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class PushforwardData:
+class PushforwardData(NamedTuple):
     """Images of a basis of the terminalization's class group down in the
     quotient's class group, reported as group element ids.
 
@@ -79,8 +77,7 @@ class PushforwardData:
     torsion_witnesses: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassGroupReport:
+class ClassGroupReport(NamedTuple):
     group_order: int
     is_special_linear: bool
     reflection_subgroup_order: int

@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .classgroup import (
     ClassGroupReport,
@@ -72,8 +71,7 @@ class PreconditionError(RuntimeError):
     """Structurally valid input the requested computation cannot accept."""
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     dimension: int
     generators: tuple[CycMatrix, ...]
     mode: str

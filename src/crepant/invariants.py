@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .cyclo import (
     CyclotomicNumber,
@@ -582,23 +581,24 @@ def _graded_residue(
 # -- characters of the abelianization ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterOfAb:
-    """Character of a finite abelian group, written against the invariant
-    factor basis of a decomposition: the j-th basis generator is sent to
-    zeta_{d_j}^(-c_j)."""
-
+class _CharacterOfAbFields(NamedTuple):
     decomposition: AbelianDecomposition
     exponents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        factors = self.decomposition.structure.invariant_factors
-        if len(self.exponents) != len(factors):
+
+class CharacterOfAb(_CharacterOfAbFields):
+    """Character of a finite abelian group, written against the invariant
+    factor basis of a decomposition: the j-th basis generator is sent to
+    zeta_{d_j}^(-c_j).  The exponents are kept reduced modulo the d_j."""
+
+    __slots__ = ()
+
+    def __new__(cls, decomposition: AbelianDecomposition, exponents: tuple[int, ...]):
+        factors = decomposition.structure.invariant_factors
+        if len(exponents) != len(factors):
             raise ValueError("one exponent per invariant factor")
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple(c % d for c, d in zip(self.exponents, factors)),
+        return super().__new__(
+            cls, decomposition, tuple(c % d for c, d in zip(exponents, factors))
         )
 
     def is_trivial(self) -> bool:
@@ -817,8 +817,7 @@ def relative_invariant(
 # -- lemma checks -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceRecord:
+class CongruenceRecord(NamedTuple):
     """One junior representative's valuation against its graded residue."""
 
     element_id: int

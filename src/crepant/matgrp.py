@@ -54,13 +54,11 @@ handles, quotients, and ad-hoc table groups; abelian structure also reads
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .cyclo import (
     CyclotomicNumber,
@@ -511,21 +509,46 @@ def _cyclic_walks(grp) -> tuple[list[int], list[int], list]:
 
 def per_group(fn):
     """Memoise `fn(G, ...)` in `G._memo`, keyed by `fn` and the arguments
-    after `G` with defaults filled in, so `f(G)` and `f(G, default)` share
-    one entry.  Only for results fixed by `G` and those arguments."""
-    signature = inspect.signature(fn)
-    arity = len(signature.parameters) - 1
+    after `G` with defaults filled in, so `f(G)`, `f(G, default)` and
+    `f(G, name=default)` share one entry, and called with that key.  The
+    parameters are read off `fn.__code__` (`fn.__init__`'s, after `self`,
+    for a class) and must all be positional-or-keyword.  Only for results
+    fixed by `G` and those arguments."""
+    init = fn.__init__ if isinstance(fn, type) else fn
+    code = init.__code__
+    # 0x0C: CO_VARARGS | CO_VARKEYWORDS
+    if code.co_posonlyargcount or code.co_kwonlyargcount or code.co_flags & 0x0C:
+        raise TypeError(f"{fn.__qualname__}: per_group needs plain parameters")
+    names = code.co_varnames[1 + isinstance(fn, type) : code.co_argcount]
+    arity = len(names)
+    defaults = dict(zip(names[::-1], (init.__defaults__ or ())[::-1]))
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """The arguments after `G` in parameter order, defaults filled in;
+        a TypeError for an extra, repeated, unknown or missing argument."""
+        rest = names[len(args) :]
+        if len(args) > arity or any(name not in rest for name in kwargs):
+            raise TypeError(
+                f"{fn.__qualname__}() takes the arguments {names} after G, "
+                f"not {len(args)} positional and {sorted(kwargs)}"
+            )
+        try:
+            return args + tuple(
+                kwargs[name] if name in kwargs else defaults[name] for name in rest
+            )
+        except KeyError as missing:
+            raise TypeError(
+                f"{fn.__qualname__}() missing the argument {missing}"
+            ) from None
 
     @functools.wraps(fn)
     def memoised(G, *args, **kwargs):
         # a call that names every argument positionally needs no binding
-        key = (fn, args)
         if kwargs or len(args) != arity:
-            bound = signature.bind(G, *args, **kwargs)
-            bound.apply_defaults()
-            key = (fn, bound.args[1:])
+            args = bind(args, kwargs)
+        key = (fn, args)
         if key not in G._memo:
-            G._memo[key] = fn(G, *args, **kwargs)
+            G._memo[key] = fn(G, *args)
         return G._memo[key]
 
     return memoised
@@ -1240,24 +1263,27 @@ def abelianization(grp) -> QuotientGroup:
 # abelian structure
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
-    """Invariant factor decomposition d_1 | d_2 | ... | d_k, each d_i >= 2.
-    The trivial group has an empty chain and order 1."""
-
+class _AbelianStructureFields(NamedTuple):
     invariant_factors: tuple[int, ...]
     order: int
 
-    def __post_init__(self):
-        chain = self.invariant_factors
+
+class AbelianStructure(_AbelianStructureFields):
+    """Invariant factor decomposition d_1 | d_2 | ... | d_k, each d_i >= 2.
+    The trivial group has an empty chain and order 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, invariant_factors: tuple[int, ...], order: int):
+        chain = invariant_factors
         if any(d < 2 for d in chain) or any(b % a for a, b in zip(chain, chain[1:])):
             raise ValueError(f"not a divisibility chain: {chain}")
-        if math.prod(chain) != self.order:
+        if math.prod(chain) != order:
             raise ValueError("order does not match invariant factors")
+        return super().__new__(cls, invariant_factors, order)
 
 
-@dataclass(frozen=True)
-class AbelianDecomposition:
+class AbelianDecomposition(NamedTuple):
     """An abelian group-like together with independent generators realizing
     the invariant factors, and a discrete-log table for the whole group."""
 

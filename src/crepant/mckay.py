@@ -49,9 +49,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import (
     CyclotomicNumber,
@@ -105,8 +104,7 @@ class ConsistencyError(RuntimeError):
     """An invariant the theory guarantees failed to hold; never expected."""
 
 
-@dataclass(frozen=True)
-class GaloisTwist:
+class GaloisTwist(NamedTuple):
     """The substitution zeta -> zeta^t on the fixed primitive roots."""
 
     t: int = 1
@@ -123,8 +121,7 @@ class GaloisTwist:
 IDENTITY_TWIST = GaloisTwist(1)
 
 
-@dataclass(frozen=True)
-class AgeRecord:
+class AgeRecord(NamedTuple):
     element_id: int
     order: int
     exponents: tuple[int, ...]  # eigenvalues zeta_order^a, a ascending
@@ -140,8 +137,7 @@ class AgeRecord:
         return tuple(_multiplicity_vector(self.exponents, self.order))
 
 
-@dataclass(frozen=True)
-class GradingData:
+class GradingData(NamedTuple):
     """Weight data of one junior element: the grading deg(x_j) := weights[j]
     lives in the coordinates y with x = basis . y; column j of basis spans
     the eigenspace matching weights[j].  `junior_gradings` gives each
@@ -154,8 +150,7 @@ class GradingData:
     basis_is_standard: bool
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     twist: int
     junior_count: int
     junior_class_representatives: tuple[int, ...]
@@ -515,17 +510,8 @@ def age_records(
             weights = _weights(e, r, twist)
             ages[r, e] = Fraction(sum(weights), r), weights
         a, weights = ages[r, e]
-        records.append(
-            AgeRecord(
-                element_id=x,
-                order=r,
-                exponents=e,
-                age=a,
-                is_junior=(a == 1),
-                is_reflection=reflections[x],
-                weights=weights,
-            )
-        )
+        # positional, in field order: half the cost of keywords per record
+        records.append(AgeRecord(x, r, e, a, a == 1, reflections[x], weights))
     return tuple(records)
 
 

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import crepant
 from crepant import cli, matgrp
+from crepant.classgroup import ConsistencyCheck, PushforwardData
 from crepant.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -27,6 +29,7 @@ from crepant.cli import (
     render_report,
     run,
 )
+from crepant.invariants import CongruenceRecord
 from crepant.matgrp import CycMatrix, SubgroupHandle
 from crepant.mckay import ConsistencyError
 
@@ -614,6 +617,12 @@ _UNWRITTEN = {
     ("c2003", "age"),
     # `check` reads no character: this is 2t_c3_dense's check report, ~4 s
     ("2t_c3_dense_chi11", "check"),
+    # C27^3 (order 19 683): `check` does not end within four minutes, `age`
+    # writes 23 MB and `invariant` takes ~8 s; `analyze` and `sweep` are
+    # written
+    ("c27_cubed", "check"),
+    ("c27_cubed", "age"),
+    ("c27_cubed", "invariant"),
 }
 
 
@@ -798,6 +807,116 @@ def test_importing_the_cli_loads_no_argument_parser():
     )
     assert shown.returncode == 0, shown.stderr
     assert shown.stdout.startswith("usage: crepant")
+
+
+def test_importing_the_cli_generates_no_record_code():
+    # The records are named tuples and `per_group` reads parameters off
+    # `__code__`, so the import executes neither `dataclasses` nor
+    # `inspect`.  Compared with the modules loaded before the import, which
+    # a site hook may extend; in a fresh interpreter, on the package under
+    # test.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys; before = set(sys.modules); import crepant.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    shown = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout == "[]\n"
+
+
+# The public records and their fields, in constructor order.
+_RECORD_FIELDS = {
+    crepant.AgeRecord: (
+        "element_id", "order", "exponents", "age", "is_junior",
+        "is_reflection", "weights",
+    ),
+    crepant.GradingData: ("order", "weights", "basis", "basis_is_standard"),
+    crepant.GaloisTwist: ("t",),
+    crepant.SweepEntry: (
+        "twist", "junior_count", "junior_class_representatives",
+        "junior_element_ids", "junior_subgroup_order", "torsion_factors",
+    ),
+    crepant.AbelianStructure: ("invariant_factors", "order"),
+    crepant.AbelianDecomposition: ("group", "structure", "generators", "dlog"),
+    ConsistencyCheck: ("name", "passed", "detail"),
+    PushforwardData: ("free_images", "torsion_witnesses"),
+    crepant.ClassGroupReport: (
+        "group_order", "is_special_linear", "reflection_subgroup_order",
+        "quotient_class_group", "abelianization_structure",
+        "junior_class_count", "junior_class_representatives",
+        "junior_subgroup_order", "free_rank", "torsion",
+        "junior_abelian_image", "pushforward", "consistency",
+    ),
+    crepant.CharacterOfAb: ("decomposition", "exponents"),
+    CongruenceRecord: ("element_id", "order", "valuation", "graded_residue"),
+    JobSpec: (
+        "dimension", "generators", "mode", "character", "max_group_size",
+        "degree_bound", "twist", "output_format",
+    ),
+}
+
+# a decomposition holds its discrete-log dict, so neither it nor a
+# character written against it has a hash
+_UNHASHABLE = {crepant.AbelianDecomposition, crepant.CharacterOfAb}
+
+
+def _records_of_ex72() -> dict:
+    """One record of each public record type, from the order-6 example."""
+    G = matgrp.close_group([CycMatrix.from_rows(EX72_ROWS)])
+    dec = G.abelian_decomposition()
+    f = crepant.relative_invariant(G, crepant.characters_of(dec)[1])
+    report = crepant.terminalization_class_group(G)
+    return {
+        crepant.AgeRecord: crepant.age_records(G)[2],
+        crepant.GradingData: crepant.junior_gradings(G)[0][1],
+        crepant.GaloisTwist: crepant.GaloisTwist(5),
+        crepant.SweepEntry: crepant.galois_sweep(G)[0],
+        crepant.AbelianStructure: dec.structure,
+        crepant.AbelianDecomposition: dec,
+        ConsistencyCheck: report.consistency[0],
+        PushforwardData: report.pushforward,
+        crepant.ClassGroupReport: report,
+        crepant.CharacterOfAb: crepant.characters_of(dec)[1],
+        CongruenceRecord: crepant.check_congruence_lemma(
+            G, crepant.junior_gradings(G), f
+        )[0],
+        JobSpec: parse_job(EX72_DOC),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_RECORD_FIELDS), ids=lambda k: k.__name__)
+def test_records_are_frozen_and_compare_by_fields(kind):
+    record = _records_of_ex72()[kind]
+    assert type(record) is kind
+    fields = _RECORD_FIELDS[kind]
+    values = [getattr(record, name) for name in fields]
+    positional = kind(*values)
+    keyword = kind(**dict(zip(fields, values)))
+    assert type(positional) is type(keyword) is kind
+    assert positional == keyword == record
+    if kind in _UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(positional) == hash(keyword) == hash(record)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert [getattr(record, name) for name in fields] == values
+    assert record == tuple(values) and len(record) == len(fields)
+    with pytest.raises(TypeError):
+        kind(*values, None)
+
+
+def test_the_default_twist_is_the_identity():
+    assert crepant.GaloisTwist() == crepant.GaloisTwist(1)
+    assert crepant.GaloisTwist(t=1) == crepant.mckay.IDENTITY_TWIST
 
 
 def test_main_stdin_to_stdout(monkeypatch, capsys):

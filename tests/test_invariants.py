@@ -479,8 +479,11 @@ def test_characters_pairwise_distinct(q8):
 def test_character_exponents_normalized(ex72):
     dec = abelian_decomposition(abelianization(ex72))
     assert CharacterOfAb(dec, (7,)) == CharacterOfAb(dec, (1,))
+    assert CharacterOfAb(decomposition=dec, exponents=(-5,)).exponents == (1,)
     with pytest.raises(ValueError):
         CharacterOfAb(dec, (1, 1))
+    with pytest.raises(ValueError):
+        CharacterOfAb(decomposition=dec, exponents=())
 
 
 # --- relative invariants -----------------------------------------------------

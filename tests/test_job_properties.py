@@ -5,7 +5,10 @@ exit code, never a traceback, the same way each time."""
 import contextlib
 import io
 import json
+import math
+import re
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -16,6 +19,7 @@ from crepant.cli import main, parse_job, run
 from crepant.matgrp import CycMatrix
 
 from conftest import Q8_ROWS, S3_ROWS, TETRA_ROWS
+from helpers import toric_class_group
 
 
 def _diag(*entries):
@@ -177,7 +181,16 @@ def _entries(draw, n):
 @st.composite
 def _matrices(draw, dim, n):
     perm = draw(st.permutations(range(dim)))
-    if draw(st.integers(0, 3)) < 3:
+    kind = draw(st.integers(0, 4))
+    if kind == 4:
+        # diagonal of determinant one, whose class group the toric fan gives
+        exponents = draw(st.lists(_EXPONENTS, min_size=dim - 1, max_size=dim - 1))
+        exponents.append(-sum(exponents))
+        return [
+            [f"E({n})^{exponents[i]}" if j == i else "0" for j in range(dim)]
+            for i in range(dim)
+        ]
+    if kind < 3:
         # monomial, a permutation times roots of unity: a finite group
         return [
             [draw(_roots(n)) if j == perm[i] else "0" for j in range(dim)]
@@ -236,6 +249,42 @@ def _run_main(text, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_UNIT = re.compile(r"(-?)(?:1|E\((\d+)\)\^(-?\d+))")
+
+
+def _diagonal_exponents(text):
+    """(r, exponent rows) when every generator of the job is diagonal with
+    entries 1, -1 or +-E(n)^k, each generator diag(z_r^a_1, ..., z_r^a_n)
+    for one r; None otherwise."""
+    rows = []
+    for g in json.loads(text)["generators"]:
+        row = []
+        for i, entries in enumerate(g):
+            if any(e != "0" for j, e in enumerate(entries) if j != i):
+                return None
+            unit = _UNIT.fullmatch(entries[i])
+            if unit is None:
+                return None
+            sign, n, k = unit.groups()
+            turn = Fraction(1, 2) if sign else Fraction(0)
+            if n is not None:
+                turn += Fraction(int(k), int(n))
+            row.append(turn % 1)
+        rows.append(row)
+    r = math.lcm(*(t.denominator for row in rows for t in row))
+    return r, [[int(t * r) for t in row] for row in rows]
+
+
+def _class_group_printed(out, output_format):
+    """(free rank, torsion) of an `analyze` report as `main` printed it."""
+    if output_format == "json":
+        body = json.loads(out)["analyze"]
+        return body["free_rank"], body["torsion"]
+    free_rank = re.search(r"^  free_rank: (\d+)$", out, re.M).group(1)
+    torsion = re.search(r"^  torsion: \[(.*)\]$", out, re.M).group(1)
+    return int(free_rank), [int(d) for d in torsion.split(", ") if d]
+
+
 @settings(max_examples=150, deadline=None)
 @given(fuzz_jobs())
 def test_main_ends_every_bounded_job_with_an_exit_code(job):
@@ -244,3 +293,10 @@ def test_main_ends_every_bounded_job_with_an_exit_code(job):
     assert first[0] in (0, 1, 2, 3)
     assert "Traceback" not in first[2]
     assert _run_main(text, argv) == first
+    # a diagonal group's class group is read off its toric fan too
+    if first[0] == 0 and argv[0] == "analyze":
+        exponents = _diagonal_exponents(text)
+        if exponents is not None:
+            assert _class_group_printed(first[1], argv[2]) == toric_class_group(
+                *exponents
+            ), (text, argv)

@@ -1286,6 +1286,23 @@ def test_trivial_group_structure():
     assert dec.dlog == {0: ()}
 
 
+@pytest.mark.parametrize(
+    "factors, order, message",
+    [
+        ((2, 3), 6, "divisibility chain"),
+        ((1, 2), 2, "divisibility chain"),
+        ((2, 4), 6, "order does not match"),
+        ((), 2, "order does not match"),
+    ],
+)
+def test_abelian_structure_refuses_a_bad_chain(factors, order, message):
+    with pytest.raises(ValueError, match=message):
+        AbelianStructure(factors, order)
+    with pytest.raises(ValueError, match=message):
+        AbelianStructure(invariant_factors=factors, order=order)
+    assert AbelianStructure((2, 4), 8).order == 8
+
+
 def test_decomposition_walks_its_group_once(monkeypatch):
     # one order table serves the counting route and the peel-off: a closed
     # group's comes with its closure, a quotient's is walked once, and the

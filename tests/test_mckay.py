@@ -812,6 +812,41 @@ def test_sweep_scans_the_classes_once_per_junior_set(c7, monkeypatch):
         assert sum(g is G for g in scans) == sets
 
 
+def test_junior_memo_is_keyed_by_the_filled_in_arguments():
+    # `f(G)`, `f(G, default)` and `f(G, name=default)` share one entry;
+    # `_junior_set` is keyed by `_JuniorSet.__init__`'s arguments after G
+    G = cyclic_sl2(6)
+    ids = junior_elements(G)
+    assert junior_elements(G, mckay.IDENTITY_TWIST) is ids
+    assert junior_elements(G, twist=mckay.IDENTITY_TWIST) is ids
+    entries = [key for key in G._memo if key[0] is junior_elements.__wrapped__]
+    assert entries == [(junior_elements.__wrapped__, (mckay.IDENTITY_TWIST,))]
+    juniors = mckay._junior_set(G, ids)
+    assert mckay._junior_set(G, ids=ids) is juniors
+    assert G._memo[mckay._JuniorSet, (ids,)] is juniors
+    for call in (
+        lambda: junior_elements(G, tweak=mckay.IDENTITY_TWIST),
+        lambda: junior_elements(G, mckay.IDENTITY_TWIST, mckay.IDENTITY_TWIST),
+        lambda: junior_elements(G, mckay.IDENTITY_TWIST, twist=GaloisTwist(5)),
+        lambda: mckay._junior_set(G),
+        lambda: mckay._junior_set(G, ids, ids),
+        lambda: mckay._junior_set(G, members=ids),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_per_group_refuses_parameters_it_cannot_key():
+    for fn in (
+        lambda G, *rest: rest,
+        lambda G, **named: named,
+        lambda G, *, t=1: t,
+        lambda G, t, /: t,
+    ):
+        with pytest.raises(TypeError):
+            matgrp.per_group(fn)
+
+
 def _count_age_records(monkeypatch):
     calls = []
     records = mckay.age_records
