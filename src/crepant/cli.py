@@ -28,7 +28,8 @@ from .classgroup import (
 from .cyclo import CyclotomicNumber, _overlong, parse_cyclotomic
 from .invariants import (
     CharacterOfAb,
-    _verify_graded,
+    _tree_exponents,
+    _tree_residue,
     characters_of,
     check_congruence_lemma,
     check_junior_ring_membership,
@@ -335,11 +336,14 @@ def _run_invariant(job: JobSpec, G: FiniteMatrixGroup) -> tuple[dict, int]:
         raise PreconditionError(
             f"no nonzero relative invariant up to degree {bound}"
         )
+    exponents, twist = _tree_exponents(G, f), GaloisTwist(job.twist)
     residues = [
-        {"generator_id": gid, "order": G.element_orders[gid], "residue": c}
-        for gid, c in zip(
-            G.generator_ids, _verify_graded(G, f, GaloisTwist(job.twist))
-        )
+        {
+            "generator_id": gid,
+            "order": G.element_orders[gid],
+            "residue": _tree_residue(G, exponents, gid, twist),
+        }
+        for gid in G.generator_ids
     ]
     payload = {
         "character": {

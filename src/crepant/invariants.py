@@ -10,10 +10,15 @@ sum over D is taken once; the sum over a coset r D is its image under r when
 the sum over D has at most |D| terms, and is summed element by element
 otherwise.  The image of a monomial under a single element is not kept.
 
-The lemma checks take exact images of an invariant f under the generators
-only.  Every other element is a product of generators along its path in
-the closure's Schreier tree, so its graded residue is read from theirs
-(`_tree_exponents`).  Each junior class's valuation is read at the member
+How the group scales an invariant f is read from one table per group and
+f (`_tree_exponents`): each distinct generator takes one exact image of f,
+which must be a root of unity times f, and is not kept.  Every other
+element is a product of generators along its path in the closure's
+Schreier tree, so its eigenvalue on f is read from theirs.  The
+equivariance test of `relative_invariant`, the generator residues of the
+`invariant` report and both lemma checks read that table; a Galois twist
+enters only where an eigenvalue becomes a graded residue
+(`_tree_residue`).  Each junior class's valuation is read at the member
 `mckay.junior_gradings` chose: in the standard basis for a diagonal
 member, else in an eigenbasis shared by the classes that one cyclic walk
 meets, into which f is moved once (`_in_basis`).
@@ -54,7 +59,6 @@ from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
     SubgroupHandle,
-    _power_traces,
     per_group,
 )
 from .mckay import (
@@ -63,6 +67,7 @@ from .mckay import (
     GradingData,
     IDENTITY_TWIST,
     _eigen_pass,
+    _single_eigen,
 )
 
 Scalar = Union[CyclotomicNumber, int, Fraction]
@@ -469,23 +474,9 @@ def _element_powers(G: FiniteMatrixGroup, x: int) -> _Powers:
     a linear form.  Group elements carry their inverses, so nothing is
     inverted.  Built once per group and element, extended lazily to the
     degrees asked for, and shared by every polynomial x acts on: the
-    monomials and the sums over [G, G] of the coset sums (`_coset_sums`)
-    and the polynomials the generators act on (`_act_by_id`)."""
+    monomials and the sums over [G, G] of the coset sums (`_coset_sums`),
+    and each invariant a generator acts on (`_tree_exponents`)."""
     return _Powers(_linear_forms(G.matrix(G.inv(x))))
-
-
-@per_group
-def _act_by_id(G: FiniteMatrixGroup, x: int, f: SparsePolynomial) -> SparsePolynomial:
-    """x.f for the element with id x, as `act` computes it: f substituted
-    at x_j = row j of x^-1, from that element's shared powers
-    (`_element_powers`).  The equivariance test of `relative_invariant`
-    and the generator residues (`_verify_graded`) act through here, x a
-    generator; each image is kept per group, so the two take one image
-    per generator and f.  The congruence and membership checks read
-    residues along the tree (`_tree_exponents`) and act on no other
-    element.  The averaging does not come here and keeps no image of a
-    monomial."""
-    return f._substitute(_element_powers(G, x))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -543,39 +534,42 @@ def graded_degree(
     twist: GaloisTwist = IDENTITY_TWIST,
 ) -> Optional[int]:
     """Residue c mod ord(g) with g.f = zeta^(-c) f for the twisted root zeta,
-    or None when f is not an eigenvector of the action of g."""
+    or None when f is not an eigenvector of the action of g.  Without a
+    stated order, the order of g is read (`mckay._single_eigen`) only once
+    f is known to be an eigenvector."""
     if f.is_zero:
         return None
-    return _graded_residue(act(g, f), f, order, twist, g)
+    root = _eigenvalue(act(g, f), f)
+    if root is None:
+        return None
+    r = order if order is not None else _single_eigen(g)[0]
+    return _residue(*root, r, twist)
 
 
-def _graded_residue(
-    gf: SparsePolynomial,
-    f: SparsePolynomial,
-    order: Optional[int],
-    twist: GaloisTwist,
-    g: Optional[CycMatrix] = None,
-) -> Optional[int]:
-    """graded_degree for a nonzero f and its image gf = g.f.  Group-aware
-    callers pass _act_by_id and the known order; otherwise the order is
-    computed from g, and only once f is known to be an eigenvector."""
+def _eigenvalue(gf: SparsePolynomial, f: SparsePolynomial) -> Optional[tuple]:
+    """(n, k) with gf = zeta_n^k f, for a nonzero f and its image gf = g.f;
+    None when gf is not a root of unity times f."""
     if set(gf.terms) != set(f.terms):
         return None
     pivot = min(f.terms)
     scalar = gf.terms[pivot] * f.terms[pivot].inverse()
     if gf != f.scale(scalar):
         return None
-    root = as_root_of_unity(scalar)
-    if root is None:
-        return None
-    r = order if order is not None else _power_traces(g)[0]
-    r0, k0 = root
-    if r % r0 != 0:
+    return as_root_of_unity(scalar)
+
+
+def _residue(n: int, k: int, r: int, twist: GaloisTwist) -> int:
+    """The graded residue of an element of order r that scales f by the
+    eigenvalue zeta_n^k: c with zeta_n^k = zeta_r^(-c), twisted to
+    t^-1 c mod r.  The eigenvalue's order n / gcd(n, k) must divide r,
+    else ArithmeticError."""
+    g = math.gcd(n, k)
+    if r % (n // g):
         raise ArithmeticError(
-            f"eigenvalue of order {r0} for an element of order {r}"
+            f"eigenvalue of order {n // g} for an element of order {r}"
         )
-    c = (-k0 * (r // r0)) % r
-    return (twist.inverse_mod(r) * c) % r
+    c = -(k // g) * (r * g // n) % r
+    return twist.inverse_mod(r) * c % r
 
 
 # -- characters of the abelianization ----------------------------------------
@@ -789,7 +783,8 @@ def relative_invariant(
     own |D| images of m otherwise (`_coset_sums`).  These |Ab(G)| sums are
     kept per group, so characters whose search reaches the same monomial
     scale the same sums, and no image of a monomial under a single element
-    is kept."""
+    is kept.  The survivor's eigenvalue on each generator, read off its
+    tree table (`_tree_exponents`), must be chi's value there."""
     bound = degree_bound if degree_bound is not None else len(G)
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -806,11 +801,17 @@ def relative_invariant(
             "the Molien series promises a relative invariant of degree "
             f"{degree}, but every monomial of that degree averages to zero"
         )
-    for gid in G.generator_ids:
-        if _act_by_id(G, gid, acc) != acc.scale(chi.value_on_element(G, gid)):
-            raise ConsistencyError(
-                "averaged polynomial fails the defining equivariance"
-            )
+    try:
+        exponents = _tree_exponents(G, acc)
+    except ValueError:  # acc is not semi-invariant
+        exponents = None
+    if exponents is None or any(
+        exponents[gid] != chi._exponent_on_coset(ab.coset_of[gid], G.exponent)
+        for gid in G.generator_ids
+    ):
+        raise ConsistencyError(
+            "averaged polynomial fails the defining equivariance"
+        )
     return acc
 
 
@@ -852,44 +853,31 @@ def _junior_valuation(
 
 
 @per_group
-def _verify_graded(
-    G: FiniteMatrixGroup, f: SparsePolynomial, twist: GaloisTwist
-) -> tuple[int, ...]:
-    """The graded residue of f under each of `G.generator_ids`; ValueError
-    when f is not semi-invariant under one of them.  Kept per group, so
-    the congruence and membership checks and the `invariant` report on one
-    f compute each residue once; a ValueError is raised again on every
-    call, as nothing is kept for it."""
-    residues = tuple(
-        _graded_residue(_act_by_id(G, gid, f), f, G.element_orders[gid], twist)
-        for gid in G.generator_ids
-    )
-    if None in residues:
-        raise ValueError(
-            "polynomial is not semi-invariant under the group generators"
-        )
-    return residues
-
-
-@per_group
 def _tree_exponents(
-    G: FiniteMatrixGroup, f: SparsePolynomial, twist: GaloisTwist
+    G: FiniteMatrixGroup, f: SparsePolynomial
 ) -> tuple[int, ...]:
     """k(x) with x.f = zeta_E^k(x) f for every element x, E = G.exponent,
-    once per group, f and twist, from the graded residues of f under the
-    generators (`_verify_graded`, which raises ValueError when f is not
-    semi-invariant): a residue c of a generator of order r is the
-    eigenvalue zeta_r^(-t c).  Element y was found as h.p (the Schreier
-    tree of `FiniteMatrixGroup`), and acting is a homomorphism, so
-    k(y) = k(h) + k(p); labels are read in search order, each after its
-    parent.  No image of f under a non-generator is taken."""
+    once per group and f, whatever the twist.  Each distinct generator
+    takes one exact image of f, not kept, which must be a root of unity
+    times f (`_eigenvalue`), else ValueError: f is not semi-invariant.
+    Its eigenvalue must have an order dividing the generator's
+    (`_residue`).  Element y was found as h.p (the Schreier tree of
+    `FiniteMatrixGroup`), and acting is a homomorphism, so k(y) = k(h) +
+    k(p); labels are read in search order, each after its parent.  No
+    image of f under a non-generator is taken."""
     E, orders = G.exponent, G.element_orders
-    by_step = [
-        -(twist.t * c) % r * (E // r)
-        for c, r in zip(
-            _verify_graded(G, f, twist), (orders[g] for g in G.generator_ids)
-        )
-    ]
+    by_id: dict[int, int] = {}
+    for gid in G.generator_ids:
+        if gid in by_id:
+            continue
+        root = _eigenvalue(f._substitute(_element_powers(G, gid)), f)
+        if root is None:
+            raise ValueError(
+                "polynomial is not semi-invariant under the group generators"
+            )
+        r = orders[gid]
+        by_id[gid] = -_residue(*root, r, IDENTITY_TWIST) * (E // r) % E
+    by_step = [by_id[gid] for gid in G.generator_ids]
     exponents = [0] * len(G)
     for y, (h, p) in enumerate(zip(G._steps, G._parents)):
         if y:
@@ -900,18 +888,10 @@ def _tree_exponents(
 def _tree_residue(
     G: FiniteMatrixGroup, exponents: tuple[int, ...], x: int, twist: GaloisTwist
 ) -> int:
-    """The graded residue of element x read off `_tree_exponents`: for x of
-    order r, zeta_E^k = zeta_r^(-c) gives c = -k / (E / r) mod r, twisted
-    as `_graded_residue` twists it.  E / r must divide k, else
-    ArithmeticError."""
-    k, r = exponents[x], G.element_orders[x]
-    step = G.exponent // r
-    if k % step:
-        raise ArithmeticError(
-            f"eigenvalue of order {G.exponent // math.gcd(G.exponent, k)} "
-            f"for an element of order {r}"
-        )
-    return twist.inverse_mod(r) * (-k // step) % r
+    """The graded residue of element x under `twist`, read off
+    `_tree_exponents`: x scales f by zeta_E^k (`_residue`).  The one
+    place the twist enters the tree's residues."""
+    return _residue(G.exponent, exponents[x], G.element_orders[x], twist)
 
 
 def check_congruence_lemma(
@@ -927,11 +907,12 @@ def check_congruence_lemma(
     (`mckay.junior_gradings`); both sides are class functions for a
     semi-invariant f, and the residue, read first, raises ValueError when
     f is not one.  The residue is read along the Schreier tree from the
-    generators' residues (`_tree_exponents`), not from an image of f.
+    generators' eigenvalues on f (`_tree_exponents`), not from an image
+    of f under x.
     Raises ConsistencyError on any mismatch."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    exponents = _tree_exponents(G, f, twist)
+    exponents = _tree_exponents(G, f)
     records = []
     for element_id, grading in gradings:
         v = _junior_valuation(G, grading, f)
@@ -966,7 +947,7 @@ def check_junior_ring_membership(
     (divisible, invariant) and insists the two answers agree."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    exponents = _tree_exponents(G, f, twist)
+    exponents = _tree_exponents(G, f)
     divisible = all(
         _junior_valuation(G, grading, f) % grading.order == 0
         for _, grading in gradings

@@ -99,7 +99,8 @@ __all__ = [
 ]
 
 # The default caps: the most elements `close_group` builds, and the highest
-# order `_power_traces` powers a matrix up to.
+# order a single matrix may have, the most elements of the cyclic group
+# that `mckay` closes to read its eigenvalues.
 MAX_GROUP_SIZE = 20000
 MAX_ORDER = 10000
 
@@ -434,25 +435,6 @@ def kernel_basis(m: CycMatrix) -> list[tuple[CyclotomicNumber, ...]]:
             vec[pc] = -work[r][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def _power_traces(g: CycMatrix, max_order: int = MAX_ORDER):
-    """(order r, [tr(g^0), ..., tr(g^(r-1))]); errors out past max_order."""
-    ident = CycMatrix.identity(g.dim, g.conductor)
-    traces = []
-    p = ident
-    k = 0
-    while True:
-        traces.append(p.trace())
-        p = g @ p
-        k += 1
-        if p == ident:
-            return k, traces
-        if k >= max_order:
-            raise ValueError(
-                f"no finite order up to {max_order}; the matrix may have "
-                "infinite order"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ the role of zeta_r; GaloisTwist makes that choice explicit (t means "use
 zeta^t instead of zeta"), and galois_sweep verifies that the downstream
 answers do not depend on it.
 
-Eigenvalue multiplicities of a single matrix are read off by an exact discrete
-Fourier transform of the trace sequence k -> tr(g^k).  The transform must land
-on nonnegative integers summing to the dimension; anything else is reported as
-an internal arithmetic failure rather than silently accepted.  For a whole
-group one pass (`_eigen_pass`) works over F_q (the group's modular shadow,
-see `matgrp`), walking each cyclic subgroup once: Newton's identities give
+Eigenvalues are read in one pass per group (`_eigen_pass`), and those of a
+single matrix g in the pass of the cyclic group <g> it generates
+(`_single_eigen`): every power of g is its own class there, so the
+exponents of each are checked against its exact trace.  The pass works
+over F_q (the group's modular shadow, see `matgrp`), walking each cyclic
+subgroup once: Newton's identities give
 the characteristic polynomial of its generator x from the traces of x,
 ..., x^dim, and the powers of the root of unity of order r that divide it
 give the dim exponents a of its eigenvalues zeta_r^a, in O(r * dim).
@@ -58,19 +58,20 @@ from .cyclo import (
     _reduce_ints,
     _zero,
     as_root_of_unity,
-    rational,
     zeta,
 )
 from .matgrp import (
     CycMatrix,
     FiniteMatrixGroup,
+    GroupTooLargeError,
     MAX_ORDER,
     NotNormalError,
     QuotientGroup,
+    SingularMatrixError,
     SubgroupHandle,
-    _power_traces,
     abelian_invariants,
     abelianization,
+    close_group,
     kernel_basis,
     per_group,
     quotient,
@@ -163,49 +164,34 @@ class SweepEntry(NamedTuple):
 # multiplicities and ages
 
 
-def _multiplicities_from_traces(traces, r: int, dim: int) -> tuple[int, ...]:
-    """m_j = (1/r) sum_k tr(g^k) zeta_r^(-jk); exact, must be integral."""
-    roots = [zeta(r, k) for k in range(r)]
-    out = []
-    for j in range(r):
-        acc = rational(0)
-        for k in range(r):
-            tk = traces[k]
-            if not tk.is_zero:
-                acc = acc + tk * roots[(-j * k) % r]
-        value = acc.rational_value
-        if value is None:
-            raise ArithmeticError(
-                f"eigenvalue multiplicity m_{j} is not rational: {acc.render()}"
-            )
-        m_j = value / r
-        if m_j.denominator != 1 or m_j < 0:
-            raise ArithmeticError(
-                f"eigenvalue multiplicity m_{j} = {m_j} is not a nonnegative integer"
-            )
-        out.append(int(m_j))
-    if sum(out) != dim:
-        raise ArithmeticError(
-            f"multiplicities {out} do not sum to the dimension {dim}"
-        )
-    return tuple(out)
+def _single_eigen(
+    g: CycMatrix, max_order: int = MAX_ORDER
+) -> tuple[int, tuple[int, ...]]:
+    """(order r, exponents a ascending of the eigenvalues zeta_r^a) of one
+    matrix, read off the eigen pass of the cyclic group <g>: each of its
+    elements is its own class, so every power of g gets the exact trace
+    and rank-one checks.  A singular g, or one with no order up to
+    max_order, is a ValueError."""
+    try:
+        G = close_group([g], max_size=max_order)
+    except (GroupTooLargeError, SingularMatrixError):
+        raise ValueError(
+            f"no finite order up to {max_order}; the matrix may have "
+            "infinite order"
+        ) from None
+    x = G.generator_ids[0]
+    return G.element_orders[x], _eigen_pass(G)[0][x]
 
 
 def eigen_multiplicities(
     g: CycMatrix, order: Optional[int] = None, max_order: int = MAX_ORDER
 ) -> tuple[int, ...]:
     """Multiplicity vector (m_0, ..., m_{r-1}) where m_j counts the
-    eigenvalue zeta_r^j and r is the order of g (verified by powering)."""
-    r, traces = _power_traces(g, max_order)
+    eigenvalue zeta_r^j and r is the order of g (`_single_eigen`)."""
+    r, exponents = _single_eigen(g, max_order)
     if order is not None and order != r:
         raise ValueError(f"stated order {order} but computed order {r}")
-    return _multiplicities_from_traces(traces, r, g.dim)
-
-
-def _exponents(m) -> tuple[int, ...]:
-    """The exponents a, ascending, of the eigenvalues zeta_r^a that the
-    multiplicity vector m (r = len(m)) counts, a repeated m_a times."""
-    return tuple(a for a, ma in enumerate(m) for _ in range(ma))
+    return tuple(_multiplicity_vector(exponents, r))
 
 
 def _multiplicity_vector(exponents, r: int) -> list[int]:
@@ -225,8 +211,8 @@ def _weights(exponents, r: int, twist: GaloisTwist) -> tuple[int, ...]:
 
 
 def age(g: CycMatrix, twist: GaloisTwist = IDENTITY_TWIST) -> Fraction:
-    m = eigen_multiplicities(g)
-    return Fraction(sum(_weights(_exponents(m), len(m), twist)), len(m))
+    r, exponents = _single_eigen(g)
+    return Fraction(sum(_weights(exponents, r, twist)), r)
 
 
 def _shifted(g: CycMatrix, lam: CyclotomicNumber) -> CycMatrix:
@@ -537,22 +523,21 @@ def junior_gradings(
     semi-invariant f and y = h x h^-1, an eigenbasis B of x gives the
     eigenbasis h B of y with the same weights, and f(h B) is f(B) times
     a root of unity, so both give f one valuation.  A diagonal y gets
-    `valuation_weights`' standard basis.  Any other y = z^k lies in a walk
+    the standard basis (`_diagonal_grading`, given x's order, which is
+    y's).  Any other y = z^k lies in a walk
     of `G.walks`, z = powers[1], and lends z's eigenbasis
     (`_walk_eigenbasis`, built once per group and z, whatever the twist),
     in which y's weights are derived from z's exponents.  Classes that
     meet one walk then share one basis, so the checks substitute each
     polynomial into it once.  The weights must give age 1 and have no
     common factor (`_junior_grading`)."""
-    exponents, _ = _eigen_pass(G)
     _, reps = junior_classes(G, twist)
     chosen = _junior_set(G, junior_elements(G, twist)).graded_members
     gradings = []
     for x, (y, powers, k) in zip(reps, chosen):
         r = G.element_orders[x]
         if powers is None:
-            m = _multiplicity_vector(exponents[x], r)
-            gradings.append((x, valuation_weights(G.matrix(y), twist, m)))
+            gradings.append((x, _diagonal_grading(G.matrix(y), r, twist)))
             continue
         basis, column_exponents = _walk_eigenbasis(G, powers[1])
         # zeta_R^a on a column of z is zeta_r^(a k / gcd(R, k)) for y = z^k
@@ -682,36 +667,39 @@ def junior_subgroup(
 
 
 def valuation_weights(
-    g: CycMatrix,
-    twist: GaloisTwist = IDENTITY_TWIST,
-    multiplicities: Optional[Sequence[int]] = None,
+    g: CycMatrix, twist: GaloisTwist = IDENTITY_TWIST
 ) -> GradingData:
     """Weight vector and eigenbasis of a junior element.
 
     Diagonal matrices keep the standard basis and variable order, so the
-    weights read straight off the diagonal.  Otherwise eigenvectors are
-    computed per eigenvalue by exact elimination, grouped by ascending
-    weight.
+    weights read straight off the diagonal (`_diagonal_grading`).
+    Otherwise eigenvectors are computed per eigenvalue by exact
+    elimination, grouped by ascending weight.
     """
-    m = eigen_multiplicities(g) if multiplicities is None else multiplicities
-    r = len(m)
-    t_inv = twist.inverse_mod(r)
-
+    r, exponents = _single_eigen(g)
     if g.is_diagonal():
-        weights = []
-        for i in range(g.dim):
-            root = as_root_of_unity(g.rows[i][i])
-            if root is None:
-                raise ArithmeticError("diagonal entry is not a root of unity")
-            sub_r, k = root
-            j = k * (r // sub_r) % r
-            weights.append((t_inv * j) % r)
-        return _junior_grading(
-            r, tuple(weights), CycMatrix.identity(g.dim, g.conductor), True, twist
-        )
+        return _diagonal_grading(g, r, twist)
+    t_inv = twist.inverse_mod(r)
+    m = _multiplicity_vector(exponents, r)
     basis, exponents = _eigenbasis(g, r, m, (twist.t * w % r for w in range(r)))
     return _junior_grading(
         r, tuple(t_inv * j % r for j in exponents), basis, False, twist
+    )
+
+
+def _diagonal_grading(g: CycMatrix, r: int, twist: GaloisTwist) -> GradingData:
+    """The grading of a diagonal g of order r in the standard basis: the
+    diagonal entry zeta_s^k gives the weight t^-1 k (r / s) mod r."""
+    t_inv = twist.inverse_mod(r)
+    weights = []
+    for i in range(g.dim):
+        root = as_root_of_unity(g.rows[i][i])
+        if root is None:
+            raise ArithmeticError("diagonal entry is not a root of unity")
+        sub_r, k = root
+        weights.append(t_inv * k * (r // sub_r) % r)
+    return _junior_grading(
+        r, tuple(weights), CycMatrix.identity(g.dim, g.conductor), True, twist
     )
 
 

@@ -427,6 +427,23 @@ def dense_minus_identity(m):
     )
 
 
+def kernel_multiplicities(m, r):
+    """(m_0, ..., m_{r-1}), m_j = dim - rank(m - zeta_r^j * 1) by Leibniz
+    minors: the dimension of each eigenspace of m, exact, and read neither
+    off the eigen pass nor off `kernel_basis`."""
+    n = math.lcm(m.conductor, r)
+    lifted = m.lift(n).rows
+    out = []
+    for j in range(r):
+        root = zeta(r, j)
+        shifted = tuple(
+            tuple(e - root if i == k else e for k, e in enumerate(row))
+            for i, row in enumerate(lifted)
+        )
+        out.append(m.dim - dense_rank(CycMatrix(m.dim, n, shifted)))
+    return tuple(out)
+
+
 def rank_mod(rows, p):
     """Rank over F_p by elimination: each row, in order, is reduced against
     the echelon rows kept before it (each with a 1 at its pivot) and kept,

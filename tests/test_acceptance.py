@@ -44,7 +44,12 @@ from crepant.invariants import (
 )
 
 from conftest import EX72_ROWS, ICOSA_ROWS, block_diag_rows, cyclic_sl2
-from helpers import close_enough, diagonal_exponents, invariant_factors_of_product
+from helpers import (
+    close_enough,
+    diagonal_exponents,
+    invariant_factors_of_product,
+    kernel_multiplicities,
+)
 
 
 @contextmanager
@@ -394,13 +399,14 @@ def test_criterion_9_numerical_crosscheck(ex72, q8, icosa):
                     for j in range(n):
                         assert close_enough(product[i][j], table[i][j])
 
-        # power traces agree with the multiplicity reconstruction
+        # power traces agree with the multiplicity reconstruction, and the
+        # eigen pass's multiplicities are the eigenspace dimensions
         for grp in (ex72, q8):
+            records = age_records(grp)
             for x in grp.carrier_labels():
-                mults = eigen_multiplicities(
-                    grp.matrix(x), order=grp.element_orders[x]
-                )
                 r = grp.element_orders[x]
+                mults = records[x].multiplicities
+                assert mults == kernel_multiplicities(grp.matrix(x), r)
                 for k in range(r):
                     reconstructed = sum(
                         m * zeta(r, (j * k) % r).to_complex()

@@ -607,22 +607,29 @@ def test_json_writer_refuses_what_reports_do_not_hold(value):
         render_report(value, "json")
 
 
-# Left out: `check` on C2003 and on the dense 2I x C12, and `sweep` on
-# C2003, each take over a minute; `age` on C2003 writes 53 MB, which the
-# oracle's chunk list turns into about half a gigabyte.
-_UNWRITTEN = {
-    ("c2003", "check"),
-    ("c2003", "sweep"),
-    ("2i_c12_dense", "check"),
-    ("c2003", "age"),
-    # `check` reads no character: this is 2t_c3_dense's check report, ~4 s
-    ("2t_c3_dense_chi11", "check"),
-    # C27^3 (order 19 683): `check` does not end within four minutes, `age`
-    # writes 23 MB and `invariant` takes ~8 s; `analyze` and `sweep` are
-    # written
-    ("c27_cubed", "check"),
-    ("c27_cubed", "age"),
-    ("c27_cubed", "invariant"),
+# The modes whose report is written for each job file, listed per file so
+# that a job file added for a CI step adds no unlisted work here: a file
+# with no entry fails, naming itself.  Left out: `check` on C2003 and on
+# the dense 2I x C12, and `sweep` on C2003, each take over a minute; `age`
+# on C2003 writes 53 MB, which the oracle's chunk list turns into about
+# half a gigabyte; `check` on the dense 2T x C3 job with a character reads
+# no character, so it is 2t_c3_dense's check report (~4 s) again.  C27^3
+# (order 19 683): `check` does not end within four minutes, `age` writes
+# 23 MB and `invariant` takes ~8 s.
+_WRITTEN_MODES = {
+    "2i_c12": MODES,
+    "2i_c12_dense": ("analyze", "age", "invariant", "sweep"),
+    "2t": MODES,
+    "2t_c3_chi01": MODES,
+    "2t_c3_chi11": MODES,
+    "2t_c3_dense": MODES,
+    "2t_c3_dense_chi11": ("analyze", "age", "invariant", "sweep"),
+    "c17": MODES,
+    "c2003": ("analyze", "invariant"),
+    "c27_cubed": ("analyze", "sweep"),
+    "c6_cubed": MODES,
+    "q8": MODES,
+    "s3": MODES,
 }
 
 
@@ -632,11 +639,13 @@ _UNWRITTEN = {
     ids=lambda p: p.stem,
 )
 def test_json_writer_matches_json_dumps_on_every_job(path):
+    assert path.stem in _WRITTEN_MODES, (
+        f"tests/data/jobs/{path.name} has no entry in _WRITTEN_MODES: list "
+        "the modes whose report this test should write"
+    )
     source = path.read_text(encoding="utf-8")
     written = 0
-    for mode in MODES:
-        if (path.stem, mode) in _UNWRITTEN:
-            continue
+    for mode in _WRITTEN_MODES[path.stem]:
         try:
             report, _ = run(parse_job(source, mode=mode))
         except PreconditionError:
@@ -707,31 +716,39 @@ DENSE_INVARIANT_JOB = "2t_c3_dense_chi11"
 # shared eigenbases): the congruence and membership records of groups
 # larger than 2T.
 CHECK_JOB_FILES = ("2t_c3_dense", "c6_cubed", "2i_c12")
+# Jobs pinned under a twist other than 1, each (job file, mode, twist):
+# `invariant` on 2T x C3 with the character [1, 1] prints the generator
+# residues [0, 0, 2, 2] under t = 5 ([0, 0, 1, 1] under t = 1), and `check`
+# on dense 2T x C3 reads every junior residue under t = 5.
+TWISTED_JOBS = {
+    "2t_c3_chi11_invariant_twist5": ("2t_c3_chi11", "invariant", 5),
+    "2t_c3_dense_check_twist5": ("2t_c3_dense", "check", 5),
+}
+
+
+def _job_text(name):
+    return (GOLDEN_DIR.parent / "jobs" / f"{name}.json").read_text(encoding="utf-8")
+
+
+# Each golden's (job document, mode, twist).
 GOLDEN_JOBS = {
-    "ex72_analyze": (EX72_DOC, "analyze"),
-    "s3_age": (S3_DOC, "age"),
-    "c3_cubed_analyze": (C3_CUBED_DOC, "analyze"),
-    "c6_cubed_analyze": (C6_CUBED_DOC, "analyze"),
-    **{f"q8_{mode}": (Q8_DOC, mode) for mode in MODES},
-    "2t_check": (TWO_T_DOC, "check"),
-    "2t_age": (TWO_T_DOC, "age"),
-    "c12_conductor60_analyze": (C12_AT_60_DOC, "analyze"),
-    **{f"{name}_invariant": (source, "invariant")
+    "ex72_analyze": (EX72_DOC, "analyze", 1),
+    "s3_age": (S3_DOC, "age", 1),
+    "c3_cubed_analyze": (C3_CUBED_DOC, "analyze", 1),
+    "c6_cubed_analyze": (C6_CUBED_DOC, "analyze", 1),
+    **{f"q8_{mode}": (Q8_DOC, mode, 1) for mode in MODES},
+    "2t_check": (TWO_T_DOC, "check", 1),
+    "2t_age": (TWO_T_DOC, "age", 1),
+    "c12_conductor60_analyze": (C12_AT_60_DOC, "analyze", 1),
+    **{f"{name}_invariant": (source, "invariant", 1)
        for name, source in TWO_T_C3_DOCS.items()},
-    **{f"{name}_age": (
-        (GOLDEN_DIR.parent / "jobs" / f"{name}.json").read_text(encoding="utf-8"),
-        "age",
-    ) for name in AGE_JOB_FILES},
+    **{f"{name}_age": (_job_text(name), "age", 1) for name in AGE_JOB_FILES},
     f"{DENSE_INVARIANT_JOB}_invariant": (
-        (GOLDEN_DIR.parent / "jobs" / f"{DENSE_INVARIANT_JOB}.json").read_text(
-            encoding="utf-8"
-        ),
-        "invariant",
+        _job_text(DENSE_INVARIANT_JOB), "invariant", 1
     ),
-    **{f"{name}_check": (
-        (GOLDEN_DIR.parent / "jobs" / f"{name}.json").read_text(encoding="utf-8"),
-        "check",
-    ) for name in CHECK_JOB_FILES},
+    **{f"{name}_check": (_job_text(name), "check", 1) for name in CHECK_JOB_FILES},
+    **{golden: (_job_text(name), mode, twist)
+       for golden, (name, mode, twist) in TWISTED_JOBS.items()},
 }
 GOLDEN_FORMATS = {"json": "json", "text": "txt"}
 
@@ -770,8 +787,8 @@ def test_dense_invariant_job_is_the_dense_job_with_a_character():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
 def test_reports_match_golden_bytes(name):
-    source, mode = GOLDEN_JOBS[name]
-    report, status = run(parse_job(source, mode=mode))
+    source, mode, twist = GOLDEN_JOBS[name]
+    report, status = run(parse_job(source, mode=mode, twist=twist))
     assert status == EXIT_OK
     for fmt, suffix in GOLDEN_FORMATS.items():
         golden = (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()

@@ -855,7 +855,7 @@ def test_tree_residues_match_exact_images(name):
     for f in _oracle_polynomials(G, name):
         for t in (1, G.exponent - 1):
             twist = GaloisTwist(t)
-            exponents = invariants._tree_exponents(G, f, twist)
+            exponents = invariants._tree_exponents(G, f)
             for y in G.carrier_labels():
                 exact = graded_degree(G.matrix(y), f, G.element_orders[y], twist)
                 assert exact is not None
@@ -866,7 +866,7 @@ def test_tree_residue_refuses_a_root_of_the_wrong_order(q8):
     # a generator residue that puts an eigenvalue of order 4 on an element
     # of order 2 is an arithmetic failure, raised, not asserted
     f = x(2, 0) * x(2, 1)
-    exponents = list(invariants._tree_exponents(q8, f, GaloisTwist(1)))
+    exponents = list(invariants._tree_exponents(q8, f))
     minus_one = next(y for y in q8.carrier_labels() if q8.element_orders[y] == 2)
     exponents[minus_one] = q8.exponent // 4
     with pytest.raises(ArithmeticError, match="eigenvalue of order 4"):
@@ -1176,11 +1176,26 @@ def test_average_that_cancels_part_way_keeps_the_smaller_conductor(monkeypatch):
     assert first.render() == want.render()
 
 
+def _count_images(monkeypatch):
+    """A Counter of the exact images of each polynomial that reach
+    `invariants._eigenvalue`, which every image taken for a residue does."""
+    images = collections.Counter()
+    eigenvalue = invariants._eigenvalue
+
+    def counted(gf, f):
+        images[f] += 1
+        return eigenvalue(gf, f)
+
+    monkeypatch.setattr(invariants, "_eigenvalue", counted)
+    return images
+
+
 def test_check_reads_each_generator_residue_once_per_invariant(monkeypatch):
     # The congruence and membership checks read every residue along the
-    # Schreier tree from the generators' residues, kept per invariant, so a
-    # check on 2T takes one residue per generator of each relative
-    # invariant and none per junior grading.
+    # Schreier tree from the generators' eigenvalues, one table per
+    # invariant, so a check on 2T takes one image per generator of each
+    # relative invariant and none per junior grading.  Two generators
+    # with one id take that id's image once.
     groups = []
     build = cli._build_group
 
@@ -1189,26 +1204,49 @@ def test_check_reads_each_generator_residue_once_per_invariant(monkeypatch):
         return groups[-1]
 
     monkeypatch.setattr(cli, "_build_group", captured)
-    residues = collections.Counter()
-    residue = invariants._graded_residue
+    images = _count_images(monkeypatch)
+    for rows in (TETRA_ROWS, TETRA_ROWS + TETRA_ROWS[:1]):
+        images.clear()
+        text = json.dumps({"dimension": 2, "generators": rows})
+        report, status = cli.run(cli.parse_job(text, mode="check"))
+        assert status == 0
+        G = groups[-1]
+        gradings = junior_gradings(G, GaloisTwist(1))
+        found = [
+            relative_invariant(G, chi)
+            for chi in characters_of(G.abelian_decomposition())
+        ]
+        assert len(found) == 3
+        assert len(gradings) == 6
+        assert len(set(G.generator_ids)) == 3
+        assert images == {f: 3 for f in found}
+    assert len(G.generator_ids) == 4
 
-    def counted(gf, f, *args, **kwargs):
-        residues[f] += 1
-        return residue(gf, f, *args, **kwargs)
 
-    monkeypatch.setattr(invariants, "_graded_residue", counted)
-    text = json.dumps({"dimension": 2, "generators": TETRA_ROWS})
-    report, status = cli.run(cli.parse_job(text, mode="check"))
-    assert status == 0
-    (G,) = groups
-    gradings = junior_gradings(G, GaloisTwist(1))
+def test_congruence_lemma_shares_one_table_across_twists(monkeypatch):
+    # Twists 1 and 5 read one twist-free table per invariant; each
+    # record's residue is the graded degree of its representative's exact
+    # image under that twist, the order read off the matrix alone.
+    G = close_group([CycMatrix.from_rows(r) for r in TETRA_ROWS])
     found = [
         relative_invariant(G, chi)
         for chi in characters_of(G.abelian_decomposition())
     ]
-    assert len(found) == 3
-    assert len(gradings) == 6
-    assert residues == {f: len(G.generator_ids) for f in found}
+    images = _count_images(monkeypatch)
+    tables = invariants._tree_exponents.__wrapped__
+    for t in (1, 5):
+        twist = GaloisTwist(t)
+        gradings = junior_gradings(G, twist)
+        for f in found:
+            records = check_congruence_lemma(G, gradings, f, twist)
+            assert [rec.element_id for rec in records] == [x for x, _ in gradings]
+            for rec in records:
+                exact = graded_degree(G.matrix(rec.element_id), f, twist=twist)
+                assert rec.graded_residue == exact, (t, rec)
+    # the tables were built by the search, and the graded degrees took one
+    # image per representative, twist and invariant
+    assert len([key for key in G._memo if key[0] is tables]) == len(found)
+    assert images == {f: 2 * len(gradings) for f in found}
 
 
 def test_graded_failure_is_raised_on_every_call(q8):
@@ -1216,7 +1254,8 @@ def test_graded_failure_is_raised_on_every_call(q8):
     f = x(2, 0) + x(2, 1) ** 2
     for _ in range(2):
         with pytest.raises(ValueError, match="not semi-invariant"):
-            invariants._verify_graded(q8, f, GaloisTwist(1))
+            invariants._tree_exponents(q8, f)
+    assert (invariants._tree_exponents.__wrapped__, (f,)) not in q8._memo
 
 
 @pytest.mark.parametrize("name", ["2TxC3", "Q8xC4", "C2xC6"])
@@ -1234,11 +1273,10 @@ def test_character_on_another_abelianization(name):
 
 
 def test_check_job_keeps_no_image_of_a_monomial(monkeypatch):
-    # The averaging keeps coset sums, not images: after a check job the
-    # per-group images of `_act_by_id` are those of the relative
-    # invariants the checks act on, and none is a bare monomial.  They
-    # are images under the generators only: the junior residues are read
-    # along the Schreier tree, and no junior representative acts.
+    # The averaging keeps coset sums, not images, and the residues keep
+    # one table of ints per relative invariant: after a check job no
+    # per-group value is a polynomial, and the tables are keyed by the
+    # relative invariants alone.
     groups = []
     build = cli._build_group
 
@@ -1251,22 +1289,18 @@ def test_check_job_keeps_no_image_of_a_monomial(monkeypatch):
     report, status = cli.run(cli.parse_job(text, mode="check"))
     assert status == 0
     (G,) = groups
-    acting = invariants._act_by_id.__wrapped__
-    acted = {args[1] for (fn, args) in G._memo if fn is acting}
-    monomials = [
-        f for f in acted
-        if len(f.terms) == 1 and next(iter(f.terms.values())).is_one
-    ]
-    assert monomials == []
+    assert not any(isinstance(v, SparsePolynomial) for v in G._memo.values())
+    tables = invariants._tree_exponents.__wrapped__
+    kept = {args[0]: v for (fn, args), v in G._memo.items() if fn is tables}
     found = {
         relative_invariant(G, chi)
         for chi in characters_of(G.abelian_decomposition())
     }
-    assert acted == found
-    by = {args[0] for (fn, args) in G._memo if fn is acting}
-    assert by == set(G.generator_ids)
-    reps = [x for x, _ in junior_gradings(G, GaloisTwist(1))]
-    assert set(reps) - by
+    assert set(kept) == found
+    assert all(
+        type(v) is tuple and len(v) == len(G) and all(type(k) is int for k in v)
+        for v in kept.values()
+    )
 
 
 def test_both_check_routes_still_bite(monkeypatch, ex72):

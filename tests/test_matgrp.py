@@ -47,7 +47,7 @@ from crepant.matgrp import (
     _root_of_unity,
     _shadow_prime,
 )
-from crepant.mckay import age_records, eigen_multiplicities, is_reflection
+from crepant.mckay import age_records, is_reflection
 
 from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, TETRA_ROWS, cyclic_sl2
 
@@ -65,6 +65,7 @@ from helpers import (
     dense_trace,
     exact_closure,
     invariant_factors_of_product,
+    kernel_multiplicities,
     member_scan_escapes,
     member_scan_normal_closure,
     naive_closure,
@@ -597,8 +598,11 @@ def test_modular_closure_matches_exact_oracle(name, request):
     assert G.inverse_ids == [index[m.inverse().key()] for m in elements]
     records = age_records(G)
     for x, m in enumerate(elements):
-        mults = eigen_multiplicities(m)
-        assert G.element_orders[x] == len(mults)
+        mults = kernel_multiplicities(m, G.element_orders[x])
+        # every eigenvalue an r-th root, and together of order exactly r
+        assert sum(mults) == G.dim
+        support = [j for j, k in enumerate(mults) if k]
+        assert math.gcd(G.element_orders[x], *support) == 1
         assert records[x].multiplicities == mults
         assert records[x].is_reflection == is_reflection(m)
         assert G.id_of(m) == x

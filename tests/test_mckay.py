@@ -32,7 +32,6 @@ from crepant.mckay import (
     junior_classes,
     junior_elements,
     valuation_weights,
-    _multiplicities_from_traces,
 )
 
 from conftest import Q8_ROWS, S3_ROWS, TETRA_C3_ROWS, cyclic_sl2
@@ -41,6 +40,7 @@ from helpers import (
     dense_minus_identity,
     dense_rank,
     diagonal_exponents,
+    kernel_multiplicities,
     rank_mod,
 )
 
@@ -113,9 +113,14 @@ def test_multiplicities_against_diagonal_reading():
         assert list(got) == expected
 
 
-def test_integrality_guard_fires_on_bogus_traces():
-    with pytest.raises(ArithmeticError):
-        _multiplicities_from_traces([rational(2), rational(1)], 2, 2)
+def test_high_order_single_matrix_matches_the_kernel_oracle():
+    # diag(E(401), E(401)^400): order 401, far above the dimension; read
+    # off the eigen pass of the cyclic group it generates
+    g = CycMatrix.from_rows([["E(401)", "0"], ["0", "E(401)^400"]])
+    expected = kernel_multiplicities(g, 401)
+    assert [j for j, m in enumerate(expected) if m] == [1, 400]
+    assert eigen_multiplicities(g) == expected
+    assert age(g) == _oracle_age(expected, 1) == 1
 
 
 @pytest.mark.parametrize(
@@ -350,11 +355,14 @@ def _eigen_group(group, request):
      "s3_dense", "2t_c3_dense"],
 )
 def test_group_multiplicities_match_per_element_dft(group, request):
+    # Each element's multiplicities against the eigenspace dimensions of
+    # the kernel oracle; the name is that of the single-matrix trace DFT
+    # the pass was once compared with, which crepant no longer has
     G = _eigen_group(group, request)
     records = age_records(G)
     for x in G.carrier_labels():
-        assert records[x].multiplicities == eigen_multiplicities(
-            G.matrix(x), order=G.element_orders[x]
+        assert records[x].multiplicities == kernel_multiplicities(
+            G.matrix(x), G.element_orders[x]
         ), f"element {x}"
 
 
@@ -386,6 +394,14 @@ def test_eigen_pass_keeps_dim_exponents_per_element(group, request):
 # --- ages --------------------------------------------------------------------
 
 
+def _oracle_age(m, t):
+    """The age under the twist t read off the kernel oracle's
+    multiplicities m, r = len(m): zeta_r^j has the weight t^-1 j mod r."""
+    r = len(m)
+    t_inv = pow(t, -1, r)
+    return Fraction(sum(mj * (t_inv * j % r) for j, mj in enumerate(m)), r)
+
+
 def test_age_of_junior_generators():
     assert age(CycMatrix.from_rows(G1_ROWS)) == 1
     assert age(CycMatrix.from_rows([["-1", "0"], ["0", "-1"]])) == 1
@@ -404,18 +420,23 @@ def test_age_records_of_order_six_group(ex72):
     "name", ["q8", "ex72", "s3", "icosa", "c7", "c15", "scalar3"]
 )
 def test_ages_are_the_weight_sums(name, request):
-    # the age is read off the twisted weights, and the exact route through
-    # one matrix's traces gives the same age on every class representative
+    # the age is read off the twisted weights, and the kernel oracle gives
+    # the same age on every class representative, as does `age` on its
+    # matrix alone
     G = request.getfixturevalue(name)
     twists = [t for t in (1, 2, 7) if math.gcd(t, G.exponent) == 1]
+    reps = [cls[0] for cls in G.conjugacy_classes()]
+    oracle = [kernel_multiplicities(G.matrix(x), G.element_orders[x]) for x in reps]
     for t in twists:
         twist = GaloisTwist(t)
         records = age_records(G, twist)
         for rec in records:
             assert len(rec.weights) == G.dim
             assert rec.age == Fraction(sum(rec.weights), rec.order)
-        for cls in G.conjugacy_classes():
-            assert age(G.matrix(cls[0]), twist) == records[cls[0]].age
+        for x, m in zip(reps, oracle):
+            expected = _oracle_age(m, t)
+            assert records[x].age == expected
+            assert age(G.matrix(x), twist) == expected
 
 
 def test_age_inverse_pairing(q8, ex72, icosa):
@@ -633,7 +654,9 @@ def test_junior_elements_by_brute_force(q8, ex72, icosa):
         records = age_records(grp)
         expected = tuple(
             x for x in grp.carrier_labels()
-            if age(grp.matrix(x)) == 1
+            if _oracle_age(
+                kernel_multiplicities(grp.matrix(x), grp.element_orders[x]), 1
+            ) == 1
         )
         assert junior_elements(grp) == expected
         assert all(records[x].is_junior for x in expected)
