@@ -39,9 +39,7 @@ from .mckay import (
     IDENTITY_TWIST,
     NotSpecialLinearError,
     _eigen_pass,
-    _junior_set,
-    junior_classes,
-    junior_elements,
+    _juniors,
     junior_subgroup,
 )
 
@@ -162,10 +160,10 @@ def terminalization_class_group(
     K = reflection_subgroup(G)
     cl_vg = class_group_of_quotient(G)
 
-    count, reps = junior_classes(G, twist)
-    H = junior_subgroup(G, twist)
-    juniors = _junior_set(G, junior_elements(G, twist))
-    (_, ab_of_quotient), torsion = juniors.quotients, juniors.torsion
+    juniors = _juniors(G, twist)
+    (count, reps), torsion = juniors.classes, juniors.torsion
+    G_H, ab_of_quotient = juniors.quotients
+    H = G_H.normal
 
     ab = G.abelianization()
     ab_dec = G.abelian_decomposition()
@@ -256,30 +254,18 @@ def terminalization_class_group(
     )
 
 
-@per_group
 def freeness_criterion(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[bool, int | None]:
     """Whether the terminalization's class group is free: equivalent to G
     being generated by its junior elements together with the commutator
     subgroup.  Returns the flag and, when not free, the least element id
-    outside that subgroup as a witness.  Computed once per group and
-    twist; a ConsistencyError is not kept and is raised again."""
+    outside that subgroup as a witness.  Computed once per junior set
+    (`_JuniorSet.freeness`), so twists with one junior set share one
+    answer, and checked there against the torsion route; a
+    ConsistencyError is not kept and is raised again."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "the freeness criterion requires a determinant-one group"
         )
-    juniors = junior_elements(G, twist)
-    derived = G.abelianization().normal
-    span = subgroup_generated(G, [*juniors, *derived.generator_labels()])
-    generated = len(span) == len(G)
-
-    torsion_trivial = len(_junior_set(G, juniors).quotients[1]) == 1
-    if generated != torsion_trivial:
-        raise ConsistencyError(
-            "the generation route and the torsion route to freeness disagree"
-        )
-    witness = None
-    if not generated:
-        witness = min(set(G.carrier_labels()) - span.member_set)
-    return generated, witness
+    return _juniors(G, twist).freeness

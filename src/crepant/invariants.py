@@ -66,8 +66,8 @@ from .mckay import (
     GaloisTwist,
     GradingData,
     IDENTITY_TWIST,
+    _cyclic_group,
     _eigen_pass,
-    _single_eigen,
 )
 
 Scalar = Union[CyclotomicNumber, int, Fraction]
@@ -535,14 +535,15 @@ def graded_degree(
 ) -> Optional[int]:
     """Residue c mod ord(g) with g.f = zeta^(-c) f for the twisted root zeta,
     or None when f is not an eigenvector of the action of g.  Without a
-    stated order, the order of g is read (`mckay._single_eigen`) only once
-    f is known to be an eigenvector."""
+    stated order, the order of g is read as the order of its closure <g>
+    (`mckay._cyclic_group`, no eigen pass) only once f is known to be an
+    eigenvector."""
     if f.is_zero:
         return None
     root = _eigenvalue(act(g, f), f)
     if root is None:
         return None
-    r = order if order is not None else _single_eigen(g)[0]
+    r = order if order is not None else len(_cyclic_group(g))
     return _residue(*root, r, twist)
 
 

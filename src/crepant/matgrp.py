@@ -490,44 +490,17 @@ def _cyclic_walks(grp) -> tuple[list[int], list[int], list]:
 
 
 def per_group(fn):
-    """Memoise `fn(G, ...)` in `G._memo`, keyed by `fn` and the arguments
-    after `G` with defaults filled in, so `f(G)`, `f(G, default)` and
-    `f(G, name=default)` share one entry, and called with that key.  The
-    parameters are read off `fn.__code__` (`fn.__init__`'s, after `self`,
-    for a class) and must all be positional-or-keyword.  Only for results
-    fixed by `G` and those arguments."""
-    init = fn.__init__ if isinstance(fn, type) else fn
-    code = init.__code__
-    # 0x0C: CO_VARARGS | CO_VARKEYWORDS
-    if code.co_posonlyargcount or code.co_kwonlyargcount or code.co_flags & 0x0C:
-        raise TypeError(f"{fn.__qualname__}: per_group needs plain parameters")
-    names = code.co_varnames[1 + isinstance(fn, type) : code.co_argcount]
-    arity = len(names)
-    defaults = dict(zip(names[::-1], (init.__defaults__ or ())[::-1]))
-
-    def bind(args: tuple, kwargs: dict) -> tuple:
-        """The arguments after `G` in parameter order, defaults filled in;
-        a TypeError for an extra, repeated, unknown or missing argument."""
-        rest = names[len(args) :]
-        if len(args) > arity or any(name not in rest for name in kwargs):
-            raise TypeError(
-                f"{fn.__qualname__}() takes the arguments {names} after G, "
-                f"not {len(args)} positional and {sorted(kwargs)}"
-            )
-        try:
-            return args + tuple(
-                kwargs[name] if name in kwargs else defaults[name] for name in rest
-            )
-        except KeyError as missing:
-            raise TypeError(
-                f"{fn.__qualname__}() missing the argument {missing}"
-            ) from None
+    """Memoise `fn(G, ...)` in `G._memo`, keyed by `fn` and the positional
+    arguments after `G`, and nothing else: a keyword argument is a
+    TypeError, and so is decorating a function with a default, since
+    `f(G)` and `f(G, default)` would be two keys.  A caller that offers a
+    default fills it in and calls the memo positionally.  Only for
+    results fixed by `G` and those arguments."""
+    if getattr(fn, "__defaults__", None) or getattr(fn, "__kwdefaults__", None):
+        raise TypeError(f"{fn.__qualname__}: per_group keys no defaults")
 
     @functools.wraps(fn)
-    def memoised(G, *args, **kwargs):
-        # a call that names every argument positionally needs no binding
-        if kwargs or len(args) != arity:
-            args = bind(args, kwargs)
+    def memoised(G, *args):
         key = (fn, args)
         if key not in G._memo:
             G._memo[key] = fn(G, *args)
@@ -562,8 +535,8 @@ class FiniteMatrixGroup:
 
     What is derived from the group (conjugacy classes, Ab(G) and its
     decomposition, eigenvalues, junior data, K and H) is computed once per
-    group object: `per_group` functions keep it in `_memo`, so a second
-    closure shares nothing.
+    group object: `per_group` functions keep it in `_memo`, keyed by their
+    positional arguments, so a second closure shares nothing.
     """
 
     def __init__(

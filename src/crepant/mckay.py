@@ -10,10 +10,10 @@ answers do not depend on it.
 
 Eigenvalues are read in one pass per group (`_eigen_pass`), and those of a
 single matrix g in the pass of the cyclic group <g> it generates
-(`_single_eigen`): every power of g is its own class there, so the
-exponents of each are checked against its exact trace.  The pass works
-over F_q (the group's modular shadow, see `matgrp`), walking each cyclic
-subgroup once: Newton's identities give
+(`_cyclic_group`, `_single_eigen`): every power of g is its own class
+there, so the exponents of each are checked against its exact trace.
+The pass works over F_q (the group's modular shadow, see `matgrp`),
+walking each cyclic subgroup once: Newton's identities give
 the characteristic polynomial of its generator x from the traces of x,
 ..., x^dim, and the powers of the root of unity of order r that divide it
 give the dim exponents a of its eigenvalues zeta_r^a, in O(r * dim).
@@ -34,14 +34,16 @@ per group: order and exponents are constant on each class, and in a
 determinant-one group the exponents of x sum to a multiple of its order r
 (det x = zeta_r^(sum a) = 1).  A twist t turns the exponents a into t^-1 a mod r,
 so its ages are then a class function and integral as well.  Each twist
-makes one `age_records` pass, in `junior_elements`, which computes the
-weights once per distinct order and exponents and reads the age off
-them.  What the junior elements determine is kept on one record per
-junior set (`_junior_set`): the id tuple, the class scan, G/H, Ab(G/H),
-Ab(G/H)'s invariant factors and the class members the junior gradings are
-read at.  A twist t replaces the junior elements by their t-th powers, so
-every twist generates the same H, and twists with one junior set share
-that record.  Building G/H is the proof that H is normal.
+makes one `age_records` pass, in `_juniors`, which computes the weights
+once per distinct order and exponents and reads the age off them.  What
+the junior elements determine is kept on one record per junior set
+(`_JuniorSet`, keyed by the ids in `_junior_set`): the id tuple, the
+class scan, G/H, Ab(G/H), Ab(G/H)'s invariant factors, whether Cl(X) is
+free and the class members the junior gradings are read at.  `_juniors`
+is the one route from a twist to its record, and every junior reader
+takes it.  A twist t replaces the junior elements by their t-th powers,
+so every twist generates the same H, and twists with one junior set
+share that record.  Building G/H is the proof that H is normal.
 """
 
 from __future__ import annotations
@@ -164,23 +166,27 @@ class SweepEntry(NamedTuple):
 # multiplicities and ages
 
 
-def _single_eigen(
-    g: CycMatrix, max_order: int = MAX_ORDER
-) -> tuple[int, tuple[int, ...]]:
-    """(order r, exponents a ascending of the eigenvalues zeta_r^a) of one
-    matrix, read off the eigen pass of the cyclic group <g>: each of its
-    elements is its own class, so every power of g gets the exact trace
-    and rank-one checks.  A singular g, or one with no order up to
-    max_order, is a ValueError."""
+def _cyclic_group(g: CycMatrix, max_order: int = MAX_ORDER) -> FiniteMatrixGroup:
+    """The closure of <g>, whose order is the order of g.  A singular g,
+    or one with no order up to max_order, is a ValueError."""
     try:
-        G = close_group([g], max_size=max_order)
+        return close_group([g], max_size=max_order)
     except (GroupTooLargeError, SingularMatrixError):
         raise ValueError(
             f"no finite order up to {max_order}; the matrix may have "
             "infinite order"
         ) from None
-    x = G.generator_ids[0]
-    return G.element_orders[x], _eigen_pass(G)[0][x]
+
+
+def _single_eigen(
+    g: CycMatrix, max_order: int = MAX_ORDER
+) -> tuple[int, tuple[int, ...]]:
+    """(order r, exponents a ascending of the eigenvalues zeta_r^a) of one
+    matrix, read off the eigen pass of the cyclic group <g>
+    (`_cyclic_group`): each of its elements is its own class, so every
+    power of g gets the exact trace and rank-one checks."""
+    G = _cyclic_group(g, max_order)
+    return len(G), _eigen_pass(G)[0][G.generator_ids[0]]
 
 
 def eigen_multiplicities(
@@ -501,17 +507,13 @@ def age_records(
     return tuple(records)
 
 
-@per_group
 def junior_elements(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, ...]:
-    """The ids of age exactly 1 under `twist`, ascending, read off the
-    twist's one `age_records` pass.  The age is a class function because
-    `_eigen_pass` checks that order and exponents are.  The tuple is that
-    of the junior set's record (`_junior_set`), so twists with the same
-    junior elements share one tuple."""
-    ids = tuple(rec.element_id for rec in age_records(G, twist) if rec.is_junior)
-    return _junior_set(G, ids).ids
+    """The ids of age exactly 1 under `twist`, ascending: the tuple of the
+    twist's junior set record (`_juniors`), so twists with the same junior
+    elements share one tuple."""
+    return _juniors(G, twist).ids
 
 
 def junior_gradings(
@@ -532,7 +534,7 @@ def junior_gradings(
     polynomial into it once.  The weights must give age 1 and have no
     common factor (`_junior_grading`)."""
     _, reps = junior_classes(G, twist)
-    chosen = _junior_set(G, junior_elements(G, twist)).graded_members
+    chosen = _juniors(G, twist).graded_members
     gradings = []
     for x, (y, powers, k) in zip(reps, chosen):
         r = G.element_orders[x]
@@ -563,11 +565,11 @@ def _walk_eigenbasis(
 class _JuniorSet:
     """What G's junior elements determine, whichever twist found them: their
     ids, (m, class representatives) and, on first read, G/H and Ab(G/H)
-    for H generated by them, Ab(G/H)'s invariant factors (an
-    AbelianStructure) and the members the gradings are read at
-    (`graded_members`).  Building G/H verifies that H is normal: a
-    conjugate of a member of H by a generator of G that escapes H is a
-    ConsistencyError."""
+    for H generated by them (`quotients`), Ab(G/H)'s invariant factors (an
+    AbelianStructure, `torsion`), whether Cl(X) is free (`freeness`) and
+    the members the gradings are read at (`graded_members`).  Building G/H
+    verifies that H is normal: a conjugate of a member of H by a generator
+    of G that escapes H is a ConsistencyError."""
 
     def __init__(self, G: FiniteMatrixGroup, ids: tuple[int, ...]):
         self.group, self.ids, members = G, ids, set(ids)
@@ -587,6 +589,24 @@ class _JuniorSet:
     @functools.cached_property
     def torsion(self):
         return abelian_invariants(self.quotients[1])
+
+    @functools.cached_property
+    def freeness(self) -> tuple[bool, Optional[int]]:
+        """(free, witness): Cl(X) is free exactly when the juniors together
+        with [G, G] generate G, and else the least id outside the subgroup
+        they generate is the witness.  That generation route must agree
+        with the torsion route, Ab(G/H) trivial; else ConsistencyError,
+        which is not kept and is raised again on the next read."""
+        G = self.group
+        derived = G.abelianization().normal.generator_labels()
+        span = subgroup_generated(G, [*self.ids, *derived])
+        generated = len(span) == len(G)
+        if generated != (len(self.quotients[1]) == 1):
+            raise ConsistencyError(
+                "the generation route and the torsion route to freeness disagree"
+            )
+        witness = None if generated else min(set(G.carrier_labels()) - span.member_set)
+        return generated, witness
 
     @functools.cached_property
     def graded_members(self) -> tuple[tuple[int, Optional[list], int], ...]:
@@ -626,30 +646,28 @@ class _JuniorSet:
 _junior_set = per_group(_JuniorSet)
 
 
+@per_group
+def _juniors(G: FiniteMatrixGroup, twist: GaloisTwist) -> _JuniorSet:
+    """The record of the junior set under `twist`: the ids of age exactly
+    1, read off the twist's one `age_records` pass (the age is a class
+    function because `_eigen_pass` checks that order and exponents are),
+    keyed by those ids (`_junior_set`), so twists with one junior set
+    share one record.  The one route from a twist to its junior facts."""
+    ids = tuple(rec.element_id for rec in age_records(G, twist) if rec.is_junior)
+    return _junior_set(G, ids)
+
+
 def junior_classes(
     G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
 ) -> tuple[int, tuple[int, ...]]:
     """(m, class representatives): the conjugacy classes of age exactly 1,
-    read off `junior_elements` (age is a class function: `_eigen_pass`)
-    and kept on their junior set's record (`_junior_set`).  Requires
-    determinant one throughout."""
+    kept on their junior set's record (`_juniors`).  Requires determinant
+    one throughout."""
     if not G.is_special_linear:
         raise NotSpecialLinearError(
             "junior classes are defined for determinant-one groups only"
         )
-    return _junior_set(G, junior_elements(G, twist)).classes
-
-
-def _junior_quotient(
-    G: FiniteMatrixGroup, twist: GaloisTwist = IDENTITY_TWIST
-) -> tuple[QuotientGroup, QuotientGroup]:
-    """(G/H, Ab(G/H)) for the junior elements under `twist`, kept on their
-    junior set's record (`_junior_set`).  Requires determinant one."""
-    if not G.is_special_linear:
-        raise NotSpecialLinearError(
-            "the junior subgroup is defined for determinant-one groups only"
-        )
-    return _junior_set(G, junior_elements(G, twist)).quotients
+    return _juniors(G, twist).classes
 
 
 def junior_subgroup(
@@ -657,9 +675,13 @@ def junior_subgroup(
 ) -> SubgroupHandle:
     """H: generated by every junior element (class representatives alone do
     not suffice in general).  Normality is verified, not assumed: H is the
-    normal subgroup of G/H (`_junior_quotient`), whose construction checks
-    it."""
-    return _junior_quotient(G, twist)[0].normal
+    normal subgroup of G/H on its junior set's record (`_juniors`), whose
+    construction checks it.  Requires determinant one."""
+    if not G.is_special_linear:
+        raise NotSpecialLinearError(
+            "the junior subgroup is defined for determinant-one groups only"
+        )
+    return _juniors(G, twist).quotients[0].normal
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +783,7 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
 
     Twists congruent modulo the group exponent act identically on all
     element orders, so only one representative per residue is computed.
-    Each twist reads its junior set's record (`_junior_set`): the id tuple,
+    Each twist reads its junior set's record (`_juniors`): the id tuple,
     the class scan, H, G/H, Ab(G/H) and its invariant factors are made
     once per junior set, not once per twist, so twists with the same
     junior elements share them, and twist 1 reads those the report
@@ -778,7 +800,7 @@ def galois_sweep(G: FiniteMatrixGroup) -> tuple[SweepEntry, ...]:
             twists.setdefault(t % G.exponent, t)
     entries = []
     for t in twists.values():
-        juniors = _junior_set(G, junior_elements(G, GaloisTwist(t)))
+        juniors = _juniors(G, GaloisTwist(t))
         (count, reps), (G_H, _) = juniors.classes, juniors.quotients
         entries.append(
             SweepEntry(

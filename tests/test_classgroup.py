@@ -1,6 +1,7 @@
 """Class group reports: reflection subgroup, junior subgroup, free rank,
 torsion, push-forward data, and the built-in consistency checks."""
 
+import functools
 import itertools
 
 import pytest
@@ -18,7 +19,6 @@ from crepant.mckay import (
     ConsistencyError,
     GaloisTwist,
     NotSpecialLinearError,
-    _junior_quotient,
     galois_sweep,
 )
 from crepant.classgroup import (
@@ -165,7 +165,7 @@ def test_junior_normality_is_scanned_once_per_twist(monkeypatch):
     for e in entries:
         twist = GaloisTwist(e.twist)
         H = junior_subgroup(G, twist)
-        _junior_quotient(G, twist)
+        mckay._juniors(G, twist).quotients
         assert len(H) == e.junior_subgroup_order
         assert sum(g is G and sub is H for g, sub in scans) == 1
 
@@ -284,10 +284,42 @@ def test_twists_share_their_junior_set_record(monkeypatch, c7):
             juniors = records.setdefault(ids, mckay._junior_set(G, ids))
             assert e.junior_element_ids is ids is juniors.ids
             assert e.junior_class_representatives is juniors.classes[1]
-            assert _junior_quotient(G, twist) is juniors.quotients
+            assert mckay._juniors(G, twist).quotients is juniors.quotients
         assert len(records) == len({id(r) for r in records.values()}) == sets
         for juniors in records.values():
             assert sum(grp is juniors.quotients[1] for grp in counted) == 1
+
+
+def test_twists_with_one_junior_set_share_one_freeness(monkeypatch):
+    # <diag(z15, z15^4, z15^10)>: 8 twists find 4 junior sets, each shared
+    # by two twists, (1, 4), (2, 8), (7, 13) and (11, 14); freeness is
+    # made once per junior set, not once per twist
+    made = []
+    real = mckay._JuniorSet.freeness.func
+
+    def counted(juniors):
+        made.append(juniors.ids)
+        return real(juniors)
+
+    freeness = functools.cached_property(counted)
+    freeness.__set_name__(mckay._JuniorSet, "freeness")
+    monkeypatch.setattr(mckay._JuniorSet, "freeness", freeness)
+    G = close_group([CycMatrix.from_rows(
+        [["E(15)", "0", "0"], ["0", "E(15)^4", "0"], ["0", "0", "E(15)^10"]]
+    )])
+    twists = [e.twist for e in galois_sweep(G)]
+    assert twists == [1, 2, 4, 7, 8, 11, 13, 14]
+    answers = [freeness_criterion(G, GaloisTwist(t)) for t in twists]
+    assert answers == [(True, None)] * 8
+    assert len(made) == len(set(made)) == 4
+    for a, b in ((1, 4), (2, 8), (7, 13), (11, 14)):
+        assert freeness_criterion(G, GaloisTwist(a)) is freeness_criterion(
+            G, GaloisTwist(b)
+        )
+        assert mckay._juniors(G, GaloisTwist(a)) is mckay._juniors(
+            G, GaloisTwist(b)
+        )
+    assert len(made) == 4
 
 
 def test_every_report_handle_has_independent_generators(monkeypatch):
@@ -436,6 +468,21 @@ def test_freeness_of_order_six(ex72):
     assert not free
     # juniors generate {e, g^2, g^4}; the least element outside is g itself
     assert witness == 1
+
+
+def test_freeness_routes_that_disagree_are_raised_on_every_read(monkeypatch):
+    # Ab(G/H) = Z/2 says "not free"; a generation route faked to give all
+    # of G says "free".  The disagreement is raised, not kept, so the
+    # real route answers once the fake is gone.
+    G = close_group([CycMatrix.from_rows(EX72_ROWS)])
+    junior_subgroup(G)
+    for module in (mckay, classgroup):
+        monkeypatch.setattr(module, "subgroup_generated", lambda grp, seeds: grp)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="route to freeness disagree"):
+            freeness_criterion(G)
+    monkeypatch.undo()
+    assert freeness_criterion(G) == (False, 1)
 
 
 def test_freeness_of_icosahedral(icosa_diag):

@@ -493,7 +493,8 @@ def test_main_reports_a_consistency_error_from_run(monkeypatch, capsys):
     from crepant import mckay
 
     monkeypatch.setattr(
-        mckay, "_junior_quotient", _forced_consistency_error("junior quotient")
+        mckay._JuniorSet, "quotients",
+        property(_forced_consistency_error("junior quotient")),
     )
     job = GOLDEN_DIR.parent / "jobs" / "q8.json"
     code = main(["analyze", "--input", str(job)])
@@ -624,6 +625,7 @@ _WRITTEN_MODES = {
     "2t_c3_chi11": MODES,
     "2t_c3_dense": MODES,
     "2t_c3_dense_chi11": ("analyze", "age", "invariant", "sweep"),
+    "c15_1_4_10": MODES,
     "c17": MODES,
     "c2003": ("analyze", "invariant"),
     "c27_cubed": ("analyze", "sweep"),
@@ -716,6 +718,11 @@ DENSE_INVARIANT_JOB = "2t_c3_dense_chi11"
 # shared eigenbases): the congruence and membership records of groups
 # larger than 2T.
 CHECK_JOB_FILES = ("2t_c3_dense", "c6_cubed", "2i_c12")
+# EX72 is not free: its `check` reports the witness 1 off the generation
+# route, and its `sweep` the torsion [2].  C15 = <diag(E(15), E(15)^4,
+# E(15)^10)> has 8 twists that find 4 junior sets, each shared by two
+# twists: (1, 4), (2, 8), (7, 13) and (11, 14).
+SHARED_JUNIOR_SET_JOB = "c15_1_4_10"
 # Jobs pinned under a twist other than 1, each (job file, mode, twist):
 # `invariant` on 2T x C3 with the character [1, 1] prints the generator
 # residues [0, 0, 2, 2] under t = 5 ([0, 0, 1, 1] under t = 1), and `check`
@@ -732,7 +739,7 @@ def _job_text(name):
 
 # Each golden's (job document, mode, twist).
 GOLDEN_JOBS = {
-    "ex72_analyze": (EX72_DOC, "analyze", 1),
+    **{f"ex72_{mode}": (EX72_DOC, mode, 1) for mode in ("analyze", "check", "sweep")},
     "s3_age": (S3_DOC, "age", 1),
     "c3_cubed_analyze": (C3_CUBED_DOC, "analyze", 1),
     "c6_cubed_analyze": (C6_CUBED_DOC, "analyze", 1),
@@ -747,6 +754,8 @@ GOLDEN_JOBS = {
         _job_text(DENSE_INVARIANT_JOB), "invariant", 1
     ),
     **{f"{name}_check": (_job_text(name), "check", 1) for name in CHECK_JOB_FILES},
+    **{f"{SHARED_JUNIOR_SET_JOB}_{mode}": (_job_text(SHARED_JUNIOR_SET_JOB), mode, 1)
+       for mode in ("sweep", "check")},
     **{golden: (_job_text(name), mode, twist)
        for golden, (name, mode, twist) in TWISTED_JOBS.items()},
 }
@@ -827,9 +836,9 @@ def test_importing_the_cli_loads_no_argument_parser():
 
 
 def test_importing_the_cli_generates_no_record_code():
-    # The records are named tuples and `per_group` reads parameters off
-    # `__code__`, so the import executes neither `dataclasses` nor
-    # `inspect`.  Compared with the modules loaded before the import, which
+    # The records are named tuples and `per_group` keys positional
+    # arguments without reading a signature, so the import executes
+    # neither `dataclasses` nor `inspect`.  Compared with the modules loaded before the import, which
     # a site hook may extend; in a fresh interpreter, on the package under
     # test.
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -29,7 +29,7 @@ from crepant.mckay import (
     junior_gradings,
     valuation_weights,
 )
-from crepant import cli, invariants
+from crepant import cli, invariants, mckay
 from crepant.invariants import (
     CharacterOfAb,
     SparsePolynomial,
@@ -405,6 +405,29 @@ def test_graded_degree_examples(ex72):
     g = ex72.matrix(1)
     assert graded_degree(g, x(4, 2), order=6) == 5
     assert graded_degree(g, SparsePolynomial.zero(4)) is None
+
+
+def test_graded_degree_reads_the_order_off_the_closure(monkeypatch):
+    # with no stated order, the order of g is that of its closure <g>: no
+    # eigen pass runs, and the residue is the one at the stated order
+    passes = []
+    real = mckay._eigen_pass
+
+    def counted(G):
+        passes.append(G)
+        return real(G)
+
+    monkeypatch.setattr(mckay, "_eigen_pass", counted)
+    monkeypatch.setattr(invariants, "_eigen_pass", counted)
+    g = CycMatrix.from_rows([["E(401)", "0"], ["0", "E(401)^400"]])
+    for f in (x(2, 0) * x(2, 1), x(2, 0), x(2, 1) ** 3):
+        assert graded_degree(g, f) == graded_degree(g, f, order=401)
+    assert graded_degree(g, x(2, 0)) == 1
+    assert passes == []
+    # a shear fixes x2 but has no finite order
+    shear = CycMatrix.from_rows([["1", "1"], ["0", "1"]])
+    with pytest.raises(ValueError, match="no finite order"):
+        graded_degree(shear, x(2, 1))
 
 
 def test_graded_degree_twisted(ex72):

@@ -807,7 +807,7 @@ def test_sweep_walks_a_shared_abelian_quotient_once(monkeypatch):
     entries = galois_sweep(G)
     assert len(entries) == 8
     assert len({e.junior_element_ids for e in entries}) == 1
-    _, ab = mckay._junior_quotient(G)
+    _, ab = mckay._juniors(G, mckay.IDENTITY_TWIST).quotients
     assert sum(grp is ab for grp in walked) == 1
 
 
@@ -836,38 +836,51 @@ def test_sweep_scans_the_classes_once_per_junior_set(c7, monkeypatch):
 
 
 def test_junior_memo_is_keyed_by_the_filled_in_arguments():
-    # `f(G)`, `f(G, default)` and `f(G, name=default)` share one entry;
-    # `_junior_set` is keyed by `_JuniorSet.__init__`'s arguments after G
+    # `junior_elements` fills in its default twist and reads `_juniors`,
+    # which is keyed by that positional twist alone, so `f(G)`,
+    # `f(G, default)` and `f(G, twist=default)` share one entry; a
+    # `per_group` memo refuses keywords
     G = cyclic_sl2(6)
     ids = junior_elements(G)
     assert junior_elements(G, mckay.IDENTITY_TWIST) is ids
     assert junior_elements(G, twist=mckay.IDENTITY_TWIST) is ids
-    entries = [key for key in G._memo if key[0] is junior_elements.__wrapped__]
-    assert entries == [(junior_elements.__wrapped__, (mckay.IDENTITY_TWIST,))]
-    juniors = mckay._junior_set(G, ids)
-    assert mckay._junior_set(G, ids=ids) is juniors
+    entries = [key for key in G._memo if key[0] is mckay._juniors.__wrapped__]
+    assert entries == [(mckay._juniors.__wrapped__, (mckay.IDENTITY_TWIST,))]
+    juniors = G._memo[entries[0]]
+    assert juniors.ids is ids
+    assert mckay._junior_set(G, ids) is juniors
     assert G._memo[mckay._JuniorSet, (ids,)] is juniors
+    kept = dict(G._memo)
     for call in (
         lambda: junior_elements(G, tweak=mckay.IDENTITY_TWIST),
         lambda: junior_elements(G, mckay.IDENTITY_TWIST, mckay.IDENTITY_TWIST),
         lambda: junior_elements(G, mckay.IDENTITY_TWIST, twist=GaloisTwist(5)),
+        lambda: mckay._juniors(G),
+        lambda: mckay._juniors(G, twist=mckay.IDENTITY_TWIST),
         lambda: mckay._junior_set(G),
         lambda: mckay._junior_set(G, ids, ids),
-        lambda: mckay._junior_set(G, members=ids),
+        lambda: mckay._junior_set(G, ids=ids),
     ):
         with pytest.raises(TypeError):
             call()
+    assert G._memo == kept
 
 
 def test_per_group_refuses_parameters_it_cannot_key():
+    # the memo is keyed by the positional arguments after G, so a default
+    # would give `f(G)` and `f(G, default)` two entries
     for fn in (
-        lambda G, *rest: rest,
-        lambda G, **named: named,
+        lambda G, t=1: t,
+        lambda G, s, t=1: t,
         lambda G, *, t=1: t,
-        lambda G, t, /: t,
     ):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="no defaults"):
             matgrp.per_group(fn)
+    memoised = matgrp.per_group(lambda G, t: [t])
+    G = cyclic_sl2(3)
+    assert memoised(G, 1) is memoised(G, 1) == [1]
+    with pytest.raises(TypeError):
+        memoised(G, t=1)
 
 
 def _count_age_records(monkeypatch):
