@@ -11,7 +11,7 @@ answers do not depend on it.
 Eigenvalues are read in one pass per group (`_eigen_pass`), and those of a
 single matrix g in the pass of the cyclic group <g> it generates
 (`_cyclic_group`, `_single_eigen`): every power of g is its own class
-there, so the exponents of each are checked against its exact trace.
+there, so the exponents of each get the exact checks.
 The pass works over F_q (the group's modular shadow, see `matgrp`),
 walking each cyclic subgroup once: Newton's identities give
 the characteristic polynomial of its generator x from the traces of x,
@@ -26,10 +26,13 @@ per conductor, order and exponents.  The comparisons with them stay per
 element and per class representative.  Each element keeps its dim
 exponents, ascending; the length-r multiplicity vector (m_a counting the
 eigenvalue zeta_r^a) is built only where the public API or a report shows
-it.  The same pass flags rank(x - 1) == 1 over F_q (`_rank_is_one`) and
-checks every conjugacy-class representative exactly: its exact trace
-against sum_a zeta_r^a, and the exact rank-one test (`is_reflection`)
-against its flag.  The pass also checks the facts every twist relies on, once
+it.  The same pass flags rank(x - 1) == 1 over F_q and checks every
+conjugacy-class representative exactly.  In a diagonal group whose
+generators' entries are made as roots of unity, its exponents and flag
+are compared with the roots on its diagonal, summed along the search tree
+(`_diagonal_roots`); in any other group its exact trace is compared with
+sum_a zeta_r^a, and the exact rank-one test (`is_reflection`) with its
+flag.  The pass also checks the facts every twist relies on, once
 per group: order and exponents are constant on each class, and in a
 determinant-one group the exponents of x sum to a multiple of its order r
 (det x = zeta_r^(sum a) = 1).  A twist t turns the exponents a into t^-1 a mod r,
@@ -184,7 +187,7 @@ def _single_eigen(
     """(order r, exponents a ascending of the eigenvalues zeta_r^a) of one
     matrix, read off the eigen pass of the cyclic group <g>
     (`_cyclic_group`): each of its elements is its own class, so every
-    power of g gets the exact trace and rank-one checks."""
+    power of g gets the exact eigenvalue and rank checks."""
     G = _cyclic_group(g, max_order)
     return len(G), _eigen_pass(G)[0][G.generator_ids[0]]
 
@@ -298,14 +301,20 @@ def _is_diagonal_mod(image) -> bool:
 
 def _is_reflection_mod(image, q: int) -> bool:
     """rank(image - 1) == 1 over F_q, `image` the rows of an element's
-    F_q image, by `_rank_is_one`, each row's support read as the test
-    asks for it."""
-    return _rank_is_one(
-        ([j for j, v in enumerate(row) if v != (i == j)]
-         for i, row in enumerate(image)),
-        lambda i, j: (image[i][j] - (i == j)) % q,
-        lambda a, b, c, d: (a * b - c * d) % q == 0,
-    )
+    F_q image.  A diagonal image has the rank of its diagonal entries
+    other than 1, a count.  Each row counts its zeros off the diagonal,
+    and at the first row with fewer than dim - 1 the image goes to
+    `_rank_is_one`, each row's support read as the test asks for it."""
+    off = len(image) - 1
+    for d, line in enumerate(image):
+        if line.count(0) - (not line[d]) != off:
+            return _rank_is_one(
+                ([j for j, v in enumerate(row) if v != (i == j)]
+                 for i, row in enumerate(image)),
+                lambda i, j: (image[i][j] - (i == j)) % q,
+                lambda a, b, c, d: (a * b - c * d) % q == 0,
+            )
+    return sum([row[i] != 1 for i, row in enumerate(image)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +343,30 @@ def _root_tables(shadow, orders) -> dict[int, list[int]]:
     return tables
 
 
+def _diagonal_roots(G: FiniteMatrixGroup) -> Optional[list[tuple[int, ...]]]:
+    """The exponents k of zeta_2N on the diagonal of every element, N the
+    entry conductor, when every generator at N is diagonal with entries
+    made as roots of unity (`CyclotomicNumber._root` set); else None.
+    They are read along the search tree: y = h.p has the exponents of h
+    plus those of p, mod 2N, the exact product `cyclo._times` forms for
+    two such roots."""
+    n = G.entry_conductor
+    gens = []
+    for g in G.generators:
+        rows = g.lift(n).rows
+        k = tuple(row[i]._root for i, row in enumerate(rows))
+        if None in k or any(
+            not e.is_zero for i, row in enumerate(rows)
+            for j, e in enumerate(row) if i != j
+        ):
+            return None
+        gens.append(k)
+    m, roots = 2 * n, [(0,) * G.dim]
+    for h, p in zip(G._steps[1:], G._parents[1:]):
+        roots.append(tuple([(a + b) % m for a, b in zip(gens[h], roots[p])]))
+    return roots
+
+
 @per_group
 def _eigen_pass(G: FiniteMatrixGroup):
     """(eigenvalue exponents, reflection flags) of every element, over
@@ -350,12 +383,18 @@ def _eigen_pass(G: FiniteMatrixGroup):
     must have the derived order r / gcd(r, j) as its stored order and
     reproduce its F_q trace, a sum of dim table entries.  The flag of x is
     rank(x - 1) == 1 over F_q (`_is_reflection_mod`).  Then every
-    conjugacy-class representative x is checked exactly: its exact matrix
-    is built, tr(x) must equal sum_a zeta_r^a, compared as numerators at
-    n = lcm(its conductor, r), the exact rank-one test `is_reflection`
-    must give its flag, and its flag, order and exponents must be those of
-    every member of its class; else ArithmeticError.  What depends only on
-    a type is computed once per type, in dicts dropped on return: the
+    conjugacy-class representative x is checked exactly, by one of two
+    routes.  When `_diagonal_roots` gives the zeta_2N exponents k of x's
+    diagonal (a diagonal group with root entries), each k * r must be a
+    multiple of 2N, the sorted k * r / 2N must be the exponents of x,
+    which implies the trace equality, and #(k != 0), which is rank(x - 1)
+    for a diagonal x, must be 1 exactly when x is flagged; no matrix,
+    trace or minor is built.  Otherwise its exact matrix is built, tr(x)
+    must equal sum_a zeta_r^a, compared as numerators at n = lcm(its
+    conductor, r), and the exact rank-one test `is_reflection` must give
+    its flag.  On both routes its flag, order and exponents must be those
+    of every member of its class; else ArithmeticError.  What depends only
+    on a type is computed once per type, in dicts dropped on return: the
     exponents per (r, traces of x, ..., x^dim), which fix the
     characteristic polynomial; the derived order, exponents and F_q trace
     of x^j per (r, exponents of x, j); the expected numerators per (n, r,
@@ -401,24 +440,38 @@ def _eigen_pass(G: FiniteMatrixGroup):
                 )
             result[y] = ej
     flags = tuple(_is_reflection_mod(img, q) for img in shadow.images)
+    diagonal, m = _diagonal_roots(G), 2 * G.entry_conductor
     for cls in G.conjugacy_classes():
         x = cls[0]
         r, e = orders[x], result[x]
-        g = G.matrix(x)
-        exact = g.trace()
-        n = math.lcm(exact.conductor, r)
-        nums = expected.get((n, r, e))
-        if nums is None:
-            counts = [0] * n
-            for a in e:
-                counts[a * n // r] += 1
-            nums = expected[n, r, e] = tuple(_reduce_ints(n, counts))
-        if exact.den != 1 or exact._lifted_nums(n) != nums:
-            raise ArithmeticError(
-                f"eigenvalue exponents {list(e)} of class representative {x} "
-                f"do not reproduce its exact trace {exact.render()}"
-            )
-        if is_reflection(g) != flags[x]:
+        if diagonal is not None:
+            # zeta_2N^k = zeta_r^(k r / 2N), and rank(x - 1) counts k != 0
+            k = diagonal[x]
+            own = tuple(sorted([a * r // m for a in k]))
+            if own != e or any(a * r % m for a in k):
+                raise ArithmeticError(
+                    f"eigenvalue exponents {list(e)} of class representative "
+                    f"{x} do not reproduce its exact trace, the sum of "
+                    f"E({m})^k over its diagonal exponents k = {list(k)}"
+                )
+            rank_one = len(k) - k.count(0) == 1
+        else:
+            g = G.matrix(x)
+            exact = g.trace()
+            n = math.lcm(exact.conductor, r)
+            nums = expected.get((n, r, e))
+            if nums is None:
+                counts = [0] * n
+                for a in e:
+                    counts[a * n // r] += 1
+                nums = expected[n, r, e] = tuple(_reduce_ints(n, counts))
+            if exact.den != 1 or exact._lifted_nums(n) != nums:
+                raise ArithmeticError(
+                    f"eigenvalue exponents {list(e)} of class representative {x} "
+                    f"do not reproduce its exact trace {exact.render()}"
+                )
+            rank_one = is_reflection(g)
+        if rank_one != flags[x]:
             raise ArithmeticError(
                 f"the exact rank test and the rank modulo {q} disagree on "
                 f"class representative {x}"

@@ -630,6 +630,7 @@ _WRITTEN_MODES = {
     "c2003": ("analyze", "invariant"),
     "c27_cubed": ("analyze", "sweep"),
     "c6_cubed": MODES,
+    "c6_cubed_dense": ("analyze", "age"),
     "q8": MODES,
     "s3": MODES,
 }
@@ -673,10 +674,14 @@ def test_reports_are_deterministic():
 # GL3) g - 1 of a transposition has two nonzero rows with one support, so
 # the 2x2 minors decide that it is a reflection.  The diagonal C3^3 in SL4
 # is abelian: every one of its 27 elements is its own class, so every
-# element gets the exact trace and rank checks.  So is C6^3
-# (tests/data/jobs/c6_cubed.json), with 216 singleton classes whose walks
-# repeat a few eigen types: the eigen pass keeps its derived values per
-# type and compares every element and representative with them.
+# element gets the exact eigenvalue and rank checks, read off the zeta_6
+# exponents of its diagonal as the search tree sums them from the
+# generators' roots.  So is C6^3 (tests/data/jobs/c6_cubed.json), with
+# 216 singleton classes whose walks repeat a few eigen types: the eigen
+# pass keeps its derived values per type and compares every element and
+# representative with them.  Its dense conjugate
+# (tests/data/jobs/c6_cubed_dense.json) takes the exact trace and rank-one
+# route, and CI compares the two `analyze` answers.
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 TETRA_T = [["(-1+E(4))/2", "(1+E(4))/2"], ["(-1+E(4))/2", "(-1-E(4))/2"]]
 TWO_T_DOC = doc(2, [[list(r) for r in m] for m in Q8_ROWS] + [TETRA_T])

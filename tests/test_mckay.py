@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -234,10 +235,22 @@ def test_integrality_guard_covers_derived_powers():
         age_records(G)
 
 
+def _dense_cyclic_sl2(k):
+    """`cyclic_sl2(k)` conjugated by a dense unimodular P: its elements
+    are not diagonal, so the eigen pass checks each class representative
+    on its exact matrix."""
+    (rows,) = dense_conjugate(
+        [[[f"E({k})", "0"], ["0", f"E({k})^{k - 1}"]]], 1
+    )
+    G = close_group([CycMatrix.from_rows(rows)])
+    assert mckay._diagonal_roots(G) is None
+    return G
+
+
 def test_exact_trace_guard_covers_class_representatives():
     # Every element of an abelian group is a class representative, and its
     # exact trace must match the multiplicities read modulo q.
-    G = cyclic_sl2(6)
+    G = _dense_cyclic_sl2(6)
     y = _minus_identity_id(G)
     G.matrix(y)
     G._matrices[y] = CycMatrix.from_rows([["-1", "0"], ["0", "1"]])
@@ -247,12 +260,89 @@ def test_exact_trace_guard_covers_class_representatives():
     # The expected numerators are kept per (conductor, order, exponents):
     # x and x^-1 share (6, 6, (1, 5)), and the one checked second must
     # still be compared with its own exact trace.
-    G = cyclic_sl2(6)
+    G = _dense_cyclic_sl2(6)
     y = max(G.generator_ids[0], G.inv(G.generator_ids[0]))
     G.matrix(y)
     G._matrices[y] = CycMatrix.from_rows([["E(6)", "0"], ["0", "E(6)"]])
     with pytest.raises(ArithmeticError, match="exact trace"):
         age_records(G)
+
+
+def test_exact_guards_cover_diagonal_roots():
+    # A diagonal group with root entries is checked on the zeta_2N
+    # exponents of its diagonals, read along the search tree from the
+    # generators': a generator whose root is replaced after the closure
+    # gives exponents its F_q image does not have.
+    G = cyclic_sl2(6)
+    G.working_shadow()
+    G.generators = (CycMatrix.from_rows([["E(6)", "0"], ["0", "E(6)"]]),)
+    assert mckay._diagonal_roots(G) is not None
+    with pytest.raises(ArithmeticError, match="exact trace"):
+        age_records(G)
+
+    # -1 has two eigenvalues other than 1, so rank(-1 - 1) = 2; an F_q
+    # image with one diagonal entry other than 1 is flagged rank one
+    G = cyclic_sl2(6)
+    shadow = G.working_shadow()
+    shadow.images[_minus_identity_id(G)] = ((shadow.prime - 1, 0), (0, 1))
+    with pytest.raises(ArithmeticError, match="rank"):
+        age_records(G)
+
+
+@st.composite
+def _diagonal_sl_rows(draw):
+    """Generators diag(z_r^a_1, ..., z_r^a_n) of a diagonal G <= SL_n:
+    n <= 4, one to three generators sharing r <= 12, sum a = 0 (mod r)."""
+    r = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
+        exponents = (*head, -sum(head) % r)
+        rows.append(
+            [[f"E({r})^{a}" if i == j else "0" for j in range(n)]
+             for i, a in enumerate(exponents)]
+        )
+    return rows
+
+
+@given(_diagonal_sl_rows())
+@settings(max_examples=30, deadline=None)
+def test_diagonal_roots_and_exact_traces_agree(rows):
+    # The root route on a diagonal group and the trace route on the same
+    # group in a dense presentation give every element the same
+    # exponents and flag (the closure numbers conjugate groups alike).
+    G = close_group([CycMatrix.from_rows(g) for g in rows])
+    dense = close_group([CycMatrix.from_rows(g) for g in dense_conjugate(rows, 1)])
+    scalar = all(len({row[i] for i, row in enumerate(g)}) == 1 for g in rows)
+    assert mckay._diagonal_roots(G) is not None
+    assert (mckay._diagonal_roots(dense) is None) != scalar
+    assert mckay._eigen_pass(G) == mckay._eigen_pass(dense)
+
+    # and with the root route switched off, the reports print the same bytes
+    text = json.dumps({"dimension": len(rows[0]), "generators": rows})
+
+    def printed():
+        return [
+            cli.render_report(cli.run(cli.parse_job(text, mode))[0], "json")
+            for mode in ("analyze", "age")
+        ]
+
+    by_roots = printed()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mckay, "_diagonal_roots", lambda G: None)
+        assert printed() == by_roots
+
+
+def test_diagonal_roots_build_no_matrix():
+    # The eigen pass on C6^3 reads its exact checks off the generators'
+    # roots: the matrix memo holds no entry the closure did not put there.
+    job = Path(__file__).parent / "data" / "jobs" / "c6_cubed.json"
+    rows = json.loads(job.read_text())["generators"]
+    G = close_group([CycMatrix.from_rows(g) for g in rows])
+    built = sum(m is not None for m in G._matrices)
+    mckay._eigen_pass(G)
+    assert sum(m is not None for m in G._matrices) <= built
 
 
 def test_derived_multiplicities_are_checked(monkeypatch):
