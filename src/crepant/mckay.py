@@ -26,10 +26,11 @@ per conductor, order and exponents.  The comparisons with them stay per
 element and per class representative.  Each element keeps its dim
 exponents, ascending; the length-r multiplicity vector (m_a counting the
 eigenvalue zeta_r^a) is built only where the public API or a report shows
-it.  The same pass flags rank(x - 1) == 1 over F_q and checks every
-conjugacy-class representative exactly.  In a diagonal group whose
-generators' entries are made as roots of unity, its exponents and flag
-are compared with the roots on its diagonal, summed along the search tree
+it.  The same pass flags rank(x - 1) == 1 over F_q (`_rank_is_one`) and
+checks every conjugacy-class representative exactly.  In a diagonal group
+with roots of unity on its generators' diagonals, the flag counts the
+diagonal entries other than 1 of x's F_q image, and the exponents and
+flag are compared with the roots on its diagonal, summed along the search tree
 (`_diagonal_roots`); in any other group its exact trace is compared with
 sum_a zeta_r^a, and the exact rank-one test (`is_reflection`) with its
 flag.  The pass also checks the facts every twist relies on, once
@@ -301,20 +302,14 @@ def _is_diagonal_mod(image) -> bool:
 
 def _is_reflection_mod(image, q: int) -> bool:
     """rank(image - 1) == 1 over F_q, `image` the rows of an element's
-    F_q image.  A diagonal image has the rank of its diagonal entries
-    other than 1, a count.  Each row counts its zeros off the diagonal,
-    and at the first row with fewer than dim - 1 the image goes to
-    `_rank_is_one`, each row's support read as the test asks for it."""
-    off = len(image) - 1
-    for d, line in enumerate(image):
-        if line.count(0) - (not line[d]) != off:
-            return _rank_is_one(
-                ([j for j, v in enumerate(row) if v != (i == j)]
-                 for i, row in enumerate(image)),
-                lambda i, j: (image[i][j] - (i == j)) % q,
-                lambda a, b, c, d: (a * b - c * d) % q == 0,
-            )
-    return sum([row[i] != 1 for i, row in enumerate(image)]) == 1
+    F_q image, by `_rank_is_one`, each row's support read as the test
+    asks for it."""
+    return _rank_is_one(
+        ([j for j, v in enumerate(row) if v != (i == j)]
+         for i, row in enumerate(image)),
+        lambda i, j: (image[i][j] - (i == j)) % q,
+        lambda a, b, c, d: (a * b - c * d) % q == 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +340,24 @@ def _root_tables(shadow, orders) -> dict[int, list[int]]:
 
 def _diagonal_roots(G: FiniteMatrixGroup) -> Optional[list[tuple[int, ...]]]:
     """The exponents k of zeta_2N on the diagonal of every element, N the
-    entry conductor, when every generator at N is diagonal with entries
-    made as roots of unity (`CyclotomicNumber._root` set); else None.
-    They are read along the search tree: y = h.p has the exponents of h
-    plus those of p, mod 2N, the exact product `cyclo._times` forms for
-    two such roots."""
-    n = G.entry_conductor
-    gens = []
+    entry conductor, when every generator is diagonal with roots of unity
+    on its diagonal (`as_root_of_unity`); else None.  A root zeta_r^j in
+    Q(zeta_N) has r dividing 2N, so it is zeta_2N^(j 2N / r).  The
+    exponents are read along the search tree: y = h.p has the exponents
+    of h plus those of p, mod 2N, the exact product of two roots."""
+    m, gens = 2 * G.entry_conductor, []
     for g in G.generators:
-        rows = g.lift(n).rows
-        k = tuple(row[i]._root for i, row in enumerate(rows))
-        if None in k or any(
-            not e.is_zero for i, row in enumerate(rows)
-            for j, e in enumerate(row) if i != j
-        ):
+        if not g.is_diagonal():
             return None
+        k = []
+        for i in range(g.dim):
+            root = as_root_of_unity(g.rows[i][i])
+            if root is None:
+                return None
+            r, j = root
+            k.append(j * (m // r))
         gens.append(k)
-    m, roots = 2 * n, [(0,) * G.dim]
+    roots = [(0,) * G.dim]
     for h, p in zip(G._steps[1:], G._parents[1:]):
         roots.append(tuple([(a + b) % m for a, b in zip(gens[h], roots[p])]))
     return roots
@@ -382,14 +378,15 @@ def _eigen_pass(G: FiniteMatrixGroup):
     power x^j not yet filled gets its exponents by `_power_exponents`, and
     must have the derived order r / gcd(r, j) as its stored order and
     reproduce its F_q trace, a sum of dim table entries.  The flag of x is
-    rank(x - 1) == 1 over F_q (`_is_reflection_mod`).  Then every
-    conjugacy-class representative x is checked exactly, by one of two
-    routes.  When `_diagonal_roots` gives the zeta_2N exponents k of x's
-    diagonal (a diagonal group with root entries), each k * r must be a
-    multiple of 2N, the sorted k * r / 2N must be the exponents of x,
-    which implies the trace equality, and #(k != 0), which is rank(x - 1)
-    for a diagonal x, must be 1 exactly when x is flagged; no matrix,
-    trace or minor is built.  Otherwise its exact matrix is built, tr(x)
+    rank(x - 1) == 1 over F_q: `_is_reflection_mod`, or, in a group with
+    `_diagonal_roots`, whose F_q images are diagonal, the count of
+    diagonal entries other than 1.  Then every conjugacy-class
+    representative x is checked exactly, by one of two routes.  When `_diagonal_roots` gives the zeta_2N exponents k of x's
+    diagonal (every generator diagonal, with roots of unity on it), each
+    k * r must be a multiple of 2N, the sorted k * r / 2N must be the
+    exponents of x, which implies the trace equality, and #(k != 0),
+    which is rank(x - 1) for a diagonal x, must be 1 exactly when x is
+    flagged; no matrix, trace or minor is built.  Otherwise its exact matrix is built, tr(x)
     must equal sum_a zeta_r^a, compared as numerators at n = lcm(its
     conductor, r), and the exact rank-one test `is_reflection` must give
     its flag.  On both routes its flag, order and exponents must be those
@@ -439,8 +436,15 @@ def _eigen_pass(G: FiniteMatrixGroup):
                     f"do not reproduce its trace modulo {q}"
                 )
             result[y] = ej
-    flags = tuple(_is_reflection_mod(img, q) for img in shadow.images)
     diagonal, m = _diagonal_roots(G), 2 * G.entry_conductor
+    if diagonal is None:
+        flags = tuple(_is_reflection_mod(img, q) for img in shadow.images)
+    else:
+        # every F_q image is diagonal: rank(x - 1) counts entries other than 1
+        flags = tuple(
+            sum([row[i] != 1 for i, row in enumerate(img)]) == 1
+            for img in shadow.images
+        )
     for cls in G.conjugacy_classes():
         x = cls[0]
         r, e = orders[x], result[x]
@@ -450,9 +454,9 @@ def _eigen_pass(G: FiniteMatrixGroup):
             own = tuple(sorted([a * r // m for a in k]))
             if own != e or any(a * r % m for a in k):
                 raise ArithmeticError(
-                    f"eigenvalue exponents {list(e)} of class representative "
-                    f"{x} do not reproduce its exact trace, the sum of "
-                    f"E({m})^k over its diagonal exponents k = {list(k)}"
+                    f"the E({m}) exponents {list(k)} on the diagonal of class "
+                    f"representative {x} do not give its order {r} and the "
+                    f"eigenvalue exponents {list(e)} read modulo {q}"
                 )
             rank_one = len(k) - k.count(0) == 1
         else:

@@ -269,7 +269,7 @@ def test_exact_trace_guard_covers_class_representatives():
 
 
 def test_exact_guards_cover_diagonal_roots():
-    # A diagonal group with root entries is checked on the zeta_2N
+    # A diagonal group of roots of unity is checked on the zeta_2N
     # exponents of its diagonals, read along the search tree from the
     # generators': a generator whose root is replaced after the closure
     # gives exponents its F_q image does not have.
@@ -277,8 +277,13 @@ def test_exact_guards_cover_diagonal_roots():
     G.working_shadow()
     G.generators = (CycMatrix.from_rows([["E(6)", "0"], ["0", "E(6)"]]),)
     assert mckay._diagonal_roots(G) is not None
-    with pytest.raises(ArithmeticError, match="exact trace"):
+    with pytest.raises(ArithmeticError, match="on the diagonal of class"):
         age_records(G)
+
+    # The roots are read as values, however the entries were written:
+    # E(6)^-1 is zeta_12^10, as E(6)^5 is.
+    G = close_group([CycMatrix.from_rows([["E(6)", "0"], ["0", "E(6)^-1"]])])
+    assert mckay._diagonal_roots(G) == mckay._diagonal_roots(cyclic_sl2(6))
 
     # -1 has two eigenvalues other than 1, so rank(-1 - 1) = 2; an F_q
     # image with one diagonal entry other than 1 is flagged rank one
