@@ -25,7 +25,12 @@ from .classgroup import (
     junior_subgroup,
     terminalization_class_group,
 )
-from .cyclo import CyclotomicNumber, _overlong, parse_cyclotomic
+from .cyclo import (
+    CyclotomicNumber,
+    _conductor_refusal,
+    _overlong,
+    parse_cyclotomic,
+)
 from .invariants import (
     CharacterOfAb,
     _tree_exponents,
@@ -94,7 +99,11 @@ def _require(condition: bool, message: str) -> None:
         raise JobError(message)
 
 
-def _parse_matrix(index: int, rows: object, dimension: int) -> CycMatrix:
+def _parse_matrix(
+    index: int, rows: object, dimension: int, conductor: int
+) -> CycMatrix:
+    """Generator `index` of the job; `conductor` is the common conductor
+    of the generators before it."""
     where = f"generator {index + 1}"
     _require(isinstance(rows, list) and rows, f"{where}: expected a row list")
     _require(
@@ -122,6 +131,15 @@ def _parse_matrix(index: int, rows: object, dimension: int) -> CycMatrix:
                     f"{where}, row {i + 1}, column {j + 1}: {exc}"
                 ) from exc
         parsed.append(out_row)
+    # every entry is embedded at the common conductor of the job, so that
+    # conductor is refused before any embedding, at the entry that passes
+    # the cap
+    for i, row in enumerate(parsed):
+        for j, e in enumerate(row):
+            conductor = math.lcm(conductor, e.conductor)
+            reason = _conductor_refusal(conductor)
+            if reason:
+                raise JobError(f"{where}, row {i + 1}, column {j + 1}: {reason}")
     matrix = CycMatrix.from_rows(parsed)
     # reports render every entry; the parser refuses an overlong power, and
     # this scan the rest, after embedding into the common conductor, which
@@ -176,9 +194,11 @@ def parse_job(
         isinstance(gens, list) and len(gens) >= 1,
         "job document needs a nonempty generator list",
     )
-    matrices = tuple(
-        _parse_matrix(k, rows, dimension) for k, rows in enumerate(gens)
-    )
+    matrices: list[CycMatrix] = []
+    conductor = 1
+    for k, rows in enumerate(gens):
+        matrices.append(_parse_matrix(k, rows, dimension, conductor))
+        conductor = math.lcm(conductor, matrices[-1].conductor)
     character: Optional[tuple[int, ...]] = None
     if "character" in doc:
         raw = doc["character"]
@@ -192,7 +212,7 @@ def parse_job(
         character = tuple(raw)
     return JobSpec(
         dimension=dimension,
-        generators=matrices,
+        generators=tuple(matrices),
         mode=mode,
         character=character,
         max_group_size=max_group_size,

@@ -62,6 +62,12 @@ __all__ = [
 
 Rationalish = Union[int, Fraction]
 
+# The most work a conductor N may imply for one reduction modulo Phi_N:
+# (N - phi(N)) * phi(N) bounds the N - phi(N) top coefficients, each folded
+# through at most phi(N) tail terms.  Prime conductors, whose N - phi(N) is
+# 1, stay cheap (2003 and 1000003 pass); 30030 and 510510 are refused.
+MAX_REDUCTION_WORK = 10**7
+
 
 @lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -814,6 +820,22 @@ def _overlong(x: CyclotomicNumber) -> Optional[str]:
     return None
 
 
+def _conductor_refusal(n: int) -> Optional[str]:
+    """Why conductor n is refused, or None: (n - phi(n)) * phi(n) passes
+    `MAX_REDUCTION_WORK`.  That product is at least n / 2 for every n >= 2
+    (n - 1 for a prime; n - phi(n) >= sqrt(n) and phi(n) >= sqrt(n / 2)
+    otherwise), so a larger n is refused before it is factored, and
+    neither Phi_n nor a root of unity is built."""
+    if n <= 2 * MAX_REDUCTION_WORK:
+        phi = euler_phi(n)
+        if (n - phi) * phi <= MAX_REDUCTION_WORK:
+            return None
+    return (
+        f"conductor {n} is refused: reducing modulo Phi_{n} may take "
+        f"(n - phi(n)) * phi(n) steps, more than {MAX_REDUCTION_WORK}"
+    )
+
+
 class CycloParseError(ValueError):
     """Syntax or semantic error in a cyclotomic expression, with position."""
 
@@ -833,7 +855,9 @@ class _Parser:
     # rules, so nesting is bounded well inside Python's recursion limit.
     # A power is taken by `_signed_power` and refused at its '^' as soon
     # as a partial product is `_overlong`, so a huge one is never built;
-    # a partial product tagged as a root of unity is not scanned.
+    # a partial product tagged as a root of unity is not scanned.  A
+    # conductor past `MAX_REDUCTION_WORK` is refused at its E(n), and at
+    # the operator that would lift two operands to it.
     MAX_NESTING = 100
 
     def __init__(self, text: str):
@@ -867,12 +891,13 @@ class _Parser:
             value = -value
         while True:
             ch = self._peek()
+            at = self.pos
             if ch == "+":
                 self.pos += 1
-                value = value + self._term()
+                value = value + self._operand(value, self._term, at)
             elif ch == "-":
                 self.pos += 1
-                value = value - self._term()
+                value = value - self._operand(value, self._term, at)
             else:
                 return value
 
@@ -880,18 +905,27 @@ class _Parser:
         value = self._factor()
         while True:
             ch = self._peek()
+            at = self.pos
             if ch == "*":
                 self.pos += 1
-                value = value * self._factor()
+                value = value * self._operand(value, self._factor, at)
             elif ch == "/":
-                at = self.pos
                 self.pos += 1
-                divisor = self._factor()
+                divisor = self._operand(value, self._factor, at)
                 if divisor.is_zero:
                     raise CycloParseError("division by zero", at)
                 value = value / divisor
             else:
                 return value
+
+    def _operand(self, value: CyclotomicNumber, rule, at: int) -> CyclotomicNumber:
+        """The right operand of the operator at `at`, read by `rule`, once
+        the conductor both operands lift to is allowed."""
+        other = rule()
+        reason = _conductor_refusal(math.lcm(value.conductor, other.conductor))
+        if reason:
+            raise CycloParseError(reason, at)
+        return other
 
     def _factor(self) -> CyclotomicNumber:
         value = self._base()
@@ -938,6 +972,9 @@ class _Parser:
             n = self._int(signed=False)
             if n < 1:
                 raise CycloParseError(f"E({n}) is not a root of unity", at)
+            reason = _conductor_refusal(n)
+            if reason:
+                raise CycloParseError(reason, at)
             if self._peek() != ")":
                 raise CycloParseError("expected ')'", self.pos)
             self.pos += 1

@@ -39,11 +39,11 @@ Subgroups are handles onto a parent group's label set, known by generators
 that generate their members, so normality and normal closures are tested on
 the conjugates of those generators; quotients get their own contiguous label
 set (coset indices, representative = least parent label) and multiply their
-representatives in the parent.
+representatives in the parent, except G/1, which is G on G's own labels.
 Each group-like holds one element-order table, `element_orders`, indexed by
 label: a closed group's comes with its closure and a quotient's from one walk
-of its cyclic subgroups on first read (`_cyclic_walks`), while a handle reads
-its parent's, so no subgroup is walked again.
+of its cyclic subgroups on first read (`_cyclic_walks`), while a handle and
+G/1 read their parent's, so no subgroup is walked again.
 The table algorithms below (closure, conjugacy, commutators, quotients) only
 require the small group-protocol surface (carrier_labels / generator_labels /
 mul / inv / identity_label), so they work uniformly on groups, subgroup
@@ -100,7 +100,8 @@ __all__ = [
 
 # The default caps: the most elements `close_group` builds, and the highest
 # order a single matrix may have, the most elements of the cyclic group
-# that `mckay` closes to read its eigenvalues.
+# that `mckay` closes to read its eigenvalues.  The cap on conductors,
+# `cyclo.MAX_REDUCTION_WORK`, lives with the parser that checks it.
 MAX_GROUP_SIZE = 20000
 MAX_ORDER = 10000
 
@@ -527,6 +528,10 @@ class FiniteMatrixGroup:
     `id_of` is keyed by F_p images, and a match is confirmed exactly.
     Element orders and inverses come from one walk per cyclic subgroup
     (`_cyclic_walks`), whose power lists `walks` keeps for the eigen pass.
+    `is_abelian` says whether the generators' left tables commute on each
+    other; `_certify_finite` then proves it exactly (`_certify_abelian`).
+    An abelian group's classes are its singletons and its abelianization
+    is G/1, which shares G's tables, so neither takes a product.
 
     Exact matrices are built on demand: `matrix(x)` is the generator that
     discovered x times the matrix of x's parent in the search tree, one
@@ -573,6 +578,10 @@ class FiniteMatrixGroup:
         self.exponent = math.lcm(*self.element_orders)
         self.working_conductor = math.lcm(entry_conductor, self.exponent)
         self.is_special_linear = is_special_linear
+        self.is_abelian = all(
+            lmul[i][self.generator_ids[j]] == lmul[j][self.generator_ids[i]]
+            for i in range(len(generators)) for j in range(i)
+        )
         self._memo: dict = {}
 
     # protocol ----------------------------------------------------------
@@ -667,11 +676,19 @@ class FiniteMatrixGroup:
 
     @per_group
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of `conjugacy_classes`; an abelian group's are its
+        singletons, in label order."""
+        if self.is_abelian:
+            return tuple((x,) for x in self.carrier_labels())
         return conjugacy_classes(self)
 
     @per_group
     def abelianization(self) -> "QuotientGroup":
-        """Ab(G) = G / [G, G]; its `normal` is the derived subgroup."""
+        """Ab(G) = G / [G, G]; its `normal` is the derived subgroup.  An
+        abelian group's is the trivial subgroup, taken with no commutator,
+        so Ab(G) is G/1 and shares G's tables."""
+        if self.is_abelian:
+            return quotient(self, SubgroupHandle(self, (self.identity_label,), ()))
         return abelianization(self)
 
     @per_group
@@ -816,9 +833,8 @@ def _certify_finite(G: FiniteMatrixGroup) -> None:
     w_x, which spans V, into itself, so G acts faithfully on a finite set
     and is finite."""
     gens, images, p = G.generators, G._shadow.images, G._shadow.prime
-    steps, parents, lmul, ids = G._steps, G._parents, G._lmul, G.generator_ids
-    if all(lmul[i][ids[j]] == lmul[j][ids[i]]
-           for i in range(len(ids)) for j in range(i)):
+    steps, parents, lmul = G._steps, G._parents, G._lmul
+    if G.is_abelian:
         _certify_abelian(G)
         return
     n = G.dim
@@ -1133,6 +1149,8 @@ def _escaping_conjugates(grp, sub: SubgroupHandle):
     lookups on a closed group, two products on any other group-like); for
     a finite group the verdict is that of g h g^-1, as g S g^-1 lies in S
     exactly when g^-1 S g does."""
+    if not sub.generator_labels():
+        return  # the trivial subgroup: no conjugate, and no conjugator
     for g in dict.fromkeys(grp.generator_labels()):
         conjugate = _conjugator(grp, g)
         for h in sub.generator_labels():
@@ -1144,16 +1162,29 @@ def _escaping_conjugates(grp, sub: SubgroupHandle):
 class QuotientGroup:
     """G/N for N normal in G.  Labels are coset indices; representative of a
     coset is its least parent label and cosets are indexed by representative
-    in ascending order (so index 0 is the identity coset).  `mul` multiplies
-    the two representatives in the parent and looks the product's coset up
-    in `coset_of`; inverses are read off once, at construction."""
+    in ascending order (so index 0 is the identity coset, N itself, read off
+    `normal.members` with no product).  `mul` multiplies the two
+    representatives in the parent and looks the product's coset up in
+    `coset_of`; inverses are read off once, at construction.  G/1 over a
+    parent labelled 0..n-1 is the parent: `coset_reps` and `coset_of` are
+    the identity, and it takes the parent's `mul`, `inv` and
+    `element_orders`, so it builds no coset dict and walks nothing."""
 
     def __init__(self, parent, normal: SubgroupHandle):
         _check_normal(parent, normal)
         self.parent = parent
         self.normal = normal
-        coset_of = {}
-        reps = []
+        self.identity_label = 0
+        n = len(parent)
+        if len(normal) == 1 and parent.carrier_labels() == range(n):
+            # G/1 is G: its cosets are G's labels, and it shares G's
+            # products, inverses and order table
+            self.coset_reps = self.coset_of = range(n)
+            self.mul, self.inv = parent.mul, parent.inv
+            self._generators = tuple(dict.fromkeys(parent.generator_labels()))
+            return
+        coset_of = dict.fromkeys(normal.members, 0)
+        reps = [parent.identity_label]
         for x in sorted(parent.carrier_labels()):
             if x in coset_of:
                 continue
@@ -1163,7 +1194,6 @@ class QuotientGroup:
                 coset_of[parent.mul(x, nn)] = idx
         self.coset_reps = tuple(reps)
         self.coset_of = coset_of
-        self.identity_label = 0
         self._inv = tuple(coset_of[parent.inv(r)] for r in reps)
         self._generators = tuple(
             dict.fromkeys(coset_of[g] for g in parent.generator_labels())
@@ -1186,7 +1216,9 @@ class QuotientGroup:
     @functools.cached_property
     def element_orders(self) -> list[int]:
         """The order of each coset, from one `_cyclic_walks` of the
-        quotient, kept on first read."""
+        quotient, kept on first read; G/1 reads G's."""
+        if isinstance(self.coset_of, range):
+            return self.parent.element_orders
         return _cyclic_walks(self)[0]
 
     def __len__(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from crepant import cyclo
 from crepant.matgrp import CycMatrix, close_group
 
 # order 6 in SL4: diag(-1, -1, -z3, -z3^2)
@@ -125,3 +126,19 @@ def scalar3():
     # z3 * I6: no juniors, every nontrivial element has age 2 or 4
     rows = [[("E(3)" if i == j else "0") for j in range(6)] for i in range(6)]
     return close_group([CycMatrix.from_rows(rows)])
+
+
+@pytest.fixture
+def no_phi_past_the_cap(monkeypatch):
+    """`cyclotomic_polynomial` and `_phi_tail` raise on a conductor past
+    the cap, so a refusal made any later than the parse fails a test
+    instead of hanging it."""
+    def guarded(fn):
+        def call(n):
+            if cyclo._conductor_refusal(n):
+                raise AssertionError(f"Phi_{n} was asked for")
+            return fn(n)
+        return call
+
+    for name in ("cyclotomic_polynomial", "_phi_tail"):
+        monkeypatch.setattr(cyclo, name, guarded(getattr(cyclo, name)))

@@ -631,6 +631,7 @@ _WRITTEN_MODES = {
     "c27_cubed": ("analyze", "sweep"),
     "c6_cubed": MODES,
     "c6_cubed_dense": ("analyze", "age"),
+    "d1944": ("analyze", "age"),
     "q8": MODES,
     "s3": MODES,
 }
@@ -723,6 +724,12 @@ DENSE_INVARIANT_JOB = "2t_c3_dense_chi11"
 # shared eigenbases): the congruence and membership records of groups
 # larger than 2T.
 CHECK_JOB_FILES = ("2t_c3_dense", "c6_cubed", "2i_c12")
+# The diagonal group <diag(z18, 1, 1, z18^-1), diag(1, z18, 1, z18^-1),
+# diag(1, 1, z6, z6^-1)> of order 1944 has the invariant factors
+# [6, 18, 18]: two primes with unequal p-parts, which C6^3, C27^3 and C2003
+# do not reach.  It is abelian, so its classes are singletons, Ab(G) is G/1
+# on G's own tables, and its `analyze` and `age` reports pin that route.
+D1944_JOB = "d1944"
 # EX72 is not free: its `check` reports the witness 1 off the generation
 # route, and its `sweep` the torsion [2].  C15 = <diag(E(15), E(15)^4,
 # E(15)^10)> has 8 twists that find 4 junior sets, each shared by two
@@ -759,6 +766,8 @@ GOLDEN_JOBS = {
         _job_text(DENSE_INVARIANT_JOB), "invariant", 1
     ),
     **{f"{name}_check": (_job_text(name), "check", 1) for name in CHECK_JOB_FILES},
+    **{f"{D1944_JOB}_{mode}": (_job_text(D1944_JOB), mode, 1)
+       for mode in ("analyze", "age")},
     **{f"{SHARED_JUNIOR_SET_JOB}_{mode}": (_job_text(SHARED_JUNIOR_SET_JOB), mode, 1)
        for mode in ("sweep", "check")},
     **{golden: (_job_text(name), mode, twist)
@@ -1143,6 +1152,30 @@ def test_main_refuses_an_entry_that_embedding_makes_overlong(
     if neighbour == "E(3)":
         assert err.startswith("error: generator 1, row 1, column 1: ")
         assert "(at position" not in err
+
+
+@pytest.mark.parametrize(
+    "generators, where",
+    [
+        # the 81-byte job: one E(510510) would fold 418 350 top
+        # coefficients through a 91 644-term tail of Phi_510510
+        ([[["E(510510)", "0"], ["0", "E(510510)^510509"]]], "1, row 1, column 1"),
+        # each entry passes, their common conductor 30030 does not
+        ([[["E(2310)", "0"], ["0", "E(13)"]]], "1, row 2, column 2"),
+        ([[["E(2310)", "0"], ["0", "E(2310)^-1"]],
+          [["E(13)", "0"], ["0", "E(13)^-1"]]], "2, row 1, column 1"),
+    ],
+)
+def test_main_refuses_a_conductor_past_the_cap(
+    generators, where, no_phi_past_the_cap, monkeypatch, capsys
+):
+    text = json.dumps({"dimension": 2, "generators": generators})
+    code, out, err = run_main(
+        ["analyze"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: generator {where}: conductor ")
+    assert "is refused" in err and "Traceback" not in err
 
 
 def test_main_accepts_a_huge_power_of_a_root_of_unity(

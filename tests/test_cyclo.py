@@ -163,6 +163,36 @@ def test_parse_scans_no_tagged_partial_product(monkeypatch):
     assert scans
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("E(510510)", 2),
+        ("E(30030)^30029", 2),
+        ("1+E(10000000000000000000000000000000000000000)", 4),
+        # each E(n) passes, and the operator that would lift two
+        # operands to conductor 30030 is refused
+        ("E(2)*E(3)*E(5)*E(7)*E(11)*E(13)", 25),
+        ("E(2310)+(E(13))", 7),
+        ("E(2310)/E(13)", 7),
+    ],
+)
+def test_parse_refuses_a_conductor_past_the_cap(text, position, no_phi_past_the_cap):
+    with pytest.raises(CycloParseError, match="is refused") as err:
+        parse_cyclotomic(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 2003, 6000, 1000003])
+def test_conductors_within_the_cap(n):
+    # (n - phi(n)) * phi(n): 0, 1, 704, 2002, 7 040 000 and 1 000 002; a
+    # prime conductor folds one top coefficient, so 1000003 passes
+    phi = euler_phi(n)
+    assert (n - phi) * phi <= cyclo.MAX_REDUCTION_WORK
+    assert cyclo._conductor_refusal(n) is None
+    for past in (30030, 510510, 2 * cyclo.MAX_REDUCTION_WORK + 1):
+        assert cyclo._conductor_refusal(past)
+
+
 def test_parse_rejects_E0():
     with pytest.raises(CycloParseError):
         parse_cyclotomic("E(0)")

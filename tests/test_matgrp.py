@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from crepant.matgrp import (
     GroupTooLargeError,
     NotAbelianError,
     NotNormalError,
+    QuotientGroup,
     SingularMatrixError,
     abelian_decomposition,
     abelian_invariants,
@@ -49,7 +51,7 @@ from crepant.matgrp import (
 )
 from crepant.mckay import age_records, is_reflection
 
-from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, TETRA_ROWS, cyclic_sl2
+from conftest import EX72_ROWS, ICOSA_ROWS, Q8_ROWS, S3_ROWS, TETRA_ROWS, cyclic_sl2
 
 CYCLIC6_ROWS = [["E(6)", "0"], ["0", "E(6)^5"]]
 from helpers import (
@@ -874,6 +876,110 @@ def test_closed_group_classes_take_no_product(name, request, monkeypatch):
     assert conjugacy_classes(G) == expected
 
 
+def _job_group(name):
+    text = (Path(__file__).parent / "data" / "jobs" / f"{name}.json").read_text()
+    return close_group(cli.parse_job(text, "analyze").generators)
+
+
+ABELIAN_GROUPS = ["block0", "block1", "block2", "block3", "c6_cubed"]
+
+
+def _abelian_group(name):
+    """A `_random_block_group` draw (the k-th from one seeded generator),
+    or the group of a job file."""
+    if name.startswith("block"):
+        rng = random.Random(37)
+        for _ in range(int(name[5:]) + 1):
+            G = _random_block_group(rng, max_order=150)[0]
+        return G
+    return _job_group(name)
+
+
+def _quotient_tables(q):
+    labels = list(q.parent.carrier_labels())
+    return (
+        list(q.coset_reps), [q.coset_of[x] for x in labels], q.normal.members,
+        q.generator_labels(), list(q.element_orders),
+        [q.inv(a) for a in q.carrier_labels()],
+    )
+
+
+@pytest.mark.parametrize("name", ABELIAN_GROUPS)
+def test_abelian_group_is_its_own_abelianization(name, monkeypatch):
+    # G/[G, G] = G/1: its cosets are G's labels, its order table is G's, and
+    # neither the quotient nor its invariants walk a cyclic subgroup
+    G = _abelian_group(name)
+    walked = []
+    real = matgrp._cyclic_walks
+    monkeypatch.setattr(
+        matgrp, "_cyclic_walks", lambda g: walked.append(g) or real(g)
+    )
+    assert G.is_abelian
+    ab = abelianization(G)
+    assert len(ab) == len(G)
+    assert all(ab.coset_of[x] == x == ab.coset_reps[x] for x in G.carrier_labels())
+    assert ab.element_orders is G.element_orders
+    assert abelian_invariants(ab).order == len(G)
+    assert walked == []
+
+
+@pytest.mark.parametrize("name", ABELIAN_GROUPS + ["c6_cubed_dense"])
+def test_abelian_classes_and_abelianization_take_no_product(name, monkeypatch):
+    # commuting generators give the singleton classes and the trivial
+    # derived subgroup outright: no product, commutator or conjugator table
+    # (the dense C6^3 too, whose generators are not diagonal)
+    G = _abelian_group(name)
+    classes = conjugacy_classes(G)
+    expected = _quotient_tables(quotient(G, commutator_subgroup(G)))
+    G = close_group(G.generators)
+    assert G.is_abelian
+
+    def no_product(self, a, b):
+        raise AssertionError("took a product")
+
+    monkeypatch.setattr(matgrp.FiniteMatrixGroup, "mul", no_product)
+    assert G.conjugacy_classes() == classes
+    assert _quotient_tables(G.abelianization()) == expected
+    assert "_lmul_inverses" not in vars(G)
+
+
+@pytest.mark.parametrize(
+    "rows, abelian",
+    [(Q8_ROWS, False), (S3_ROWS, False), (TETRA_ROWS, False), ([EX72_ROWS], True)],
+    ids=["q8", "s3", "2t", "ex72"],
+)
+def test_only_commuting_generators_skip_the_orbit_route(rows, abelian, monkeypatch):
+    # Q8, S3 and 2T have generators that do not commute: their group-level
+    # classes and abelianization are those of the orbit and normal-closure
+    # routes.  EX72 has one generator, so it is cyclic and takes neither.
+    G = close_group([CycMatrix.from_rows(r) for r in rows])
+    assert G.is_abelian == abelian
+    calls = []
+    for name in ("conjugacy_classes", "commutator_subgroup"):
+        real = getattr(matgrp, name)
+        monkeypatch.setattr(
+            matgrp, name,
+            lambda g, real=real, name=name: calls.append(name) or real(g),
+        )
+    G.conjugacy_classes()
+    G.abelianization()
+    assert calls == ([] if abelian else ["conjugacy_classes", "commutator_subgroup"])
+
+
+def test_quotient_by_the_whole_group_takes_no_product(monkeypatch):
+    # G/G's one coset is N itself, read off its members
+    G = close_group([CycMatrix.from_rows(r) for r in TETRA_ROWS])
+    whole = subgroup_generated(G, G.generator_labels())
+
+    def no_product(self, a, b):
+        raise AssertionError("took a product")
+
+    monkeypatch.setattr(matgrp.FiniteMatrixGroup, "mul", no_product)
+    q = QuotientGroup(G, whole)
+    assert (len(q), q.coset_reps, q.inv(0), q.generator_labels()) == (1, (0,), 0, (0,))
+    assert set(q.coset_of) == set(G.carrier_labels())
+
+
 def test_conjugation_by_generators_preserves_classes(s3):
     for c in s3.conjugacy_classes():
         for g in s3.generator_labels():
@@ -1309,9 +1415,9 @@ def test_abelian_structure_refuses_a_bad_chain(factors, order, message):
 
 def test_decomposition_walks_its_group_once(monkeypatch):
     # one order table serves the counting route and the peel-off: a closed
-    # group's comes with its closure, a quotient's is walked once, and the
+    # group's comes with its closure and is walked there once.  Its
+    # abelianization G/1 walks nothing and reads that table, and the
     # peel-off still walks each of its own quotients
-    grp, orders = _random_block_group(random.Random(5), max_order=120)
     walked = []
 
     def counted(g):
@@ -1320,13 +1426,15 @@ def test_decomposition_walks_its_group_once(monkeypatch):
 
     real = matgrp._cyclic_walks
     monkeypatch.setattr(matgrp, "_cyclic_walks", counted)
+    grp, orders = _random_block_group(random.Random(5), max_order=120)
     dec = abelian_decomposition(grp)
     assert dec.structure.invariant_factors == invariant_factors_of_product(orders)
-    assert sum(g is grp for g in walked) == 0
     ab = abelianization(grp)
     assert abelian_decomposition(ab).structure == dec.structure
     assert abelian_invariants(ab) == dec.structure
-    assert sum(g is ab for g in walked) == 1
+    assert sum(g is ab for g in walked) == 0
+    assert sum(g is grp for g in walked) == 1
+    assert ab.element_orders is grp.element_orders
 
 
 def test_decomposition_checks_the_counting_route(ex72, monkeypatch):

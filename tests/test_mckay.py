@@ -888,8 +888,10 @@ def test_sweep_of_trivial_group():
 
 
 def test_sweep_walks_a_shared_abelian_quotient_once(monkeypatch):
-    # <diag(z15, z15^-1)>: eight twists share one junior set, so one
-    # Ab(G/H), whose element orders are walked once, not once per twist
+    # <diag(z15, z15^-1)>: eight twists share one junior set, so one G/H
+    # and one Ab(G/H).  G/H is abelian, so Ab(G/H) is (G/H)/1, which walks
+    # nothing and reads the order table of G/H, walked once, not once per
+    # twist
     G = cyclic_sl2(15)
     walked = []
     walks = matgrp._cyclic_walks
@@ -902,8 +904,10 @@ def test_sweep_walks_a_shared_abelian_quotient_once(monkeypatch):
     entries = galois_sweep(G)
     assert len(entries) == 8
     assert len({e.junior_element_ids for e in entries}) == 1
-    _, ab = mckay._juniors(G, mckay.IDENTITY_TWIST).quotients
-    assert sum(grp is ab for grp in walked) == 1
+    G_H, ab = mckay._juniors(G, mckay.IDENTITY_TWIST).quotients
+    assert sum(grp is ab for grp in walked) == 0
+    assert sum(grp is G_H for grp in walked) == 1
+    assert ab.element_orders is G_H.element_orders
 
 
 def test_sweep_scans_the_classes_once_per_junior_set(c7, monkeypatch):
